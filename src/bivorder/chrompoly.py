@@ -8,11 +8,15 @@ y = 0 frees every edge, giving x^n.
 
 chrom_poly is assembled from the order polynomials of the posets that
 acyclic orientations of quotient graphs induce, one per (flat,
-orientation) pair; chrom_count enumerates colorings directly.  The two
-never share code, so each verifies the other.
+orientation) pair.  It sums them by word key: the word-key counts of
+all pairs are merged and each distinct key's chain sum is added once.
+chrom_count enumerates colorings directly.  The two never share code,
+so each verifies the other.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -29,9 +33,10 @@ from .orderpoly import (
     CheckReport,
     _check_budget,
     _profile_to_cum,
+    _sum_word_keys,
     _value_rows,
+    _word_key_counts,
     brute_count_weak,
-    order_poly_strict,
     order_poly_weak,
 )
 from .ratpoly import BiPoly, X
@@ -72,14 +77,19 @@ def chrom_count(G: Graph, x0: int, y0: int, budget: int | None = None) -> int:
 
 @lru_cache(maxsize=None)
 def chrom_poly(G: Graph) -> BiPoly:
-    """The counting polynomial, summed over all flats and all acyclic
-    orientations of their quotients via the strict order polynomials of
-    the induced bicolored posets."""
-    total = BiPoly.zero()
+    """The counting polynomial: the sum, over all flats and all acyclic
+    orientations of their quotients, of the strict order polynomials of
+    the induced bicolored posets.
+
+    Each of those order polynomials is a sum of chain sums fixed by word
+    keys, so the word-key counts of every (flat, orientation) poset are
+    merged first and the chain sums are added once per distinct key.
+    """
+    keys: Counter[tuple[int, int, int, int]] = Counter()
     for F in flats(G):
         for sigma in acyclic_orientations(F.quotient):
-            total = total + order_poly_strict(orientation_to_poset(F, sigma))
-    return total
+            keys.update(_word_key_counts(orientation_to_poset(F, sigma), "strict"))
+    return _sum_word_keys(keys, "strict")
 
 
 @lru_cache(maxsize=None)

@@ -38,6 +38,17 @@ GRAPH_ORACLE_X = 5
 GRAPH_RECIPROCITY_X = 5
 
 
+def _budget(text: str) -> int:
+    """argparse type of --budget: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("budget must be nonnegative")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bivorder",
@@ -61,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--y", type=int, required=True, help="celeste threshold")
         if budget:
             p.add_argument(
-                "--budget", type=int, default=None,
+                "--budget", type=_budget, default=None,
                 help="max enumerated objects (default 10^7)",
             )
         return p

@@ -11,7 +11,9 @@ other by the test suite:
 
 * closed forms for chains and for ascent/descent-constrained words,
 * the decomposition of a poset's polynomial as the sum of its linear
-  extensions' word polynomials,
+  extensions' word polynomials; a word polynomial is the chain sum fixed
+  by its word key (length, mark, prefix and full statistic), so the sum
+  is taken once per distinct key, weighted by how many extensions give it,
 * brute-force enumeration of all x^n maps (vectorized, exact),
 * Lagrange interpolation of the brute counts through an integer grid.
 
@@ -22,6 +24,7 @@ is still defined but no longer counts anything.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -42,7 +45,7 @@ from .poset import (
     reverse_natural_labeling,
     word_of,
 )
-from .ratpoly import ONE, X, Y, BiPoly, binom_poly
+from .ratpoly import ONE, X, Y, BiPoly, _weighted_sum, binom_poly
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -131,7 +134,12 @@ def chain_weak(n: int, k: int) -> BiPoly:
     return _weak_sum(n, k, 0, 0)
 
 
-def _word_stats(w: Word, stat: Callable[[Iterable[int]], set[int]]) -> tuple[int, int, int]:
+def _word_key(
+    w: Word, stat: Callable[[Iterable[int]], set[int]]
+) -> tuple[int, int, int, int]:
+    """The four integers that fix a word's chain sum: length n, k (the
+    letters before the mark, n when unmarked), and the statistic's count
+    on the prefix ending at the mark and on the whole word."""
     n = len(w)
     if w.celeste_pos is None:
         k = n
@@ -139,7 +147,7 @@ def _word_stats(w: Word, stat: Callable[[Iterable[int]], set[int]]) -> tuple[int
     else:
         k = w.celeste_pos - 1
         prefix = len(stat(w.letters[: w.celeste_pos]))
-    return k, prefix, len(stat(w.letters))
+    return n, k, prefix, len(stat(w.letters))
 
 
 def word_poly_strict(w: Word) -> BiPoly:
@@ -150,19 +158,32 @@ def word_poly_strict(w: Word) -> BiPoly:
     This is the chain polynomial with x shifted by the ascent count of w
     and y by the ascent count of the prefix ending at the mark.
     """
-    k, a, full = _word_stats(w, ascents)
-    return _strict_sum(len(w), k, a, full)
+    return _strict_sum(*_word_key(w, ascents))
 
 
 def word_poly_weak(w: Word) -> BiPoly:
     """Weak counting polynomial of a word: phi(j) < phi(j+1) at descents,
     phi(j) <= phi(j+1) elsewhere, phi at or above y from the mark on.
     Shifts use descent counts with the opposite sign."""
-    k, d, full = _word_stats(w, descents)
-    return _weak_sum(len(w), k, d, full)
+    return _weak_sum(*_word_key(w, descents))
 
 
 # decomposition over linear extensions ---------------------------------------
+
+
+def _checked_labeling(
+    P: BicoloredPoset, labeling: tuple[int, ...] | None, mode: str
+) -> tuple[int, ...]:
+    """The mode's default labeling, or the given one once it is checked:
+    strict words need a reverse natural labeling, weak words a natural one."""
+    strict = mode == "strict"
+    if labeling is None:
+        return reverse_natural_labeling(P) if strict else natural_labeling(P)
+    valid = is_reverse_natural_labeling if strict else is_natural_labeling
+    if not valid(P, tuple(labeling)):
+        kind = "reverse natural" if strict else "natural"
+        raise ValueError(f"{mode} decomposition needs a {kind} labeling")
+    return labeling
 
 
 def strict_word_decomposition(
@@ -173,10 +194,7 @@ def strict_word_decomposition(
     The labeling must be reverse natural; any such labeling gives the
     same total, which the tests exercise.
     """
-    if labeling is None:
-        labeling = reverse_natural_labeling(P)
-    elif not is_reverse_natural_labeling(P, tuple(labeling)):
-        raise ValueError("strict decomposition needs a reverse natural labeling")
+    labeling = _checked_labeling(P, labeling, "strict")
     out = []
     for ext in linear_extensions(P):
         w = word_of(ext, labeling, P)
@@ -189,10 +207,7 @@ def weak_word_decomposition(
 ) -> tuple[tuple[Word, BiPoly], ...]:
     """The (word, word polynomial) summands of order_poly_weak; the
     labeling must be natural."""
-    if labeling is None:
-        labeling = natural_labeling(P)
-    elif not is_natural_labeling(P, tuple(labeling)):
-        raise ValueError("weak decomposition needs a natural labeling")
+    labeling = _checked_labeling(P, labeling, "weak")
     out = []
     for ext in linear_extensions(P):
         w = word_of(ext, labeling, P)
@@ -200,20 +215,40 @@ def weak_word_decomposition(
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _order_poly_strict_default(P: BicoloredPoset) -> BiPoly:
-    total = BiPoly.zero()
-    for _, poly in strict_word_decomposition(P):
-        total = total + poly
-    return total
+def _word_key_counts(
+    P: BicoloredPoset, mode: str, labeling: tuple[int, ...] | None = None
+) -> Counter[tuple[int, int, int, int]]:
+    """How many linear extensions give each word key (see _word_key).
+
+    A word polynomial is the chain sum fixed by its key, so the order
+    polynomial is the sum of count * chain sum over the distinct keys.
+    The statistic is ascents in strict mode and descents in weak mode.
+    """
+    labeling = _checked_labeling(P, labeling, mode)
+    stat = ascents if mode == "strict" else descents
+    keys: Counter[tuple[int, int, int, int]] = Counter()
+    for ext in linear_extensions(P):
+        w = word_of(ext, labeling, P)
+        keys[_word_key(w, stat)] += 1
+    return keys
+
+
+def _sum_word_keys(keys: Counter[tuple[int, int, int, int]], mode: str) -> BiPoly:
+    chain_sum = _strict_sum if mode == "strict" else _weak_sum
+    return _weighted_sum((count, chain_sum(*key)) for key, count in keys.items())
 
 
 @lru_cache(maxsize=None)
-def _order_poly_weak_default(P: BicoloredPoset) -> BiPoly:
-    total = BiPoly.zero()
-    for _, poly in weak_word_decomposition(P):
-        total = total + poly
-    return total
+def _order_poly_default(P: BicoloredPoset, mode: str) -> BiPoly:
+    return _sum_word_keys(_word_key_counts(P, mode), mode)
+
+
+def _order_poly(
+    P: BicoloredPoset, mode: str, labeling: tuple[int, ...] | None
+) -> BiPoly:
+    if labeling is None:
+        return _order_poly_default(P, mode)
+    return _sum_word_keys(_word_key_counts(P, mode, labeling), mode)
 
 
 def order_poly_strict(
@@ -221,12 +256,7 @@ def order_poly_strict(
 ) -> BiPoly:
     """Polynomial counting strict order preserving maps of P into 1..x
     with every celeste element sent strictly above y."""
-    if labeling is None:
-        return _order_poly_strict_default(P)
-    total = BiPoly.zero()
-    for _, poly in strict_word_decomposition(P, labeling):
-        total = total + poly
-    return total
+    return _order_poly(P, "strict", labeling)
 
 
 def order_poly_weak(
@@ -234,12 +264,7 @@ def order_poly_weak(
 ) -> BiPoly:
     """Polynomial counting weak order preserving maps of P into 1..x with
     every celeste element sent to y or above."""
-    if labeling is None:
-        return _order_poly_weak_default(P)
-    total = BiPoly.zero()
-    for _, poly in weak_word_decomposition(P, labeling):
-        total = total + poly
-    return total
+    return _order_poly(P, "weak", labeling)
 
 
 # brute-force enumeration -----------------------------------------------------
@@ -382,15 +407,11 @@ def interpolate_poly(counter: Callable[[int, int], int], n: int, mode: str) -> B
         raise ValueError("n must be nonnegative")
     _mode_ok(mode)
     xs, ys, prods = _tensor_basis(n, mode)
-    acc: dict[tuple[int, int], Fraction] = {}
-    for i, xv in enumerate(xs):
-        for j, yv in enumerate(ys):
-            v = int(counter(xv, yv))
-            if not v:
-                continue
-            for e, c in prods[i][j].terms.items():
-                acc[e] = acc.get(e, Fraction(0)) + v * c
-    return BiPoly(acc)
+    return _weighted_sum(
+        (int(counter(xv, yv)), prods[i][j])
+        for i, xv in enumerate(xs)
+        for j, yv in enumerate(ys)
+    )
 
 
 def interpolate_brute(
@@ -432,10 +453,9 @@ def check_reciprocity_word(w: Word) -> CheckReport:
     side is the weak sum with those shifts, taken at y + 1.  The report
     always records both sides.
     """
-    n = len(w)
-    k, a, full = _word_stats(w, ascents)
-    lhs = word_poly_strict(w).negate_args() * (-1) ** n
-    rhs = _weak_sum(n, k, a, full).shift_y(1)
+    key = _word_key(w, ascents)
+    lhs = word_poly_strict(w).negate_args() * (-1) ** len(w)
+    rhs = _weak_sum(*key).shift_y(1)
     witness = {
         "word": list(w.letters),
         "celeste_pos": w.celeste_pos,

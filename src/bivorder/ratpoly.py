@@ -186,14 +186,14 @@ class BiPoly:
 
     def shift_y(self, s: int) -> BiPoly:
         """The polynomial p(x, y + s) for an integer shift s."""
-        out = BiPoly.zero()
+        shift = Fraction(s)
+        out: dict[tuple[int, int], Fraction] = {}
         for (dx, dy), c in self._terms.items():
             # expand (y + s)^dy by the binomial theorem
-            row: dict[tuple[int, int], Fraction] = {}
             for t in range(dy + 1):
-                row[dx, t] = c * math.comb(dy, t) * Fraction(s) ** (dy - t)
-            out = out + BiPoly(row)
-        return out
+                term = c * math.comb(dy, t) * shift ** (dy - t)
+                out[dx, t] = out.get((dx, t), Fraction(0)) + term
+        return BiPoly(out)
 
     def subs_y(self, c: Coeff) -> BiPoly:
         """Substitute the constant c for y, leaving a polynomial in x."""
@@ -267,6 +267,24 @@ class BiPoly:
                 raise ValueError(f"duplicate term ({dx}, {dy}) in polynomial JSON")
             terms[dx, dy] = c
         return cls(terms)
+
+
+def _weighted_sum(parts: Iterable[tuple[int, BiPoly]]) -> BiPoly:
+    """The sum of c * p over (c, p) pairs with integer weights c.
+
+    Accumulates into one term map and wraps it without re-validating:
+    every exponent comes from a BiPoly already and zero sums are dropped,
+    so the map is canonical.  Adding the summands one by one with + would
+    rebuild and re-check a polynomial per summand.
+    """
+    acc: dict[tuple[int, int], Fraction] = {}
+    for c, p in parts:
+        if c:
+            for e, v in p._terms.items():
+                acc[e] = acc.get(e, Fraction(0)) + c * v
+    out = object.__new__(BiPoly)
+    object.__setattr__(out, "_terms", {e: v for e, v in acc.items() if v})
+    return out
 
 
 X = BiPoly.monomial(1, 0)

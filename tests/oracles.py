@@ -145,6 +145,34 @@ def all_graphs(n: int) -> list[Graph]:
     return out
 
 
+def up_to_isomorphism(objs: list, relabeled) -> list:
+    """The first object of each isomorphism class, in input order.
+
+    relabeled(obj, perm) gives obj's structure with element e renamed
+    perm[e], as a hashable value; a class is known by the least such
+    value over all permutations.
+    """
+    seen = set()
+    out = []
+    for obj in objs:
+        key = min(relabeled(obj, perm) for perm in itertools.permutations(range(obj.n)))
+        if key not in seen:
+            seen.add(key)
+            out.append(obj)
+    return out
+
+
+def relabeled_poset(P: BicoloredPoset, perm) -> tuple:
+    return (
+        tuple(sorted((perm[a], perm[b]) for a, b in P.less)),
+        tuple(sorted(perm[c] for c in P.celeste)),
+    )
+
+
+def relabeled_graph(G: Graph, perm) -> tuple:
+    return tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in G.edges))
+
+
 # fast exact grid evaluation ---------------------------------------------------
 
 

@@ -1,6 +1,9 @@
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from bivorder.chrompoly import (
     check_reciprocity_graph,
     check_reciprocity_graph_poly,
@@ -18,7 +21,7 @@ from bivorder.fixtures import (
 from bivorder.graph import Graph, acyclic_orientations, flats, orientation_to_poset, trivial_flat
 from bivorder.orderpoly import BudgetExceededError, brute_count_weak, order_poly_strict, order_poly_weak
 from bivorder.ratpoly import ONE, X, Y, BiPoly
-from oracles import all_graphs, dumb_count_colorings
+from oracles import all_graphs, dumb_count_colorings, relabeled_graph, up_to_isomorphism
 
 
 def test_chrom_poly_frozen_small_graphs():
@@ -68,6 +71,34 @@ def test_chrom_poly_counts_on_region(n):
         for x0 in range(7):
             for y0 in range(x0 + 1):
                 assert poly.evaluate(x0, y0) == chrom_count(G, x0, y0)
+
+
+def _per_pair_sum(G: Graph) -> BiPoly:
+    """The old route: add one strict order polynomial per (flat,
+    orientation) pair."""
+    total = BiPoly.zero()
+    for F in flats(G):
+        for sigma in acyclic_orientations(F.quotient):
+            total = total + order_poly_strict(orientation_to_poset(F, sigma))
+    return total
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_chrom_poly_equals_per_pair_sum(n):
+    # five vertices: one graph per isomorphism class keeps this quick
+    graphs = all_graphs(n)
+    if n == 5:
+        graphs = up_to_isomorphism(graphs, relabeled_graph)
+    for G in graphs:
+        assert chrom_poly(G) == _per_pair_sum(G)
+
+
+@given(st.lists(st.booleans(), min_size=15, max_size=15))
+@settings(max_examples=8, deadline=None)
+def test_chrom_poly_equals_per_pair_sum_six_vertices(keep):
+    pairs = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    G = Graph(6, frozenset(e for e, k in zip(pairs, keep) if k))
+    assert chrom_poly(G) == _per_pair_sum(G)
 
 
 def test_chrom_poly_monic_of_degree_n():

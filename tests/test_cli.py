@@ -210,6 +210,30 @@ def test_budget_error_exits_two(tmp_path):
     assert "budget" in err
 
 
+def test_negative_budget_is_usage_error():
+    for argv in [
+        ("poset-count", "--input", fixture("chain2celestetop.json"), "--mode", "strict",
+         "--x", "3", "--y", "1"),
+        ("graph-count", "--input", fixture("k3.json"), "--x", "2", "--y", "1"),
+        ("check", "--input", fixture("k3.json")),
+    ]:
+        code, out, err = run_cli(*argv, "--budget", "-1")
+        assert (code, out) == (2, "")
+        assert "budget must be nonnegative" in err
+    code, _, err = run_cli("check", "--input", fixture("k3.json"), "--budget", "ten")
+    assert code == 2
+    assert "invalid int value: 'ten'" in err
+
+
+def test_poly_outputs_match_recorded_bytes():
+    golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+    assert {g["fixture"] for g in golden} == {p.name for p in FIXTURES.glob("*.json")}
+    for g in golden:
+        code, out, err = run_cli(g["args"][0], "--input", fixture(g["fixture"]), *g["args"][1:])
+        assert (code, err) == (0, "")
+        assert out.encode() == g["stdout"].encode()
+
+
 def test_outputs_are_byte_identical_across_runs():
     for argv in [
         ("poset-poly", "--input", fixture("skewdiamond.json"), "--mode", "weak"),

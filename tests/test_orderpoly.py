@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bivorder.fixtures import (
     antichain_poset,
@@ -32,6 +34,8 @@ from bivorder.orderpoly import (
 from bivorder.poset import (
     BicoloredPoset,
     Word,
+    all_natural_labelings,
+    all_reverse_natural_labelings,
     build_poset,
     linear_extensions,
 )
@@ -43,6 +47,8 @@ from oracles import (
     dumb_count_word,
     dumb_word_profile,
     eval_int_grid,
+    relabeled_poset,
+    up_to_isomorphism,
 )
 
 half = Fraction(1, 2)
@@ -199,8 +205,6 @@ def test_decomposition_rejects_wrong_labeling_kind():
 
 @pytest.mark.parametrize("n", range(4))
 def test_labeling_independence_small_catalog(n):
-    from bivorder.poset import all_natural_labelings, all_reverse_natural_labelings
-
     for P in catalog_posets(n):
         ps = order_poly_strict(P)
         pw = order_poly_weak(P)
@@ -208,6 +212,59 @@ def test_labeling_independence_small_catalog(n):
             assert order_poly_strict(P, lab) == ps
         for lab in all_natural_labelings(P):
             assert order_poly_weak(P, lab) == pw
+
+
+def _per_extension_sum(decomposition) -> BiPoly:
+    """The old route: add the word polynomials one extension at a time."""
+    return sum((poly for _, poly in decomposition), BiPoly.zero())
+
+
+def _assert_equal_per_extension_sums(P, strict_labelings, weak_labelings):
+    assert order_poly_strict(P) == _per_extension_sum(strict_word_decomposition(P))
+    assert order_poly_weak(P) == _per_extension_sum(weak_word_decomposition(P))
+    for lab in strict_labelings:
+        want = _per_extension_sum(strict_word_decomposition(P, lab))
+        assert order_poly_strict(P, lab) == want
+    for lab in weak_labelings:
+        assert order_poly_weak(P, lab) == _per_extension_sum(weak_word_decomposition(P, lab))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_order_polys_equal_per_extension_sums_on_catalog(n):
+    # Every explicit labeling on one poset per isomorphism class: renaming
+    # the elements and the labeling together leaves every word unchanged.
+    representatives = set(up_to_isomorphism(catalog_posets(n), relabeled_poset))
+    for P in catalog_posets(n):
+        if P in representatives:
+            _assert_equal_per_extension_sums(
+                P, all_reverse_natural_labelings(P), all_natural_labelings(P)
+            )
+        else:
+            _assert_equal_per_extension_sums(P, (), ())
+
+
+@st.composite
+def bicolored_posets(draw, min_n: int, max_n: int) -> BicoloredPoset:
+    n = draw(st.integers(min_n, max_n))
+    names = draw(st.permutations(range(n)))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    relations = [(names[a], names[b]) for (a, b), k in zip(pairs, keep) if k]
+    celeste = draw(st.sets(st.integers(0, n - 1)))
+    return build_poset(n, relations, celeste)
+
+
+@given(bicolored_posets(5, 7), st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_order_polys_equal_per_extension_sums_random(P, pick):
+    # the per-extension route adds one polynomial per extension; near-antichains
+    # of 7 elements (up to 5040 extensions) would take seconds per example
+    assume(len(linear_extensions(P)) <= 1000)
+    strict_labs = all_reverse_natural_labelings(P)
+    weak_labs = all_natural_labelings(P)
+    _assert_equal_per_extension_sums(
+        P, [strict_labs[pick % len(strict_labs)]], [weak_labs[pick % len(weak_labs)]]
+    )
 
 
 # brute counts -----------------------------------------------------------------
