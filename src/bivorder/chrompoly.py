@@ -8,8 +8,11 @@ y = 0 frees every edge, giving x^n.
 
 chrom_poly is assembled from the order polynomials of the posets that
 acyclic orientations of quotient graphs induce, one per (flat,
-orientation) pair.  It sums them by word key: the word-key counts of
-all pairs are merged and each distinct key's chain sum is added once.
+orientation) pair.  It sums them by word key: each pair's word-key
+counts come from the order-ideal dynamic program run on the
+orientation's directed edges, without building the poset or listing
+its extensions; the counts of all pairs are merged and each distinct
+key's chain sum is added once.
 chrom_count enumerates colorings directly.  The two never share code,
 so each verifies the other.
 """
@@ -32,12 +35,12 @@ from .graph import (
 from .orderpoly import (
     CheckReport,
     _check_budget,
+    _default_labeling,
+    _key_counts,
+    _map_blocks,
     _profile_to_cum,
     _sum_word_keys,
-    _value_rows,
-    _word_key_counts,
     brute_count_weak,
-    order_poly_weak,
 )
 from .ratpoly import BiPoly, X
 
@@ -49,19 +52,16 @@ def _coloring_cum_table(G: Graph, x_max: int) -> np.ndarray:
     """Cumulative tally of all colorings by (max color, least color of a
     monochromatic edge); column x_max + 1 collects the colorings with no
     monochromatic edge at all."""
-    rows = _value_rows(G.n, x_max)
-    if G.n:
-        maxv = rows.max(axis=1)
-    else:
-        maxv = np.zeros(len(rows), dtype=np.int64)
-    worst = np.full(len(rows), x_max + 1, dtype=np.int64)
-    for u, v in G.sorted_edges():
-        mono = rows[:, u] == rows[:, v]
-        worst = np.minimum(worst, np.where(mono, rows[:, u], x_max + 1))
+    edges = G.sorted_edges()
     width = x_max + 2
-    code = maxv * width + worst
-    prof = np.bincount(code, minlength=(x_max + 1) * width).reshape(x_max + 1, width)
-    table = _profile_to_cum(prof)
+    prof = np.zeros((x_max + 1) * width, dtype=np.int64)
+    for values, top in _map_blocks(G.n, x_max):
+        worst = np.full(len(top), x_max + 1, dtype=np.int64)
+        for u, v in edges:
+            mono = values[u] == values[v]
+            worst = np.minimum(worst, np.where(mono, values[u], x_max + 1))
+        prof += np.bincount(top * width + worst, minlength=len(prof))
+    table = _profile_to_cum(prof.reshape(x_max + 1, width))
     table.setflags(write=False)
     return table
 
@@ -75,6 +75,23 @@ def chrom_count(G: Graph, x0: int, y0: int, budget: int | None = None) -> int:
     return int(table[x0, min(y0 + 1, x0 + 1)])
 
 
+def _pair_key_counts(G: Graph, mode: str):
+    """Yield each (flat, acyclic orientation) pair's flat with the word-key
+    counts of the pair's poset under the mode's default labeling.
+
+    The counts come straight from the orientation's directed edges, with
+    the contracted blocks celeste; the poset is never built or closed.
+    """
+    for F in flats(G):
+        celeste = sum(1 << c for c in F.contracted)
+        for sigma in acyclic_orientations(F.quotient):
+            preds = [0] * F.quotient.n
+            for a, b in sigma.directed_edges:
+                preds[b] |= 1 << a
+            labels = _default_labeling(preds, mode)
+            yield F, _key_counts(preds, celeste, labels, mode)
+
+
 @lru_cache(maxsize=None)
 def chrom_poly(G: Graph) -> BiPoly:
     """The counting polynomial: the sum, over all flats and all acyclic
@@ -86,9 +103,8 @@ def chrom_poly(G: Graph) -> BiPoly:
     merged first and the chain sums are added once per distinct key.
     """
     keys: Counter[tuple[int, int, int, int]] = Counter()
-    for F in flats(G):
-        for sigma in acyclic_orientations(F.quotient):
-            keys.update(_word_key_counts(orientation_to_poset(F, sigma), "strict"))
+    for _, counts in _pair_key_counts(G, "strict"):
+        keys.update(counts)
     return _sum_word_keys(keys, "strict")
 
 
@@ -156,15 +172,18 @@ def check_reciprocity_graph(
 
 def check_reciprocity_graph_poly(G: Graph) -> CheckReport:
     """Polynomial-level form: chrom_poly(-x, -y) equals the signed sum of
-    the weak order polynomials at y + 1."""
+    the weak order polynomials at y + 1.
+
+    The sum is linear, so the signed word-key counts of every pair are
+    merged, summed once, and shifted once.
+    """
     lhs = chrom_poly(G).negate_args()
-    rhs = BiPoly.zero()
-    for F in flats(G):
+    keys: Counter[tuple[int, int, int, int]] = Counter()
+    for F, counts in _pair_key_counts(G, "weak"):
         sign = (-1) ** F.quotient.n
-        for sigma in acyclic_orientations(F.quotient):
-            rhs = rhs + sign * order_poly_weak(
-                orientation_to_poset(F, sigma)
-            ).shift_y(1)
+        for key, count in counts.items():
+            keys[key] += sign * count
+    rhs = _sum_word_keys(keys, "weak").shift_y(1)
     if lhs == rhs:
         return CheckReport("graph-reciprocity-poly", True)
     witness = {"graph": graph_to_json(G), "lhs": lhs.text(), "rhs": rhs.text()}

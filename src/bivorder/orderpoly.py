@@ -13,8 +13,12 @@ other by the test suite:
 * the decomposition of a poset's polynomial as the sum of its linear
   extensions' word polynomials; a word polynomial is the chain sum fixed
   by its word key (length, mark, prefix and full statistic), so the sum
-  is taken once per distinct key, weighted by how many extensions give it,
-* brute-force enumeration of all x^n maps (vectorized, exact),
+  is taken once per distinct key, weighted by how many extensions give
+  it; those counts come from a dynamic program over order ideals, which
+  never lists the extensions (the per-extension decompositions below
+  remain as the test oracle),
+* brute-force enumeration of all x^n maps (vectorized in cache-sized
+  blocks, exact),
 * Lagrange interpolation of the brute counts through an integer grid.
 
 Counts and polynomials agree on the validity region 0 <= y <= x in
@@ -24,25 +28,27 @@ is still defined but no longer counts anything.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterable
+from functools import lru_cache, reduce
+from itertools import product
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .poset import (
     BicoloredPoset,
     Word,
+    _natural_labels,
+    _pred_masks,
     ascents,
     covers,
     descents,
     is_natural_labeling,
     is_reverse_natural_labeling,
     linear_extensions,
-    natural_labeling,
-    reverse_natural_labeling,
     word_of,
 )
 from .ratpoly import ONE, X, Y, BiPoly, _weighted_sum, binom_poly
@@ -171,6 +177,15 @@ def word_poly_weak(w: Word) -> BiPoly:
 # decomposition over linear extensions ---------------------------------------
 
 
+def _default_labeling(preds: Sequence[int], mode: str) -> tuple[int, ...]:
+    """The natural labeling along the first extension (see
+    _natural_labels), reversed for strict words."""
+    labels = _natural_labels(preds)
+    if mode == "strict":
+        return tuple(len(preds) + 1 - lab for lab in labels)
+    return labels
+
+
 def _checked_labeling(
     P: BicoloredPoset, labeling: tuple[int, ...] | None, mode: str
 ) -> tuple[int, ...]:
@@ -178,7 +193,7 @@ def _checked_labeling(
     strict words need a reverse natural labeling, weak words a natural one."""
     strict = mode == "strict"
     if labeling is None:
-        return reverse_natural_labeling(P) if strict else natural_labeling(P)
+        return _default_labeling(_pred_masks(P), mode)
     valid = is_reverse_natural_labeling if strict else is_natural_labeling
     if not valid(P, tuple(labeling)):
         kind = "reverse natural" if strict else "natural"
@@ -215,22 +230,59 @@ def weak_word_decomposition(
     return tuple(out)
 
 
+def _key_counts(
+    preds: Sequence[int], celeste: int, labels: Sequence[int], mode: str
+) -> Counter[tuple[int, int, int, int]]:
+    """How many linear extensions give each word key (see _word_key), for
+    the order in which element e follows every element of the bitmask
+    preds[e], the celeste elements in the bitmask celeste, and a labeling
+    valid for the mode.
+
+    A forward dynamic program over order ideals; no extension is listed.
+    A state maps (ideal, last rank, mark, statistic so far) to the number
+    of extension prefixes that place exactly the ideal and end at a letter
+    of that rank.  Ranks are the labels in strict mode and their negatives
+    in weak mode, so the statistic is always the ascents of the ranks.
+    The mark is None until the first celeste element is placed, then
+    (k, prefix): the letters before it and the statistic up to it.
+    preds may hold any generating relation (see _natural_labels).
+    """
+    n = len(preds)
+    rank = list(labels) if mode == "strict" else [-lab for lab in labels]
+    # the empty prefix ends above every rank, so the first letter adds nothing
+    level: dict[int, dict] = {0: {(n + 1, None, 0): 1}}
+    for size in range(n):
+        nxt: dict[int, dict] = {}
+        for ideal, states in level.items():
+            for v in range(n):
+                if ideal >> v & 1 or preds[v] & ~ideal:
+                    continue
+                r = rank[v]
+                silver = not celeste >> v & 1
+                out = nxt.setdefault(ideal | 1 << v, {})
+                for (last, mark, stat), count in states.items():
+                    s = stat + (last < r)
+                    state = (r, mark if mark or silver else (size, s), s)
+                    out[state] = out.get(state, 0) + count
+        level = nxt
+    keys: Counter[tuple[int, int, int, int]] = Counter()
+    for (_, mark, full), count in level[(1 << n) - 1].items():
+        k, prefix = mark or (n, 0)
+        keys[n, k, prefix, full] += count
+    return keys
+
+
 def _word_key_counts(
     P: BicoloredPoset, mode: str, labeling: tuple[int, ...] | None = None
 ) -> Counter[tuple[int, int, int, int]]:
-    """How many linear extensions give each word key (see _word_key).
+    """How many linear extensions of P give each word key (see _word_key).
 
     A word polynomial is the chain sum fixed by its key, so the order
     polynomial is the sum of count * chain sum over the distinct keys.
-    The statistic is ascents in strict mode and descents in weak mode.
     """
     labeling = _checked_labeling(P, labeling, mode)
-    stat = ascents if mode == "strict" else descents
-    keys: Counter[tuple[int, int, int, int]] = Counter()
-    for ext in linear_extensions(P):
-        w = word_of(ext, labeling, P)
-        keys[_word_key(w, stat)] += 1
-    return keys
+    celeste = sum(1 << c for c in P.celeste)
+    return _key_counts(_pred_masks(P), celeste, labeling, mode)
 
 
 def _sum_word_keys(keys: Counter[tuple[int, int, int, int]], mode: str) -> BiPoly:
@@ -270,14 +322,39 @@ def order_poly_weak(
 # brute-force enumeration -----------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _value_rows(n: int, x_max: int) -> np.ndarray:
-    """All maps from n positions into 1..x_max, one row per map."""
+_BLOCK_MAPS = 1 << 15  # maps per block of the enumeration, at most
+
+
+@lru_cache(maxsize=16)
+def _inner_maps(k: int, x_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """All maps from k positions into 1..x_max, one column per map, and
+    each map's largest value."""
+    cols = np.indices((x_max,) * k, dtype=np.int64).reshape(k, -1) + 1
+    top = cols.max(axis=0, initial=0)
+    cols.setflags(write=False)
+    top.setflags(write=False)
+    return cols, top
+
+
+def _map_blocks(n: int, x_max: int):
+    """All maps from n positions into 1..x_max, in blocks of at most
+    _BLOCK_MAPS maps (more only when x_max alone exceeds it).
+
+    Yields (values, top): values[i] is position i's value, an int shared
+    by the whole block for the leading positions and an array for the
+    trailing ones; top is each map's largest value.  A block stays in
+    cache, and no table of all x_max^n maps is ever built.
+    """
     if n == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    rows = np.indices((x_max,) * n, dtype=np.int64).reshape(n, -1).T + 1
-    rows.setflags(write=False)
-    return rows
+        yield [], np.zeros(1, dtype=np.int64)
+        return
+    k = 1
+    while k < n and x_max ** (k + 1) <= _BLOCK_MAPS:
+        k += 1
+    inner, inner_top = _inner_maps(k, x_max)
+    for lead in product(range(1, x_max + 1), repeat=n - k):
+        top = np.maximum(inner_top, max(lead)) if lead else inner_top
+        yield [*lead, *inner], top
 
 
 def _profile_to_cum(prof: np.ndarray) -> np.ndarray:
@@ -293,25 +370,19 @@ def _map_cum_table(P: BicoloredPoset, mode: str, x_max: int) -> np.ndarray:
     Column x_max + 1 holds the maps of celeste-free posets.  Strict and
     weak counts for every (x0 <= x_max, y0) fall out of one enumeration.
     """
-    rows = _value_rows(P.n, x_max)
-    mask = np.ones(len(rows), dtype=bool)
-    for a, b in covers(P):
-        if mode == "strict":
-            mask &= rows[:, a] < rows[:, b]
-        else:
-            mask &= rows[:, a] <= rows[:, b]
-    if P.n:
-        maxv = rows.max(axis=1)
-    else:
-        maxv = np.zeros(len(rows), dtype=np.int64)
-    if P.celeste:
-        mincel = rows[:, sorted(P.celeste)].min(axis=1)
-    else:
-        mincel = np.full(len(rows), x_max + 1, dtype=np.int64)
+    below = operator.lt if mode == "strict" else operator.le
+    relations = covers(P)
+    celeste = sorted(P.celeste)
     width = x_max + 2
-    code = maxv[mask] * width + mincel[mask]
-    prof = np.bincount(code, minlength=(x_max + 1) * width).reshape(x_max + 1, width)
-    table = _profile_to_cum(prof)
+    prof = np.zeros((x_max + 1) * width, dtype=np.int64)
+    for values, top in _map_blocks(P.n, x_max):
+        ok = np.ones(len(top), dtype=bool)
+        for a, b in relations:
+            ok &= below(values[a], values[b])
+        low = reduce(np.minimum, (values[c] for c in celeste), x_max + 1)
+        code = (top * width + low)[ok]
+        prof += np.bincount(code, minlength=len(prof))
+    table = _profile_to_cum(prof.reshape(x_max + 1, width))
     table.setflags(write=False)
     return table
 

@@ -122,35 +122,48 @@ def linear_extensions(P: BicoloredPoset) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _pred_masks(P: BicoloredPoset) -> tuple[int, ...]:
+    """Bitmask of the elements strictly below each element."""
+    preds = [0] * P.n
+    for a, b in P.less:
+        preds[b] |= 1 << a
+    return tuple(preds)
+
+
+def _natural_labels(preds: Sequence[int]) -> tuple[int, ...]:
+    """Labels along the lexicographically first linear extension of the
+    order in which element e follows every element of the bitmask
+    preds[e]: labels[e] is e's position in it, from 1.
+
+    The masks may hold any generating relation, not only the closure:
+    an element whose generators are all placed has every element below
+    it placed.  Both default labelings follow this extension.
+    """
+    rest = list(range(len(preds)))
+    labels = [0] * len(preds)
+    done = 0
+    for pos in range(1, len(preds) + 1):
+        for i, e in enumerate(rest):
+            if not preds[e] & ~done:
+                break
+        del rest[i]
+        labels[e] = pos
+        done |= 1 << e
+    return tuple(labels)
+
+
 def natural_labeling(P: BicoloredPoset) -> tuple[int, ...]:
     """Order preserving bijective labels 1..n: labels[e] is element e's label.
 
     Deterministic choice: labels follow the lexicographically first linear
     extension (smallest available element index first).
     """
-    first = _first_extension(P)
-    labels = [0] * P.n
-    for pos, e in enumerate(first, start=1):
-        labels[e] = pos
-    return tuple(labels)
+    return _natural_labels(_pred_masks(P))
 
 
 def reverse_natural_labeling(P: BicoloredPoset) -> tuple[int, ...]:
     """Order reversing labels: n+1 minus the natural labeling."""
     return tuple(P.n + 1 - lab for lab in natural_labeling(P))
-
-
-def _first_extension(P: BicoloredPoset) -> tuple[int, ...]:
-    preds = [set() for _ in range(P.n)]
-    for a, b in P.less:
-        preds[b].add(a)
-    placed: list[int] = []
-    done: set[int] = set()
-    while len(placed) < P.n:
-        v = min(e for e in range(P.n) if e not in done and preds[e] <= done)
-        placed.append(v)
-        done.add(v)
-    return tuple(placed)
 
 
 def is_natural_labeling(P: BicoloredPoset, labels: Sequence[int]) -> bool:

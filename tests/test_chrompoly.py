@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bivorder import chrompoly, orderpoly
 from bivorder.chrompoly import (
     check_reciprocity_graph,
     check_reciprocity_graph_poly,
@@ -19,7 +20,13 @@ from bivorder.fixtures import (
     path_graph,
 )
 from bivorder.graph import Graph, acyclic_orientations, flats, orientation_to_poset, trivial_flat
-from bivorder.orderpoly import BudgetExceededError, brute_count_weak, order_poly_strict, order_poly_weak
+from bivorder.orderpoly import (
+    BudgetExceededError,
+    _word_key_counts,
+    brute_count_weak,
+    order_poly_strict,
+    order_poly_weak,
+)
 from bivorder.ratpoly import ONE, X, Y, BiPoly
 from oracles import all_graphs, dumb_count_colorings, relabeled_graph, up_to_isomorphism
 
@@ -48,6 +55,20 @@ def test_chrom_count_edge_cases():
     # y beyond x behaves like proper coloring
     assert chrom_count(complete_graph(3), 3, 9) == 6
 
+
+
+@pytest.mark.parametrize("block", [1, 3, 10, 1 << 15])
+def test_coloring_tables_match_definition_at_every_block_size(monkeypatch, block):
+    monkeypatch.setattr(orderpoly, "_BLOCK_MAPS", block)
+    table = chrompoly._coloring_cum_table.__wrapped__
+    graphs = [complete_graph(4), cycle_graph(4), Graph(0, frozenset())] + all_graphs(3)
+    for G in graphs:
+        for x_max in range(4):
+            T = table(G, x_max)
+            for x0 in range(x_max + 1):
+                for y0 in range(x0 + 2):
+                    got = int(T[x0, min(y0 + 1, x_max + 1)])
+                    assert got == dumb_count_colorings(G, x0, y0), (G, x0, y0)
 
 def test_chrom_count_budget():
     with pytest.raises(BudgetExceededError):
@@ -220,3 +241,31 @@ def test_reciprocity_polynomial_small(n):
 
 def test_reciprocity_poly_k4():
     assert check_reciprocity_graph_poly(complete_graph(4)).passed
+
+
+def test_reciprocity_poly_witness_is_per_pair_sum(monkeypatch):
+    G = path_graph(3)
+    rhs = BiPoly.zero()
+    for F in flats(G):
+        sign = (-1) ** F.quotient.n
+        for sigma in acyclic_orientations(F.quotient):
+            rhs = rhs + sign * order_poly_weak(orientation_to_poset(F, sigma)).shift_y(1)
+    monkeypatch.setattr(chrompoly, "chrom_poly", lambda H: BiPoly.zero())
+    report = check_reciprocity_graph_poly(G)
+    assert not report.passed
+    assert report.witness["lhs"] == "0"
+    assert report.witness["rhs"] == rhs.text()
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_pair_key_counts_match_closed_posets(n):
+    # the orientation path reads unclosed edge masks; the poset path, P.less
+    for G in all_graphs(n):
+        for mode in ("strict", "weak"):
+            pairs = [
+                (F, sigma) for F in flats(G) for sigma in acyclic_orientations(F.quotient)
+            ]
+            counts = list(chrompoly._pair_key_counts(G, mode))
+            assert [F for F, _ in counts] == [F for F, _ in pairs]
+            for (F, sigma), (_, keys) in zip(pairs, counts):
+                assert keys == _word_key_counts(orientation_to_poset(F, sigma), mode)

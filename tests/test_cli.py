@@ -248,10 +248,13 @@ def test_outputs_are_byte_identical_across_runs():
 
 
 def test_console_entry_point_subprocess():
+    # run from the directory the tests imported bivorder from, so the
+    # subprocess finds the same package without PYTHONPATH
     proc = subprocess.run(
         [sys.executable, "-m", "bivorder", "graph-poly", "--input", fixture("k2.json")],
         capture_output=True,
         text=True,
+        cwd=Path(cli.__file__).resolve().parents[1],
     )
     assert proc.returncode == 0
     assert proc.stdout == "x^2 - y\n"

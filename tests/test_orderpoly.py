@@ -1,20 +1,27 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bivorder.chrompoly import chrom_poly, classical_chrom_poly
 from bivorder.fixtures import (
     antichain_poset,
     chain_poset,
+    cycle_graph,
     fence_poset,
     skew_diamond_poset,
     two_chain_celeste_top,
 )
+from bivorder import orderpoly
 from bivorder.orderpoly import (
     BudgetExceededError,
     CheckReport,
+    _checked_labeling,
+    _word_key,
+    _word_key_counts,
     brute_count,
     brute_count_strict,
     brute_count_weak,
@@ -34,10 +41,16 @@ from bivorder.orderpoly import (
 from bivorder.poset import (
     BicoloredPoset,
     Word,
+    _natural_labels,
+    _pred_masks,
     all_natural_labelings,
     all_reverse_natural_labelings,
+    ascents,
     build_poset,
+    descents,
     linear_extensions,
+    natural_labeling,
+    word_of,
 )
 from bivorder.ratpoly import ONE, X, Y, BiPoly, binom_poly
 from oracles import (
@@ -267,6 +280,56 @@ def test_order_polys_equal_per_extension_sums_random(P, pick):
     )
 
 
+def _assert_key_counts_equal_per_extension_tally(P, strict_labelings, weak_labelings):
+    exts = linear_extensions(P)
+    first = tuple(exts[0].index(e) + 1 for e in range(P.n))
+    assert _natural_labels(_pred_masks(P)) == first
+    assert natural_labeling(P) == first
+    for mode, stat, labelings in (
+        ("strict", ascents, [None, *strict_labelings]),
+        ("weak", descents, [None, *weak_labelings]),
+    ):
+        for lab in labelings:
+            used = _checked_labeling(P, lab, mode)
+            want = Counter(_word_key(word_of(e, used, P), stat) for e in exts)
+            assert _word_key_counts(P, mode, lab) == want
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_key_counts_equal_per_extension_tally_on_catalog(n):
+    representatives = set(up_to_isomorphism(catalog_posets(n), relabeled_poset))
+    for P in catalog_posets(n):
+        if P in representatives:
+            _assert_key_counts_equal_per_extension_tally(
+                P, all_reverse_natural_labelings(P), all_natural_labelings(P)
+            )
+        else:
+            _assert_key_counts_equal_per_extension_tally(P, (), ())
+
+
+@given(bicolored_posets(5, 8), st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_key_counts_equal_per_extension_tally_random(P, pick):
+    strict_labs = all_reverse_natural_labelings(P)
+    weak_labs = all_natural_labelings(P)
+    _assert_key_counts_equal_per_extension_tally(
+        P, [strict_labs[pick % len(strict_labs)]], [weak_labs[pick % len(weak_labs)]]
+    )
+
+
+def test_order_polys_do_not_list_extensions():
+    # 9! = 362880 extensions; the key counts never enumerate them
+    P = antichain_poset(9, celeste=(0, 4, 8))
+    G = cycle_graph(7)
+    before = linear_extensions.cache_info()
+    assert order_poly_strict(P) == X**6 * (X - Y) ** 3
+    assert order_poly_weak(P) == X**6 * (X - Y + 1) ** 3
+    assert order_poly_strict(P, tuple(range(9, 0, -1))) == X**6 * (X - Y) ** 3
+    assert order_poly_weak(P, tuple(range(1, 10))) == X**6 * (X - Y + 1) ** 3
+    assert chrom_poly.__wrapped__(G).subs_y_for_x() == classical_chrom_poly(G)
+    assert linear_extensions.cache_info() == before
+
+
 # brute counts -----------------------------------------------------------------
 
 
@@ -298,6 +361,24 @@ def test_brute_zero_sizes():
     assert brute_count_weak(empty, 5, 3) == 1
     assert brute_count_strict(chain_poset(2), 0, 0) == 0
 
+
+
+@pytest.mark.parametrize("block", [1, 3, 10, 1 << 15])
+def test_brute_tables_match_definition_at_every_block_size(monkeypatch, block):
+    # small blocks put the leading positions in the outer loop, where
+    # their values are plain ints shared by a whole block
+    monkeypatch.setattr(orderpoly, "_BLOCK_MAPS", block)
+    table = orderpoly._map_cum_table.__wrapped__
+    posets = [skew_diamond_poset(), fence_poset(4, (0, 3)), antichain_poset(3), build_poset(0)]
+    posets += [P for P in catalog_posets(3) if len(P.celeste) == 1]
+    for P in posets:
+        for mode in ("strict", "weak"):
+            for x_max in range(4):
+                T = table(P, mode, x_max)
+                for x0 in range(x_max + 1):
+                    for y0 in range(x0 + 2):
+                        col = 0 if not P.celeste else min(y0 + (mode == "strict"), x_max + 1)
+                        assert int(T[x0, col]) == dumb_count_maps(P, mode, x0, y0), (P, mode, x0, y0)
 
 def test_brute_rejects_bad_arguments():
     P = chain_poset(2)
