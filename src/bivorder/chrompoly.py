@@ -70,7 +70,7 @@ def chrom_count(G: Graph, x0: int, y0: int, budget: int | None = None) -> int:
     """Count admissible colorings by enumerating all x0^n of them."""
     if x0 < 0 or y0 < 0:
         raise ValueError("x0 and y0 must be nonnegative integers")
-    _check_budget(x0**G.n, budget)
+    _check_budget(G.n, x0, budget)
     table = _coloring_cum_table(G, x0)
     return int(table[x0, min(y0 + 1, x0 + 1)])
 

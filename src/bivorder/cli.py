@@ -25,6 +25,7 @@ from .graph import Graph, acyclic_orientations, flats, graph_from_json
 from .orderpoly import (
     BudgetExceededError,
     CheckReport,
+    _valid_ys,
     brute_count,
     check_reciprocity_poset,
     order_poly_strict,
@@ -130,29 +131,19 @@ def _emit_poly(poly: BiPoly, fmt: str, out: IO[str]) -> None:
 
 
 def _poset_oracle_check(P: BicoloredPoset, budget: int | None) -> CheckReport:
-    strict = order_poly_strict(P)
-    weak = order_poly_weak(P)
+    polys = {"strict": order_poly_strict(P), "weak": order_poly_weak(P)}
     for x0 in range(POSET_ORACLE_X + 1):
-        for y0 in range(x0 + 1):
-            got = brute_count(P, "strict", x0, y0, budget)
-            want = strict.evaluate(x0, y0)
-            if got != want:
-                return CheckReport(
-                    "poset-oracle",
-                    False,
-                    {"mode": "strict", "x": x0, "y": y0,
-                     "poly": str(want), "brute": got},
-                )
-        for y0 in range(1, x0 + 2):
-            got = brute_count(P, "weak", x0, y0, budget)
-            want = weak.evaluate(x0, y0)
-            if got != want:
-                return CheckReport(
-                    "poset-oracle",
-                    False,
-                    {"mode": "weak", "x": x0, "y": y0,
-                     "poly": str(want), "brute": got},
-                )
+        for mode, poly in polys.items():
+            for y0 in _valid_ys(mode, x0):
+                got = brute_count(P, mode, x0, y0, budget)
+                want = poly.evaluate(x0, y0)
+                if got != want:
+                    return CheckReport(
+                        "poset-oracle",
+                        False,
+                        {"mode": mode, "x": x0, "y": y0,
+                         "poly": str(want), "brute": got},
+                    )
     return CheckReport("poset-oracle", True)
 
 
@@ -223,21 +214,15 @@ def _dispatch(args: argparse.Namespace, out: IO[str]) -> int:
         poly = order_poly_strict(P) if args.mode == "strict" else order_poly_weak(P)
         _emit_poly(poly, fmt, out)
         return 0
-    if args.verb == "poset-count":
-        P = _need_poset(obj)
-        count = brute_count(P, args.mode, args.x, args.y, args.budget)
-        if fmt == "json":
-            out.write(json.dumps({"count": count}, sort_keys=True) + "\n")
-        else:
-            out.write(f"{count}\n")
-        return 0
     if args.verb == "graph-poly":
         G = _need_graph(obj)
         _emit_poly(chrom_poly(G), fmt, out)
         return 0
-    if args.verb == "graph-count":
-        G = _need_graph(obj)
-        count = chrom_count(G, args.x, args.y, args.budget)
+    if args.verb in ("poset-count", "graph-count"):
+        if args.verb == "poset-count":
+            count = brute_count(_need_poset(obj), args.mode, args.x, args.y, args.budget)
+        else:
+            count = chrom_count(_need_graph(obj), args.x, args.y, args.budget)
         if fmt == "json":
             out.write(json.dumps({"count": count}, sort_keys=True) + "\n")
         else:

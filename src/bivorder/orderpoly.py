@@ -21,9 +21,13 @@ other by the test suite:
   blocks, exact),
 * Lagrange interpolation of the brute counts through an integer grid.
 
-Counts and polynomials agree on the validity region 0 <= y <= x in
-strict mode and 1 <= y <= x + 1 in weak mode; outside it the polynomial
-is still defined but no longer counts anything.
+Strict and weak are one construction in two modes, taken as an argument
+by each routine below; only the word polynomials and their chain sums
+stay two formulas, which reciprocity checks against each other.
+
+Counts and polynomials agree on the validity region (_valid_ys)
+0 <= y <= x in strict mode and 1 <= y <= x + 1 in weak mode; outside it
+the polynomial is still defined but no longer counts anything.
 """
 
 from __future__ import annotations
@@ -62,12 +66,23 @@ class BudgetExceededError(RuntimeError):
     """Raised when an enumeration would visit more objects than allowed."""
 
 
-def _check_budget(count: int, budget: int | None) -> None:
+def _check_budget(n: int, x_max: int, budget: int | None) -> None:
+    """A brute table walks all x_max^n maps of n positions into
+    (x_max + 1) * (x_max + 2) cells; the larger of the two must fit the
+    budget."""
+    count = max(x_max**n, (x_max + 1) * (x_max + 2))
     limit = DEFAULT_BUDGET if budget is None else budget
     if count > limit:
         raise BudgetExceededError(
             f"enumeration of {count} objects exceeds budget {limit}"
         )
+
+
+def _valid_ys(mode: str, x0: int) -> range:
+    """The thresholds y at which the mode's polynomial counts maps into
+    1..x0: 0 <= y <= x0 in strict mode, 1 <= y <= x0 + 1 in weak mode."""
+    weak = mode == "weak"
+    return range(weak, x0 + 1 + weak)
 
 
 @dataclass(frozen=True)
@@ -201,6 +216,15 @@ def _checked_labeling(
     return labeling
 
 
+def _word_decomposition(
+    P: BicoloredPoset, mode: str, labeling: tuple[int, ...] | None
+) -> tuple[tuple[Word, BiPoly], ...]:
+    labeling = _checked_labeling(P, labeling, mode)
+    word_poly = word_poly_strict if mode == "strict" else word_poly_weak
+    words = (word_of(ext, labeling, P) for ext in linear_extensions(P))
+    return tuple((w, word_poly(w)) for w in words)
+
+
 def strict_word_decomposition(
     P: BicoloredPoset, labeling: tuple[int, ...] | None = None
 ) -> tuple[tuple[Word, BiPoly], ...]:
@@ -209,12 +233,7 @@ def strict_word_decomposition(
     The labeling must be reverse natural; any such labeling gives the
     same total, which the tests exercise.
     """
-    labeling = _checked_labeling(P, labeling, "strict")
-    out = []
-    for ext in linear_extensions(P):
-        w = word_of(ext, labeling, P)
-        out.append((w, word_poly_strict(w)))
-    return tuple(out)
+    return _word_decomposition(P, "strict", labeling)
 
 
 def weak_word_decomposition(
@@ -222,12 +241,7 @@ def weak_word_decomposition(
 ) -> tuple[tuple[Word, BiPoly], ...]:
     """The (word, word polynomial) summands of order_poly_weak; the
     labeling must be natural."""
-    labeling = _checked_labeling(P, labeling, "weak")
-    out = []
-    for ext in linear_extensions(P):
-        w = word_of(ext, labeling, P)
-        out.append((w, word_poly_weak(w)))
-    return tuple(out)
+    return _word_decomposition(P, "weak", labeling)
 
 
 def _key_counts(
@@ -348,8 +362,9 @@ def _map_blocks(n: int, x_max: int):
     if n == 0:
         yield [], np.zeros(1, dtype=np.int64)
         return
+    # at x_max <= 1 blocks never fill; np.indices takes at most 64 axes
     k = 1
-    while k < n and x_max ** (k + 1) <= _BLOCK_MAPS:
+    while k < min(n, _BLOCK_MAPS.bit_length() - 1) and x_max ** (k + 1) <= _BLOCK_MAPS:
         k += 1
     inner, inner_top = _inner_maps(k, x_max)
     for lead in product(range(1, x_max + 1), repeat=n - k):
@@ -397,37 +412,31 @@ def _counts_ok(x0: int, y0: int) -> None:
         raise ValueError("x0 and y0 must be nonnegative integers")
 
 
+def brute_count(
+    P: BicoloredPoset, mode: str, x0: int, y0: int, budget: int | None = None
+) -> int:
+    """Count the mode's maps of P into 1..x0 that send every celeste
+    element above y0 (to y0 or above in weak mode) by enumerating all x0^n
+    maps; raises BudgetExceededError past the budget (see _check_budget)."""
+    _mode_ok(mode)
+    _counts_ok(x0, y0)
+    _check_budget(P.n, x0, budget)
+    table = _map_cum_table(P, mode, x0)
+    if not P.celeste:
+        return int(table[x0, 0])
+    return int(table[x0, min(y0 + (mode == "strict"), x0 + 1)])
+
+
 def brute_count_strict(
     P: BicoloredPoset, x0: int, y0: int, budget: int | None = None
 ) -> int:
-    """Count by enumerating all x0^n maps; raises BudgetExceededError
-    instead of attempting an enumeration larger than the budget."""
-    _counts_ok(x0, y0)
-    _check_budget(x0**P.n, budget)
-    table = _map_cum_table(P, "strict", x0)
-    if not P.celeste:
-        return int(table[x0, 0])
-    return int(table[x0, min(y0 + 1, x0 + 1)])
+    return brute_count(P, "strict", x0, y0, budget)
 
 
 def brute_count_weak(
     P: BicoloredPoset, x0: int, y0: int, budget: int | None = None
 ) -> int:
-    _counts_ok(x0, y0)
-    _check_budget(x0**P.n, budget)
-    table = _map_cum_table(P, "weak", x0)
-    if not P.celeste:
-        return int(table[x0, 0])
-    return int(table[x0, min(y0, x0 + 1)])
-
-
-def brute_count(
-    P: BicoloredPoset, mode: str, x0: int, y0: int, budget: int | None = None
-) -> int:
-    _mode_ok(mode)
-    if mode == "strict":
-        return brute_count_strict(P, x0, y0, budget)
-    return brute_count_weak(P, x0, y0, budget)
+    return brute_count(P, "weak", x0, y0, budget)
 
 
 # interpolation ----------------------------------------------------------------
@@ -436,10 +445,7 @@ def brute_count(
 def _grid(n: int, mode: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # y values cover a full column of the validity region; x values sit
     # strictly above every y so each grid point is a genuine count
-    if mode == "strict":
-        ys = tuple(range(0, n + 1))
-    else:
-        ys = tuple(range(1, n + 2))
+    ys = tuple(_valid_ys(mode, n))
     x_lo = n + 2 + ys[-1]
     xs = tuple(range(x_lo, x_lo + n + 1))
     return xs, ys
@@ -492,12 +498,8 @@ def interpolate_brute(
     whole grid."""
     _mode_ok(mode)
     xs, _ = _grid(P.n, mode)
-    _check_budget(xs[-1] ** P.n, budget)
-    if mode == "strict":
-        return interpolate_poly(
-            lambda a, b: brute_count_strict(P, a, b, budget), P.n, mode
-        )
-    return interpolate_poly(lambda a, b: brute_count_weak(P, a, b, budget), P.n, mode)
+    _check_budget(P.n, xs[-1], budget)
+    return interpolate_poly(lambda a, b: brute_count(P, mode, a, b, budget), P.n, mode)
 
 
 # reciprocity ------------------------------------------------------------------

@@ -44,6 +44,17 @@ class BiPoly:
                         del clean[dx, dy]
         object.__setattr__(self, "_terms", clean)
 
+    @classmethod
+    def _trusted(cls, terms: dict[tuple[int, int], Fraction]) -> BiPoly:
+        """Wrap a term map built from other polynomials' terms, dropping
+        zero coefficients without re-validation: its exponents are sums of
+        nonnegative ints and its coefficients Fractions.  Every result of
+        arithmetic and substitution is built here; outside input goes
+        through __init__, which converts and checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", {e: c for e, c in terms.items() if c})
+        return out
+
     # construction helpers
 
     @classmethod
@@ -114,31 +125,24 @@ class BiPoly:
         rhs = self._coerced(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in rhs._terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return BiPoly(out)
+        return _weighted_sum(((1, self), (1, rhs)))
 
     __radd__ = __add__
 
     def __neg__(self) -> BiPoly:
-        return BiPoly({e: -c for e, c in self._terms.items()})
+        return _weighted_sum(((-1, self),))
 
     def __sub__(self, other: object) -> BiPoly:
         rhs = self._coerced(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return _weighted_sum(((1, self), (-1, rhs)))
 
     def __rsub__(self, other: object) -> BiPoly:
         rhs = self._coerced(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return _weighted_sum(((1, rhs), (-1, self)))
 
     def __mul__(self, other: object) -> BiPoly:
         rhs = self._coerced(other)
@@ -148,19 +152,16 @@ class BiPoly:
         for (ax, ay), ac in self._terms.items():
             for (bx, by), bc in rhs._terms.items():
                 e = (ax + bx, ay + by)
-                s = out.get(e, Fraction(0)) + ac * bc
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return BiPoly(out)
+                v = ac * bc
+                out[e] = out[e] + v if e in out else v
+        return BiPoly._trusted(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> BiPoly:
         if k < 0:
             raise ValueError("negative power")
-        out = BiPoly.const(1)
+        out = ONE
         for _ in range(k):
             out = out * self
         return out
@@ -180,7 +181,7 @@ class BiPoly:
 
     def negate_args(self) -> BiPoly:
         """The polynomial p(-x, -y)."""
-        return BiPoly(
+        return BiPoly._trusted(
             {e: c if (e[0] + e[1]) % 2 == 0 else -c for e, c in self._terms.items()}
         )
 
@@ -193,7 +194,7 @@ class BiPoly:
             for t in range(dy + 1):
                 term = c * math.comb(dy, t) * shift ** (dy - t)
                 out[dx, t] = out.get((dx, t), Fraction(0)) + term
-        return BiPoly(out)
+        return BiPoly._trusted(out)
 
     def subs_y(self, c: Coeff) -> BiPoly:
         """Substitute the constant c for y, leaving a polynomial in x."""
@@ -202,7 +203,7 @@ class BiPoly:
         for (dx, dy), a in self._terms.items():
             e = (dx, 0)
             out[e] = out.get(e, Fraction(0)) + a * c**dy
-        return BiPoly(out)
+        return BiPoly._trusted(out)
 
     def subs_y_for_x(self) -> BiPoly:
         """Substitute x for y, collapsing to a polynomial in x alone."""
@@ -210,7 +211,7 @@ class BiPoly:
         for (dx, dy), a in self._terms.items():
             e = (dx + dy, 0)
             out[e] = out.get(e, Fraction(0)) + a
-        return BiPoly(out)
+        return BiPoly._trusted(out)
 
     # text and JSON forms
 
@@ -272,19 +273,17 @@ class BiPoly:
 def _weighted_sum(parts: Iterable[tuple[int, BiPoly]]) -> BiPoly:
     """The sum of c * p over (c, p) pairs with integer weights c.
 
-    Accumulates into one term map and wraps it without re-validating:
-    every exponent comes from a BiPoly already and zero sums are dropped,
-    so the map is canonical.  Adding the summands one by one with + would
-    rebuild and re-check a polynomial per summand.
+    Accumulates into one term map, so adding many summands rebuilds no
+    polynomial per summand; +, - and unary - are its two- and one-term
+    cases.
     """
     acc: dict[tuple[int, int], Fraction] = {}
     for c, p in parts:
         if c:
             for e, v in p._terms.items():
-                acc[e] = acc.get(e, Fraction(0)) + c * v
-    out = object.__new__(BiPoly)
-    object.__setattr__(out, "_terms", {e: v for e, v in acc.items() if v})
-    return out
+                v = v if c == 1 else c * v
+                acc[e] = acc[e] + v if e in acc else v
+    return BiPoly._trusted(acc)
 
 
 X = BiPoly.monomial(1, 0)

@@ -75,6 +75,17 @@ def test_chrom_count_budget():
         chrom_count(edgeless_graph(8), 10, 0)
     with pytest.raises(ValueError):
         chrom_count(complete_graph(2), -1, 0)
+    # the table's (x0 + 1) * (x0 + 2) cells count against the budget too
+    with pytest.raises(BudgetExceededError):
+        chrom_count(edgeless_graph(1), 10_000_000, 0)
+    assert chrom_count(edgeless_graph(1), 4, 0, budget=30) == 4
+    with pytest.raises(BudgetExceededError):
+        chrom_count(edgeless_graph(1), 5, 0, budget=41)
+
+
+@pytest.mark.parametrize("x0", [0, 1])
+def test_chrom_count_beyond_numpy_dimension_limit(x0):
+    assert chrom_count(edgeless_graph(70), x0, 0) == x0
 
 
 @pytest.mark.parametrize("n", range(4))

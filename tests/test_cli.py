@@ -8,7 +8,7 @@ import pytest
 
 import bivorder.cli as cli
 from bivorder.orderpoly import CheckReport
-from bivorder.ratpoly import BiPoly
+from bivorder.ratpoly import BiPoly, X
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -208,6 +208,47 @@ def test_budget_error_exits_two(tmp_path):
     )
     assert code == 2
     assert "budget" in err
+    # 10^7 maps fit the default budget, the table's 10^14 cells do not
+    one = tmp_path / "one.json"
+    one.write_text('{"n": 1, "covers": [], "celeste": []}')
+    code, out, err = run_cli(
+        "poset-count", "--input", str(one), "--mode", "strict",
+        "--x", "10000000", "--y", "1",
+    )
+    assert (code, out) == (2, "")
+    assert "budget" in err
+
+
+def test_count_beyond_numpy_dimension_limit(tmp_path):
+    wide = tmp_path / "wide.json"
+    wide.write_text('{"n": 70, "covers": [], "celeste": [0]}')
+    code, out, err = run_cli(
+        "poset-count", "--input", str(wide), "--mode", "weak", "--x", "1", "--y", "1",
+    )
+    assert (code, out, err) == (0, "1\n", "")
+
+
+@pytest.mark.parametrize(
+    "errors, mode, x, y",
+    [
+        ({"strict": 1}, "strict", 0, 0),
+        ({"weak": 1}, "weak", 0, 1),
+        # all of x = 0 comes before x = 1, and strict before weak at each x
+        ({"strict": X, "weak": 1}, "weak", 0, 1),
+        ({"strict": 1, "weak": 1}, "strict", 0, 0),
+    ],
+)
+def test_poset_oracle_witness_in_both_modes(monkeypatch, errors, mode, x, y):
+    for m, error in errors.items():
+        exact = getattr(cli, f"order_poly_{m}")
+        monkeypatch.setattr(cli, f"order_poly_{m}", lambda P, f=exact, e=error: f(P) + e)
+    code, out, _ = run_cli(
+        "check", "--input", fixture("skewdiamond.json"), "--kind", "oracle",
+        "--format", "json",
+    )
+    assert code == 1
+    witness = {"mode": mode, "x": x, "y": y, "poly": "1", "brute": 0}
+    assert json.loads(out) == [{"name": "poset-oracle", "passed": False, "witness": witness}]
 
 
 def test_negative_budget_is_usage_error():

@@ -17,9 +17,11 @@ from bivorder.fixtures import (
 )
 from bivorder import orderpoly
 from bivorder.orderpoly import (
+    MODES,
     BudgetExceededError,
     CheckReport,
     _checked_labeling,
+    _valid_ys,
     _word_key,
     _word_key_counts,
     brute_count,
@@ -396,6 +398,13 @@ def test_brute_budget_error():
         brute_count_weak(P, 10, 0, budget=9999)
     # the same call under a sufficient budget succeeds
     assert brute_count_weak(P, 10, 0, budget=10000) == 10000
+    # one element walks x0 maps but fills (x0 + 1) * (x0 + 2) table cells
+    Q = chain_poset(1, (0,))
+    with pytest.raises(BudgetExceededError):
+        brute_count(Q, "strict", 10_000_000, 1)
+    assert brute_count_weak(Q, 4, 2, budget=30) == 3
+    with pytest.raises(BudgetExceededError):
+        brute_count_weak(Q, 5, 2, budget=41)
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -409,6 +418,14 @@ def test_brute_kernel_matches_dumb_filter(n):
                 assert brute_count_weak(P, x0, y0) == dumb_count_maps(
                     P, "weak", x0, y0
                 )
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("x0", [0, 1])
+def test_brute_count_beyond_numpy_dimension_limit(mode, x0):
+    # at x0 <= 1 no block ever fills, yet np.indices takes at most 64 axes
+    P = antichain_poset(70, celeste=(0, 69))
+    assert brute_count(P, mode, x0, _valid_ys(mode, x0)[0]) == x0
 
 
 def test_brute_kernel_matches_dumb_filter_size_four_sample():

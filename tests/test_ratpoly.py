@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bivorder.ratpoly import ONE, X, Y, BiPoly, binom_poly
+from bivorder.ratpoly import ONE, X, Y, BiPoly, _weighted_sum, binom_poly
 
 
 def test_fraction_invariants():
@@ -184,3 +184,25 @@ def test_shift_y_matches_evaluation(p, s, x0, y0):
 @settings(max_examples=40, deadline=None)
 def test_json_round_trip_random(p):
     assert BiPoly.from_json(p.to_json()) == p
+
+
+def assert_canonical(p):
+    for (dx, dy), c in p._terms.items():
+        assert type(dx) is int and type(dy) is int and dx >= 0 and dy >= 0
+        assert type(c) is Fraction and c != 0
+    assert p == BiPoly(p.terms)
+
+
+@given(polys, polys, st.integers(-3, 3), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_results_have_canonical_term_maps(a, b, s, k):
+    # c shares a's terms with opposite signs, so a + c cancels them
+    c = b - a
+    results = [
+        a + b, a + c, 1 + a, a - a, a - b, 2 - a, -a, a * b, a * (b - b),
+        a**k, a.negate_args(), a.shift_y(s), a.subs_y(s), a.subs_y_for_x(),
+        _weighted_sum([(s, a), (k, b), (1, c)]), _weighted_sum([(1, a), (-1, a)]),
+        (X - Y).subs_y_for_x(), (Y + 1).subs_y(-1), (Y - 1).shift_y(1),
+    ]
+    for r in results:
+        assert_canonical(r)
