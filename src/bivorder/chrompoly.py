@@ -35,6 +35,8 @@ from .graph import (
 from .orderpoly import (
     CheckReport,
     _check_budget,
+    _counts_ok,
+    _cum_count,
     _default_labeling,
     _key_counts,
     _map_blocks,
@@ -68,11 +70,9 @@ def _coloring_cum_table(G: Graph, x_max: int) -> np.ndarray:
 
 def chrom_count(G: Graph, x0: int, y0: int, budget: int | None = None) -> int:
     """Count admissible colorings by enumerating all x0^n of them."""
-    if x0 < 0 or y0 < 0:
-        raise ValueError("x0 and y0 must be nonnegative integers")
+    _counts_ok(x0, y0)
     _check_budget(G.n, x0, budget)
-    table = _coloring_cum_table(G, x0)
-    return int(table[x0, min(y0 + 1, x0 + 1)])
+    return _cum_count(_coloring_cum_table(G, x0), x0, y0 + 1)
 
 
 def _pair_key_counts(G: Graph, mode: str):

@@ -19,7 +19,8 @@ other by the test suite:
   remain as the test oracle),
 * brute-force enumeration of all x^n maps (vectorized in cache-sized
   blocks, exact),
-* Lagrange interpolation of the brute counts through an integer grid.
+* Newton interpolation of the brute counts through an integer grid, by
+  integer forward differences in the binomial basis.
 
 Strict and weak are one construction in two modes, taken as an argument
 by each routine below; only the word polynomials and their chain sums
@@ -35,7 +36,6 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
 from typing import Callable, Iterable, Sequence
@@ -55,7 +55,7 @@ from .poset import (
     linear_extensions,
     word_of,
 )
-from .ratpoly import ONE, X, Y, BiPoly, _weighted_sum, binom_poly
+from .ratpoly import X, Y, BiPoly, _weighted_sum, binom_poly
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -412,6 +412,12 @@ def _counts_ok(x0: int, y0: int) -> None:
         raise ValueError("x0 and y0 must be nonnegative integers")
 
 
+def _cum_count(table: np.ndarray, x0: int, low: int) -> int:
+    """Maps of largest value <= x0 and least celeste value >= low, read
+    from a cumulative table (see _map_cum_table) with x_max >= x0."""
+    return int(table[x0, min(low, x0 + 1)])
+
+
 def brute_count(
     P: BicoloredPoset, mode: str, x0: int, y0: int, budget: int | None = None
 ) -> int:
@@ -421,10 +427,7 @@ def brute_count(
     _mode_ok(mode)
     _counts_ok(x0, y0)
     _check_budget(P.n, x0, budget)
-    table = _map_cum_table(P, mode, x0)
-    if not P.celeste:
-        return int(table[x0, 0])
-    return int(table[x0, min(y0 + (mode == "strict"), x0 + 1)])
+    return _cum_count(_map_cum_table(P, mode, x0), x0, y0 + (mode == "strict"))
 
 
 def brute_count_strict(
@@ -442,40 +445,35 @@ def brute_count_weak(
 # interpolation ----------------------------------------------------------------
 
 
-def _grid(n: int, mode: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _grid(n: int, mode: str) -> tuple[range, range]:
     # y values cover a full column of the validity region; x values sit
     # strictly above every y so each grid point is a genuine count
-    ys = tuple(_valid_ys(mode, n))
+    ys = _valid_ys(mode, n)
     x_lo = n + 2 + ys[-1]
-    xs = tuple(range(x_lo, x_lo + n + 1))
-    return xs, ys
+    return range(x_lo, x_lo + n + 1), ys
 
 
-@lru_cache(maxsize=None)
-def _lagrange_basis(points: tuple[int, ...], var: str) -> tuple[BiPoly, ...]:
-    v = X if var == "x" else Y
-    out = []
-    for i, pi in enumerate(points):
-        b = ONE
-        for j, pj in enumerate(points):
-            if j != i:
-                b = b * (v - pj) * Fraction(1, pi - pj)
-        out.append(b)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _tensor_basis(n: int, mode: str) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+@lru_cache(maxsize=32)
+def _newton_basis(n: int, mode: str) -> tuple[tuple[BiPoly, ...], ...]:
+    """binom(x - xs[0], i) * binom(y - ys[0], j) at [i][j], i, j <= n."""
     xs, ys = _grid(n, mode)
-    bx = _lagrange_basis(xs, "x")
-    by = _lagrange_basis(ys, "y")
-    prods = tuple(tuple(bx[i] * by[j] for j in range(len(ys))) for i in range(len(xs)))
-    return xs, ys, prods
+    bx = [binom_poly(X - xs[0], i) for i in range(n + 1)]
+    by = [binom_poly(Y - ys[0], j) for j in range(n + 1)]
+    return tuple(tuple(p * q for q in by) for p in bx)
+
+
+def _integer(value: object, x0: int, y0: int) -> int:
+    count = int(value)
+    if count != value:
+        raise ValueError(f"counter value {value!r} at ({x0}, {y0}) is not an integer")
+    return count
 
 
 def interpolate_poly(counter: Callable[[int, int], int], n: int, mode: str) -> BiPoly:
     """Reconstruct the unique polynomial of degree <= n in each variable
-    through the counter's values on the mode's integer grid.
+    through the counter's integer values on the mode's grid of consecutive
+    integers, in Newton's form: the sum of the forward differences Δ^{i,j}
+    at (xs[0], ys[0]) times binom(x - xs[0], i) * binom(y - ys[0], j).
 
     The counter is any callable (x0, y0) -> count; feeding it a brute
     enumerator yields the polynomial without touching the closed forms.
@@ -483,23 +481,29 @@ def interpolate_poly(counter: Callable[[int, int], int], n: int, mode: str) -> B
     if n < 0:
         raise ValueError("n must be nonnegative")
     _mode_ok(mode)
-    xs, ys, prods = _tensor_basis(n, mode)
+    xs, ys = _grid(n, mode)
+    diffs = np.array([[_integer(counter(a, b), a, b) for b in ys] for a in xs], object)
+    for _ in range(2):  # along x, then y; each pass transposes: diffs[i, j] = Δ^{i,j}
+        diffs = np.array([np.diff(diffs, i, axis=0)[0] for i in range(n + 1)]).T
+    basis = _newton_basis(n, mode)
+    # zero weights are skipped: a counting polynomial has total degree n,
+    # so every Δ^{i,j} with i + j > n is 0
     return _weighted_sum(
-        (int(counter(xv, yv)), prods[i][j])
-        for i, xv in enumerate(xs)
-        for j, yv in enumerate(ys)
+        (diffs[i, j], basis[i][j]) for i in range(n + 1) for j in range(n + 1)
     )
 
 
 def interpolate_brute(
     P: BicoloredPoset, mode: str, budget: int | None = None
 ) -> BiPoly:
-    """Interpolated brute-force polynomial; one enumeration serves the
-    whole grid."""
+    """Interpolated brute-force polynomial; one enumeration, up to the
+    grid's largest x, serves the whole grid."""
     _mode_ok(mode)
     xs, _ = _grid(P.n, mode)
     _check_budget(P.n, xs[-1], budget)
-    return interpolate_poly(lambda a, b: brute_count(P, mode, a, b, budget), P.n, mode)
+    table = _map_cum_table(P, mode, xs[-1])
+    strict = mode == "strict"
+    return interpolate_poly(lambda a, b: _cum_count(table, a, b + strict), P.n, mode)
 
 
 # reciprocity ------------------------------------------------------------------

@@ -257,13 +257,16 @@ class BiPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> BiPoly:
-        if not isinstance(data, dict) or "terms" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
             raise ValueError("polynomial JSON must be an object with a 'terms' list")
         terms: dict[tuple[int, int], Fraction] = {}
         for item in data["terms"]:
-            dx = int(item["dx"])
-            dy = int(item["dy"])
-            c = Fraction(int(item["num"]), int(item["den"]))
+            try:
+                dx = int(item["dx"])
+                dy = int(item["dy"])
+                c = Fraction(int(item["num"]), int(item["den"]))
+            except (KeyError, TypeError, ZeroDivisionError):
+                raise ValueError(f"malformed term {item!r} in polynomial JSON") from None
             if (dx, dy) in terms:
                 raise ValueError(f"duplicate term ({dx}, {dy}) in polynomial JSON")
             terms[dx, dy] = c

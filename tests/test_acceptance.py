@@ -2,9 +2,9 @@
 
 Every criterion is checked with exact equality against an independent
 enumeration route; nothing is sampled down or tolerance-padded.  Each
-test prints one PASS/FAIL line (visible with pytest -s, or by running
-this file directly), and the per-criterion durations must sum to under
-five minutes.
+test prints one PASS/FAIL line, a PASS line with the criterion's
+seconds (visible with pytest -s, or by running this file directly), and
+the per-criterion durations must sum to under five minutes.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def criterion(num: int, desc: str):
                 print(f"ACCEPTANCE {num} {desc}: FAIL", flush=True)
                 raise
             _DURATIONS[num] = time.perf_counter() - start
-            print(f"ACCEPTANCE {num} {desc}: PASS", flush=True)
+            print(f"ACCEPTANCE {num} {desc}: PASS ({_DURATIONS[num]:.1f}s)", flush=True)
 
         return wrapper
 

@@ -1,7 +1,9 @@
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -493,6 +495,38 @@ def test_interpolate_poly_accepts_any_counter():
     target = chain_strict(2, 1)
     rebuilt = interpolate_poly(lambda a, b: int(target.evaluate(a, b)), 2, "strict")
     assert rebuilt == target
+    # integer-valued Fractions and numpy integers count as integers
+    assert interpolate_poly(target.evaluate, 2, "strict") == target
+    counter = lambda a, b: np.int64(target.evaluate(a, b))
+    assert interpolate_poly(counter, 2, "strict") == target
+
+
+def test_interpolate_poly_rejects_non_integer_values():
+    # the grid of n = 0 in strict mode is the one point (2, 0)
+    with pytest.raises(ValueError, match=r"\(2, 0\)"):
+        interpolate_poly(lambda a, b: Fraction(1, 2), 0, "strict")
+    with pytest.raises(ValueError, match=r"2\.5 at \(6, 2\)"):
+        interpolate_poly(lambda a, b: 2.5 if (a, b) == (6, 2) else 1, 1, "weak")
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", range(5))
+def test_interpolate_poly_reproduces_degree_n_in_each_variable(mode, n):
+    # order polynomials stop at total degree n, so only these polynomials
+    # reach the differences with i + j > n, up to the x^n y^n term
+    rng = random.Random(n)
+    coeffs = {(i, j): rng.randint(-9, 9) for i in range(n + 1) for j in range(n + 1)}
+    coeffs[n, n] = rng.choice((-1, 1)) * rng.randint(1, 9)
+    target = BiPoly(coeffs)
+    assert interpolate_poly(target.evaluate, n, mode) == target
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_interpolate_brute_enumerates_once(mode):
+    P = fence_poset(4, (1,))
+    orderpoly._map_cum_table.cache_clear()
+    interpolate_brute(P, mode)
+    assert orderpoly._map_cum_table.cache_info().misses == 1
 
 
 def test_interpolate_budget_error():

@@ -109,6 +109,23 @@ def test_json_rejects_duplicates():
         )
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"terms": [{"dx": 0, "dy": 0, "num": "1", "den": "0"}]},
+        {"terms": [{"dx": 0, "dy": 0, "num": "1"}]},
+        {"terms": [{"dy": 0, "num": "1", "den": "1"}]},
+        {"terms": [[0, 0, "1", "1"]]},
+        {"terms": ["x"]},
+        {"terms": 5},
+        [],
+    ],
+)
+def test_json_rejects_malformed_input(data):
+    with pytest.raises(ValueError, match="polynomial JSON"):
+        BiPoly.from_json(data)
+
+
 def test_binom_poly_small():
     assert binom_poly(X, 0) == ONE
     assert binom_poly(X, 1) == X
