@@ -20,6 +20,7 @@ so each verifies the other.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -37,16 +38,13 @@ from .orderpoly import (
     _check_budget,
     _counts_ok,
     _cum_count,
+    _cum_table,
     _default_labeling,
     _key_counts,
-    _map_blocks,
-    _profile_to_cum,
     _sum_word_keys,
     brute_count_weak,
 )
 from .ratpoly import BiPoly, X
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=4096)
@@ -55,17 +53,12 @@ def _coloring_cum_table(G: Graph, x_max: int) -> np.ndarray:
     monochromatic edge); column x_max + 1 collects the colorings with no
     monochromatic edge at all."""
     edges = G.sorted_edges()
-    width = x_max + 2
-    prof = np.zeros((x_max + 1) * width, dtype=np.int64)
-    for values, top in _map_blocks(G.n, x_max):
-        worst = np.full(len(top), x_max + 1, dtype=np.int64)
-        for u, v in edges:
-            mono = values[u] == values[v]
-            worst = np.minimum(worst, np.where(mono, values[u], x_max + 1))
-        prof += np.bincount(top * width + worst, minlength=len(prof))
-    table = _profile_to_cum(prof.reshape(x_max + 1, width))
-    table.setflags(write=False)
-    return table
+
+    def tally(values, none):
+        mono = (np.where(values[u] == values[v], values[u], none) for u, v in edges)
+        return True, reduce(np.minimum, mono, none)
+
+    return _cum_table(G.n, x_max, tally)
 
 
 def chrom_count(G: Graph, x0: int, y0: int, budget: int | None = None) -> int:

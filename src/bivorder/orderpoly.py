@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 from typing import Callable, Iterable, Sequence
@@ -372,34 +372,41 @@ def _map_blocks(n: int, x_max: int):
         yield [*lead, *inner], top
 
 
-def _profile_to_cum(prof: np.ndarray) -> np.ndarray:
-    """From tally[m, t] to T[m, t] = sum over m' <= m, t' >= t."""
-    cum = prof.cumsum(axis=0)
-    return cum[:, ::-1].cumsum(axis=1)[:, ::-1]
+def _cum_table(n: int, x_max: int, tally: Callable) -> np.ndarray:
+    """T[x0, t]: the maps from n positions into 1..x_max that tally keeps,
+    with largest value <= x0 and low value >= t.  tally(values, none)
+    gives a block's (see _map_blocks) keep mask, or True for all, and low
+    values; none = x_max + 1, the sentinel column, stands for no low."""
+    width = x_max + 2
+    prof = np.zeros((x_max + 1) * width, dtype=np.int64)
+    for values, top in _map_blocks(n, x_max):
+        keep, low = tally(values, x_max + 1)
+        code = top * width + low
+        if keep is not True:
+            code = code[keep]
+        prof += np.bincount(code, minlength=len(prof))
+    cum = prof.reshape(x_max + 1, width).cumsum(axis=0)
+    table = cum[:, ::-1].cumsum(axis=1)[:, ::-1]
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=4096)
 def _map_cum_table(P: BicoloredPoset, mode: str, x_max: int) -> np.ndarray:
-    """Cumulative tally of valid maps by (max value, min celeste value).
-
-    Column x_max + 1 holds the maps of celeste-free posets.  Strict and
-    weak counts for every (x0 <= x_max, y0) fall out of one enumeration.
-    """
+    """Cumulative tally of the mode's maps by (max value, min celeste
+    value); strict and weak counts for every (x0 <= x_max, y0) fall out
+    of one enumeration."""
     below = operator.lt if mode == "strict" else operator.le
     relations = covers(P)
-    celeste = sorted(P.celeste)
-    width = x_max + 2
-    prof = np.zeros((x_max + 1) * width, dtype=np.int64)
-    for values, top in _map_blocks(P.n, x_max):
-        ok = np.ones(len(top), dtype=bool)
+
+    def tally(values, none):
+        # with a relation there are two positions, so values[-1] is an array
+        keep = np.ones(len(values[-1]), dtype=bool) if relations else True
         for a, b in relations:
-            ok &= below(values[a], values[b])
-        low = reduce(np.minimum, (values[c] for c in celeste), x_max + 1)
-        code = (top * width + low)[ok]
-        prof += np.bincount(code, minlength=len(prof))
-    table = _profile_to_cum(prof.reshape(x_max + 1, width))
-    table.setflags(write=False)
-    return table
+            keep &= below(values[a], values[b])
+        return keep, reduce(np.minimum, (values[c] for c in P.celeste), none)
+
+    return _cum_table(P.n, x_max, tally)
 
 
 def _mode_ok(mode: str) -> None:
@@ -446,11 +453,9 @@ def brute_count_weak(
 
 
 def _grid(n: int, mode: str) -> tuple[range, range]:
-    # y values cover a full column of the validity region; x values sit
-    # strictly above every y so each grid point is a genuine count
-    ys = _valid_ys(mode, n)
-    x_lo = n + 2 + ys[-1]
-    return range(x_lo, x_lo + n + 1), ys
+    # n + 1 consecutive values in each variable, every point in the
+    # validity region: y <= n <= x (strict), y <= n + 1 <= x + 1 (weak)
+    return range(n, 2 * n + 1), _valid_ys(mode, n)
 
 
 @lru_cache(maxsize=32)

@@ -502,11 +502,11 @@ def test_interpolate_poly_accepts_any_counter():
 
 
 def test_interpolate_poly_rejects_non_integer_values():
-    # the grid of n = 0 in strict mode is the one point (2, 0)
-    with pytest.raises(ValueError, match=r"\(2, 0\)"):
+    # the grid of n = 0 in strict mode is the one point (0, 0)
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
         interpolate_poly(lambda a, b: Fraction(1, 2), 0, "strict")
-    with pytest.raises(ValueError, match=r"2\.5 at \(6, 2\)"):
-        interpolate_poly(lambda a, b: 2.5 if (a, b) == (6, 2) else 1, 1, "weak")
+    with pytest.raises(ValueError, match=r"2\.5 at \(2, 2\)"):
+        interpolate_poly(lambda a, b: 2.5 if (a, b) == (2, 2) else 1, 1, "weak")
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -530,12 +530,29 @@ def test_interpolate_brute_enumerates_once(mode):
 
 
 def test_interpolate_budget_error():
+    # the grid's largest x is 2n, so n elements walk (2n)^n maps
     with pytest.raises(BudgetExceededError):
-        interpolate_brute(antichain_poset(6, (0,)), "weak")
-    # explicit larger budget makes the same call legal
-    assert interpolate_brute(
-        antichain_poset(5, (0,)), "weak", budget=18**5
-    ) == order_poly_weak(antichain_poset(5, (0,)))
+        interpolate_brute(antichain_poset(7, (0,)), "weak")
+    P = antichain_poset(5, (0,))
+    with pytest.raises(BudgetExceededError):
+        interpolate_brute(P, "weak", budget=10**5 - 1)
+    assert interpolate_brute(P, "weak", budget=10**5) == order_poly_weak(P)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_interpolate_brute_six_elements_under_default_budget(mode):
+    order_poly = order_poly_strict if mode == "strict" else order_poly_weak
+    for P in [antichain_poset(6, (0, 5)), fence_poset(6, (2,)), chain_poset(6, (3,))]:
+        assert interpolate_brute(P, mode) == order_poly(P)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", range(8))
+def test_interpolate_poly_asks_only_for_valid_points(mode, n):
+    asked = []
+    interpolate_poly(lambda a, b: asked.append((a, b)) or 0, n, mode)
+    assert len(asked) == (n + 1) ** 2
+    assert all(b in _valid_ys(mode, a) for a, b in asked)
 
 
 def test_interpolate_validates_arguments():
