@@ -12,19 +12,20 @@ other by the test suite:
 * closed forms for chains and for ascent/descent-constrained words,
 * the decomposition of a poset's polynomial as the sum of its linear
   extensions' word polynomials; a word polynomial is the chain sum fixed
-  by its word key (length, mark, prefix and full statistic), so the sum
-  is taken once per distinct key, weighted by how many extensions give
-  it; those counts come from a dynamic program over order ideals, which
-  never lists the extensions (the per-extension decompositions below
-  remain as the test oracle),
+  by its word key (length, mark, prefix and full statistic), an integer
+  vector on a binomial basis by Vandermonde, so the vectors are added in
+  ints, weighted by how many extensions give each key, and the
+  polynomial is built once; those counts come from a dynamic program
+  over order ideals, which never lists the extensions (the
+  per-extension decompositions below remain as the test oracle),
 * brute-force enumeration of all x^n maps (vectorized in cache-sized
   blocks, exact),
 * Newton interpolation of the brute counts through an integer grid, by
   integer forward differences in the binomial basis.
 
 Strict and weak are one construction in two modes, taken as an argument
-by each routine below; only the word polynomials and their chain sums
-stay two formulas, which reciprocity checks against each other.
+by each routine below; the chain sums differ only in their shifts, and
+reciprocity checks the two modes against each other.
 
 Counts and polynomials agree on the validity region (_valid_ys)
 0 <= y <= x in strict mode and 1 <= y <= x + 1 in weak mode; outside it
@@ -33,6 +34,7 @@ the polynomial is still defined but no longer counts anything.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -55,11 +57,12 @@ from .poset import (
     linear_extensions,
     word_of,
 )
-from .ratpoly import X, Y, BiPoly, _weighted_sum, binom_poly
+from .ratpoly import X, Y, BiPoly, _binomial_poly
 
 DEFAULT_BUDGET = 10_000_000
 
 MODES = ("strict", "weak")
+_MODE_BASIS = {"strict": (Y, X - Y), "weak": (Y - 1, X - Y + 1)}  # see _sum_word_keys
 
 
 class BudgetExceededError(RuntimeError):
@@ -103,31 +106,30 @@ class CheckReport:
 
 # closed forms ---------------------------------------------------------------
 
-# The chain sums below are memoized on the four integers that determine
-# them, so repeated decompositions cost dictionary lookups.
+# Chain sums are integer coordinates on a binomial basis, memoized on the
+# five values that fix them; _binomial_poly turns coordinates into a BiPoly.
 
 
-@lru_cache(maxsize=None)
-def _strict_sum(n: int, k: int, prefix_shift: int, full_shift: int) -> BiPoly:
-    # sum_{i=0}^{k} binom(y + prefix, i) * binom(x - y + full - prefix, n - i)
-    arg_low = Y + prefix_shift
-    arg_high = X - Y + (full_shift - prefix_shift)
-    total = BiPoly.zero()
+def _comb(a: int, m: int) -> int:
+    """binom(a, m) for any integer a and m >= 0: a falling factorial over m!."""
+    return math.prod(range(a, a - m, -1)) // math.factorial(m)
+
+
+@lru_cache(maxsize=4096)
+def _chain_coords(mode: str, n: int, k: int, prefix: int, full: int) -> tuple:
+    """The mode's chain sum for a word key (see _word_key) as its nonzero
+    integer coordinates ((t, s), c) on the mode's basis (see _sum_word_keys):
+    Vandermonde, binom(u + a, i) = sum_t binom(a, i - t) * binom(u, t),
+    expands each factor of sum_{i <= k} binom(u + a, i) * binom(v + b, n - i)."""
+    coords: Counter[tuple[int, int]] = Counter()
     for i in range(k + 1):
-        total = total + binom_poly(arg_low, i) * binom_poly(arg_high, n - i)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _weak_sum(n: int, k: int, prefix_shift: int, full_shift: int) -> BiPoly:
-    # sum_{i=0}^{k} binom(y - prefix - 2 + i, i)
-    #             * binom(x - y + prefix - full + n - i, n - i)
-    total = BiPoly.zero()
-    for i in range(k + 1):
-        arg_low = Y + (i - prefix_shift - 2)
-        arg_high = X - Y + (prefix_shift - full_shift + n - i)
-        total = total + binom_poly(arg_low, i) * binom_poly(arg_high, n - i)
-    return total
+        if mode == "strict":
+            a, b = prefix, full - prefix
+        else:
+            a, b = i - prefix - 1, prefix - full + n - i - 1
+        for t, s in product(range(i + 1), range(n - i + 1)):
+            coords[t, s] += _comb(a, i - t) * _comb(b, n - i - s)
+    return tuple((ts, c) for ts, c in coords.items() if c)
 
 
 def _validate_nk(n: int, k: int) -> None:
@@ -145,14 +147,14 @@ def chain_strict(n: int, k: int) -> BiPoly:
     k+1 on split by how many of the first k values lie at or below y.
     """
     _validate_nk(n, k)
-    return _strict_sum(n, k, 0, 0)
+    return _sum_word_keys({(n, k, 0, 0): 1}, "strict")
 
 
 def chain_weak(n: int, k: int) -> BiPoly:
     """Weak counterpart of chain_strict: phi weakly increasing, phi >= y
     from position k+1 on."""
     _validate_nk(n, k)
-    return _weak_sum(n, k, 0, 0)
+    return _sum_word_keys({(n, k, 0, 0): 1}, "weak")
 
 
 def _word_key(
@@ -179,14 +181,14 @@ def word_poly_strict(w: Word) -> BiPoly:
     This is the chain polynomial with x shifted by the ascent count of w
     and y by the ascent count of the prefix ending at the mark.
     """
-    return _strict_sum(*_word_key(w, ascents))
+    return _sum_word_keys({_word_key(w, ascents): 1}, "strict")
 
 
 def word_poly_weak(w: Word) -> BiPoly:
     """Weak counting polynomial of a word: phi(j) < phi(j+1) at descents,
     phi(j) <= phi(j+1) elsewhere, phi at or above y from the mark on.
     Shifts use descent counts with the opposite sign."""
-    return _weak_sum(*_word_key(w, descents))
+    return _sum_word_keys({_word_key(w, descents): 1}, "weak")
 
 
 # decomposition over linear extensions ---------------------------------------
@@ -299,22 +301,14 @@ def _word_key_counts(
     return _key_counts(_pred_masks(P), celeste, labeling, mode)
 
 
-def _sum_word_keys(keys: Counter[tuple[int, int, int, int]], mode: str) -> BiPoly:
-    chain_sum = _strict_sum if mode == "strict" else _weak_sum
-    return _weighted_sum((count, chain_sum(*key)) for key, count in keys.items())
-
-
-@lru_cache(maxsize=None)
-def _order_poly_default(P: BicoloredPoset, mode: str) -> BiPoly:
-    return _sum_word_keys(_word_key_counts(P, mode), mode)
-
-
-def _order_poly(
-    P: BicoloredPoset, mode: str, labeling: tuple[int, ...] | None
-) -> BiPoly:
-    if labeling is None:
-        return _order_poly_default(P, mode)
-    return _sum_word_keys(_word_key_counts(P, mode, labeling), mode)
+def _sum_word_keys(keys: dict[tuple[int, int, int, int], int], mode: str) -> BiPoly:
+    """The sum of count * chain sum over the word keys, built once on the
+    mode's basis binom(y - w, t) * binom(x - y + w, s), w = 0 strict, 1 weak."""
+    coords: Counter[tuple[int, int]] = Counter()
+    for key, count in keys.items():
+        for ts, c in _chain_coords(mode, *key):
+            coords[ts] += count * c
+    return _binomial_poly(coords, *_MODE_BASIS[mode])
 
 
 def order_poly_strict(
@@ -322,7 +316,7 @@ def order_poly_strict(
 ) -> BiPoly:
     """Polynomial counting strict order preserving maps of P into 1..x
     with every celeste element sent strictly above y."""
-    return _order_poly(P, "strict", labeling)
+    return _sum_word_keys(_word_key_counts(P, "strict", labeling), "strict")
 
 
 def order_poly_weak(
@@ -330,7 +324,7 @@ def order_poly_weak(
 ) -> BiPoly:
     """Polynomial counting weak order preserving maps of P into 1..x with
     every celeste element sent to y or above."""
-    return _order_poly(P, "weak", labeling)
+    return _sum_word_keys(_word_key_counts(P, "weak", labeling), "weak")
 
 
 # brute-force enumeration -----------------------------------------------------
@@ -458,15 +452,6 @@ def _grid(n: int, mode: str) -> tuple[range, range]:
     return range(n, 2 * n + 1), _valid_ys(mode, n)
 
 
-@lru_cache(maxsize=32)
-def _newton_basis(n: int, mode: str) -> tuple[tuple[BiPoly, ...], ...]:
-    """binom(x - xs[0], i) * binom(y - ys[0], j) at [i][j], i, j <= n."""
-    xs, ys = _grid(n, mode)
-    bx = [binom_poly(X - xs[0], i) for i in range(n + 1)]
-    by = [binom_poly(Y - ys[0], j) for j in range(n + 1)]
-    return tuple(tuple(p * q for q in by) for p in bx)
-
-
 def _integer(value: object, x0: int, y0: int) -> int:
     count = int(value)
     if count != value:
@@ -490,12 +475,9 @@ def interpolate_poly(counter: Callable[[int, int], int], n: int, mode: str) -> B
     diffs = np.array([[_integer(counter(a, b), a, b) for b in ys] for a in xs], object)
     for _ in range(2):  # along x, then y; each pass transposes: diffs[i, j] = Δ^{i,j}
         diffs = np.array([np.diff(diffs, i, axis=0)[0] for i in range(n + 1)]).T
-    basis = _newton_basis(n, mode)
-    # zero weights are skipped: a counting polynomial has total degree n,
-    # so every Δ^{i,j} with i + j > n is 0
-    return _weighted_sum(
-        (diffs[i, j], basis[i][j]) for i in range(n + 1) for j in range(n + 1)
-    )
+    # zero coordinates are skipped: a counting polynomial has total
+    # degree n, so every Δ^{i,j} with i + j > n is 0
+    return _binomial_poly(dict(np.ndenumerate(diffs)), X - xs[0], Y - ys[0])
 
 
 def interpolate_brute(
@@ -537,7 +519,7 @@ def check_reciprocity_word(w: Word) -> CheckReport:
     """
     key = _word_key(w, ascents)
     lhs = word_poly_strict(w).negate_args() * (-1) ** len(w)
-    rhs = _weak_sum(*key).shift_y(1)
+    rhs = _sum_word_keys({key: 1}, "weak").shift_y(1)
     witness = {
         "word": list(w.letters),
         "celeste_pos": w.celeste_pos,

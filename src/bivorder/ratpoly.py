@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 Coeff = int | Fraction
@@ -22,6 +24,13 @@ Coeff = int | Fraction
 def _sort_key(pair: tuple[int, int]) -> tuple[int, int]:
     dx, dy = pair
     return (-dx, -dy)
+
+
+def _exact_int(value: object, term: object) -> int:
+    """int(value), but ValueError naming the term where int() would truncate."""
+    if isinstance(value, str) or int(value) == value:
+        return int(value)
+    raise ValueError(f"non-integer {value!r} in term {term!r}")
 
 
 class BiPoly:
@@ -33,24 +42,19 @@ class BiPoly:
         clean: dict[tuple[int, int], Fraction] = {}
         if terms:
             for (dx, dy), c in terms.items():
-                dx = int(dx)
-                dy = int(dy)
+                dx, dy = _exact_int(dx, (dx, dy)), _exact_int(dy, (dx, dy))
                 if dx < 0 or dy < 0:
                     raise ValueError(f"negative exponent ({dx}, {dy})")
-                c = Fraction(c)
-                if c:
-                    clean[dx, dy] = clean.get((dx, dy), Fraction(0)) + c
-                    if not clean[dx, dy]:
-                        del clean[dx, dy]
-        object.__setattr__(self, "_terms", clean)
+                clean[dx, dy] = clean.get((dx, dy), 0) + Fraction(c)
+        object.__setattr__(self, "_terms", {e: c for e, c in clean.items() if c})
 
     @classmethod
     def _trusted(cls, terms: dict[tuple[int, int], Fraction]) -> BiPoly:
         """Wrap a term map built from other polynomials' terms, dropping
         zero coefficients without re-validation: its exponents are sums of
         nonnegative ints and its coefficients Fractions.  Every result of
-        arithmetic and substitution is built here; outside input goes
-        through __init__, which converts and checks."""
+        arithmetic, substitution and _binomial_poly is built here; outside
+        input goes through __init__, which converts and checks."""
         out = object.__new__(cls)
         object.__setattr__(out, "_terms", {e: c for e, c in terms.items() if c})
         return out
@@ -262,10 +266,9 @@ class BiPoly:
         terms: dict[tuple[int, int], Fraction] = {}
         for item in data["terms"]:
             try:
-                dx = int(item["dx"])
-                dy = int(item["dy"])
-                c = Fraction(int(item["num"]), int(item["den"]))
-            except (KeyError, TypeError, ZeroDivisionError):
+                dx, dy = _exact_int(item["dx"], item), _exact_int(item["dy"], item)
+                c = Fraction(_exact_int(item["num"], item), _exact_int(item["den"], item))
+            except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError):
                 raise ValueError(f"malformed term {item!r} in polynomial JSON") from None
             if (dx, dy) in terms:
                 raise ValueError(f"duplicate term ({dx}, {dy}) in polynomial JSON")
@@ -299,9 +302,9 @@ def binom_poly(arg: BiPoly, m: int) -> BiPoly:
 
     arg must be affine (total degree at most 1); the result is the falling
     factorial arg (arg-1) ... (arg-m+1) divided by m!.  This is the unique
-    polynomial agreeing with the integer binomial coefficient on integers,
-    and it is what every closed-form counting formula in this package is
-    built from.
+    polynomial agreeing with the integer binomial coefficient on integers.
+    The counting polynomials of this package are built from integer
+    coordinates on products of these by _binomial_poly below.
     """
     if m < 0:
         raise ValueError("binom_poly needs m >= 0")
@@ -311,3 +314,29 @@ def binom_poly(arg: BiPoly, m: int) -> BiPoly:
     for t in range(m):
         out = out * (arg - t)
     return out * Fraction(1, math.factorial(m))
+
+
+@lru_cache(maxsize=256)
+def _basis_terms(u: BiPoly, v: BiPoly, top: int) -> Mapping[tuple[int, int], tuple]:
+    """(t, s) -> integer terms of t! * s! * binom(u, t) * binom(v, s), t + s <= top."""
+    fu = [binom_poly(u, t) * math.factorial(t) for t in range(top + 1)]
+    fv = [binom_poly(v, s) * math.factorial(s) for s in range(top + 1)]
+    return MappingProxyType({
+        (t, s): tuple((e, int(c)) for e, c in (fu[t] * fv[s])._terms.items())
+        for t in range(top + 1) for s in range(top + 1 - t)
+    })
+
+
+def _binomial_poly(coords: Mapping[tuple[int, int], int], u: BiPoly, v: BiPoly) -> BiPoly:
+    """Sum c * binom(u, t) * binom(v, s) over coords (t, s) -> c, u and v integer
+    affine, in ints over the common denominator (max t + s)!: one Fraction per term."""
+    top = max((t + s for (t, s), c in coords.items() if c), default=0)
+    den = math.factorial(top)
+    terms = _basis_terms(u, v, top)
+    num: dict[tuple[int, int], int] = {}
+    for (t, s), c in coords.items():
+        if c:
+            weight = c * (den // (math.factorial(t) * math.factorial(s)))
+            for e, a in terms[t, s]:
+                num[e] = num.get(e, 0) + weight * a
+    return BiPoly._trusted({e: Fraction(a, den) for e, a in num.items()})

@@ -1,9 +1,10 @@
 """Dumb reference implementations the library is checked against.
 
 Everything here enumerates objects directly from the definitions with
-itertools and plain loops.  Nothing imports the library's counting
-kernels, closed forms, or interpolation; only the data types come from
-the package.  Slow on purpose.
+itertools and plain loops, except the Fraction chain sums, which expand
+their formulas term by term.  Nothing imports the library's counting
+kernels, closed forms, or interpolation; only the data types and
+binom_poly come from the package.  Slow on purpose.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from functools import lru_cache
 
 from bivorder.graph import Graph
 from bivorder.poset import BicoloredPoset
+from bivorder.ratpoly import X, Y, BiPoly, binom_poly
 
 
 def dumb_count_maps(P: BicoloredPoset, mode: str, x0: int, y0: int) -> int:
@@ -84,6 +86,34 @@ def dumb_count_word(
             if mode == "weak" and not marked >= y0:
                 continue
         total += c
+    return total
+
+
+# Fraction chain sums --------------------------------------------------------
+
+# The chain sum of a word key (n, k, prefix, full) straight from its
+# formula: Fraction binomials multiplied and added as BiPolys, one term at a
+# time, with none of the library's integer coordinates.
+
+
+def fraction_strict_sum(n: int, k: int, prefix_shift: int, full_shift: int) -> BiPoly:
+    # sum_{i=0}^{k} binom(y + prefix, i) * binom(x - y + full - prefix, n - i)
+    arg_low = Y + prefix_shift
+    arg_high = X - Y + (full_shift - prefix_shift)
+    total = BiPoly.zero()
+    for i in range(k + 1):
+        total = total + binom_poly(arg_low, i) * binom_poly(arg_high, n - i)
+    return total
+
+
+def fraction_weak_sum(n: int, k: int, prefix_shift: int, full_shift: int) -> BiPoly:
+    # sum_{i=0}^{k} binom(y - prefix - 2 + i, i)
+    #             * binom(x - y + prefix - full + n - i, n - i)
+    total = BiPoly.zero()
+    for i in range(k + 1):
+        arg_low = Y + (i - prefix_shift - 2)
+        arg_high = X - Y + (prefix_shift - full_shift + n - i)
+        total = total + binom_poly(arg_low, i) * binom_poly(arg_high, n - i)
     return total
 
 

@@ -22,7 +22,9 @@ from bivorder.orderpoly import (
     MODES,
     BudgetExceededError,
     CheckReport,
+    _chain_coords,
     _checked_labeling,
+    _sum_word_keys,
     _valid_ys,
     _word_key,
     _word_key_counts,
@@ -64,6 +66,8 @@ from oracles import (
     dumb_count_word,
     dumb_word_profile,
     eval_int_grid,
+    fraction_strict_sum,
+    fraction_weak_sum,
     relabeled_poset,
     up_to_isomorphism,
 )
@@ -178,6 +182,28 @@ def test_word_polys_match_dumb_counts(n):
                     assert pw.evaluate(x0, y0) == dumb_count_word(
                         prof, "weak", cp, x0, y0
                     )
+
+
+# chain sums in integer binomial coordinates -----------------------------------
+
+
+def _all_word_keys(n):
+    """Every key (n, k, prefix, full) of a word of length n: the prefix up
+    to a mark at position k + 1 holds k of the n - 1 adjacent pairs, an
+    unmarked word has k = n and prefix 0, and any up-down pattern of the
+    pairs is some word's."""
+    yield from ((n, n, 0, full) for full in range(max(n, 1)))
+    for k in range(n):
+        for prefix, rest in itertools.product(range(k + 1), range(n - k)):
+            yield n, k, prefix, prefix + rest
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_chain_coords_match_fraction_chain_sums(n):
+    oracle = {"strict": fraction_strict_sum, "weak": fraction_weak_sum}
+    for key in _all_word_keys(n):
+        for mode in MODES:
+            assert _sum_word_keys({key: 1}, mode) == oracle[mode](*key), (key, mode)
 
 
 # order polynomials and decomposition -----------------------------------------
@@ -332,6 +358,45 @@ def test_order_polys_do_not_list_extensions():
     assert order_poly_weak(P, tuple(range(1, 10))) == X**6 * (X - Y + 1) ** 3
     assert chrom_poly.__wrapped__(G).subs_y_for_x() == classical_chrom_poly(G)
     assert linear_extensions.cache_info() == before
+
+
+def _summed_coords(P, mode):
+    """The order polynomial's coordinates: count * chain-sum coordinates,
+    summed over the word keys."""
+    coords = Counter()
+    for key, count in _word_key_counts(P, mode).items():
+        for ts, c in _chain_coords(mode, *key):
+            coords[ts] += count * c
+    return coords
+
+
+def _assert_coords_are_counts(P):
+    # c[t, s] counts surjections onto a (t + s)-chain with every celeste
+    # element in the top s values, so it is a nonnegative integer
+    for mode in MODES:
+        coords = _summed_coords(P, mode)
+        assert all(type(c) is int and c >= 0 for c in coords.values()), (P, mode)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_order_poly_coords_nonnegative_on_catalog(n):
+    for P in catalog_posets(n):
+        _assert_coords_are_counts(P)
+
+
+@given(bicolored_posets(5, 8))
+@settings(max_examples=40, deadline=None)
+def test_order_poly_coords_nonnegative_random(P):
+    _assert_coords_are_counts(P)
+
+
+def test_orderpoly_caches_are_bounded():
+    caches = [
+        fn for fn in vars(orderpoly).values()
+        if hasattr(fn, "cache_parameters") and fn.__module__ == orderpoly.__name__
+    ]
+    assert 0 < len(caches) <= 4
+    assert all(fn.cache_parameters()["maxsize"] is not None for fn in caches)
 
 
 # brute counts -----------------------------------------------------------------

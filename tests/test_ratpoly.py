@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bivorder.ratpoly import ONE, X, Y, BiPoly, _weighted_sum, binom_poly
+from bivorder.ratpoly import ONE, X, Y, BiPoly, _binomial_poly, _weighted_sum, binom_poly
 
 
 def test_fraction_invariants():
@@ -25,6 +25,13 @@ def test_construction_drops_zero_terms():
 def test_construction_rejects_negative_exponents():
     with pytest.raises(ValueError):
         BiPoly({(-1, 0): 1})
+
+
+def test_construction_rejects_fractional_exponents():
+    # int() would truncate 1.7 to 1 and give x
+    with pytest.raises(ValueError, match=r"term \(1\.7, 0\)"):
+        BiPoly({(1.7, 0): 1})
+    assert BiPoly({(2.0, 1): 3}) == 3 * X**2 * Y
 
 
 def test_add_sub_mul():
@@ -115,6 +122,11 @@ def test_json_rejects_duplicates():
         {"terms": [{"dx": 0, "dy": 0, "num": "1", "den": "0"}]},
         {"terms": [{"dx": 0, "dy": 0, "num": "1"}]},
         {"terms": [{"dy": 0, "num": "1", "den": "1"}]},
+        {"terms": [{"dx": 1.5, "dy": 0, "num": "1", "den": "1"}]},
+        {"terms": [{"dx": 0, "dy": 0, "num": 1.5, "den": "1"}]},
+        {"terms": [{"dx": 0, "dy": 0, "num": "1.5", "den": "1"}]},
+        {"terms": [{"dx": "a", "dy": 0, "num": "1", "den": "1"}]},
+        {"terms": [{"dx": float("inf"), "dy": 0, "num": "1", "den": "1"}]},
         {"terms": [[0, 0, "1", "1"]]},
         {"terms": ["x"]},
         {"terms": 5},
@@ -162,6 +174,38 @@ def test_binom_matches_integer_binomials():
     for top in range(9):
         for m in range(7):
             assert binom_poly(X, m).evaluate(top, 0) == math.comb(top, m)
+
+
+def _gen_comb(a: int, m: int) -> int:
+    """binom(a, m) for any integer a: math.comb, by reflection for a < 0."""
+    return math.comb(a, m) if a >= 0 else (-1) ** m * math.comb(m - a - 1, m)
+
+
+# (u, v) as integer forms (cx, cy, c0): the strict and the weak basis of the
+# order polynomials, and the shifted axes of an interpolation grid
+BINOMIAL_BASES = {
+    "strict": ((0, 1, 0), (1, -1, 0)),
+    "weak": ((0, 1, -1), (1, -1, 1)),
+    "grid": ((1, 0, -5), (0, 1, -1)),
+}
+
+
+@pytest.mark.parametrize("basis", BINOMIAL_BASES)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)), st.integers(-50, 50), max_size=10
+    )
+)
+@settings(max_examples=30, deadline=None)
+def test_binomial_poly_matches_integer_binomials(basis, coords):
+    (ux, uy, u0), (vx, vy, v0) = BINOMIAL_BASES[basis]
+    p = _binomial_poly(coords, ux * X + uy * Y + u0, vx * X + vy * Y + v0)
+    assert_canonical(p)
+    for x0 in range(-3, 8):
+        for y0 in range(-3, 8):
+            u, v = ux * x0 + uy * y0 + u0, vx * x0 + vy * y0 + v0
+            want = sum(c * _gen_comb(u, t) * _gen_comb(v, s) for (t, s), c in coords.items())
+            assert p.evaluate(x0, y0) == want
 
 
 coeffs = st.fractions(
