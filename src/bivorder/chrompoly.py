@@ -6,19 +6,26 @@ The count of admissible colorings is a polynomial chrom_poly(G) in
 (x, y); setting y = x recovers the classical chromatic polynomial and
 y = 0 frees every edge, giving x^n.
 
-chrom_poly is assembled from the order polynomials of the posets that
-acyclic orientations of quotient graphs induce, one per (flat,
-orientation) pair.  It sums them by word key: each pair's word-key
+chrom_poly sums over the set W of vertices colored above y, after
+Dohmen, Poenitz and Tittmann: P(G; x, y) = sum_W (x - y)^|W| chi(G - W; y).
+Each term is expanded on the strict basis binom(y, t) * binom(x - y, s)
+in integers: chi(G[U]; y) through the ordered partitions of U into
+independent sets, (x - y)^m through the surjections of an m-set.  A
+bitmask dynamic program over vertex subsets counts the partitions; no
+flat, orientation or order ideal is enumerated.
+
+The paper's construction, one strict order polynomial per (flat,
+acyclic orientation) pair, stays here as the route of the reciprocity
+checks and, in the tests, as chrom_poly's oracle: each pair's word-key
 counts come from the order-ideal dynamic program run on the
-orientation's directed edges, without building the poset or listing
-its extensions; the counts of all pairs are merged and each distinct
-key's chain sum is added once.
-chrom_count enumerates colorings directly.  The two never share code,
-so each verifies the other.
+orientation's directed edges, without building the poset.
+chrom_count enumerates colorings directly.  None of the three share
+code, so each verifies the others.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import lru_cache, reduce
 
@@ -34,6 +41,9 @@ from .graph import (
     orientation_to_poset,
 )
 from .orderpoly import (
+    _MODE_BASIS,
+    DEFAULT_BUDGET,
+    BudgetExceededError,
     CheckReport,
     _check_budget,
     _counts_ok,
@@ -44,7 +54,7 @@ from .orderpoly import (
     _sum_word_keys,
     brute_count_weak,
 )
-from .ratpoly import BiPoly, X
+from .ratpoly import BiPoly, X, _binomial_poly
 
 
 @lru_cache(maxsize=4096)
@@ -85,23 +95,85 @@ def _pair_key_counts(G: Graph, mode: str):
             yield F, _key_counts(preds, celeste, labels, mode)
 
 
-@lru_cache(maxsize=None)
-def chrom_poly(G: Graph) -> BiPoly:
-    """The counting polynomial: the sum, over all flats and all acyclic
-    orientations of their quotients, of the strict order polynomials of
-    the induced bicolored posets.
+def _surjections(m: int, s: int) -> int:
+    """The surjections of an m-set onto s values, by inclusion-exclusion."""
+    return sum((-1) ** j * math.comb(s, j) * (s - j) ** m for j in range(s + 1))
 
-    Each of those order polynomials is a sum of chain sums fixed by word
-    keys, so the word-key counts of every (flat, orientation) poset are
-    merged first and the chain sums are added once per distinct key.
+
+def _chrom_coords(G: Graph) -> dict[tuple[int, int], int]:
+    """chrom_poly's integer coordinates c[t, s] on the strict basis
+    binom(y, t) * binom(x - y, s): c[t, s] = sum over W of a_t(V - W) *
+    surj(|W|, s), where a_t(U) counts the ordered partitions of U into t
+    independent sets and surj (see _surjections) expands (x - y)^|W|.
+
+    a_t(U) is t! times b_t(U), the unordered such partitions, and b
+    follows the block I of U's lowest vertex:
+    b_t(U) = sum over independent I of b_{t-1}(U - I).  That visits each
+    (U, I) pair at most once, fewer than 3^n pairs.  Each U's vector
+    b_0(U), b_1(U), ... is packed into one int, slot t of `width` bits,
+    so the sum over I is one int addition per pair and the shift to t + 1
+    one shift.  A slot sums the set partitions of at most 2^n subsets,
+    each at most n^n, so it stays below 2^width and never carries.
     """
-    keys: Counter[tuple[int, int, int, int]] = Counter()
-    for _, counts in _pair_key_counts(G, "strict"):
-        keys.update(counts)
-    return _sum_word_keys(keys, "strict")
+    n = G.n
+    adj = [0] * n
+    for u, v in G.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    width = ((2 * n) ** n).bit_length()
+    independent = bytearray(1 << n)
+    independent[0] = 1
+    packed = [1] + [0] * ((1 << n) - 1)
+    by_size = [0] * (n + 1)
+    by_size[0] = 1
+    for U in range(1, 1 << n):
+        low = U & -U
+        rest = U ^ low
+        v = low.bit_length() - 1
+        independent[U] = independent[rest] and not adj[v] & rest
+        # I is v with any independent J of U's other non-neighbors of v
+        free = rest & ~adj[v]
+        total = 0
+        J = free
+        while True:
+            if independent[J]:
+                total += packed[rest ^ J]
+            if not J:
+                break
+            J = (J - 1) & free
+        packed[U] = total << width
+        by_size[U.bit_count()] += packed[U]
+    coords: dict[tuple[int, int], int] = {}
+    mask = (1 << width) - 1
+    for k, sums in enumerate(by_size):
+        for t in range(k + 1):
+            a = math.factorial(t) * (sums >> t * width & mask)
+            for s in range(n - k + 1):
+                coords[t, s] = coords.get((t, s), 0) + a * _surjections(n - k, s)
+    return coords
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
+def chrom_poly(G: Graph) -> BiPoly:
+    """The counting polynomial, built once from its integer coordinates
+    on the strict basis (see _chrom_coords).
+
+    The work is a subset dynamic program over fewer than 3^n pairs of
+    vertex sets, so past DEFAULT_BUDGET pairs, from 15 vertices on, it
+    raises BudgetExceededError before any enumeration.  The paper's
+    construction, the sum over all flats and all acyclic orientations of
+    their quotients of the strict order polynomials of the induced
+    bicolored posets, gives the same polynomial and is the tests' oracle.
+    """
+    pairs = 3**G.n
+    if pairs > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"subset enumeration of {pairs} pairs exceeds budget {DEFAULT_BUDGET}"
+        )
+    return _binomial_poly(_chrom_coords(G), *_MODE_BASIS["strict"])
+
+
+@lru_cache(maxsize=4096)
 def classical_chrom_poly(G: Graph) -> BiPoly:
     """Single-variable chromatic polynomial by deletion and contraction."""
     if not G.edges:
@@ -164,10 +236,13 @@ def check_reciprocity_graph(
 
 
 def check_reciprocity_graph_poly(G: Graph) -> CheckReport:
-    """Polynomial-level form: chrom_poly(-x, -y) equals the signed sum of
-    the weak order polynomials at y + 1.
+    """Polynomial-level form: chrom_poly(-x, -y) equals the signed sum,
+    over all (flat, acyclic orientation) pairs, of the weak order
+    polynomials at y + 1.
 
-    The sum is linear, so the signed word-key counts of every pair are
+    The two sides share no code: chrom_poly sums over vertex subsets and
+    independent sets, the right side over flats and orientations.  That
+    sum is linear, so the signed word-key counts of every pair are
     merged, summed once, and shifted once.
     """
     lhs = chrom_poly(G).negate_args()

@@ -1,10 +1,13 @@
+import math
+import random
+
 import pytest
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bivorder import chrompoly, orderpoly
+from bivorder import chrompoly, graph, orderpoly
 from bivorder.chrompoly import (
     check_reciprocity_graph,
     check_reciprocity_graph_poly,
@@ -28,7 +31,13 @@ from bivorder.orderpoly import (
     order_poly_weak,
 )
 from bivorder.ratpoly import ONE, X, Y, BiPoly
-from oracles import all_graphs, dumb_count_colorings, relabeled_graph, up_to_isomorphism
+from oracles import (
+    all_graphs,
+    dumb_count_colorings,
+    per_pair_sum,
+    relabeled_graph,
+    up_to_isomorphism,
+)
 
 
 def test_chrom_poly_frozen_small_graphs():
@@ -105,16 +114,6 @@ def test_chrom_poly_counts_on_region(n):
                 assert poly.evaluate(x0, y0) == chrom_count(G, x0, y0)
 
 
-def _per_pair_sum(G: Graph) -> BiPoly:
-    """The old route: add one strict order polynomial per (flat,
-    orientation) pair."""
-    total = BiPoly.zero()
-    for F in flats(G):
-        for sigma in acyclic_orientations(F.quotient):
-            total = total + order_poly_strict(orientation_to_poset(F, sigma))
-    return total
-
-
 @pytest.mark.parametrize("n", range(6))
 def test_chrom_poly_equals_per_pair_sum(n):
     # five vertices: one graph per isomorphism class keeps this quick
@@ -122,7 +121,7 @@ def test_chrom_poly_equals_per_pair_sum(n):
     if n == 5:
         graphs = up_to_isomorphism(graphs, relabeled_graph)
     for G in graphs:
-        assert chrom_poly(G) == _per_pair_sum(G)
+        assert chrom_poly(G) == per_pair_sum(G)
 
 
 @given(st.lists(st.booleans(), min_size=15, max_size=15))
@@ -130,7 +129,72 @@ def test_chrom_poly_equals_per_pair_sum(n):
 def test_chrom_poly_equals_per_pair_sum_six_vertices(keep):
     pairs = [(u, v) for u in range(6) for v in range(u + 1, 6)]
     G = Graph(6, frozenset(e for e, k in zip(pairs, keep) if k))
-    assert chrom_poly(G) == _per_pair_sum(G)
+    assert chrom_poly(G) == per_pair_sum(G)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_chrom_coords_are_nonnegative(n):
+    # c[t, s] counts ordered partitions into t independent blocks
+    # followed by s arbitrary ones
+    for G in all_graphs(n):
+        assert all(c >= 0 for c in chrompoly._chrom_coords(G).values())
+
+
+def test_chrom_poly_reads_no_flats_or_orientations(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("chrom_poly ran the order-ideal dynamic program")
+
+    monkeypatch.setattr(chrompoly, "_key_counts", forbidden)
+    cached = (graph.flats, graph.acyclic_orientations, orderpoly._map_cum_table)
+    before = [fn.cache_info() for fn in cached]
+    poly = chrom_poly.__wrapped__(cycle_graph(7))
+    assert [fn.cache_info() for fn in cached] == before
+    assert poly.subs_y_for_x() == (X - 1) ** 7 - (X - 1)
+
+
+def _assert_counts_at_small_x(G, poly):
+    for x0 in range(4):
+        for y0 in range(x0 + 1):
+            assert poly.evaluate(x0, y0) == chrom_count(G, x0, y0), (x0, y0)
+
+
+def test_chrom_poly_past_orientation_limit():
+    # K8 has 28 edges; the orientation enumeration refuses more than 20
+    K8 = complete_graph(8)
+    poly = chrom_poly(K8)
+    assert poly.subs_y_for_x() == math.prod((X - i for i in range(8)), start=ONE)
+    assert poly.subs_y(0) == X**8
+    _assert_counts_at_small_x(K8, poly)
+
+
+def test_chrom_poly_twelve_vertices():
+    rng = random.Random(12)
+    G = Graph(12, frozenset(
+        (u, v) for u in range(12) for v in range(u + 1, 12) if rng.random() < 0.5
+    ))
+    poly = chrom_poly(G)
+    assert poly.subs_y(0) == X**12
+    assert poly.total_degree == 12
+    _assert_counts_at_small_x(G, poly)
+
+
+def test_chrom_poly_budget_stops_before_work(monkeypatch):
+    # 3^15 subset pairs exceed the default budget; no subset is visited
+    monkeypatch.setattr(chrompoly, "_chrom_coords", None)
+    with pytest.raises(BudgetExceededError, match="budget"):
+        chrom_poly.__wrapped__(edgeless_graph(15))
+
+
+def test_graph_and_chrompoly_caches_are_bounded():
+    caches = [
+        fn
+        for module in (graph, chrompoly)
+        for fn in vars(module).values()
+        if hasattr(fn, "cache_parameters") and fn.__module__ == module.__name__
+    ]
+    names = {fn.__name__ for fn in caches}
+    assert {"flats", "acyclic_orientations", "chrom_poly", "classical_chrom_poly"} <= names
+    assert all(fn.cache_parameters()["maxsize"] is not None for fn in caches)
 
 
 def test_chrom_poly_monic_of_degree_n():

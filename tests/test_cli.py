@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import bivorder.cli as cli
+from bivorder.chrompoly import chrom_poly
+from bivorder.fixtures import complete_graph
 from bivorder.orderpoly import CheckReport
 from bivorder.ratpoly import BiPoly, X
 
@@ -273,6 +275,27 @@ def test_poly_outputs_match_recorded_bytes():
         code, out, err = run_cli(g["args"][0], "--input", fixture(g["fixture"]), *g["args"][1:])
         assert (code, err) == (0, "")
         assert out.encode() == g["stdout"].encode()
+
+
+def _graph_file(tmp_path, n, edges):
+    path = tmp_path / f"graph{n}.json"
+    path.write_text(json.dumps({"n": n, "edges": [list(e) for e in edges]}))
+    return str(path)
+
+
+def test_graph_poly_past_orientation_limit(tmp_path):
+    # K8's 28 edges exceed the orientation enumeration's 20
+    k8 = _graph_file(tmp_path, 8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
+    code, out, err = run_cli("graph-poly", "--input", k8)
+    assert (code, err) == (0, "")
+    assert out.startswith("x^8 - 28*x^6*y + ")
+    assert out == chrom_poly(complete_graph(8)).text() + "\n"
+
+
+def test_graph_poly_over_budget_exits_two(tmp_path):
+    code, out, err = run_cli("graph-poly", "--input", _graph_file(tmp_path, 15, []))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "budget" in err
 
 
 def test_outputs_are_byte_identical_across_runs():
