@@ -18,9 +18,12 @@ The paper's construction, one strict order polynomial per (flat,
 acyclic orientation) pair, stays here as the route of the reciprocity
 checks and, in the tests, as chrom_poly's oracle: each pair's word-key
 counts come from the order-ideal dynamic program run on the
-orientation's directed edges, without building the poset.
-chrom_count enumerates colorings directly.  None of the three share
-code, so each verifies the others.
+orientation's directed edges, without building the poset.  The two
+routes count their coordinates independently (subsets and independent
+sets against flats, orientations and word keys) but share the builder
+ratpoly._binomial_poly that turns coordinates into a polynomial.
+chrom_count enumerates colorings directly and shares no code with
+either, so it verifies both.
 """
 
 from __future__ import annotations
@@ -240,10 +243,12 @@ def check_reciprocity_graph_poly(G: Graph) -> CheckReport:
     over all (flat, acyclic orientation) pairs, of the weak order
     polynomials at y + 1.
 
-    The two sides share no code: chrom_poly sums over vertex subsets and
-    independent sets, the right side over flats and orientations.  That
-    sum is linear, so the signed word-key counts of every pair are
-    merged, summed once, and shifted once.
+    The two sides count their coordinates independently: chrom_poly over
+    vertex subsets and independent sets, the right side over flats and
+    orientations.  Both build their polynomial with
+    ratpoly._binomial_poly.  The right side is linear, so the signed
+    word-key counts of every pair are merged, summed once, and shifted
+    once.
     """
     lhs = chrom_poly(G).negate_args()
     keys: Counter[tuple[int, int, int, int]] = Counter()

@@ -9,6 +9,7 @@ of the posets an acyclic orientation of the quotient gives rise to.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -187,36 +188,21 @@ def is_acyclic(n: int, directed_edges: Iterable[tuple[int, int]]) -> bool:
 
 @lru_cache(maxsize=4096)
 def acyclic_orientations(H: Graph) -> tuple[AcyclicOrientation, ...]:
-    """All acyclic orientations, as lexicographic direction vectors over
-    the sorted edge list, each edge taken (u, v) before (v, u).
-
-    Directions are chosen edge by edge, and a branch is cut as soon as
-    its partial orientation closes a cycle: reach[w] is the bitmask of
-    vertices w reaches, itself included, and a -> b closes one exactly
-    when b reaches a.
-    """
+    """All acyclic orientations, enumerated as lexicographic direction
+    vectors over the sorted edge list and filtered for acyclicity."""
     edges = H.sorted_edges()
     if len(edges) > MAX_ORIENTATION_EDGES:
         raise ValueError(
             f"{len(edges)} edges exceeds the orientation enumeration limit "
             f"of {MAX_ORIENTATION_EDGES}"
         )
-    out: list[AcyclicOrientation] = []
-    directed: list[tuple[int, int]] = []
-
-    def extend(i: int, reach: list[int]) -> None:
-        if i == len(edges):
-            out.append(AcyclicOrientation(tuple(directed)))
-            return
-        u, v = edges[i]
-        for a, b in ((u, v), (v, u)):
-            if reach[b] >> a & 1:
-                continue
-            directed.append((a, b))
-            extend(i + 1, [r | reach[b] if r >> a & 1 else r for r in reach])
-            directed.pop()
-
-    extend(0, [1 << w for w in range(H.n)])
+    out = []
+    for dirs in itertools.product((0, 1), repeat=len(edges)):
+        directed = tuple(
+            (u, v) if d == 0 else (v, u) for (u, v), d in zip(edges, dirs)
+        )
+        if is_acyclic(H.n, directed):
+            out.append(AcyclicOrientation(directed))
     return tuple(out)
 
 

@@ -34,13 +34,9 @@ def _exact_int(value: object, term: object) -> int:
 
 
 class BiPoly:
-    """Immutable polynomial in x and y with Fraction coefficients.
+    """Immutable polynomial in x and y with Fraction coefficients."""
 
-    The hash is computed on first use and kept in the _hash slot, which
-    stays unset until then.
-    """
-
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], Coeff] | None = None):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -120,11 +116,7 @@ class BiPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash(frozenset(self._terms.items())))
-            return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def _coerced(self, other: object) -> BiPoly | None:
         if isinstance(other, BiPoly):

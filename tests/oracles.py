@@ -5,8 +5,8 @@ itertools and plain loops, except the Fraction chain sums, which expand
 their formulas term by term, and the per-pair chromatic sum, which is
 the paper's flat-and-orientation construction.  Apart from that sum,
 nothing imports the library's counting kernels, closed forms, or
-interpolation; only the data types, is_acyclic and binom_poly come from
-the package.  Slow on purpose.
+interpolation; only the data types and binom_poly come from the
+package.  Slow on purpose.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ from collections import Counter
 from functools import lru_cache
 
 from bivorder.graph import (
-    AcyclicOrientation,
     Graph,
     acyclic_orientations,
     flats,
-    is_acyclic,
     orientation_to_poset,
 )
 from bivorder.orderpoly import order_poly_strict
@@ -133,20 +131,6 @@ def dumb_count_colorings(G: Graph, x0: int, y0: int) -> int:
         if all(c[u] != c[v] or c[u] > y0 for u, v in G.edges):
             count += 1
     return count
-
-
-def dumb_acyclic_orientations(H: Graph) -> tuple[AcyclicOrientation, ...]:
-    """All 2^m direction vectors over the sorted edges, in lexicographic
-    order with (u, v) before (v, u), filtered for acyclicity."""
-    edges = H.sorted_edges()
-    out = []
-    for dirs in itertools.product((0, 1), repeat=len(edges)):
-        directed = tuple(
-            (u, v) if d == 0 else (v, u) for (u, v), d in zip(edges, dirs)
-        )
-        if is_acyclic(H.n, directed):
-            out.append(AcyclicOrientation(directed))
-    return tuple(out)
 
 
 def per_pair_sum(G: Graph) -> BiPoly:

@@ -267,26 +267,3 @@ def test_results_have_canonical_term_maps(a, b, s, k):
     ]
     for r in results:
         assert_canonical(r)
-
-
-def test_equal_polynomials_hash_equal_across_routes():
-    from bivorder.chrompoly import chrom_poly
-    from bivorder.fixtures import complete_graph
-
-    built = [
-        chrom_poly(complete_graph(3)),
-        X**3 - 3 * X * Y + 2 * Y,
-        BiPoly({(0, 1): 2, (3, 0): 1, (1, 1): -3}),
-        BiPoly.from_json((X**3 - 3 * X * Y + 2 * Y).to_json()),
-        _binomial_poly(
-            {(0, 1): 1, (0, 2): 6, (0, 3): 6, (1, 1): 3, (1, 2): 6, (2, 1): 6, (3, 0): 6},
-            Y,
-            X - Y,
-        ),
-    ]
-    assert all(p == built[0] for p in built)
-    assert len({hash(p) for p in built}) == 1
-    # the first hash is kept and returned again
-    assert hash(built[0]) == hash(built[0]) == hash(frozenset(built[0].terms.items()))
-    with pytest.raises(AttributeError):
-        built[0]._hash = 0
