@@ -45,8 +45,6 @@ from .graph import (
 )
 from .orderpoly import (
     _MODE_BASIS,
-    DEFAULT_BUDGET,
-    BudgetExceededError,
     CheckReport,
     _check_budget,
     _counts_ok,
@@ -81,21 +79,25 @@ def chrom_count(G: Graph, x0: int, y0: int, budget: int | None = None) -> int:
     return _cum_count(_coloring_cum_table(G, x0), x0, y0 + 1)
 
 
-def _pair_key_counts(G: Graph, mode: str):
-    """Yield each (flat, acyclic orientation) pair's flat with the word-key
-    counts of the pair's poset under the mode's default labeling.
-
-    The counts come straight from the orientation's directed edges, with
-    the contracted blocks celeste; the poset is never built or closed.
-    """
+def _pairs(G: Graph):
+    """Yield every (flat, acyclic orientation of its quotient) pair as
+    (sign, flat, orientation), with the reciprocity sign (-1)^(quotient
+    size)."""
     for F in flats(G):
-        celeste = sum(1 << c for c in F.contracted)
+        sign = (-1) ** F.quotient.n
         for sigma in acyclic_orientations(F.quotient):
-            preds = [0] * F.quotient.n
-            for a, b in sigma.directed_edges:
-                preds[b] |= 1 << a
-            labels = _default_labeling(preds, mode)
-            yield F, _key_counts(preds, celeste, labels, mode)
+            yield sign, F, sigma
+
+
+def _pair_key_counts(F: Flat, sigma: AcyclicOrientation, mode: str) -> Counter:
+    """Word-key counts of the pair's poset under the mode's default
+    labeling, read straight from the orientation's directed edges with
+    the contracted blocks celeste; the poset is never built or closed."""
+    preds = [0] * F.quotient.n
+    for a, b in sigma.directed_edges:
+        preds[b] |= 1 << a
+    celeste = sum(1 << c for c in F.contracted)
+    return _key_counts(preds, celeste, _default_labeling(preds, mode), mode)
 
 
 def _surjections(m: int, s: int) -> int:
@@ -162,17 +164,14 @@ def chrom_poly(G: Graph) -> BiPoly:
     on the strict basis (see _chrom_coords).
 
     The work is a subset dynamic program over fewer than 3^n pairs of
-    vertex sets, so past DEFAULT_BUDGET pairs, from 15 vertices on, it
-    raises BudgetExceededError before any enumeration.  The paper's
+    vertex sets, so 3^n is checked against the default budget like brute
+    maps (see orderpoly._check_budget): from 15 vertices on it raises
+    BudgetExceededError before any enumeration.  The paper's
     construction, the sum over all flats and all acyclic orientations of
     their quotients of the strict order polynomials of the induced
     bicolored posets, gives the same polynomial and is the tests' oracle.
     """
-    pairs = 3**G.n
-    if pairs > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"subset enumeration of {pairs} pairs exceeds budget {DEFAULT_BUDGET}"
-        )
+    _check_budget(G.n, 3, None)
     return _binomial_poly(_chrom_coords(G), *_MODE_BASIS["strict"])
 
 
@@ -210,22 +209,16 @@ def count_compatible_colorings(
     return brute_count_weak(P, x0, y0 + 1, budget)
 
 
-def _reciprocity_rhs_count(G: Graph, x0: int, y0: int, budget: int | None) -> int:
-    total = 0
-    for F in flats(G):
-        sign = (-1) ** F.quotient.n
-        for sigma in acyclic_orientations(F.quotient):
-            total += sign * count_compatible_colorings(F, sigma, x0, y0, budget)
-    return total
-
-
 def check_reciprocity_graph(
     G: Graph, x0: int, y0: int, budget: int | None = None
 ) -> CheckReport:
     """Verify chrom_poly(G)(-x0, -y0) against the signed count of
     compatible colorings over all flats and orientations."""
     lhs = chrom_poly(G).evaluate(-x0, -y0)
-    rhs = _reciprocity_rhs_count(G, x0, y0, budget)
+    rhs = sum(
+        sign * count_compatible_colorings(F, sigma, x0, y0, budget)
+        for sign, F, sigma in _pairs(G)
+    )
     if lhs == rhs:
         return CheckReport("graph-reciprocity", True)
     witness = {
@@ -252,9 +245,8 @@ def check_reciprocity_graph_poly(G: Graph) -> CheckReport:
     """
     lhs = chrom_poly(G).negate_args()
     keys: Counter[tuple[int, int, int, int]] = Counter()
-    for F, counts in _pair_key_counts(G, "weak"):
-        sign = (-1) ** F.quotient.n
-        for key, count in counts.items():
+    for sign, F, sigma in _pairs(G):
+        for key, count in _pair_key_counts(F, sigma, "weak").items():
             keys[key] += sign * count
     rhs = _sum_word_keys(keys, "weak").shift_y(1)
     if lhs == rhs:

@@ -5,6 +5,9 @@ connected subgraph, together with the quotient simple graph obtained by
 contracting every block.  Quotient vertices coming from blocks of size
 two or more are the contracted ones; they become the celeste elements
 of the posets an acyclic orientation of the quotient gives rise to.
+flats generates the connected partitions directly, block by block, so
+its work follows the number of flats rather than all Bell(n) set
+partitions.
 """
 
 from __future__ import annotations
@@ -97,61 +100,61 @@ class Flat:
     contracted: frozenset[int]
 
 
-def _restricted_growth_strings(n: int):
-    # digits[i] <= max(digits[:i]) + 1; lexicographic order
-    digits = [0] * n
-
-    def rec(i: int, mx: int):
-        if i == n:
-            yield tuple(digits)
-            return
-        for d in range(mx + 2):
-            digits[i] = d
-            yield from rec(i + 1, max(mx, d))
-
-    if n == 0:
-        yield ()
-    else:
-        yield from rec(1, 0)
-
-
-def _block_connected(block: tuple[int, ...], adj: list[set[int]]) -> bool:
-    if len(block) <= 1:
-        return True
-    inside = set(block)
-    seen = {block[0]}
-    stack = [block[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w in inside and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == inside
-
-
 @lru_cache(maxsize=4096)
 def flats(G: Graph) -> tuple[Flat, ...]:
     """All partitions of the vertices into connected blocks, each with its
-    quotient; deterministic order (lexicographic block assignment)."""
-    adj = G.adjacency()
+    quotient, in lexicographic order of the block assignment (vertex v's
+    digit is the index of its block, blocks ordered by least vertex).
+
+    The block of the least unplaced vertex is any connected set of
+    unplaced vertices containing it, and the rest is partitioned alike.
+    That order is not lexicographic ({0,3|1|2} precedes {0|1,2|3}), so
+    the assignments are sorted."""
+    adj = [0] * G.n
+    for u, v in G.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+    def connected(block: int) -> bool:
+        seen = todo = block & -block
+        while todo:
+            low = todo & -todo
+            grown = adj[low.bit_length() - 1] & block & ~seen
+            seen |= grown
+            todo ^= low | grown
+        return seen == block
+
+    digits = [0] * G.n
+
+    def assignments(rest: int, index: int):
+        if not rest:
+            yield tuple(digits)
+            return
+        low = rest & -rest
+        others = sub = rest ^ low
+        while True:
+            block = low | sub
+            if connected(block):
+                for v in range(G.n):
+                    if block >> v & 1:
+                        digits[v] = index
+                yield from assignments(rest ^ block, index + 1)
+            if not sub:
+                return
+            sub = (sub - 1) & others
+
     out: list[Flat] = []
-    for rgs in _restricted_growth_strings(G.n):
-        nb = max(rgs) + 1 if rgs else 0
-        blocks: list[list[int]] = [[] for _ in range(nb)]
+    for rgs in sorted(assignments((1 << G.n) - 1, 0)):
+        nb = max(rgs, default=-1) + 1
+        lists: list[list[int]] = [[] for _ in range(nb)]
         for v, d in enumerate(rgs):
-            blocks[d].append(v)
-        block_tuples = tuple(tuple(b) for b in blocks)
-        if not all(_block_connected(b, adj) for b in block_tuples):
-            continue
-        qedges = set()
-        for u, v in G.edges:
-            bu, bv = rgs[u], rgs[v]
-            if bu != bv:
-                qedges.add((min(bu, bv), max(bu, bv)))
-        quotient = Graph(nb, frozenset(qedges))
-        contracted = frozenset(i for i, b in enumerate(block_tuples) if len(b) >= 2)
-        out.append(Flat(block_tuples, quotient, contracted))
+            lists[d].append(v)
+        blocks = tuple(map(tuple, lists))
+        qedges = frozenset(
+            (min(rgs[u], rgs[v]), max(rgs[u], rgs[v])) for u, v in G.edges if rgs[u] != rgs[v]
+        )
+        contracted = frozenset(i for i, b in enumerate(blocks) if len(b) >= 2)
+        out.append(Flat(blocks, Graph(nb, qedges), contracted))
     return tuple(out)
 
 

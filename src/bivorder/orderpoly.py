@@ -72,12 +72,14 @@ class BudgetExceededError(RuntimeError):
 def _check_budget(n: int, x_max: int, budget: int | None) -> None:
     """A brute table walks all x_max^n maps of n positions into
     (x_max + 1) * (x_max + 2) cells; the larger of the two must fit the
-    budget."""
-    count = max(x_max**n, (x_max + 1) * (x_max + 2))
+    budget.  A map count of 20 digits or more is written x_max^n, so the
+    message prints however large n is."""
+    maps, cells = x_max**n, (x_max + 1) * (x_max + 2)
     limit = DEFAULT_BUDGET if budget is None else budget
-    if count > limit:
+    if max(maps, cells) > limit:
+        shown = f"{x_max}^{n}" if maps >= max(cells, 10**19) else max(maps, cells)
         raise BudgetExceededError(
-            f"enumeration of {count} objects exceeds budget {limit}"
+            f"enumeration of {shown} objects exceeds budget {limit}"
         )
 
 

@@ -81,7 +81,7 @@ def build_poset(
     return BicoloredPoset(n, less, frozenset(celeste))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def covers(P: BicoloredPoset) -> tuple[tuple[int, int], ...]:
     """Cover relations: a < b with nothing strictly between."""
     out = []
@@ -91,7 +91,7 @@ def covers(P: BicoloredPoset) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def linear_extensions(P: BicoloredPoset) -> tuple[tuple[int, ...], ...]:
     """All linear extensions, as element sequences, in a fixed order.
 

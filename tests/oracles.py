@@ -16,6 +16,7 @@ from collections import Counter
 from functools import lru_cache
 
 from bivorder.graph import (
+    Flat,
     Graph,
     acyclic_orientations,
     flats,
@@ -131,6 +132,36 @@ def dumb_count_colorings(G: Graph, x0: int, y0: int) -> int:
         if all(c[u] != c[v] or c[u] > y0 for u, v in G.edges):
             count += 1
     return count
+
+
+def dumb_flats(G: Graph) -> tuple[Flat, ...]:
+    """Every set partition of the vertices, as a restricted growth string
+    (vertex v in block labels[v], each label at most one above all before
+    it) in lexicographic order, kept when each block induces a connected
+    subgraph."""
+    out = []
+    for labels in itertools.product(*(range(v + 1) for v in range(G.n))):
+        if any(d > max(labels[:v], default=-1) + 1 for v, d in enumerate(labels)):
+            continue
+        nb = max(labels, default=-1) + 1
+        blocks = tuple(tuple(v for v in range(G.n) if labels[v] == b) for b in range(nb))
+        connected = True
+        for block in blocks:
+            reached = {block[0]}
+            for _ in block:
+                for u, v in G.edges:
+                    if u in block and v in block and (u in reached or v in reached):
+                        reached |= {u, v}
+            connected = connected and len(reached) == len(block)
+        if connected:
+            qedges = frozenset(
+                (min(labels[u], labels[v]), max(labels[u], labels[v]))
+                for u, v in G.edges
+                if labels[u] != labels[v]
+            )
+            contracted = frozenset(i for i, b in enumerate(blocks) if len(b) > 1)
+            out.append(Flat(blocks, Graph(nb, qedges), contracted))
+    return tuple(out)
 
 
 def per_pair_sum(G: Graph) -> BiPoly:

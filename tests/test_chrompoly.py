@@ -185,6 +185,18 @@ def test_chrom_poly_budget_stops_before_work(monkeypatch):
         chrom_poly.__wrapped__(edgeless_graph(15))
 
 
+def test_chrompoly_budget_messages_print_past_the_digit_limit(monkeypatch):
+    # 10^5000 colorings and 3^10000 subset pairs are too long to print in full
+    monkeypatch.setattr(chrompoly, "_coloring_cum_table", None)
+    monkeypatch.setattr(chrompoly, "_chrom_coords", None)
+    with pytest.raises(BudgetExceededError, match="budget") as err:
+        chrom_count(Graph(5000, frozenset()), 10, 0)
+    assert "10^5000" in str(err.value)
+    with pytest.raises(BudgetExceededError, match="budget") as err:
+        chrom_poly.__wrapped__(Graph(10000, frozenset()))
+    assert "3^10000" in str(err.value)
+
+
 def test_graph_and_chrompoly_caches_are_bounded():
     caches = [
         fn
@@ -336,11 +348,12 @@ def test_reciprocity_poly_witness_is_per_pair_sum(monkeypatch):
 def test_pair_key_counts_match_closed_posets(n):
     # the orientation path reads unclosed edge masks; the poset path, P.less
     for G in all_graphs(n):
-        for mode in ("strict", "weak"):
-            pairs = [
-                (F, sigma) for F in flats(G) for sigma in acyclic_orientations(F.quotient)
-            ]
-            counts = list(chrompoly._pair_key_counts(G, mode))
-            assert [F for F, _ in counts] == [F for F, _ in pairs]
-            for (F, sigma), (_, keys) in zip(pairs, counts):
+        pairs = [
+            (F, sigma) for F in flats(G) for sigma in acyclic_orientations(F.quotient)
+        ]
+        signed = [((-1) ** F.quotient.n, F, sigma) for F, sigma in pairs]
+        assert list(chrompoly._pairs(G)) == signed
+        for F, sigma in pairs:
+            for mode in ("strict", "weak"):
+                keys = chrompoly._pair_key_counts(F, sigma, mode)
                 assert keys == _word_key_counts(orientation_to_poset(F, sigma), mode)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import bivorder.cli as cli
+from bivorder import chrompoly
 from bivorder.chrompoly import chrom_poly
 from bivorder.fixtures import complete_graph
 from bivorder.orderpoly import CheckReport
@@ -296,6 +297,16 @@ def test_graph_poly_over_budget_exits_two(tmp_path):
     code, out, err = run_cli("graph-poly", "--input", _graph_file(tmp_path, 15, []))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "budget" in err
+
+
+def test_budget_message_stays_short_past_the_digit_limit(tmp_path, monkeypatch):
+    # 10^5000 colorings: the count is written as a power, and none is enumerated
+    monkeypatch.setattr(chrompoly, "_coloring_cum_table", None)
+    code, out, err = run_cli(
+        "graph-count", "--input", _graph_file(tmp_path, 5000, []), "--x", "10", "--y", "0"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "budget" in err and len(err) < 200
 
 
 def test_outputs_are_byte_identical_across_runs():

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bivorder.fixtures import (
     complete_graph,
@@ -22,7 +24,7 @@ from bivorder.graph import (
     trivial_flat,
 )
 from bivorder.chrompoly import classical_chrom_poly
-from oracles import all_graphs
+from oracles import all_graphs, dumb_flats
 
 BELL = [1, 1, 2, 5, 15, 52, 203]
 
@@ -86,6 +88,26 @@ def test_flats_blocks_partition_and_connect():
             assert F.contracted == frozenset(
                 i for i, b in enumerate(F.blocks) if len(b) >= 2
             )
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_flats_equal_bell_filter(n):
+    # same flats, quotients and order as filtering every set partition
+    for G in all_graphs(n):
+        assert flats.__wrapped__(G) == dumb_flats(G)
+
+
+@given(st.integers(6, 8), st.lists(st.booleans(), min_size=28, max_size=28))
+@settings(max_examples=20, deadline=None)
+def test_flats_equal_bell_filter_six_to_eight_vertices(n, keep):
+    pairs = itertools.combinations(range(n), 2)
+    G = Graph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+    assert flats.__wrapped__(G) == dumb_flats(G)
+
+
+def test_path_flats_are_compositions():
+    # a connected block of a path is an interval: 2^11 flats, not Bell(12)
+    assert len(flats(path_graph(12))) == 2**11
 
 
 @pytest.mark.parametrize("n", range(7))

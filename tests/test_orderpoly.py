@@ -17,7 +17,7 @@ from bivorder.fixtures import (
     skew_diamond_poset,
     two_chain_celeste_top,
 )
-from bivorder import orderpoly
+from bivorder import orderpoly, poset
 from bivorder.orderpoly import (
     MODES,
     BudgetExceededError,
@@ -397,6 +397,13 @@ def test_orderpoly_caches_are_bounded():
     ]
     assert 0 < len(caches) <= 4
     assert all(fn.cache_parameters()["maxsize"] is not None for fn in caches)
+    # the poset caches hold every extension of a poset; they are bounded too
+    poset_caches = [
+        fn for fn in vars(poset).values()
+        if hasattr(fn, "cache_parameters") and fn.__module__ == poset.__name__
+    ]
+    assert {"covers", "linear_extensions"} <= {fn.__name__ for fn in poset_caches}
+    assert all(fn.cache_parameters()["maxsize"] is not None for fn in poset_caches)
 
 
 # brute counts -----------------------------------------------------------------
@@ -472,6 +479,14 @@ def test_brute_budget_error():
     assert brute_count_weak(Q, 4, 2, budget=30) == 3
     with pytest.raises(BudgetExceededError):
         brute_count_weak(Q, 5, 2, budget=41)
+
+
+def test_brute_budget_message_prints_past_the_digit_limit(monkeypatch):
+    # 2^15000 has more digits than Python turns into a string; no map is visited
+    monkeypatch.setattr(orderpoly, "_map_cum_table", None)
+    with pytest.raises(BudgetExceededError, match="budget") as err:
+        brute_count_strict(BicoloredPoset(15000, frozenset(), frozenset()), 2, 0)
+    assert "2^15000" in str(err.value)
 
 
 @pytest.mark.parametrize("n", range(4))
