@@ -15,15 +15,23 @@ bitmask dynamic program over vertex subsets counts the partitions; no
 flat, orientation or order ideal is enumerated.
 
 The paper's construction, one strict order polynomial per (flat,
-acyclic orientation) pair, stays here as the route of the reciprocity
-checks and, in the tests, as chrom_poly's oracle: each pair's word-key
-counts come from the order-ideal dynamic program run on the
+acyclic orientation) pair, stays here as the route of the polynomial
+reciprocity check and, in the tests, as chrom_poly's oracle: each pair's
+word-key counts come from the order-ideal dynamic program run on the
 orientation's directed edges, without building the poset.  The two
 routes count their coordinates independently (subsets and independent
 sets against flats, orientations and word keys) but share the builder
 ratpoly._binomial_poly that turns coordinates into a polynomial.
 chrom_count enumerates colorings directly and shares no code with
 either, so it verifies both.
+
+The numeric reciprocity check tallies the same pairs by enumeration:
+each flat's quotient colorings into 1..x0 are enumerated once, each
+weighted by the number of the flat's acyclic orientations it weakly
+increases along (tested on their directed edges) and signed by the
+quotient size, into one cumulative table per (graph, x0) that answers
+every threshold y0.  count_compatible_colorings, one pair's count on its
+closed poset, is that table's oracle in the tests.
 """
 
 from __future__ import annotations
@@ -204,21 +212,55 @@ def count_compatible_colorings(
 ) -> int:
     """Count colorings of the quotient vertices with 1..x0 that weakly
     increase along every directed edge and stay above y0 on contracted
-    vertices.  Enumerated, not evaluated from any polynomial."""
+    vertices.  Enumerated on the pair's closed poset, not evaluated from
+    any polynomial; check_reciprocity_graph sums these counts over all
+    pairs without calling it (see _compatible_cum_table)."""
     P = orientation_to_poset(flat, orientation)
     return brute_count_weak(P, x0, y0 + 1, budget)
+
+
+@lru_cache(maxsize=4096)
+def _compatible_cum_table(G: Graph, x_max: int) -> np.ndarray:
+    """Cumulative tally of the reciprocity right side by (max color,
+    least contracted color): every coloring of every flat's quotient into
+    1..x_max counts (-1)^(quotient size) times for each acyclic
+    orientation it weakly increases along, tested on the orientation's
+    directed edges.  Each flat's colorings are enumerated once, for all
+    of its orientations and every threshold; column x_max + 1 collects
+    the colorings with no contracted vertex."""
+
+    def table(F: Flat) -> np.ndarray:
+        directed = [sigma.directed_edges for sigma in acyclic_orientations(F.quotient)]
+
+        def tally(values, none):
+            counts = sum(
+                reduce(np.logical_and, (values[a] <= values[b] for a, b in edges), True)
+                for edges in directed
+            )
+            return np.asarray(counts), reduce(np.minimum, (values[c] for c in F.contracted), none)
+
+        return (-1) ** F.quotient.n * _cum_table(F.quotient.n, x_max, tally)
+
+    total = sum(map(table, flats(G)))
+    total.setflags(write=False)
+    return total
 
 
 def check_reciprocity_graph(
     G: Graph, x0: int, y0: int, budget: int | None = None
 ) -> CheckReport:
     """Verify chrom_poly(G)(-x0, -y0) against the signed count of
-    compatible colorings over all flats and orientations."""
+    compatible colorings over all flats and orientations, the sum of
+    count_compatible_colorings over _pairs(G), read from one table per
+    (G, x0) (see _compatible_cum_table); no poset is built.
+
+    The trivial flat's quotient is G itself, the largest, so its x0^n
+    colorings are checked against the budget once, before any flat is
+    enumerated."""
     lhs = chrom_poly(G).evaluate(-x0, -y0)
-    rhs = sum(
-        sign * count_compatible_colorings(F, sigma, x0, y0, budget)
-        for sign, F, sigma in _pairs(G)
-    )
+    _counts_ok(x0, y0 + 1)
+    _check_budget(G.n, x0, budget)
+    rhs = _cum_count(_compatible_cum_table(G, x0), x0, y0 + 1)
     if lhs == rhs:
         return CheckReport("graph-reciprocity", True)
     witness = {

@@ -69,12 +69,13 @@ def build_poset(
         if a == b:
             raise ValueError(f"cycle detected: relation ({a}, {a})")
         below[a].add(b)
-    # Warshall closure
-    for k in range(n):
-        for a in range(n):
+    # Warshall closure; an element below nothing neither gains nor passes on relations
+    related = [a for a in range(n) if below[a]]
+    for k in related:
+        for a in related:
             if k in below[a]:
                 below[a] |= below[k]
-    for a in range(n):
+    for a in related:
         if a in below[a]:
             raise ValueError(f"cycle detected through element {a}")
     less = frozenset((a, b) for a in range(n) for b in below[a])

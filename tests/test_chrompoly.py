@@ -25,6 +25,7 @@ from bivorder.fixtures import (
 from bivorder.graph import Graph, acyclic_orientations, flats, orientation_to_poset, trivial_flat
 from bivorder.orderpoly import (
     BudgetExceededError,
+    _cum_count,
     _word_key_counts,
     brute_count_weak,
     order_poly_strict,
@@ -205,7 +206,13 @@ def test_graph_and_chrompoly_caches_are_bounded():
         if hasattr(fn, "cache_parameters") and fn.__module__ == module.__name__
     ]
     names = {fn.__name__ for fn in caches}
-    assert {"flats", "acyclic_orientations", "chrom_poly", "classical_chrom_poly"} <= names
+    assert {
+        "flats",
+        "acyclic_orientations",
+        "chrom_poly",
+        "classical_chrom_poly",
+        "_compatible_cum_table",
+    } <= names
     assert all(fn.cache_parameters()["maxsize"] is not None for fn in caches)
 
 
@@ -318,6 +325,90 @@ def test_reciprocity_numeric_fixtures(G):
     for x0 in range(1, 6):
         for y0 in range(1, x0 + 1):
             assert check_reciprocity_graph(G, x0, y0).passed
+
+
+def _per_pair_rhs(G, x0, y0, budget=None):
+    return sum(
+        sign * count_compatible_colorings(F, sigma, x0, y0, budget)
+        for sign, F, sigma in chrompoly._pairs(G)
+    )
+
+
+def _assert_table_is_per_pair_sum(G, xs):
+    for x0 in xs:
+        table = chrompoly._compatible_cum_table(G, x0)
+        for y0 in range(x0 + 2):
+            assert _cum_count(table, x0, y0 + 1) == _per_pair_rhs(G, x0, y0), (G, x0, y0)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_compatible_table_equals_per_pair_sum(n):
+    for G in all_graphs(n):
+        _assert_table_is_per_pair_sum(G, range(6))
+
+
+@given(st.integers(5, 6), st.lists(st.booleans(), min_size=15, max_size=15))
+@settings(max_examples=10, deadline=None)
+def test_compatible_table_equals_per_pair_sum_five_and_six_vertices(n, keep):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    G = Graph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+    _assert_table_is_per_pair_sum(G, range(4))
+
+
+def test_numeric_reciprocity_builds_no_poset(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a poset was built")
+
+    monkeypatch.setattr(chrompoly, "orientation_to_poset", forbidden)
+    monkeypatch.setattr(graph, "build_poset", forbidden)
+    chrompoly._compatible_cum_table.cache_clear()
+    before = orderpoly._map_cum_table.cache_info()
+    C5 = cycle_graph(5)
+    for x0 in range(1, 6):
+        assert all(check_reciprocity_graph(C5, x0, y0).passed for y0 in range(x0 + 1))
+    assert orderpoly._map_cum_table.cache_info() == before
+    # one enumeration per (G, x0) serves every y0
+    assert chrompoly._compatible_cum_table.cache_info().misses == 5
+
+
+def test_reciprocity_witness_is_per_pair_sum(monkeypatch):
+    G = cycle_graph(4)
+    rhs = _per_pair_rhs(G, 3, 2)
+    monkeypatch.setattr(chrompoly, "chrom_poly", lambda H: BiPoly.zero())
+    report = check_reciprocity_graph(G, 3, 2)
+    assert not report.passed
+    assert report.witness == {
+        "graph": {"n": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]},
+        "x": 3,
+        "y": 2,
+        "lhs": "0",
+        "rhs": str(rhs),
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_reciprocity_budget_matches_per_pair_route(n):
+    # the per-pair route checks each quotient; the trivial flat's, G itself, is the largest
+    for G in all_graphs(n):
+        for x0 in range(1, 5):
+            for budget in (x0**n - 1, x0**n, (x0 + 1) * (x0 + 2) - 1):
+                try:
+                    want = _per_pair_rhs(G, x0, 1, budget)
+                except BudgetExceededError:
+                    with pytest.raises(BudgetExceededError, match="budget"):
+                        check_reciprocity_graph(G, x0, 1, budget)
+                else:
+                    report = check_reciprocity_graph(G, x0, 1, budget)
+                    assert report.passed and want == chrom_poly(G).evaluate(-x0, -1)
+
+
+def test_reciprocity_budget_boundary_names_largest_quotient(monkeypatch):
+    K4 = complete_graph(4)
+    assert check_reciprocity_graph(K4, 3, 1, budget=81).passed
+    monkeypatch.setattr(chrompoly, "flats", None)  # nothing is enumerated before the check
+    chrompoly._compatible_cum_table.cache_clear()
+    with pytest.raises(BudgetExceededError, match="enumeration of 81 objects exceeds budget 80"):
+        check_reciprocity_graph(K4, 3, 1, budget=80)
 
 
 @pytest.mark.parametrize("n", range(4))

@@ -222,6 +222,26 @@ def test_budget_error_exits_two(tmp_path):
     assert "budget" in err
 
 
+def test_graph_reciprocity_budget_exits_two():
+    # at x0 = 2 the largest quotient, K4 itself, has 2^4 colorings
+    code, out, err = run_cli(
+        "check", "--input", fixture("k4.json"), "--kind", "graph-reciprocity", "--budget", "10"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration of 16 objects exceeds budget 10\n"
+
+
+def test_large_antichain_is_rejected_by_budget_not_closure(tmp_path):
+    # the closure skips elements without relations, so loading takes no n^2 loop
+    anti = tmp_path / "anti.json"
+    anti.write_text(json.dumps({"n": 15000, "covers": [], "celeste": []}))
+    code, out, err = run_cli(
+        "poset-count", "--input", str(anti), "--mode", "strict", "--x", "2", "--y", "0"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration of 2^15000 objects exceeds budget 10000000\n"
+
+
 def test_count_beyond_numpy_dimension_limit(tmp_path):
     wide = tmp_path / "wide.json"
     wide.write_text('{"n": 70, "covers": [], "celeste": [0]}')
@@ -272,6 +292,12 @@ def test_negative_budget_is_usage_error():
 def test_poly_outputs_match_recorded_bytes():
     golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
     assert {g["fixture"] for g in golden} == {p.name for p in FIXTURES.glob("*.json")}
+    checks = {(g["fixture"], *g["args"]) for g in golden if g["args"][0] == "check"}
+    assert checks == {
+        (p.name, "check", "--kind", "all", "--format", fmt)
+        for p in FIXTURES.glob("*.json")
+        for fmt in ("json", "text")
+    }
     for g in golden:
         code, out, err = run_cli(g["args"][0], "--input", fixture(g["fixture"]), *g["args"][1:])
         assert (code, err) == (0, "")
