@@ -40,7 +40,9 @@ for F in flats(C4):
     print("  blocks", F.blocks, "contracted", sorted(F.contracted))
 print("C4:", chrom_poly(C4).text())
 
-# reciprocity: the value at (-x,-y) counts compatible pairs with signs
+# reciprocity: the value at (-x,-y) counts colorings compatible with
+# (flat, orientation) pairs, with signs; the check reads that count from
+# acyclic orientation counts of vertex subsets, not from the pairs
 report = check_reciprocity_graph(C4, 3, 2)
 print(report.name, "at (3,2) ->", "PASS" if report.passed else "FAIL")
 print("chi(-3,-2) =", chrom_poly(C4).evaluate(-3, -2))

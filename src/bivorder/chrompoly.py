@@ -15,42 +15,31 @@ bitmask dynamic program over vertex subsets counts the partitions; no
 flat, orientation or order ideal is enumerated.
 
 The paper's construction, one strict order polynomial per (flat,
-acyclic orientation) pair, stays here as the route of the polynomial
-reciprocity check and, in the tests, as chrom_poly's oracle: each pair's
-word-key counts come from the order-ideal dynamic program run on the
-orientation's directed edges, without building the poset.  The two
-routes count their coordinates independently (subsets and independent
-sets against flats, orientations and word keys) but share the builder
-ratpoly._binomial_poly that turns coordinates into a polynomial.
+acyclic orientation) pair, is chrom_poly's oracle in the tests.
 chrom_count enumerates colorings directly and shares no code with
-either, so it verifies both.
+either route, so it verifies both.
 
-The numeric reciprocity check tallies the same pairs by enumeration:
-each flat's quotient colorings into 1..x0 are enumerated once, each
-weighted by the number of the flat's acyclic orientations it weakly
-increases along (tested on their directed edges) and signed by the
-quotient size, into one cumulative table per (graph, x0) that answers
-every threshold y0.  count_compatible_colorings, one pair's count on its
-closed poset, is that table's oracle in the tests.
+Both reciprocity checks read the theorem's right side, the signed count
+of (flat, acyclic orientation, compatible coloring) triples, from
+integer coordinates (see _reciprocity_coords).  Summed over the flats
+one color class S at a time, a class at or below the threshold weighs
+(-1)^|S| a(G[S]), a(H) the acyclic orientations of H, and a class above
+it (-1)^|S|; so the right side is chrom_poly's subset dynamic program
+with a(block) in place of the independence indicator, and no flat,
+orientation or poset is enumerated.  The per-pair sums are its oracle in
+the tests, with count_compatible_colorings, one pair's count on its
+closed poset.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import lru_cache, reduce
+from types import MappingProxyType
 
 import numpy as np
 
-from .graph import (
-    Flat,
-    AcyclicOrientation,
-    Graph,
-    acyclic_orientations,
-    flats,
-    graph_to_json,
-    orientation_to_poset,
-)
+from .graph import AcyclicOrientation, Flat, Graph, graph_to_json, orientation_to_poset
 from .orderpoly import (
     _MODE_BASIS,
     CheckReport,
@@ -58,9 +47,6 @@ from .orderpoly import (
     _counts_ok,
     _cum_count,
     _cum_table,
-    _default_labeling,
-    _key_counts,
-    _sum_word_keys,
     brute_count_weak,
 )
 from .ratpoly import BiPoly, X, _binomial_poly
@@ -87,30 +73,22 @@ def chrom_count(G: Graph, x0: int, y0: int, budget: int | None = None) -> int:
     return _cum_count(_coloring_cum_table(G, x0), x0, y0 + 1)
 
 
-def _pairs(G: Graph):
-    """Yield every (flat, acyclic orientation of its quotient) pair as
-    (sign, flat, orientation), with the reciprocity sign (-1)^(quotient
-    size)."""
-    for F in flats(G):
-        sign = (-1) ** F.quotient.n
-        for sigma in acyclic_orientations(F.quotient):
-            yield sign, F, sigma
-
-
-def _pair_key_counts(F: Flat, sigma: AcyclicOrientation, mode: str) -> Counter:
-    """Word-key counts of the pair's poset under the mode's default
-    labeling, read straight from the orientation's directed edges with
-    the contracted blocks celeste; the poset is never built or closed."""
-    preds = [0] * F.quotient.n
-    for a, b in sigma.directed_edges:
-        preds[b] |= 1 << a
-    celeste = sum(1 << c for c in F.contracted)
-    return _key_counts(preds, celeste, _default_labeling(preds, mode), mode)
-
-
 def _surjections(m: int, s: int) -> int:
     """The surjections of an m-set onto s values, by inclusion-exclusion."""
     return sum((-1) ** j * math.comb(s, j) * (s - j) ** m for j in range(s + 1))
+
+
+def _tally_coords(n: int, by_size: list[int], width: int) -> dict[tuple[int, int], int]:
+    """c[t, s] = sum over W of t! * slot t of V - W's packed vector * surj(|W|, s),
+    where by_size[k] sums the k-subsets' vectors, slot t of `width` bits."""
+    coords: dict[tuple[int, int], int] = {}
+    mask = (1 << width) - 1
+    for k, sums in enumerate(by_size):
+        for t in range(k + 1):
+            a = math.factorial(t) * (sums >> t * width & mask)
+            for s in range(n - k + 1):
+                coords[t, s] = coords.get((t, s), 0) + a * _surjections(n - k, s)
+    return coords
 
 
 def _chrom_coords(G: Graph) -> dict[tuple[int, int], int]:
@@ -156,14 +134,7 @@ def _chrom_coords(G: Graph) -> dict[tuple[int, int], int]:
             J = (J - 1) & free
         packed[U] = total << width
         by_size[U.bit_count()] += packed[U]
-    coords: dict[tuple[int, int], int] = {}
-    mask = (1 << width) - 1
-    for k, sums in enumerate(by_size):
-        for t in range(k + 1):
-            a = math.factorial(t) * (sums >> t * width & mask)
-            for s in range(n - k + 1):
-                coords[t, s] = coords.get((t, s), 0) + a * _surjections(n - k, s)
-    return coords
+    return _tally_coords(n, by_size, width)
 
 
 @lru_cache(maxsize=4096)
@@ -213,54 +184,92 @@ def count_compatible_colorings(
     """Count colorings of the quotient vertices with 1..x0 that weakly
     increase along every directed edge and stay above y0 on contracted
     vertices.  Enumerated on the pair's closed poset, not evaluated from
-    any polynomial; check_reciprocity_graph sums these counts over all
-    pairs without calling it (see _compatible_cum_table)."""
+    any polynomial; the signed sum of these counts over all pairs is the
+    right side check_reciprocity_graph reads from coordinates."""
     P = orientation_to_poset(flat, orientation)
     return brute_count_weak(P, x0, y0 + 1, budget)
 
 
+def _acyclic_counts(G: Graph) -> list[int]:
+    """a(S), the acyclic orientations of G[S], for every vertex subset S.
+    Removing a nonempty independent set I of sources leaves one of
+    G[S - I], so by inclusion-exclusion over I,
+    a(S) = sum over nonempty independent I <= S of (-1)^(|I| + 1) a(S - I)."""
+    adj = [0] * G.n
+    for u, v in G.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    independent = bytearray(1 << G.n)
+    independent[0] = 1
+    a = [1] * (1 << G.n)
+    for S in range(1, 1 << G.n):
+        low = S & -S
+        independent[S] = independent[S ^ low] and not adj[low.bit_length() - 1] & S
+        total = 0
+        I = S
+        while I:
+            if independent[I]:
+                total += a[S ^ I] if I.bit_count() & 1 else -a[S ^ I]
+            I = (I - 1) & S
+        a[S] = total
+    return a
+
+
 @lru_cache(maxsize=4096)
-def _compatible_cum_table(G: Graph, x_max: int) -> np.ndarray:
-    """Cumulative tally of the reciprocity right side by (max color,
-    least contracted color): every coloring of every flat's quotient into
-    1..x_max counts (-1)^(quotient size) times for each acyclic
-    orientation it weakly increases along, tested on the orientation's
-    directed edges.  Each flat's colorings are enumerated once, for all
-    of its orientations and every threshold; column x_max + 1 collects
-    the colorings with no contracted vertex."""
+def _reciprocity_coords(G: Graph) -> MappingProxyType[tuple[int, int], int]:
+    """Coordinates d[t, s] on the strict basis of (-1)^n chrom_poly(G)(-x, -y),
+    the reciprocity right side: d[t, s] = sum over W of A_t(V - W) *
+    surj(|W|, s), where A_t(U) sums prod a(G[block]) (see _acyclic_counts)
+    over the ordered partitions of U into t blocks, as a read-only mapping.
 
-    def table(F: Flat) -> np.ndarray:
-        directed = [sigma.directed_edges for sigma in acyclic_orientations(F.quotient)]
+    A_t is computed as a_t is in _chrom_coords, with a(B) in place of the
+    block B's independence indicator, so B is any subset of U that holds
+    U's lowest vertex: about 3^n / 2 pairs, gated at 3^n like chrom_poly.
+    A slot sums at most 2^n subsets' partitions, fewer than n^n, each
+    weighing at most n!, so it stays below 2^width.
+    """
+    _check_budget(G.n, 3, None)
+    n = G.n
+    a = _acyclic_counts(G)
+    width = ((2 * n) ** n * math.factorial(n)).bit_length()
+    packed = [1] + [0] * ((1 << n) - 1)
+    by_size = [1] + [0] * n
+    for U in range(1, 1 << n):
+        low = U & -U
+        rest = J = U ^ low
+        total = 0
+        while True:
+            total += a[low | J] * packed[rest ^ J]
+            if not J:
+                break
+            J = (J - 1) & rest
+        packed[U] = total << width
+        by_size[U.bit_count()] += packed[U]
+    return MappingProxyType(_tally_coords(n, by_size, width))
 
-        def tally(values, none):
-            counts = sum(
-                reduce(np.logical_and, (values[a] <= values[b] for a, b in edges), True)
-                for edges in directed
-            )
-            return np.asarray(counts), reduce(np.minimum, (values[c] for c in F.contracted), none)
 
-        return (-1) ** F.quotient.n * _cum_table(F.quotient.n, x_max, tally)
-
-    total = sum(map(table, flats(G)))
-    total.setflags(write=False)
-    return total
+def _reciprocity_count(G: Graph, x0: int, y0: int) -> int:
+    """The signed count of compatible colorings into 1..x0 over all flats
+    and orientations, from _reciprocity_coords.  No color lies above a
+    threshold past x0, so y0 is read as min(y0, x0)."""
+    y = min(y0, x0)
+    coords = _reciprocity_coords(G).items()
+    return (-1) ** G.n * sum(d * math.comb(y, t) * math.comb(x0 - y, s) for (t, s), d in coords)
 
 
 def check_reciprocity_graph(
     G: Graph, x0: int, y0: int, budget: int | None = None
 ) -> CheckReport:
     """Verify chrom_poly(G)(-x0, -y0) against the signed count of
-    compatible colorings over all flats and orientations, the sum of
-    count_compatible_colorings over _pairs(G), read from one table per
-    (G, x0) (see _compatible_cum_table); no poset is built.
-
-    The trivial flat's quotient is G itself, the largest, so its x0^n
-    colorings are checked against the budget once, before any flat is
-    enumerated."""
+    compatible colorings over all flats and orientations, read in ints
+    from one cached computation per graph (see _reciprocity_count); no
+    flat, orientation or poset is enumerated.  The budget still bounds
+    x0^n, the colorings of the largest quotient, G itself, and is
+    checked before any work, so budget messages are route-independent."""
     lhs = chrom_poly(G).evaluate(-x0, -y0)
     _counts_ok(x0, y0 + 1)
     _check_budget(G.n, x0, budget)
-    rhs = _cum_count(_compatible_cum_table(G, x0), x0, y0 + 1)
+    rhs = _reciprocity_count(G, x0, y0)
     if lhs == rhs:
         return CheckReport("graph-reciprocity", True)
     witness = {
@@ -276,21 +285,13 @@ def check_reciprocity_graph(
 def check_reciprocity_graph_poly(G: Graph) -> CheckReport:
     """Polynomial-level form: chrom_poly(-x, -y) equals the signed sum,
     over all (flat, acyclic orientation) pairs, of the weak order
-    polynomials at y + 1.
-
-    The two sides count their coordinates independently: chrom_poly over
-    vertex subsets and independent sets, the right side over flats and
-    orientations.  Both build their polynomial with
-    ratpoly._binomial_poly.  The right side is linear, so the signed
-    word-key counts of every pair are merged, summed once, and shifted
-    once.
-    """
+    polynomials at y + 1, which is (-1)^n times the polynomial with
+    coordinates _reciprocity_coords(G) on the strict basis.  The sides
+    count their coordinates independently, chrom_poly with independent
+    blocks and the right side with blocks weighted by their acyclic
+    orientations; both are built by ratpoly._binomial_poly."""
     lhs = chrom_poly(G).negate_args()
-    keys: Counter[tuple[int, int, int, int]] = Counter()
-    for sign, F, sigma in _pairs(G):
-        for key, count in _pair_key_counts(F, sigma, "weak").items():
-            keys[key] += sign * count
-    rhs = _sum_word_keys(keys, "weak").shift_y(1)
+    rhs = (-1) ** G.n * _binomial_poly(_reciprocity_coords(G), *_MODE_BASIS["strict"])
     if lhs == rhs:
         return CheckReport("graph-reciprocity-poly", True)
     witness = {"graph": graph_to_json(G), "lhs": lhs.text(), "rhs": rhs.text()}

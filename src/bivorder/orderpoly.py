@@ -371,16 +371,15 @@ def _map_blocks(n: int, x_max: int):
 def _cum_table(n: int, x_max: int, tally: Callable) -> np.ndarray:
     """T[x0, t]: the maps from n positions into 1..x_max that tally keeps,
     with largest value <= x0 and low value >= t.  tally(values, none)
-    gives a block's (see _map_blocks) keep mask, True for all, or integer
-    multiplicities (each map then counts that many times), and low values;
-    none = x_max + 1, the sentinel column, stands for no low."""
+    gives a block's (see _map_blocks) keep mask, or True for all, and low
+    values; none = x_max + 1, the sentinel column, stands for no low."""
     width = x_max + 2
     prof = np.zeros((x_max + 1) * width, dtype=np.int64)
     for values, top in _map_blocks(n, x_max):
         keep, low = tally(values, x_max + 1)
         code = top * width + low
         if keep is not True:
-            code = code[keep] if keep.dtype == bool else np.repeat(code, keep)
+            code = code[keep]
         prof += np.bincount(code, minlength=len(prof))
     cum = prof.reshape(x_max + 1, width).cumsum(axis=0)
     table = cum[:, ::-1].cumsum(axis=1)[:, ::-1]

@@ -2,9 +2,11 @@
 
 Everything here enumerates objects directly from the definitions with
 itertools and plain loops, except the Fraction chain sums, which expand
-their formulas term by term, and the per-pair chromatic sum, which is
-the paper's flat-and-orientation construction.  Apart from that sum,
-nothing imports the library's counting kernels, closed forms, or
+their formulas term by term, and the paper's flat-and-orientation
+construction of the chromatic polynomial and of its reciprocity right
+side.  Apart from that construction, which reads the library's flats,
+orientations, order polynomials, key-count dynamic program and map
+blocks, nothing imports the library's counting kernels, closed forms, or
 interpolation; only the data types and binom_poly come from the
 package.  Slow on purpose.
 """
@@ -13,16 +15,19 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
+
+import numpy as np
 
 from bivorder.graph import (
+    AcyclicOrientation,
     Flat,
     Graph,
     acyclic_orientations,
     flats,
     orientation_to_poset,
 )
-from bivorder.orderpoly import order_poly_strict
+from bivorder.orderpoly import _default_labeling, _key_counts, _map_blocks, order_poly_strict
 from bivorder.poset import BicoloredPoset
 from bivorder.ratpoly import X, Y, BiPoly, binom_poly
 
@@ -164,14 +169,63 @@ def dumb_flats(G: Graph) -> tuple[Flat, ...]:
     return tuple(out)
 
 
+# the paper's flat-and-orientation construction --------------------------------
+
+
+def signed_pairs(G: Graph):
+    """Yield every (flat, acyclic orientation of its quotient) pair as
+    (sign, flat, orientation), with the reciprocity sign (-1)^(quotient
+    size)."""
+    for F in flats(G):
+        sign = (-1) ** F.quotient.n
+        for sigma in acyclic_orientations(F.quotient):
+            yield sign, F, sigma
+
+
 def per_pair_sum(G: Graph) -> BiPoly:
     """The paper's construction of the chromatic polynomial: one strict
     order polynomial per (flat, acyclic orientation) pair, added up."""
     total = BiPoly.zero()
-    for F in flats(G):
-        for sigma in acyclic_orientations(F.quotient):
-            total = total + order_poly_strict(orientation_to_poset(F, sigma))
+    for _, F, sigma in signed_pairs(G):
+        total = total + order_poly_strict(orientation_to_poset(F, sigma))
     return total
+
+
+def pair_key_counts(F: Flat, sigma: AcyclicOrientation, mode: str) -> Counter:
+    """Word-key counts of the pair's poset under the mode's default
+    labeling, read straight from the orientation's directed edges with
+    the contracted blocks celeste; the poset is never built or closed."""
+    preds = [0] * F.quotient.n
+    for a, b in sigma.directed_edges:
+        preds[b] |= 1 << a
+    celeste = sum(1 << c for c in F.contracted)
+    return _key_counts(preds, celeste, _default_labeling(preds, mode), mode)
+
+
+@lru_cache(maxsize=None)
+def compatible_cum_table(G: Graph, x_max: int) -> np.ndarray:
+    """T[x0, t]: the reciprocity right side counted over colorings into
+    1..x0 whose least contracted color is t or more.  Every coloring of
+    every flat's quotient into 1..x_max counts (-1)^(quotient size) times
+    for each acyclic orientation it weakly increases along, tested on the
+    orientation's directed edges; column x_max + 1 collects the colorings
+    with no contracted vertex.  Read it as orderpoly._cum_count reads a
+    map table."""
+    width = x_max + 2
+    total = np.zeros((x_max + 1) * width, dtype=np.int64)
+    for F in flats(G):
+        sign = (-1) ** F.quotient.n
+        directed = [sigma.directed_edges for sigma in acyclic_orientations(F.quotient)]
+        for values, top in _map_blocks(F.quotient.n, x_max):
+            counts = sum(
+                reduce(np.logical_and, (values[a] <= values[b] for a, b in edges), True)
+                for edges in directed
+            )
+            low = reduce(np.minimum, (values[c] for c in F.contracted), x_max + 1)
+            code = np.repeat(top * width + low, counts)
+            total += sign * np.bincount(code, minlength=len(total))
+    cum = total.reshape(x_max + 1, width).cumsum(axis=0)
+    return cum[:, ::-1].cumsum(axis=1)[:, ::-1]
 
 
 def dumb_count_extensions(P: BicoloredPoset) -> int:

@@ -14,6 +14,7 @@ import itertools
 import time
 from fractions import Fraction
 
+from bivorder import chrompoly
 from bivorder.chrompoly import (
     check_reciprocity_graph,
     check_reciprocity_graph_poly,
@@ -24,6 +25,7 @@ from bivorder.chrompoly import (
 from bivorder.fixtures import complete_graph, skew_diamond_poset
 from bivorder.graph import acyclic_orientations, flats
 from bivorder.orderpoly import (
+    _cum_count,
     chain_strict,
     chain_weak,
     check_reciprocity_poset,
@@ -43,6 +45,7 @@ from bivorder.fixtures import two_chain_celeste_top
 from oracles import (
     all_graphs,
     catalog_posets,
+    compatible_cum_table,
     dumb_count_chain,
     dumb_count_word,
     dumb_word_profile,
@@ -190,9 +193,13 @@ def test_criterion_9_graph_reciprocity():
     for n in range(5):
         for G in all_graphs(n):
             for x0 in range(1, 6):
+                table = compatible_cum_table(G, x0)
                 for y0 in range(1, x0 + 1):
                     report = check_reciprocity_graph(G, x0, y0)
                     assert report.passed, report.witness
+                    # the paper's right side, summed over (flat, orientation) pairs
+                    pair_sum = _cum_count(table, x0, y0 + 1)
+                    assert pair_sum == chrompoly._reciprocity_count(G, x0, y0)
             poly_report = check_reciprocity_graph_poly(G)
             assert poly_report.passed, poly_report.witness
 

@@ -34,9 +34,12 @@ from bivorder.orderpoly import (
 from bivorder.ratpoly import ONE, X, Y, BiPoly
 from oracles import (
     all_graphs,
+    compatible_cum_table,
     dumb_count_colorings,
+    pair_key_counts,
     per_pair_sum,
     relabeled_graph,
+    signed_pairs,
     up_to_isomorphism,
 )
 
@@ -145,7 +148,7 @@ def test_chrom_poly_reads_no_flats_or_orientations(monkeypatch):
     def forbidden(*args):
         raise AssertionError("chrom_poly ran the order-ideal dynamic program")
 
-    monkeypatch.setattr(chrompoly, "_key_counts", forbidden)
+    monkeypatch.setattr(orderpoly, "_key_counts", forbidden)
     cached = (graph.flats, graph.acyclic_orientations, orderpoly._map_cum_table)
     before = [fn.cache_info() for fn in cached]
     poly = chrom_poly.__wrapped__(cycle_graph(7))
@@ -211,7 +214,7 @@ def test_graph_and_chrompoly_caches_are_bounded():
         "acyclic_orientations",
         "chrom_poly",
         "classical_chrom_poly",
-        "_compatible_cum_table",
+        "_reciprocity_coords",
     } <= names
     assert all(fn.cache_parameters()["maxsize"] is not None for fn in caches)
 
@@ -330,13 +333,13 @@ def test_reciprocity_numeric_fixtures(G):
 def _per_pair_rhs(G, x0, y0, budget=None):
     return sum(
         sign * count_compatible_colorings(F, sigma, x0, y0, budget)
-        for sign, F, sigma in chrompoly._pairs(G)
+        for sign, F, sigma in signed_pairs(G)
     )
 
 
 def _assert_table_is_per_pair_sum(G, xs):
     for x0 in xs:
-        table = chrompoly._compatible_cum_table(G, x0)
+        table = compatible_cum_table(G, x0)
         for y0 in range(x0 + 2):
             assert _cum_count(table, x0, y0 + 1) == _per_pair_rhs(G, x0, y0), (G, x0, y0)
 
@@ -355,20 +358,65 @@ def test_compatible_table_equals_per_pair_sum_five_and_six_vertices(n, keep):
     _assert_table_is_per_pair_sum(G, range(4))
 
 
+def _assert_count_is_pair_oracle(G, xs):
+    # the oracle table is the per-pair sum (see _assert_table_is_per_pair_sum);
+    # y0 = x0 + 1 reads the threshold clamped to x0
+    for x0 in xs:
+        table = compatible_cum_table(G, x0)
+        for y0 in range(x0 + 2):
+            want = _cum_count(table, x0, y0 + 1)
+            assert chrompoly._reciprocity_count(G, x0, y0) == want, (G, x0, y0)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_reciprocity_count_equals_pair_oracle(n):
+    for G in all_graphs(n):
+        _assert_count_is_pair_oracle(G, range(6))
+
+
+@given(st.integers(5, 6), st.lists(st.booleans(), min_size=15, max_size=15))
+@settings(max_examples=10, deadline=None)
+def test_reciprocity_count_equals_pair_oracle_five_and_six_vertices(n, keep):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    G = Graph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+    _assert_count_is_pair_oracle(G, range(4))
+
+
+@given(st.integers(7, 10), st.lists(st.booleans(), min_size=45, max_size=45))
+@settings(max_examples=10, deadline=None)
+def test_reciprocity_polynomial_seven_to_ten_vertices(n, keep):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    G = Graph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+    # past the pair oracle's reach; chrom_poly counts independent blocks instead
+    assert check_reciprocity_graph_poly(G).passed
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_acyclic_counts_equal_orientations_and_stanley(n):
+    # Stanley (1973): a graph has (-1)^n chi(-1) acyclic orientations
+    for G in all_graphs(n):
+        a = chrompoly._acyclic_counts(G)[-1]
+        assert a == len(acyclic_orientations(G))
+        assert a == (-1) ** n * classical_chrom_poly(G).evaluate(-1, 0)
+
+
 def test_numeric_reciprocity_builds_no_poset(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("a poset was built")
+        raise AssertionError("a flat, orientation or poset was enumerated")
 
     monkeypatch.setattr(chrompoly, "orientation_to_poset", forbidden)
     monkeypatch.setattr(graph, "build_poset", forbidden)
-    chrompoly._compatible_cum_table.cache_clear()
+    for name in ("flats", "acyclic_orientations"):
+        for module in (graph, chrompoly):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    chrompoly._reciprocity_coords.cache_clear()
     before = orderpoly._map_cum_table.cache_info()
     C5 = cycle_graph(5)
     for x0 in range(1, 6):
         assert all(check_reciprocity_graph(C5, x0, y0).passed for y0 in range(x0 + 1))
     assert orderpoly._map_cum_table.cache_info() == before
-    # one enumeration per (G, x0) serves every y0
-    assert chrompoly._compatible_cum_table.cache_info().misses == 5
+    # one computation per graph serves every (x0, y0)
+    assert chrompoly._reciprocity_coords.cache_info().misses == 1
 
 
 def test_reciprocity_witness_is_per_pair_sum(monkeypatch):
@@ -405,8 +453,7 @@ def test_reciprocity_budget_matches_per_pair_route(n):
 def test_reciprocity_budget_boundary_names_largest_quotient(monkeypatch):
     K4 = complete_graph(4)
     assert check_reciprocity_graph(K4, 3, 1, budget=81).passed
-    monkeypatch.setattr(chrompoly, "flats", None)  # nothing is enumerated before the check
-    chrompoly._compatible_cum_table.cache_clear()
+    monkeypatch.setattr(chrompoly, "_reciprocity_coords", None)  # nothing is computed before the check
     with pytest.raises(BudgetExceededError, match="enumeration of 81 objects exceeds budget 80"):
         check_reciprocity_graph(K4, 3, 1, budget=80)
 
@@ -443,8 +490,8 @@ def test_pair_key_counts_match_closed_posets(n):
             (F, sigma) for F in flats(G) for sigma in acyclic_orientations(F.quotient)
         ]
         signed = [((-1) ** F.quotient.n, F, sigma) for F, sigma in pairs]
-        assert list(chrompoly._pairs(G)) == signed
+        assert list(signed_pairs(G)) == signed
         for F, sigma in pairs:
             for mode in ("strict", "weak"):
-                keys = chrompoly._pair_key_counts(F, sigma, mode)
+                keys = pair_key_counts(F, sigma, mode)
                 assert keys == _word_key_counts(orientation_to_poset(F, sigma), mode)

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -317,6 +318,42 @@ def test_graph_poly_past_orientation_limit(tmp_path):
     assert (code, err) == (0, "")
     assert out.startswith("x^8 - 28*x^6*y + ")
     assert out == chrom_poly(complete_graph(8)).text() + "\n"
+
+
+def test_check_all_past_orientation_limit(tmp_path):
+    # neither reciprocity check enumerates K8's orientations
+    k8 = _graph_file(tmp_path, 8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
+    code, out, err = run_cli("check", "--input", k8, "--kind", "all")
+    assert (code, err) == (0, "")
+    assert out == "PASS graph-reciprocity\nPASS graph-reciprocity-poly\nPASS graph-oracle\n"
+
+
+def _prism_file(tmp_path):
+    # the hexagonal prism: two 6-cycles and six rungs, 12 vertices, 18 edges
+    edges = [(i, (i + 1) % 6) for i in range(6)]
+    edges += [(6 + i, 6 + (i + 1) % 6) for i in range(6)] + [(i, 6 + i) for i in range(6)]
+    return _graph_file(tmp_path, 12, edges)
+
+
+def test_graph_reciprocity_on_twelve_vertices(tmp_path):
+    # 5^12 colorings fit this budget; no flat is enumerated, so it takes seconds
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        "check", "--input", _prism_file(tmp_path), "--kind", "graph-reciprocity",
+        "--budget", "250000000",
+    )
+    assert (code, err) == (0, "")
+    assert out == "PASS graph-reciprocity\nPASS graph-reciprocity-poly\n"
+    assert time.perf_counter() - start < 30
+
+
+def test_graph_reciprocity_on_twelve_vertices_over_default_budget(tmp_path):
+    # at x0 = 4 the 4^12 colorings exceed the default budget
+    code, out, err = run_cli(
+        "check", "--input", _prism_file(tmp_path), "--kind", "graph-reciprocity"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration of 16777216 objects exceeds budget 10000000\n"
 
 
 def test_graph_poly_over_budget_exits_two(tmp_path):
