@@ -25,7 +25,8 @@ other by the test suite:
 
 Strict and weak are one construction in two modes, taken as an argument
 by each routine below; the chain sums differ only in their shifts, and
-reciprocity checks the two modes against each other.
+reciprocity checks the two modes against each other by negating the
+strict integer coordinates (see _negated_coords).
 
 Counts and polynomials agree on the validity region (_valid_ys)
 0 <= y <= x in strict mode and 1 <= y <= x + 1 in weak mode; outside it
@@ -55,6 +56,7 @@ from .poset import (
     is_natural_labeling,
     is_reverse_natural_labeling,
     linear_extensions,
+    poset_to_json,
     word_of,
 )
 from .ratpoly import X, Y, BiPoly, _binomial_poly
@@ -62,7 +64,7 @@ from .ratpoly import X, Y, BiPoly, _binomial_poly
 DEFAULT_BUDGET = 10_000_000
 
 MODES = ("strict", "weak")
-_MODE_BASIS = {"strict": (Y, X - Y), "weak": (Y - 1, X - Y + 1)}  # see _sum_word_keys
+_MODE_BASIS = {"strict": (Y, X - Y), "weak": (Y - 1, X - Y + 1)}  # see _key_coords
 
 
 class BudgetExceededError(RuntimeError):
@@ -303,14 +305,23 @@ def _word_key_counts(
     return _key_counts(_pred_masks(P), celeste, labeling, mode)
 
 
-def _sum_word_keys(keys: dict[tuple[int, int, int, int], int], mode: str) -> BiPoly:
-    """The sum of count * chain sum over the word keys, built once on the
-    mode's basis binom(y - w, t) * binom(x - y + w, s), w = 0 strict, 1 weak."""
+def _key_coords(keys: dict[tuple[int, int, int, int], int], mode: str) -> dict:
+    """Nonzero coordinates of the sum of count * chain sum over the word keys
+    on the mode's basis binom(y - w, t) * binom(x - y + w, s), w = 0 strict, 1 weak."""
     coords: Counter[tuple[int, int]] = Counter()
     for key, count in keys.items():
         for ts, c in _chain_coords(mode, *key):
             coords[ts] += count * c
-    return _binomial_poly(coords, *_MODE_BASIS[mode])
+    return {ts: c for ts, c in coords.items() if c}
+
+
+def _sum_word_keys(keys: dict[tuple[int, int, int, int], int], mode: str) -> BiPoly:
+    return _binomial_poly(_key_coords(keys, mode), *_MODE_BASIS[mode])
+
+
+def _order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -> dict:
+    """The mode's order polynomial of P as coordinates (see _key_coords)."""
+    return _key_coords(_word_key_counts(P, mode, labeling), mode)
 
 
 def order_poly_strict(
@@ -318,7 +329,7 @@ def order_poly_strict(
 ) -> BiPoly:
     """Polynomial counting strict order preserving maps of P into 1..x
     with every celeste element sent strictly above y."""
-    return _sum_word_keys(_word_key_counts(P, "strict", labeling), "strict")
+    return _binomial_poly(_order_coords(P, "strict", labeling), *_MODE_BASIS["strict"])
 
 
 def order_poly_weak(
@@ -326,7 +337,7 @@ def order_poly_weak(
 ) -> BiPoly:
     """Polynomial counting weak order preserving maps of P into 1..x with
     every celeste element sent to y or above."""
-    return _sum_word_keys(_word_key_counts(P, "weak", labeling), "weak")
+    return _binomial_poly(_order_coords(P, "weak", labeling), *_MODE_BASIS["weak"])
 
 
 # brute-force enumeration -----------------------------------------------------
@@ -498,14 +509,29 @@ def interpolate_brute(
 # reciprocity ------------------------------------------------------------------
 
 
-def check_reciprocity_poset(P: BicoloredPoset) -> CheckReport:
-    """Verify (-1)^n p_strict(-x, -y) == p_weak(x, y + 1) as polynomials."""
-    lhs = order_poly_strict(P).negate_args() * (-1) ** P.n
-    rhs = order_poly_weak(P).shift_y(1)
-    if lhs == rhs:
-        return CheckReport("poset-reciprocity", True)
-    from .poset import poset_to_json
+def _negated_coords(coords: dict) -> dict:
+    """The nonzero coordinates of p(-x, -y) on the strict basis B[t, s] =
+    binom(y, t) * binom(x - y, s), given p's.  By Vandermonde, binom(-u, t) =
+    (-1)^t sum_j binom(t - 1, t - j) binom(u, j), so B[t, s](-x, -y) = (-1)^(t + s)
+    sum_{j, k} binom(t - 1, t - j) binom(s - 1, s - k) B[j, k].  This holds
+    only on a basis whose arguments u = y, v = x - y are linear, not affine."""
+    out: Counter[tuple[int, int]] = Counter()
+    for (t, s), c in coords.items():
+        sign = (-1) ** (t + s)
+        for j, k in product(range(t > 0, t + 1), range(s > 0, s + 1)):  # skip zeros
+            out[j, k] += sign * c * _comb(t - 1, t - j) * _comb(s - 1, s - k)
+    return {jk: c for jk, c in out.items() if c}
 
+
+def check_reciprocity_poset(P: BicoloredPoset) -> CheckReport:
+    """Verify (-1)^n p_strict(-x, -y) == p_weak(x, y + 1) on coordinates: the
+    weak basis at y + 1 is the strict basis, so the identity is (-1)^n
+    _negated_coords(strict) == weak.  Only a failure builds the polynomials."""
+    strict, weak = (_order_coords(P, mode) for mode in MODES)
+    if _negated_coords(strict) == {ts: (-1) ** P.n * c for ts, c in weak.items()}:
+        return CheckReport("poset-reciprocity", True)
+    lhs = _binomial_poly(strict, *_MODE_BASIS["strict"]).negate_args() * (-1) ** P.n
+    rhs = _binomial_poly(weak, *_MODE_BASIS["weak"]).shift_y(1)
     witness = {"poset": poset_to_json(P), "lhs": lhs.text(), "rhs": rhs.text()}
     return CheckReport("poset-reciprocity", False, witness)
 
@@ -519,9 +545,8 @@ def check_reciprocity_word(w: Word) -> CheckReport:
     side is the weak sum with those shifts, taken at y + 1.  The report
     always records both sides.
     """
-    key = _word_key(w, ascents)
     lhs = word_poly_strict(w).negate_args() * (-1) ** len(w)
-    rhs = _sum_word_keys({key: 1}, "weak").shift_y(1)
+    rhs = _sum_word_keys({_word_key(w, ascents): 1}, "weak").shift_y(1)
     witness = {
         "word": list(w.letters),
         "celeste_pos": w.celeste_pos,

@@ -2,13 +2,13 @@
 
 Everything here enumerates objects directly from the definitions with
 itertools and plain loops, except the Fraction chain sums, which expand
-their formulas term by term, and the paper's flat-and-orientation
+their formulas term by term, the paper's flat-and-orientation
 construction of the chromatic polynomial and of its reciprocity right
-side.  Apart from that construction, which reads the library's flats,
-orientations, order polynomials, key-count dynamic program and map
-blocks, nothing imports the library's counting kernels, closed forms, or
-interpolation; only the data types and binom_poly come from the
-package.  Slow on purpose.
+side, and poset reciprocity compared as polynomials.  Apart from those,
+which read the library's flats, orientations, order polynomials,
+key-count dynamic program and map blocks, nothing imports the library's
+counting kernels, closed forms, or interpolation; only the data types,
+poset_to_json and binom_poly come from the package.  Slow on purpose.
 """
 
 from __future__ import annotations
@@ -27,8 +27,15 @@ from bivorder.graph import (
     flats,
     orientation_to_poset,
 )
-from bivorder.orderpoly import _default_labeling, _key_counts, _map_blocks, order_poly_strict
-from bivorder.poset import BicoloredPoset
+from bivorder.orderpoly import (
+    CheckReport,
+    _default_labeling,
+    _key_counts,
+    _map_blocks,
+    order_poly_strict,
+    order_poly_weak,
+)
+from bivorder.poset import BicoloredPoset, poset_to_json
 from bivorder.ratpoly import X, Y, BiPoly, binom_poly
 
 
@@ -257,6 +264,18 @@ def all_strict_orders(n: int) -> tuple[frozenset, ...]:
             continue
         out.append(rel)
     return tuple(out)
+
+
+def bipoly_poset_reciprocity(P: BicoloredPoset) -> CheckReport:
+    """Poset reciprocity compared as polynomials: (-1)^n p_strict(-x, -y)
+    built by negating both arguments, against p_weak shifted to y + 1,
+    with the report check_reciprocity_poset gives."""
+    lhs = order_poly_strict(P).negate_args() * (-1) ** P.n
+    rhs = order_poly_weak(P).shift_y(1)
+    if lhs == rhs:
+        return CheckReport("poset-reciprocity", True)
+    witness = {"poset": poset_to_json(P), "lhs": lhs.text(), "rhs": rhs.text()}
+    return CheckReport("poset-reciprocity", False, witness)
 
 
 def catalog_posets(n: int) -> list[BicoloredPoset]:

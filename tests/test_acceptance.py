@@ -26,6 +26,7 @@ from bivorder.fixtures import complete_graph, skew_diamond_poset
 from bivorder.graph import acyclic_orientations, flats
 from bivorder.orderpoly import (
     _cum_count,
+    _order_coords,
     chain_strict,
     chain_weak,
     check_reciprocity_poset,
@@ -134,10 +135,13 @@ def test_criterion_4_decomposition_vs_interpolation():
             weak = order_poly_weak(P)
             assert strict == interpolate_brute(P, "strict")
             assert weak == interpolate_brute(P, "weak")
-            for lab in all_reverse_natural_labelings(P):
-                assert order_poly_strict(P, lab) == strict
-            for lab in all_natural_labelings(P):
-                assert order_poly_weak(P, lab) == weak
+            # every labeling's sum, compared as integer coordinates
+            for mode, labelings in (
+                ("strict", all_reverse_natural_labelings(P)),
+                ("weak", all_natural_labelings(P)),
+            ):
+                coords = _order_coords(P, mode)
+                assert all(_order_coords(P, mode, lab) == coords for lab in labelings)
 
 
 @criterion(5, "poset reciprocity over the full catalog plus fixture")

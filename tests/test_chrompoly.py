@@ -26,6 +26,7 @@ from bivorder.graph import Graph, acyclic_orientations, flats, orientation_to_po
 from bivorder.orderpoly import (
     BudgetExceededError,
     _cum_count,
+    _negated_coords,
     _word_key_counts,
     brute_count_weak,
     order_poly_strict,
@@ -142,6 +143,16 @@ def test_chrom_coords_are_nonnegative(n):
     # followed by s arbitrary ones
     for G in all_graphs(n):
         assert all(c >= 0 for c in chrompoly._chrom_coords(G).values())
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_negated_chrom_coords_equal_reciprocity_coords(n):
+    # chrom_poly(-x, -y) = (-1)^n times the polynomial with coordinates
+    # _reciprocity_coords, so negating in coordinates must give them;
+    # _tally_coords keeps zero entries, _negated_coords drops them
+    for G in all_graphs(n):
+        want = {ts: (-1) ** n * d for ts, d in chrompoly._reciprocity_coords(G).items() if d}
+        assert _negated_coords(chrompoly._chrom_coords(G)) == want, G
 
 
 def test_chrom_poly_reads_no_flats_or_orientations(monkeypatch):

@@ -24,6 +24,8 @@ from bivorder.orderpoly import (
     CheckReport,
     _chain_coords,
     _checked_labeling,
+    _negated_coords,
+    _order_coords,
     _sum_word_keys,
     _valid_ys,
     _word_key,
@@ -58,8 +60,9 @@ from bivorder.poset import (
     natural_labeling,
     word_of,
 )
-from bivorder.ratpoly import ONE, X, Y, BiPoly, binom_poly
+from bivorder.ratpoly import ONE, X, Y, BiPoly, _binomial_poly, binom_poly
 from oracles import (
+    bipoly_poset_reciprocity,
     catalog_posets,
     dumb_count_chain,
     dumb_count_maps,
@@ -262,14 +265,27 @@ def _per_extension_sum(decomposition) -> BiPoly:
     return sum((poly for _, poly in decomposition), BiPoly.zero())
 
 
+def _per_extension_coords(P, mode, labeling):
+    """The old route in coordinates: one chain sum per extension's word."""
+    used = _checked_labeling(P, labeling, mode)
+    stat = ascents if mode == "strict" else descents
+    coords = Counter()
+    for ext in linear_extensions(P):
+        for ts, c in _chain_coords(mode, *_word_key(word_of(ext, used, P), stat)):
+            coords[ts] += c
+    return {ts: c for ts, c in coords.items() if c}
+
+
 def _assert_equal_per_extension_sums(P, strict_labelings, weak_labelings):
-    assert order_poly_strict(P) == _per_extension_sum(strict_word_decomposition(P))
-    assert order_poly_weak(P) == _per_extension_sum(weak_word_decomposition(P))
-    for lab in strict_labelings:
-        want = _per_extension_sum(strict_word_decomposition(P, lab))
-        assert order_poly_strict(P, lab) == want
-    for lab in weak_labelings:
-        assert order_poly_weak(P, lab) == _per_extension_sum(weak_word_decomposition(P, lab))
+    for mode, labelings, order_poly, decomposition in (
+        ("strict", strict_labelings, order_poly_strict, strict_word_decomposition),
+        ("weak", weak_labelings, order_poly_weak, weak_word_decomposition),
+    ):
+        for lab in (None, *labelings):
+            assert _order_coords(P, mode, lab) == _per_extension_coords(P, mode, lab)
+            # the public per-word polynomials, on the posets small enough to be cheap
+            if P.n <= 2:
+                assert order_poly(P, lab) == _per_extension_sum(decomposition(P, lab))
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -300,7 +316,7 @@ def bicolored_posets(draw, min_n: int, max_n: int) -> BicoloredPoset:
 @given(bicolored_posets(5, 7), st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_order_polys_equal_per_extension_sums_random(P, pick):
-    # the per-extension route adds one polynomial per extension; near-antichains
+    # the per-extension route adds one chain sum per extension; near-antichains
     # of 7 elements (up to 5040 extensions) would take seconds per example
     assume(len(linear_extensions(P)) <= 1000)
     strict_labs = all_reverse_natural_labelings(P)
@@ -360,21 +376,11 @@ def test_order_polys_do_not_list_extensions():
     assert linear_extensions.cache_info() == before
 
 
-def _summed_coords(P, mode):
-    """The order polynomial's coordinates: count * chain-sum coordinates,
-    summed over the word keys."""
-    coords = Counter()
-    for key, count in _word_key_counts(P, mode).items():
-        for ts, c in _chain_coords(mode, *key):
-            coords[ts] += count * c
-    return coords
-
-
 def _assert_coords_are_counts(P):
     # c[t, s] counts surjections onto a (t + s)-chain with every celeste
     # element in the top s values, so it is a nonnegative integer
     for mode in MODES:
-        coords = _summed_coords(P, mode)
+        coords = _order_coords(P, mode)
         assert all(type(c) is int and c >= 0 for c in coords.values()), (P, mode)
 
 
@@ -687,6 +693,60 @@ def test_failed_report_requires_witness():
 def test_reciprocity_small_catalog(n):
     for P in catalog_posets(n):
         assert check_reciprocity_poset(P).passed
+
+
+@given(bicolored_posets(5, 8))
+@settings(max_examples=30, deadline=None)
+def test_reciprocity_verdict_equals_bipoly_oracle(P):
+    assert check_reciprocity_poset(P) == bipoly_poset_reciprocity(P)
+
+
+@pytest.mark.parametrize(
+    "P", [two_chain_celeste_top(), skew_diamond_poset(), fence_poset(5, (1,)), build_poset(0)]
+)
+def test_reciprocity_failure_carries_the_oracle_witness(monkeypatch, P):
+    # one weak coordinate off by one: the report fails with the same
+    # witness as the polynomial comparison of the same (faulty) polynomials
+    order_coords = orderpoly._order_coords
+
+    def skewed(P, mode, labeling=None):
+        coords = dict(order_coords(P, mode, labeling))
+        if mode == "weak":
+            coords[min(coords)] += 1
+        return coords
+
+    monkeypatch.setattr(orderpoly, "_order_coords", skewed)
+    report = check_reciprocity_poset(P)
+    assert not report.passed
+    assert set(report.witness) == {"poset", "lhs", "rhs"}
+    assert report.witness["lhs"] != report.witness["rhs"]
+    assert report == bipoly_poset_reciprocity(P)
+
+
+def test_reciprocity_success_builds_no_polynomial(monkeypatch):
+    posets = [skew_diamond_poset(), fence_poset(6, (0, 3)), antichain_poset(5, (2,))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polynomial was built")
+
+    for name in ("__init__", "_trusted", "negate_args", "shift_y"):
+        monkeypatch.setattr(BiPoly, name, refuse)
+    assert all(check_reciprocity_poset(P).passed for P in posets)
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(lambda ts: sum(ts) <= 8),
+        st.integers(-50, 50),
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_negated_coords_equal_negated_arguments(coords):
+    def poly(c):
+        return _binomial_poly(c, Y, X - Y)
+
+    assert poly(_negated_coords(coords)) == poly(coords).negate_args()
+    assert all(_negated_coords(coords).values())
 
 
 def test_word_reciprocity_single_letter():
