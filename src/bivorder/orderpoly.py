@@ -11,13 +11,13 @@ other by the test suite:
 
 * closed forms for chains and for ascent/descent-constrained words,
 * the decomposition of a poset's polynomial as the sum of its linear
-  extensions' word polynomials; a word polynomial is the chain sum fixed
-  by its word key (length, mark, prefix and full statistic), an integer
-  vector on a binomial basis by Vandermonde, so the vectors are added in
-  ints, weighted by how many extensions give each key, and the
-  polynomial is built once; those counts come from a dynamic program
-  over order ideals, which never lists the extensions (the
-  per-extension decompositions below remain as the test oracle),
+  extensions' word polynomials (the per-extension decompositions below,
+  kept as the test oracle), computed without listing an extension: its
+  integer coordinates on the chain sums' binomial basis count Stanley's
+  chains of order ideals, and one dynamic program over the ideals places
+  each step of a chain in increasing label order, so an element joins the
+  open step only at an ascent of the labels, which is the word
+  polynomials' ascent/descent rule (see _order_coords),
 * brute-force enumeration of all x^n maps (vectorized in cache-sized
   blocks, exact),
 * Newton interpolation of the brute counts through an integer grid, by
@@ -64,7 +64,7 @@ from .ratpoly import X, Y, BiPoly, _binomial_poly
 DEFAULT_BUDGET = 10_000_000
 
 MODES = ("strict", "weak")
-_MODE_BASIS = {"strict": (Y, X - Y), "weak": (Y - 1, X - Y + 1)}  # see _key_coords
+_MODE_BASIS = {"strict": (Y, X - Y), "weak": (Y - 1, X - Y + 1)}  # see _order_coords
 
 
 class BudgetExceededError(RuntimeError):
@@ -122,7 +122,7 @@ def _comb(a: int, m: int) -> int:
 @lru_cache(maxsize=4096)
 def _chain_coords(mode: str, n: int, k: int, prefix: int, full: int) -> tuple:
     """The mode's chain sum for a word key (see _word_key) as its nonzero
-    integer coordinates ((t, s), c) on the mode's basis (see _sum_word_keys):
+    integer coordinates ((t, s), c) on the mode's basis (see _order_coords):
     Vandermonde, binom(u + a, i) = sum_t binom(a, i - t) * binom(u, t),
     expands each factor of sum_{i <= k} binom(u + a, i) * binom(v + b, n - i)."""
     coords: Counter[tuple[int, int]] = Counter()
@@ -134,6 +134,11 @@ def _chain_coords(mode: str, n: int, k: int, prefix: int, full: int) -> tuple:
         for t, s in product(range(i + 1), range(n - i + 1)):
             coords[t, s] += _comb(a, i - t) * _comb(b, n - i - s)
     return tuple((ts, c) for ts, c in coords.items() if c)
+
+
+def _chain_poly(mode: str, key: tuple[int, int, int, int]) -> BiPoly:
+    """The mode's chain sum for one word key, as a polynomial."""
+    return _binomial_poly(dict(_chain_coords(mode, *key)), *_MODE_BASIS[mode])
 
 
 def _validate_nk(n: int, k: int) -> None:
@@ -151,14 +156,14 @@ def chain_strict(n: int, k: int) -> BiPoly:
     k+1 on split by how many of the first k values lie at or below y.
     """
     _validate_nk(n, k)
-    return _sum_word_keys({(n, k, 0, 0): 1}, "strict")
+    return _chain_poly("strict", (n, k, 0, 0))
 
 
 def chain_weak(n: int, k: int) -> BiPoly:
     """Weak counterpart of chain_strict: phi weakly increasing, phi >= y
     from position k+1 on."""
     _validate_nk(n, k)
-    return _sum_word_keys({(n, k, 0, 0): 1}, "weak")
+    return _chain_poly("weak", (n, k, 0, 0))
 
 
 def _word_key(
@@ -185,14 +190,14 @@ def word_poly_strict(w: Word) -> BiPoly:
     This is the chain polynomial with x shifted by the ascent count of w
     and y by the ascent count of the prefix ending at the mark.
     """
-    return _sum_word_keys({_word_key(w, ascents): 1}, "strict")
+    return _chain_poly("strict", _word_key(w, ascents))
 
 
 def word_poly_weak(w: Word) -> BiPoly:
     """Weak counting polynomial of a word: phi(j) < phi(j+1) at descents,
     phi(j) <= phi(j+1) elsewhere, phi at or above y from the mark on.
     Shifts use descent counts with the opposite sign."""
-    return _sum_word_keys({_word_key(w, descents): 1}, "weak")
+    return _chain_poly("weak", _word_key(w, descents))
 
 
 # decomposition over linear extensions ---------------------------------------
@@ -250,78 +255,66 @@ def weak_word_decomposition(
     return _word_decomposition(P, "weak", labeling)
 
 
-def _key_counts(
-    preds: Sequence[int], celeste: int, labels: Sequence[int], mode: str
-) -> Counter[tuple[int, int, int, int]]:
-    """How many linear extensions give each word key (see _word_key), for
-    the order in which element e follows every element of the bitmask
-    preds[e], the celeste elements in the bitmask celeste, and a labeling
-    valid for the mode.
+def _order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -> dict:
+    """The mode's order polynomial of P as its nonzero integer coordinates
+    c[t, s] on the basis binom(y - w, t) * binom(x - y + w, s), w = 0 strict
+    and 1 weak (_MODE_BASIS).
 
-    A forward dynamic program over order ideals; no extension is listed.
-    A state maps (ideal, last rank, mark, statistic so far) to the number
-    of extension prefixes that place exactly the ideal and end at a letter
-    of that rank.  Ranks are the labels in strict mode and their negatives
-    in weak mode, so the statistic is always the ascents of the ranks.
-    The mark is None until the first celeste element is placed, then
-    (k, prefix): the letters before it and the statistic up to it.
-    preds may hold any generating relation (see _natural_labels).
+    c[t, s] counts the chains of order ideals {} = I_0 < ... < I_{t+s} = P
+    whose first t steps hold no celeste element (Stanley's P-partitions): a
+    strict step is an antichain of minimal elements of the rest, a weak step
+    any nonempty set that keeps an ideal.  A forward dynamic program places
+    the elements one at a time, each step's in increasing label order, so
+    every chain is counted once.  A minimal element v of the rest may open
+    a new step, or, when its label exceeds the last one placed, join the
+    open step: the ascent rule of the strict words, the descent rule of the
+    weak ones.  With a reverse natural labeling a joining element lies
+    above no element of its step; with a natural one each prefix of a step
+    keeps an ideal.
+
+    A state (ideal, last label) holds two vectors over (t, s), each packed
+    in one int with slot (t, s) at bit t * S + s * T: a counts the chains
+    whose steps are all celeste-free, b those that have opened at least one
+    step allowed to hold celeste.  Every count is at most (t + s)^n <= n^n,
+    so it fits in width bits and no slot carries into the next.
     """
-    n = len(preds)
-    rank = list(labels) if mode == "strict" else [-lab for lab in labels]
-    # the empty prefix ends above every rank, so the first letter adds nothing
-    level: dict[int, dict] = {0: {(n + 1, None, 0): 1}}
-    for size in range(n):
-        nxt: dict[int, dict] = {}
+    labels = _checked_labeling(P, labeling, mode)
+    preds = _pred_masks(P)
+    celeste = sum(1 << c for c in P.celeste)
+    n = P.n
+    width = n * n.bit_length() + 1
+    S, T = width, width * (n + 1)
+    # the empty prefix ends above every label, so the first element opens a step
+    level: dict[int, dict[int, tuple[int, int]]] = {0: {n + 1: (1, 0)}}
+    for _ in range(n):
+        nxt: dict[int, dict[int, tuple[int, int]]] = {}
         for ideal, states in level.items():
+            a_all = b_all = 0
+            for a, b in states.values():
+                a_all += a
+                b_all += b
+            a_open, opened = a_all << S, (a_all + b_all) << T
             for v in range(n):
                 if ideal >> v & 1 or preds[v] & ~ideal:
                     continue
-                r = rank[v]
-                silver = not celeste >> v & 1
-                out = nxt.setdefault(ideal | 1 << v, {})
-                for (last, mark, stat), count in states.items():
-                    s = stat + (last < r)
-                    state = (r, mark if mark or silver else (size, s), s)
-                    out[state] = out.get(state, 0) + count
+                lab = labels[v]
+                a_join = b_join = 0
+                for r, (a, b) in states.items():
+                    if r < lab:
+                        a_join += a
+                        b_join += b
+                a = 0 if celeste >> v & 1 else a_open + a_join
+                # each (ideal, label) is reached from one ideal only
+                nxt.setdefault(ideal | 1 << v, {})[lab] = (a, opened + b_join)
         level = nxt
-    keys: Counter[tuple[int, int, int, int]] = Counter()
-    for (_, mark, full), count in level[(1 << n) - 1].items():
-        k, prefix = mark or (n, 0)
-        keys[n, k, prefix, full] += count
-    return keys
-
-
-def _word_key_counts(
-    P: BicoloredPoset, mode: str, labeling: tuple[int, ...] | None = None
-) -> Counter[tuple[int, int, int, int]]:
-    """How many linear extensions of P give each word key (see _word_key).
-
-    A word polynomial is the chain sum fixed by its key, so the order
-    polynomial is the sum of count * chain sum over the distinct keys.
-    """
-    labeling = _checked_labeling(P, labeling, mode)
-    celeste = sum(1 << c for c in P.celeste)
-    return _key_counts(_pred_masks(P), celeste, labeling, mode)
-
-
-def _key_coords(keys: dict[tuple[int, int, int, int], int], mode: str) -> dict:
-    """Nonzero coordinates of the sum of count * chain sum over the word keys
-    on the mode's basis binom(y - w, t) * binom(x - y + w, s), w = 0 strict, 1 weak."""
-    coords: Counter[tuple[int, int]] = Counter()
-    for key, count in keys.items():
-        for ts, c in _chain_coords(mode, *key):
-            coords[ts] += count * c
-    return {ts: c for ts, c in coords.items() if c}
-
-
-def _sum_word_keys(keys: dict[tuple[int, int, int, int], int], mode: str) -> BiPoly:
-    return _binomial_poly(_key_coords(keys, mode), *_MODE_BASIS[mode])
-
-
-def _order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -> dict:
-    """The mode's order polynomial of P as coordinates (see _key_coords)."""
-    return _key_coords(_word_key_counts(P, mode, labeling), mode)
+    total = sum(a + b for a, b in level[(1 << n) - 1].values())
+    mask = (1 << width) - 1
+    coords = {}
+    for t in range(n + 1):
+        for s in range(n + 1 - t):
+            if c := total >> (t * S + s * T) & mask:
+                coords[t, s] = c
+    return coords
 
 
 def order_poly_strict(
@@ -546,7 +539,7 @@ def check_reciprocity_word(w: Word) -> CheckReport:
     always records both sides.
     """
     lhs = word_poly_strict(w).negate_args() * (-1) ** len(w)
-    rhs = _sum_word_keys({_word_key(w, ascents): 1}, "weak").shift_y(1)
+    rhs = _chain_poly("weak", _word_key(w, ascents)).shift_y(1)
     witness = {
         "word": list(w.letters),
         "celeste_pos": w.celeste_pos,

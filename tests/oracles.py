@@ -2,20 +2,23 @@
 
 Everything here enumerates objects directly from the definitions with
 itertools and plain loops, except the Fraction chain sums, which expand
-their formulas term by term, the paper's flat-and-orientation
-construction of the chromatic polynomial and of its reciprocity right
-side, and poset reciprocity compared as polynomials.  Apart from those,
-which read the library's flats, orientations, order polynomials,
-key-count dynamic program and map blocks, nothing imports the library's
-counting kernels, closed forms, or interpolation; only the data types,
-poset_to_json and binom_poly come from the package.  Slow on purpose.
-"""
+their formulas term by term, the word-key counts (a dynamic program over
+order ideals that tallies the extensions' word keys, once the library's
+route to the order polynomials, now the oracle of its ideal-chain
+program), the paper's flat-and-orientation construction of the chromatic
+polynomial and of its reciprocity right side, and poset reciprocity
+compared as polynomials.  Apart from those, which read the library's
+flats, orientations, order polynomials, labelings, chain sums and map
+blocks, nothing imports the library's counting kernels, closed forms, or
+interpolation; only the data types, poset_to_json and binom_poly come
+from the package.  Slow on purpose."""
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 from functools import lru_cache, reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -29,13 +32,14 @@ from bivorder.graph import (
 )
 from bivorder.orderpoly import (
     CheckReport,
+    _chain_coords,
+    _checked_labeling,
     _default_labeling,
-    _key_counts,
     _map_blocks,
     order_poly_strict,
     order_poly_weak,
 )
-from bivorder.poset import BicoloredPoset, poset_to_json
+from bivorder.poset import BicoloredPoset, _pred_masks, poset_to_json
 from bivorder.ratpoly import X, Y, BiPoly, binom_poly
 
 
@@ -138,6 +142,77 @@ def fraction_weak_sum(n: int, k: int, prefix_shift: int, full_shift: int) -> BiP
     return total
 
 
+# word-key counts -----------------------------------------------------------
+
+# The decomposition over linear extensions, grouped: how many extensions
+# give each word key, then count * chain sum over the keys.  This was the
+# library's route to the order polynomials before the ideal-chain dynamic
+# program (orderpoly._order_coords); it shares the words, labelings and
+# chain sums of the paper's theorem, so the two routes check each other.
+
+
+def key_counts(
+    preds: Sequence[int], celeste: int, labels: Sequence[int], mode: str
+) -> Counter[tuple[int, int, int, int]]:
+    """How many linear extensions give each word key (see
+    orderpoly._word_key), for the order in which element e follows every
+    element of the bitmask preds[e], the celeste elements in the bitmask
+    celeste, and a labeling valid for the mode.
+
+    A forward dynamic program over order ideals; no extension is listed.
+    A state maps (ideal, last rank, mark, statistic so far) to the number
+    of extension prefixes that place exactly the ideal and end at a letter
+    of that rank.  Ranks are the labels in strict mode and their negatives
+    in weak mode, so the statistic is always the ascents of the ranks.
+    The mark is None until the first celeste element is placed, then
+    (k, prefix): the letters before it and the statistic up to it.
+    preds may hold any generating relation (see poset._natural_labels).
+    """
+    n = len(preds)
+    rank = list(labels) if mode == "strict" else [-lab for lab in labels]
+    # the empty prefix ends above every rank, so the first letter adds nothing
+    level: dict[int, dict] = {0: {(n + 1, None, 0): 1}}
+    for size in range(n):
+        nxt: dict[int, dict] = {}
+        for ideal, states in level.items():
+            for v in range(n):
+                if ideal >> v & 1 or preds[v] & ~ideal:
+                    continue
+                r = rank[v]
+                silver = not celeste >> v & 1
+                out = nxt.setdefault(ideal | 1 << v, {})
+                for (last, mark, stat), count in states.items():
+                    s = stat + (last < r)
+                    state = (r, mark if mark or silver else (size, s), s)
+                    out[state] = out.get(state, 0) + count
+        level = nxt
+    keys: Counter[tuple[int, int, int, int]] = Counter()
+    for (_, mark, full), count in level[(1 << n) - 1].items():
+        k, prefix = mark or (n, 0)
+        keys[n, k, prefix, full] += count
+    return keys
+
+
+def word_key_counts(
+    P: BicoloredPoset, mode: str, labeling: tuple[int, ...] | None = None
+) -> Counter[tuple[int, int, int, int]]:
+    """How many linear extensions of P give each word key, under the
+    mode's default labeling or the given one once it is checked."""
+    labeling = _checked_labeling(P, labeling, mode)
+    celeste = sum(1 << c for c in P.celeste)
+    return key_counts(_pred_masks(P), celeste, labeling, mode)
+
+
+def key_coords(keys: dict[tuple[int, int, int, int], int], mode: str) -> dict:
+    """Nonzero coordinates of the sum of count * chain sum over the word
+    keys, on the mode's basis (see orderpoly._order_coords)."""
+    coords: Counter[tuple[int, int]] = Counter()
+    for key, count in keys.items():
+        for ts, c in _chain_coords(mode, *key):
+            coords[ts] += count * c
+    return {ts: c for ts, c in coords.items() if c}
+
+
 def dumb_count_colorings(G: Graph, x0: int, y0: int) -> int:
     count = 0
     for c in itertools.product(range(1, x0 + 1), repeat=G.n):
@@ -206,7 +281,7 @@ def pair_key_counts(F: Flat, sigma: AcyclicOrientation, mode: str) -> Counter:
     for a, b in sigma.directed_edges:
         preds[b] |= 1 << a
     celeste = sum(1 << c for c in F.contracted)
-    return _key_counts(preds, celeste, _default_labeling(preds, mode), mode)
+    return key_counts(preds, celeste, _default_labeling(preds, mode), mode)
 
 
 @lru_cache(maxsize=None)

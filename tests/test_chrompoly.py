@@ -27,7 +27,6 @@ from bivorder.orderpoly import (
     BudgetExceededError,
     _cum_count,
     _negated_coords,
-    _word_key_counts,
     brute_count_weak,
     order_poly_strict,
     order_poly_weak,
@@ -42,6 +41,7 @@ from oracles import (
     relabeled_graph,
     signed_pairs,
     up_to_isomorphism,
+    word_key_counts,
 )
 
 
@@ -159,7 +159,7 @@ def test_chrom_poly_reads_no_flats_or_orientations(monkeypatch):
     def forbidden(*args):
         raise AssertionError("chrom_poly ran the order-ideal dynamic program")
 
-    monkeypatch.setattr(orderpoly, "_key_counts", forbidden)
+    monkeypatch.setattr(orderpoly, "_order_coords", forbidden)
     cached = (graph.flats, graph.acyclic_orientations, orderpoly._map_cum_table)
     before = [fn.cache_info() for fn in cached]
     poly = chrom_poly.__wrapped__(cycle_graph(7))
@@ -505,4 +505,4 @@ def test_pair_key_counts_match_closed_posets(n):
         for F, sigma in pairs:
             for mode in ("strict", "weak"):
                 keys = pair_key_counts(F, sigma, mode)
-                assert keys == _word_key_counts(orientation_to_poset(F, sigma), mode)
+                assert keys == word_key_counts(orientation_to_poset(F, sigma), mode)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -23,13 +24,12 @@ from bivorder.orderpoly import (
     BudgetExceededError,
     CheckReport,
     _chain_coords,
+    _chain_poly,
     _checked_labeling,
     _negated_coords,
     _order_coords,
-    _sum_word_keys,
     _valid_ys,
     _word_key,
-    _word_key_counts,
     brute_count,
     brute_count_strict,
     brute_count_weak,
@@ -71,8 +71,10 @@ from oracles import (
     eval_int_grid,
     fraction_strict_sum,
     fraction_weak_sum,
+    key_coords,
     relabeled_poset,
     up_to_isomorphism,
+    word_key_counts,
 )
 
 half = Fraction(1, 2)
@@ -206,7 +208,7 @@ def test_chain_coords_match_fraction_chain_sums(n):
     oracle = {"strict": fraction_strict_sum, "weak": fraction_weak_sum}
     for key in _all_word_keys(n):
         for mode in MODES:
-            assert _sum_word_keys({key: 1}, mode) == oracle[mode](*key), (key, mode)
+            assert _chain_poly(mode, key) == oracle[mode](*key), (key, mode)
 
 
 # order polynomials and decomposition -----------------------------------------
@@ -338,7 +340,7 @@ def _assert_key_counts_equal_per_extension_tally(P, strict_labelings, weak_label
         for lab in labelings:
             used = _checked_labeling(P, lab, mode)
             want = Counter(_word_key(word_of(e, used, P), stat) for e in exts)
-            assert _word_key_counts(P, mode, lab) == want
+            assert word_key_counts(P, mode, lab) == want
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -363,11 +365,61 @@ def test_key_counts_equal_per_extension_tally_random(P, pick):
     )
 
 
+def _random_extension(P, rng):
+    """A linear extension of P, each next element drawn among the minimal
+    ones left; its positions are a natural labeling, reversed a reverse
+    natural one, without listing all labelings."""
+    preds, placed, order = _pred_masks(P), 0, []
+    while len(order) < P.n:
+        v = rng.choice([v for v in range(P.n) if not (placed >> v & 1 or preds[v] & ~placed)])
+        order.append(v)
+        placed |= 1 << v
+    return order
+
+
+@given(bicolored_posets(5, 10), st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_order_coords_equal_word_key_oracle_random(P, rng):
+    # sizes where brute tables are over budget: the ideal-chain program
+    # against the word-key route, under one random valid labeling per mode
+    for mode in MODES:
+        position = {v: i for i, v in enumerate(_random_extension(P, rng))}
+        lab = tuple(
+            position[v] + 1 if mode == "weak" else P.n - position[v] for v in range(P.n)
+        )
+        assert _order_coords(P, mode, lab) == key_coords(word_key_counts(P, mode, lab), mode)
+
+
+def _surjections(n, k):
+    """Maps of n elements onto a k-chain, by inclusion-exclusion."""
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_order_coords_of_antichains_count_surjections(n):
+    # no order and no celeste: c[t, s] counts every surjection onto a
+    # (t + s)-chain, the largest coordinates of any n-element poset, so a
+    # packed slot too narrow for them carries into its neighbour
+    silver = {(t, s): _surjections(n, t + s) for t in range(n + 1) for s in range(n + 1 - t)}
+    celeste = {(0, s): _surjections(n, s) for s in range(n + 1)}
+    for mode in MODES:
+        assert _order_coords(antichain_poset(n), mode) == {
+            ts: c for ts, c in silver.items() if c
+        }
+        assert _order_coords(antichain_poset(n, tuple(range(n))), mode) == {
+            ts: c for ts, c in celeste.items() if c
+        }
+
+
 def test_order_polys_do_not_list_extensions():
-    # 9! = 362880 extensions; the key counts never enumerate them
+    # 9! = 362880 extensions and 12! = 479001600; the ideal chains never
+    # enumerate them
     P = antichain_poset(9, celeste=(0, 4, 8))
+    big = antichain_poset(12, celeste=(0, 5, 11))
     G = cycle_graph(7)
     before = linear_extensions.cache_info()
+    assert order_poly_strict(big) == X**9 * (X - Y) ** 3
+    assert order_poly_weak(big) == X**9 * (X - Y + 1) ** 3
     assert order_poly_strict(P) == X**6 * (X - Y) ** 3
     assert order_poly_weak(P) == X**6 * (X - Y + 1) ** 3
     assert order_poly_strict(P, tuple(range(9, 0, -1))) == X**6 * (X - Y) ** 3
