@@ -11,7 +11,8 @@ Dohmen, Poenitz and Tittmann: P(G; x, y) = sum_W (x - y)^|W| chi(G - W; y).
 Each term is expanded on the strict basis binom(y, t) * binom(x - y, s)
 in integers: chi(G[U]; y) through the ordered partitions of U into
 independent sets, (x - y)^m through the surjections of an m-set.  A
-bitmask dynamic program over vertex subsets counts the partitions; no
+bitmask dynamic program over vertex subsets, _partition_coords, counts
+the partitions, each block weighing 1 if independent and 0 if not; no
 flat, orientation or order ideal is enumerated.
 
 The paper's construction, one strict order polynomial per (flat,
@@ -24,11 +25,11 @@ of (flat, acyclic orientation, compatible coloring) triples, from
 integer coordinates (see _reciprocity_coords).  Summed over the flats
 one color class S at a time, a class at or below the threshold weighs
 (-1)^|S| a(G[S]), a(H) the acyclic orientations of H, and a class above
-it (-1)^|S|; so the right side is chrom_poly's subset dynamic program
-with a(block) in place of the independence indicator, and no flat,
-orientation or poset is enumerated.  The per-pair sums are its oracle in
-the tests, with count_compatible_colorings, one pair's count on its
-closed poset.
+it (-1)^|S|; so the right side is _partition_coords with each block
+weighing a(block), and no flat, orientation or poset is enumerated.  The
+sides share that kernel, not their weights.  The per-pair sums are the
+right side's oracle in the tests, with count_compatible_colorings, one
+pair's count on its closed poset.
 """
 
 from __future__ import annotations
@@ -36,10 +37,18 @@ from __future__ import annotations
 import math
 from functools import lru_cache, reduce
 from types import MappingProxyType
+from typing import Sequence
 
 import numpy as np
 
-from .graph import AcyclicOrientation, Flat, Graph, graph_to_json, orientation_to_poset
+from .graph import (
+    AcyclicOrientation,
+    Flat,
+    Graph,
+    _subset_masks,
+    graph_to_json,
+    orientation_to_poset,
+)
 from .orderpoly import (
     _MODE_BASIS,
     CheckReport,
@@ -78,63 +87,56 @@ def _surjections(m: int, s: int) -> int:
     return sum((-1) ** j * math.comb(s, j) * (s - j) ** m for j in range(s + 1))
 
 
-def _tally_coords(n: int, by_size: list[int], width: int) -> dict[tuple[int, int], int]:
-    """c[t, s] = sum over W of t! * slot t of V - W's packed vector * surj(|W|, s),
-    where by_size[k] sums the k-subsets' vectors, slot t of `width` bits."""
-    coords: dict[tuple[int, int], int] = {}
-    mask = (1 << width) - 1
-    for k, sums in enumerate(by_size):
-        for t in range(k + 1):
-            a = math.factorial(t) * (sums >> t * width & mask)
-            for s in range(n - k + 1):
-                coords[t, s] = coords.get((t, s), 0) + a * _surjections(n - k, s)
-    return coords
+def _partition_coords(n: int, weight: Sequence[int], near: Sequence[int]) -> dict:
+    """The nonzero c[t, s] = sum over W of t! * B_t(V - W) * surj(|W|, s)
+    on the strict basis binom(y, t) * binom(x - y, s), where B_t(U) sums
+    prod weight[block] over the partitions of U into t blocks (vertex sets
+    as bitmasks), t! orders the blocks and surj (see _surjections)
+    expands (x - y)^|W|.
 
-
-def _chrom_coords(G: Graph) -> dict[tuple[int, int], int]:
-    """chrom_poly's integer coordinates c[t, s] on the strict basis
-    binom(y, t) * binom(x - y, s): c[t, s] = sum over W of a_t(V - W) *
-    surj(|W|, s), where a_t(U) counts the ordered partitions of U into t
-    independent sets and surj (see _surjections) expands (x - y)^|W|.
-
-    a_t(U) is t! times b_t(U), the unordered such partitions, and b
-    follows the block I of U's lowest vertex:
-    b_t(U) = sum over independent I of b_{t-1}(U - I).  That visits each
-    (U, I) pair at most once, fewer than 3^n pairs.  Each U's vector
-    b_0(U), b_1(U), ... is packed into one int, slot t of `width` bits,
-    so the sum over I is one int addition per pair and the shift to t + 1
-    one shift.  A slot sums the set partitions of at most 2^n subsets,
-    each at most n^n, so it stays below 2^width and never carries.
+    B follows the block of U's lowest vertex v, v with any subset J of
+    U's other vertices in near[v] (callers leave out only blocks of weight
+    0): B_t(U) = sum over J of weight[v + J] * B_{t-1}(U - v - J), fewer
+    than 3^n pairs (U, J).  Each U's vector B_0(U), B_1(U), ... is packed
+    into one int, slot t of `width` bits, so the sum over J is one
+    multiply-add per pair and the shift to t + 1 one shift.  A slot sums
+    the partitions of at most 2^n subsets, fewer than n^n each, and each
+    partition's product is at most max(weight): the weights are 0/1, or
+    acyclic orientation counts, where a(A) * a(B) <= a(A + B) (orient the
+    edges between A and B from A to B).  So no slot reaches 2^width or
+    carries into the next.
     """
-    n = G.n
-    adj = [0] * n
-    for u, v in G.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    width = ((2 * n) ** n).bit_length()
-    independent = bytearray(1 << n)
-    independent[0] = 1
+    width = ((2 * n) ** n * max(weight)).bit_length()
     packed = [1] + [0] * ((1 << n) - 1)
-    by_size = [0] * (n + 1)
-    by_size[0] = 1
+    by_size = [1] + [0] * n
     for U in range(1, 1 << n):
         low = U & -U
         rest = U ^ low
-        v = low.bit_length() - 1
-        independent[U] = independent[rest] and not adj[v] & rest
-        # I is v with any independent J of U's other non-neighbors of v
-        free = rest & ~adj[v]
+        free = J = rest & near[low.bit_length() - 1]
         total = 0
-        J = free
         while True:
-            if independent[J]:
-                total += packed[rest ^ J]
+            total += weight[low | J] * packed[rest ^ J]
             if not J:
                 break
             J = (J - 1) & free
         packed[U] = total << width
         by_size[U.bit_count()] += packed[U]
-    return _tally_coords(n, by_size, width)
+    coords: dict[tuple[int, int], int] = {}
+    mask = (1 << width) - 1
+    for k, sums in enumerate(by_size):
+        for t in range(k + 1):
+            b = math.factorial(t) * (sums >> t * width & mask)
+            for s in range(n - k + 1):
+                coords[t, s] = coords.get((t, s), 0) + b * _surjections(n - k, s)
+    return {ts: c for ts, c in coords.items() if c}
+
+
+def _chrom_coords(G: Graph) -> dict[tuple[int, int], int]:
+    """chrom_poly's nonzero coordinates on the strict basis: blocks weigh 1
+    when independent, so t! * B_t(U) counts the colorings of G[U] with
+    exactly the colors 1..t, and the block of v holds non-neighbors only."""
+    adj, independent = _subset_masks(G)
+    return _partition_coords(G.n, independent, [~m for m in adj])
 
 
 @lru_cache(maxsize=4096)
@@ -195,16 +197,9 @@ def _acyclic_counts(G: Graph) -> list[int]:
     Removing a nonempty independent set I of sources leaves one of
     G[S - I], so by inclusion-exclusion over I,
     a(S) = sum over nonempty independent I <= S of (-1)^(|I| + 1) a(S - I)."""
-    adj = [0] * G.n
-    for u, v in G.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    independent = bytearray(1 << G.n)
-    independent[0] = 1
+    _, independent = _subset_masks(G)
     a = [1] * (1 << G.n)
     for S in range(1, 1 << G.n):
-        low = S & -S
-        independent[S] = independent[S ^ low] and not adj[low.bit_length() - 1] & S
         total = 0
         I = S
         while I:
@@ -217,35 +212,18 @@ def _acyclic_counts(G: Graph) -> list[int]:
 
 @lru_cache(maxsize=4096)
 def _reciprocity_coords(G: Graph) -> MappingProxyType[tuple[int, int], int]:
-    """Coordinates d[t, s] on the strict basis of (-1)^n chrom_poly(G)(-x, -y),
-    the reciprocity right side: d[t, s] = sum over W of A_t(V - W) *
-    surj(|W|, s), where A_t(U) sums prod a(G[block]) (see _acyclic_counts)
-    over the ordered partitions of U into t blocks, as a read-only mapping.
+    """Nonzero coordinates d[t, s] on the strict basis of
+    (-1)^n chrom_poly(G)(-x, -y), the reciprocity right side, as a
+    read-only mapping: _partition_coords with each block B weighted by
+    a(G[B]) (see _acyclic_counts), so A_t(U) = t! * B_t(U) sums
+    prod a(G[block]) over the ordered partitions of U into t blocks.
 
-    A_t is computed as a_t is in _chrom_coords, with a(B) in place of the
-    block B's independence indicator, so B is any subset of U that holds
-    U's lowest vertex: about 3^n / 2 pairs, gated at 3^n like chrom_poly.
-    A slot sums at most 2^n subsets' partitions, fewer than n^n, each
-    weighing at most n!, so it stays below 2^width.
+    Any subset of U holding its lowest vertex is a block (all-ones masks),
+    about 3^n / 2 pairs, gated at 3^n like chrom_poly.  chrom_poly runs the
+    same dynamic program with 0/1 weights instead.
     """
     _check_budget(G.n, 3, None)
-    n = G.n
-    a = _acyclic_counts(G)
-    width = ((2 * n) ** n * math.factorial(n)).bit_length()
-    packed = [1] + [0] * ((1 << n) - 1)
-    by_size = [1] + [0] * n
-    for U in range(1, 1 << n):
-        low = U & -U
-        rest = J = U ^ low
-        total = 0
-        while True:
-            total += a[low | J] * packed[rest ^ J]
-            if not J:
-                break
-            J = (J - 1) & rest
-        packed[U] = total << width
-        by_size[U.bit_count()] += packed[U]
-    return MappingProxyType(_tally_coords(n, by_size, width))
+    return MappingProxyType(_partition_coords(G.n, _acyclic_counts(G), [-1] * G.n))
 
 
 def _reciprocity_count(G: Graph, x0: int, y0: int) -> int:
@@ -286,10 +264,11 @@ def check_reciprocity_graph_poly(G: Graph) -> CheckReport:
     """Polynomial-level form: chrom_poly(-x, -y) equals the signed sum,
     over all (flat, acyclic orientation) pairs, of the weak order
     polynomials at y + 1, which is (-1)^n times the polynomial with
-    coordinates _reciprocity_coords(G) on the strict basis.  The sides
-    count their coordinates independently, chrom_poly with independent
-    blocks and the right side with blocks weighted by their acyclic
-    orientations; both are built by ratpoly._binomial_poly."""
+    coordinates _reciprocity_coords(G) on the strict basis.  Both sides
+    come from _partition_coords and ratpoly._binomial_poly and differ in
+    their block weights only, independence against acyclic orientation
+    counts; the tests check each against an oracle that shares neither,
+    chrom_count and the per-pair sums over flats and orientations."""
     lhs = chrom_poly(G).negate_args()
     rhs = (-1) ** G.n * _binomial_poly(_reciprocity_coords(G), *_MODE_BASIS["strict"])
     if lhs == rhs:

@@ -91,6 +91,23 @@ def graph_from_json(data: dict) -> Graph:
     return build_graph(n, edges)
 
 
+def _subset_masks(G: Graph) -> tuple[list[int], bytearray]:
+    """Each vertex's neighbors as a bitmask, and one byte per vertex
+    subset S, 1 when S is independent: S is independent when S minus its
+    lowest vertex is and that vertex has no neighbor in it."""
+    adj = [0] * G.n
+    for u, v in G.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    independent = bytearray(1 << G.n)
+    independent[0] = 1
+    for S in range(1, 1 << G.n):
+        low = S & -S
+        rest = S ^ low
+        independent[S] = independent[rest] and not adj[low.bit_length() - 1] & rest
+    return adj, independent
+
+
 @dataclass(frozen=True)
 class Flat:
     """A connected partition of a graph with its contracted quotient."""
@@ -110,10 +127,7 @@ def flats(G: Graph) -> tuple[Flat, ...]:
     unplaced vertices containing it, and the rest is partitioned alike.
     That order is not lexicographic ({0,3|1|2} precedes {0|1,2|3}), so
     the assignments are sorted."""
-    adj = [0] * G.n
-    for u, v in G.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj, _ = _subset_masks(G)
 
     def connected(block: int) -> bool:
         seen = todo = block & -block

@@ -278,8 +278,11 @@ def _order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -
     step allowed to hold celeste.  Every count is at most (t + s)^n <= n^n,
     so it fits in width bits and no slot carries into the next.
     """
-    labels = _checked_labeling(P, labeling, mode)
     preds = _pred_masks(P)
+    if labeling is None:
+        labels = _default_labeling(preds, mode)
+    else:
+        labels = _checked_labeling(P, labeling, mode)
     celeste = sum(1 << c for c in P.celeste)
     n = P.n
     width = n * n.bit_length() + 1

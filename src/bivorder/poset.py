@@ -42,9 +42,6 @@ class BicoloredPoset:
             if not (0 <= c < self.n):
                 raise ValueError(f"celeste element {c} out of range for n={self.n}")
 
-    def leq(self, a: int, b: int) -> bool:
-        return a == b or (a, b) in self.less
-
 
 def build_poset(
     n: int,

@@ -149,9 +149,40 @@ def test_chrom_coords_are_nonnegative(n):
 def test_negated_chrom_coords_equal_reciprocity_coords(n):
     # chrom_poly(-x, -y) = (-1)^n times the polynomial with coordinates
     # _reciprocity_coords, so negating in coordinates must give them;
-    # _tally_coords keeps zero entries, _negated_coords drops them
+    # _partition_coords and _negated_coords both return nonzero entries only
     for G in all_graphs(n):
         want = {ts: (-1) ** n * d for ts, d in chrompoly._reciprocity_coords(G).items() if d}
+        assert _negated_coords(chrompoly._chrom_coords(G)) == want, G
+
+
+def _surjections(n, k):
+    """Maps of n elements onto k values, by the recurrence on the last element."""
+    row = [1] + [0] * k  # n = 0
+    for _ in range(n):
+        row = [0] + [j * (row[j] + row[j - 1]) for j in range(1, k + 1)]
+    return row[k]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_chrom_coords_closed_forms_pin_packing_width(n):
+    # the two extremes of the block weights: in the edgeless graph every
+    # block is independent, so c[t, s] counts all surjections onto t + s
+    # colors; in the complete graph only singletons are, so the t lower
+    # colors take t distinct vertices.  A packed slot too narrow for the
+    # edgeless counts carries into its neighbour.
+    top = [(t, s) for t in range(n + 1) for s in range(n + 1 - t)]
+    edgeless = {(t, s): _surjections(n, t + s) for t, s in top}
+    complete = {(t, s): math.perm(n, t) * _surjections(n - t, s) for t, s in top}
+    assert chrompoly._chrom_coords(edgeless_graph(n)) == {ts: c for ts, c in edgeless.items() if c}
+    assert chrompoly._chrom_coords(complete_graph(n)) == {ts: c for ts, c in complete.items() if c}
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_reciprocity_coords_at_weight_extremes(n):
+    # edgeless blocks weigh a = 1 each; complete blocks weigh a(K_m) = m!,
+    # the largest weights any n-vertex graph has
+    for G in (edgeless_graph(n), complete_graph(n)):
+        want = {ts: (-1) ** n * d for ts, d in chrompoly._reciprocity_coords(G).items()}
         assert _negated_coords(chrompoly._chrom_coords(G)) == want, G
 
 

@@ -411,6 +411,22 @@ def test_order_coords_of_antichains_count_surjections(n):
         }
 
 
+def test_order_coords_builds_pred_masks_once(monkeypatch):
+    # the default labeling and the dynamic program share one set of masks
+    calls = []
+
+    def counted(P):
+        calls.append(P)
+        return _pred_masks(P)
+
+    monkeypatch.setattr(orderpoly, "_pred_masks", counted)
+    for P in (skew_diamond_poset(), fence_poset(5), antichain_poset(3, (1,))):
+        for mode in MODES:
+            calls.clear()
+            _order_coords(P, mode)
+            assert len(calls) == 1, (P, mode)
+
+
 def test_order_polys_do_not_list_extensions():
     # 9! = 362880 extensions and 12! = 479001600; the ideal chains never
     # enumerate them
