@@ -1,18 +1,23 @@
 """Command line front end.
 
 Verbs take a JSON input file (poset or graph, detected by its fields)
-and print either a plain text line or a JSON document.  Exit codes:
+and print either plain text lines or a JSON document.  Exit codes:
 0 success, 1 a requested check failed (its witness is printed), 2 bad
 usage or bad input.  Output for identical inputs is byte-identical.
+
+The argument parser is built once per process.  A verb returns its exit
+code and functions for its JSON payload and text lines; stdout is written
+once, after all of the verb's work, so an error leaves it empty.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
-from typing import IO
+from typing import IO, Callable
 
 from .chrompoly import (
     check_reciprocity_graph,
@@ -21,7 +26,7 @@ from .chrompoly import (
     chrom_poly,
     classical_chrom_poly,
 )
-from .graph import Graph, acyclic_orientations, flats, graph_from_json
+from .graph import Graph, acyclic_orientations, flats, graph_from_json, graph_to_json
 from .orderpoly import (
     BudgetExceededError,
     CheckReport,
@@ -32,7 +37,7 @@ from .orderpoly import (
     order_poly_weak,
 )
 from .poset import BicoloredPoset, linear_extensions, poset_from_json
-from .ratpoly import BiPoly, X
+from .ratpoly import X
 
 POSET_ORACLE_X = 6
 GRAPH_ORACLE_X = 5
@@ -50,6 +55,7 @@ def _budget(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bivorder",
@@ -121,13 +127,6 @@ def _need_graph(obj: BicoloredPoset | Graph) -> Graph:
     if not isinstance(obj, Graph):
         raise ValueError("this verb needs a graph input")
     return obj
-
-
-def _emit_poly(poly: BiPoly, fmt: str, out: IO[str]) -> None:
-    if fmt == "json":
-        out.write(json.dumps(poly.to_json(), sort_keys=True) + "\n")
-    else:
-        out.write(poly.text() + "\n")
 
 
 def _poset_oracle_check(P: BicoloredPoset, budget: int | None) -> CheckReport:
@@ -206,96 +205,68 @@ def _run_checks(obj: BicoloredPoset | Graph, kind: str, budget: int | None) -> l
     return reports
 
 
-def _dispatch(args: argparse.Namespace, out: IO[str]) -> int:
+def _dispatch(args: argparse.Namespace) -> tuple[Callable, Callable, int]:
+    """Run the verb and return its JSON payload and its text lines, as
+    functions so only the form asked for is built, and its exit code."""
     obj = _load_input(args.input)
-    fmt = args.format
-    if args.verb == "poset-poly":
+    verb = args.verb
+    if verb == "poset-poly":
         P = _need_poset(obj)
         poly = order_poly_strict(P) if args.mode == "strict" else order_poly_weak(P)
-        _emit_poly(poly, fmt, out)
-        return 0
-    if args.verb == "graph-poly":
-        G = _need_graph(obj)
-        _emit_poly(chrom_poly(G), fmt, out)
-        return 0
-    if args.verb in ("poset-count", "graph-count"):
-        if args.verb == "poset-count":
+        return poly.to_json, lambda: [poly.text()], 0
+    if verb == "graph-poly":
+        poly = chrom_poly(_need_graph(obj))
+        return poly.to_json, lambda: [poly.text()], 0
+    if verb in ("poset-count", "graph-count"):
+        if verb == "poset-count":
             count = brute_count(_need_poset(obj), args.mode, args.x, args.y, args.budget)
         else:
             count = chrom_count(_need_graph(obj), args.x, args.y, args.budget)
-        if fmt == "json":
-            out.write(json.dumps({"count": count}, sort_keys=True) + "\n")
-        else:
-            out.write(f"{count}\n")
-        return 0
-    if args.verb == "list-extensions":
-        P = _need_poset(obj)
-        exts = linear_extensions(P)
-        if fmt == "json":
-            out.write(
-                json.dumps({"extensions": [list(e) for e in exts]}, sort_keys=True)
-                + "\n"
-            )
-        else:
-            for ext in exts:
-                out.write(" ".join(map(str, ext)) + "\n")
-        return 0
-    if args.verb == "list-flats":
-        G = _need_graph(obj)
-        all_flats = flats(G)
-        if fmt == "json":
-            payload = [
+        return lambda: {"count": count}, lambda: [str(count)], 0
+    if verb == "list-extensions":
+        exts = linear_extensions(_need_poset(obj))
+        return (
+            lambda: {"extensions": [list(e) for e in exts]},
+            lambda: (" ".join(map(str, e)) for e in exts),
+            0,
+        )
+    if verb == "list-flats":
+        all_flats = flats(_need_graph(obj))
+        return (
+            lambda: {"flats": [
                 {
                     "blocks": [list(b) for b in F.blocks],
                     "contracted": sorted(F.contracted),
-                    "quotient": {
-                        "n": F.quotient.n,
-                        "edges": [list(e) for e in F.quotient.sorted_edges()],
-                    },
+                    "quotient": graph_to_json(F.quotient),
                 }
                 for F in all_flats
-            ]
-            out.write(json.dumps({"flats": payload}, sort_keys=True) + "\n")
-        else:
-            for F in all_flats:
-                blocks = "|".join(",".join(map(str, b)) for b in F.blocks)
-                contracted = ",".join(map(str, sorted(F.contracted))) or "-"
-                qedges = (
-                    " ".join(f"{u}-{v}" for u, v in F.quotient.sorted_edges()) or "-"
-                )
-                out.write(
-                    f"blocks={blocks} contracted={contracted} quotient-edges={qedges}\n"
-                )
-        return 0
-    if args.verb == "list-orientations":
-        G = _need_graph(obj)
-        orients = acyclic_orientations(G)
-        if fmt == "json":
-            payload = [[list(e) for e in o.directed_edges] for o in orients]
-            out.write(json.dumps({"orientations": payload}, sort_keys=True) + "\n")
-        else:
-            for o in orients:
-                line = " ".join(f"{a}->{b}" for a, b in o.directed_edges) or "-"
-                out.write(line + "\n")
-        return 0
-    if args.verb == "check":
-        reports = _run_checks(obj, args.kind, args.budget)
-        if fmt == "json":
-            out.write(
-                json.dumps([r.to_json() for r in reports], sort_keys=True) + "\n"
-            )
-        else:
-            for r in reports:
-                if r.passed:
-                    out.write(f"PASS {r.name}\n")
-                else:
-                    out.write(
-                        f"FAIL {r.name} witness="
-                        + json.dumps(r.witness, sort_keys=True)
-                        + "\n"
-                    )
-        return 0 if all(r.passed for r in reports) else 1
-    raise ValueError(f"unknown verb {args.verb!r}")
+            ]},
+            lambda: (
+                "blocks=" + "|".join(",".join(map(str, b)) for b in F.blocks)
+                + " contracted=" + (",".join(map(str, sorted(F.contracted))) or "-")
+                + " quotient-edges="
+                + (" ".join(f"{u}-{v}" for u, v in F.quotient.sorted_edges()) or "-")
+                for F in all_flats
+            ),
+            0,
+        )
+    if verb == "list-orientations":
+        orients = acyclic_orientations(_need_graph(obj))
+        return (
+            lambda: {"orientations": [[list(e) for e in o.directed_edges] for o in orients]},
+            lambda: (" ".join(f"{a}->{b}" for a, b in o.directed_edges) or "-" for o in orients),
+            0,
+        )
+    reports = _run_checks(obj, args.kind, args.budget)
+    return (
+        lambda: [r.to_json() for r in reports],
+        lambda: (
+            f"PASS {r.name}" if r.passed
+            else f"FAIL {r.name} witness=" + json.dumps(r.witness, sort_keys=True)
+            for r in reports
+        ),
+        0 if all(r.passed for r in reports) else 1,
+    )
 
 
 def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> int:
@@ -303,17 +274,21 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
     code instead of raising SystemExit, so it is directly testable."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        with contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _dispatch(args, out)
+        payload, lines, code = _dispatch(args)
     except (OSError, json.JSONDecodeError, ValueError, BudgetExceededError) as exc:
         err.write(f"error: {exc}\n")
         return 2
+    if args.format == "json":
+        out.write(json.dumps(payload(), sort_keys=True) + "\n")
+    else:
+        out.write("".join(line + "\n" for line in lines()))
+    return code
 
 
 def main() -> None:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -10,8 +11,10 @@ import pytest
 import bivorder.cli as cli
 from bivorder import chrompoly
 from bivorder.chrompoly import chrom_poly
-from bivorder.fixtures import complete_graph
+from bivorder.fixtures import complete_graph, fixture_graphs, fixture_posets
+from bivorder.graph import graph_from_json
 from bivorder.orderpoly import CheckReport
+from bivorder.poset import poset_from_json
 from bivorder.ratpoly import BiPoly, X
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -293,6 +296,14 @@ def test_negative_budget_is_usage_error():
 def test_poly_outputs_match_recorded_bytes():
     golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
     assert {g["fixture"] for g in golden} == {p.name for p in FIXTURES.glob("*.json")}
+    # every verb is pinned in both formats, so a new verb needs recorded bytes
+    verbs = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    assert len(verbs) == 8
+    assert {(g["args"][0], g["args"][-1]) for g in golden} == {
+        (verb, fmt) for verb in verbs for fmt in ("json", "text")
+    }
     checks = {(g["fixture"], *g["args"]) for g in golden if g["args"][0] == "check"}
     assert checks == {
         (p.name, "check", "--kind", "all", "--format", fmt)
@@ -303,6 +314,41 @@ def test_poly_outputs_match_recorded_bytes():
         code, out, err = run_cli(g["args"][0], "--input", fixture(g["fixture"]), *g["args"][1:])
         assert (code, err) == (0, "")
         assert out.encode() == g["stdout"].encode()
+
+
+def test_fixture_files_hold_the_named_examples():
+    posets, graphs = fixture_posets(), fixture_graphs()
+    assert posets.keys() | graphs.keys() == {p.stem for p in FIXTURES.glob("*.json")}
+    for name, P in posets.items():
+        assert poset_from_json(json.loads((FIXTURES / f"{name}.json").read_text())) == P
+    for name, G in graphs.items():
+        assert graph_from_json(json.loads((FIXTURES / f"{name}.json").read_text())) == G
+
+
+def test_help_goes_to_the_given_stdout(capsys):
+    for argv, usage in [
+        (["--help"], "usage: bivorder [-h]"),
+        (["graph-poly", "--help"], "usage: bivorder graph-poly [-h]"),
+    ]:
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(usage) and "-h, --help" in out
+        assert capsys.readouterr() == ("", "")
+
+
+def test_run_builds_no_parser_after_the_first_call(monkeypatch):
+    run_cli("graph-poly", "--input", fixture("k2.json"))
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli("graph-poly", "--input", fixture("k3.json"))[0] == 0
+    assert run_cli("list-extensions", "--input", fixture("skewdiamond.json"))[0] == 0
+    assert built == []
 
 
 def _graph_file(tmp_path, n, edges):
