@@ -35,7 +35,7 @@ pair's count on its closed poset.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Sequence
 
@@ -66,13 +66,7 @@ def _coloring_cum_table(G: Graph, x_max: int) -> np.ndarray:
     """Cumulative tally of all colorings by (max color, least color of a
     monochromatic edge); column x_max + 1 collects the colorings with no
     monochromatic edge at all."""
-    edges = G.sorted_edges()
-
-    def tally(values, none):
-        mono = (np.where(values[u] == values[v], values[u], none) for u, v in edges)
-        return True, reduce(np.minimum, mono, none)
-
-    return _cum_table(G.n, x_max, tally)
+    return _cum_table(G.n, x_max, lows=G.sorted_edges())
 
 
 def chrom_count(G: Graph, x0: int, y0: int, budget: int | None = None) -> int:

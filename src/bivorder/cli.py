@@ -57,14 +57,17 @@ def _budget(text: str) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # argparse's width on a pipe, pinned so that help does not follow COLUMNS
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
         prog="bivorder",
         description="Bivariate order and chromatic counting polynomials.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add(name: str, help_text: str, mode=False, point=False, budget=False):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         p.add_argument("--input", required=True, help="path to a JSON poset or graph")
         p.add_argument(
             "--format", choices=("text", "json"), default="text", help="output form"

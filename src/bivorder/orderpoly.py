@@ -18,8 +18,9 @@ other by the test suite:
   each step of a chain in increasing label order, so an element joins the
   open step only at an ascent of the labels, which is the word
   polynomials' ascent/descent rule (see _order_coords),
-* brute-force enumeration of all x^n maps (vectorized in cache-sized
-  blocks, exact),
+* brute-force enumeration of all x^n maps (exact, vectorized in
+  cache-sized blocks of one-byte values, each constraint evaluated once
+  per table, per leading value or per block; see _cum_table),
 * Newton interpolation of the brute counts through an integer grid, by
   integer forward differences in the binomial basis.
 
@@ -342,54 +343,148 @@ def order_poly_weak(
 _BLOCK_MAPS = 1 << 15  # maps per block of the enumeration, at most
 
 
+def _inner_count(n: int, x_max: int) -> int:
+    """How many trailing positions vary inside one block: as many as keep
+    the block within _BLOCK_MAPS maps, and at least one when n >= 1 (so a
+    block exceeds _BLOCK_MAPS only when x_max alone does).  At x_max <= 1
+    blocks never fill; np.indices takes at most 64 axes."""
+    k = min(n, 1)
+    while k < min(n, _BLOCK_MAPS.bit_length() - 1) and x_max ** (k + 1) <= _BLOCK_MAPS:
+        k += 1
+    return k
+
+
 @lru_cache(maxsize=16)
 def _inner_maps(k: int, x_max: int) -> tuple[np.ndarray, np.ndarray]:
     """All maps from k positions into 1..x_max, one column per map, and
-    each map's largest value."""
-    cols = np.indices((x_max,) * k, dtype=np.int64).reshape(k, -1) + 1
+    each map's largest value, in the smallest unsigned type that also
+    holds the sentinel x_max + 1."""
+    dtype = np.min_scalar_type(x_max + 1)
+    cols = np.indices((x_max,) * k, dtype=dtype).reshape(k, x_max**k) + dtype.type(1)
     top = cols.max(axis=0, initial=0)
     cols.setflags(write=False)
     top.setflags(write=False)
     return cols, top
 
 
-def _map_blocks(n: int, x_max: int):
-    """All maps from n positions into 1..x_max, in blocks of at most
-    _BLOCK_MAPS maps (more only when x_max alone exceeds it).
+def _cum_table(
+    n: int,
+    x_max: int,
+    relations: Sequence[tuple[int, int]] = (),
+    below: Callable = operator.lt,
+    lows: Sequence[tuple[int, int]] = (),
+) -> np.ndarray:
+    """T[x0, t]: the maps phi from n positions into 1..x_max that keep
+    every relation, below(phi(a), phi(b)) for (a, b) in relations, counted
+    by largest value <= x0 and low value >= t.  The low value is the
+    least phi(u) over the low terms (u, v) with phi(u) == phi(v), so (c, c)
+    is position c alone; column none = x_max + 1 holds the maps with no
+    low term.
 
-    Yields (values, top): values[i] is position i's value, an int shared
-    by the whole block for the leading positions and an array for the
-    trailing ones; top is each map's largest value.  A block stays in
-    cache, and no table of all x_max^n maps is ever built.
+    Every map is enumerated: the last k positions (see _inner_count) vary
+    inside a block, one block per value tuple of the leading ones, and
+    each constraint is evaluated where it is cheapest.  Between two inner
+    positions it is evaluated once per table, and the inner maps that
+    break a relation are dropped before the first block; between a
+    leading and an inner position once per (position, value), cached when
+    two or more leading positions let a value recur; between two leading
+    positions on Python ints, and a block whose leading values break a
+    relation is skipped.  Each block's codes top * (x_max + 2) + low go
+    into the table by np.bincount when they number at least the table's
+    cells, else by np.add.at, so a block costs O(its maps) and a table
+    O(maps + cells), never O(blocks * cells).
+
+    Values take one byte while the sentinel x_max + 1 < 256, two below
+    65536.  Memory beyond the int64 table's 8 * cells bytes stays under
+    (3 * n * x_max + 128) * M bytes, M = max(_BLOCK_MAPS, x_max) the maps
+    of a block: at most n * x_max cached (position, value) pairs hold a
+    one-byte mask and a low array of one or two bytes per map, and the
+    inner maps and a block's temporaries take less than 128 bytes per map.
+    No array of machine ints is kept per value.
     """
-    if n == 0:
-        yield [], np.zeros(1, dtype=np.int64)
-        return
-    # at x_max <= 1 blocks never fill; np.indices takes at most 64 axes
-    k = 1
-    while k < min(n, _BLOCK_MAPS.bit_length() - 1) and x_max ** (k + 1) <= _BLOCK_MAPS:
-        k += 1
-    inner, inner_top = _inner_maps(k, x_max)
-    for lead in product(range(1, x_max + 1), repeat=n - k):
-        top = np.maximum(inner_top, max(lead)) if lead else inner_top
-        yield [*lead, *inner], top
-
-
-def _cum_table(n: int, x_max: int, tally: Callable) -> np.ndarray:
-    """T[x0, t]: the maps from n positions into 1..x_max that tally keeps,
-    with largest value <= x0 and low value >= t.  tally(values, none)
-    gives a block's (see _map_blocks) keep mask, or True for all, and low
-    values; none = x_max + 1, the sentinel column, stands for no low."""
+    none = x_max + 1
     width = x_max + 2
-    prof = np.zeros((x_max + 1) * width, dtype=np.int64)
-    for values, top in _map_blocks(n, x_max):
-        keep, low = tally(values, x_max + 1)
-        code = top * width + low
-        if keep is not True:
+    cells = (x_max + 1) * width
+    code_type = np.min_scalar_type(cells - 1)
+    k = _inner_count(n, x_max)
+    lead = n - k
+    cols, top = _inner_maps(k, x_max)
+    inner_rel = [(a - lead, b - lead) for a, b in relations if min(a, b) >= lead]
+    if inner_rel:
+        keep = reduce(operator.and_, (below(cols[a], cols[b]) for a, b in inner_rel))
+        cols, top = cols[:, keep], top[keep]
+    dtype = cols.dtype
+    inner_low = None
+    for u, v in lows:
+        if min(u, v) >= lead:
+            cu, cv = cols[u - lead], cols[v - lead]
+            term = cu if u == v else np.where(cu == cv, cu, dtype.type(none))
+            inner_low = term if inner_low is None else np.minimum(inner_low, term)
+    inner_code = top.astype(code_type) * width
+    # per leading position: its relations and low terms with inner positions
+    rel_in = [[] for _ in range(lead)]
+    low_in = [[] for _ in range(lead)]
+    lead_rel, lead_low = [], []
+    for a, b in relations:
+        if max(a, b) < lead:
+            lead_rel.append((a, b))
+        elif a < lead:
+            rel_in[a].append((cols[b - lead], True))
+        elif b < lead:
+            rel_in[b].append((cols[a - lead], False))
+    for u, v in lows:
+        if max(u, v) < lead:
+            lead_low.append((u, v))
+        elif u < lead:
+            low_in[u].append(cols[v - lead])
+        elif v < lead:
+            low_in[v].append(cols[u - lead])
+    active = [p for p in range(lead) if rel_in[p] or low_in[p]]
+
+    def lead_terms(p: int, value: int) -> tuple:
+        mask = low = None
+        for col, left in rel_in[p]:
+            m = below(value, col) if left else below(col, value)
+            mask = m if mask is None else mask & m
+        if low_in[p]:
+            eq = reduce(operator.or_, (col == value for col in low_in[p]))
+            low = np.where(eq, dtype.type(value), dtype.type(none))
+        return mask, low
+
+    if lead > 1:  # a value recurs only under two or more leading positions
+        lead_terms = lru_cache(maxsize=None)(lead_terms)
+    prof = np.zeros(cells, dtype=np.int64)
+    for values in product(range(1, x_max + 1), repeat=lead):
+        if any(not below(values[a], values[b]) for a, b in lead_rel):
+            continue
+        keep = None
+        low_arrays = [] if inner_low is None else [inner_low]
+        for p in active:
+            mask, low = lead_terms(p, values[p])
+            if mask is not None:
+                keep = mask if keep is None else keep & mask
+            if low is not None:
+                low_arrays.append(low)
+        # the least low term among the leading values alone
+        scalar = min((values[u] for u, v in lead_low if values[u] == values[v]), default=none)
+        # numpy's minimum and maximum run unvectorized against a scalar, so
+        # the scalar is spread into a full array
+        code = np.maximum(inner_code, np.full_like(inner_code, max(values, default=0) * width))
+        if low_arrays:
+            low = reduce(np.minimum, low_arrays)
+            code += np.minimum(low, np.full_like(low, scalar)) if scalar < none else low
+        else:
+            code += scalar
+        if keep is not None:
             code = code[keep]
-        prof += np.bincount(code, minlength=len(prof))
-    cum = prof.reshape(x_max + 1, width).cumsum(axis=0)
-    table = cum[:, ::-1].cumsum(axis=1)[:, ::-1]
+        if len(code) >= cells:
+            prof += np.bincount(code, minlength=cells)
+        else:
+            np.add.at(prof, code, 1)
+    table = prof.reshape(x_max + 1, width)
+    np.cumsum(table, axis=0, out=table)
+    rev = table[:, ::-1]
+    np.cumsum(rev, axis=1, out=rev)
     table.setflags(write=False)
     return table
 
@@ -400,16 +495,8 @@ def _map_cum_table(P: BicoloredPoset, mode: str, x_max: int) -> np.ndarray:
     value); strict and weak counts for every (x0 <= x_max, y0) fall out
     of one enumeration."""
     below = operator.lt if mode == "strict" else operator.le
-    relations = covers(P)
-
-    def tally(values, none):
-        # with a relation there are two positions, so values[-1] is an array
-        keep = np.ones(len(values[-1]), dtype=bool) if relations else True
-        for a, b in relations:
-            keep &= below(values[a], values[b])
-        return keep, reduce(np.minimum, (values[c] for c in P.celeste), none)
-
-    return _cum_table(P.n, x_max, tally)
+    lows = tuple((c, c) for c in sorted(P.celeste))
+    return _cum_table(P.n, x_max, covers(P), below, lows)
 
 
 def _mode_ok(mode: str) -> None:
@@ -515,7 +602,10 @@ def _negated_coords(coords: dict) -> dict:
     for (t, s), c in coords.items():
         sign = (-1) ** (t + s)
         for j, k in product(range(t > 0, t + 1), range(s > 0, s + 1)):  # skip zeros
-            out[j, k] += sign * c * _comb(t - 1, t - j) * _comb(s - 1, s - k)
+            # binom(-1, 0) = 1 at t = j = 0, where math.comb needs t >= 1
+            bt = math.comb(t - 1, t - j) if t else 1
+            bs = math.comb(s - 1, s - k) if s else 1
+            out[j, k] += sign * c * bt * bs
     return {jk: c for jk, c in out.items() if c}
 
 

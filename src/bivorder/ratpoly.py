@@ -176,6 +176,15 @@ class BiPoly:
     # evaluation and substitution
 
     def evaluate(self, x0: Coeff, y0: Coeff) -> Fraction:
+        """The value at (x0, y0).  At integer points the terms are summed
+        in ints over the lcm of the denominators, one Fraction in all."""
+        if isinstance(x0, int) and isinstance(y0, int):
+            den = math.lcm(*(c.denominator for c in self._terms.values()))
+            num = sum(
+                c.numerator * (den // c.denominator) * x0**dx * y0**dy
+                for (dx, dy), c in self._terms.items()
+            )
+            return Fraction(num, den)
         x0 = Fraction(x0)
         y0 = Fraction(y0)
         total = Fraction(0)

@@ -8,15 +8,19 @@ route to the order polynomials, now the oracle of its ideal-chain
 program), the paper's flat-and-orientation construction of the chromatic
 polynomial and of its reciprocity right side, and poset reciprocity
 compared as polynomials.  Apart from those, which read the library's
-flats, orientations, order polynomials, labelings, chain sums and map
-blocks, nothing imports the library's counting kernels, closed forms, or
-interpolation; only the data types, poset_to_json and binom_poly come
-from the package.  Slow on purpose."""
+flats, orientations, order polynomials, labelings and chain sums,
+nothing imports the library's counting kernels, closed forms, or
+interpolation; only the data types, covers, poset_to_json and binom_poly
+come from the package.  The per-block tally route (map_blocks,
+tally_cum_table, tally_map_table, tally_coloring_table), once the
+library's brute kernel, is the oracle of orderpoly._cum_table, which
+replaced it.  Slow on purpose."""
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+import operator
 from functools import lru_cache, reduce
 from typing import Sequence
 
@@ -35,11 +39,10 @@ from bivorder.orderpoly import (
     _chain_coords,
     _checked_labeling,
     _default_labeling,
-    _map_blocks,
     order_poly_strict,
     order_poly_weak,
 )
-from bivorder.poset import BicoloredPoset, _pred_masks, poset_to_json
+from bivorder.poset import BicoloredPoset, _pred_masks, covers, poset_to_json
 from bivorder.ratpoly import X, Y, BiPoly, binom_poly
 
 
@@ -298,7 +301,7 @@ def compatible_cum_table(G: Graph, x_max: int) -> np.ndarray:
     for F in flats(G):
         sign = (-1) ** F.quotient.n
         directed = [sigma.directed_edges for sigma in acyclic_orientations(F.quotient)]
-        for values, top in _map_blocks(F.quotient.n, x_max):
+        for values, top in map_blocks(F.quotient.n, x_max):
             counts = sum(
                 reduce(np.logical_and, (values[a] <= values[b] for a, b in edges), True)
                 for edges in directed
@@ -308,6 +311,73 @@ def compatible_cum_table(G: Graph, x_max: int) -> np.ndarray:
             total += sign * np.bincount(code, minlength=len(total))
     cum = total.reshape(x_max + 1, width).cumsum(axis=0)
     return cum[:, ::-1].cumsum(axis=1)[:, ::-1]
+
+
+# the per-block tally route -----------------------------------------------
+# Once the library's brute kernel, now the oracle of orderpoly._cum_table:
+# every constraint is evaluated on every block, in int64.
+
+TALLY_BLOCK_MAPS = 1 << 15
+
+
+def map_blocks(n: int, x_max: int):
+    """All maps from n positions into 1..x_max, in blocks of at most
+    TALLY_BLOCK_MAPS maps (more only when x_max alone exceeds it).  Yields
+    (values, top): values[i] is position i's value, an int shared by the
+    whole block for the leading positions and an int64 array for the
+    trailing ones; top is each map's largest value."""
+    if n == 0:
+        yield [], np.zeros(1, dtype=np.int64)
+        return
+    k = 1
+    while k < min(n, TALLY_BLOCK_MAPS.bit_length() - 1) and x_max ** (k + 1) <= TALLY_BLOCK_MAPS:
+        k += 1
+    inner = np.indices((x_max,) * k, dtype=np.int64).reshape(k, -1) + 1
+    inner_top = inner.max(axis=0, initial=0)
+    for lead in itertools.product(range(1, x_max + 1), repeat=n - k):
+        top = np.maximum(inner_top, max(lead)) if lead else inner_top
+        yield [*lead, *inner], top
+
+
+def tally_cum_table(n: int, x_max: int, tally) -> np.ndarray:
+    """T[x0, t]: the maps that tally keeps, with largest value <= x0 and
+    low value >= t.  tally(values, none) gives a block's keep mask, or
+    True for all, and low values; none = x_max + 1, the sentinel column,
+    stands for no low.  One bincount over all cells per block."""
+    width = x_max + 2
+    prof = np.zeros((x_max + 1) * width, dtype=np.int64)
+    for values, top in map_blocks(n, x_max):
+        keep, low = tally(values, x_max + 1)
+        code = top * width + low
+        if keep is not True:
+            code = code[keep]
+        prof += np.bincount(code, minlength=len(prof))
+    cum = prof.reshape(x_max + 1, width).cumsum(axis=0)
+    return cum[:, ::-1].cumsum(axis=1)[:, ::-1]
+
+
+def tally_map_table(P: BicoloredPoset, mode: str, x_max: int) -> np.ndarray:
+    """orderpoly._map_cum_table by the per-block tally route."""
+    below = operator.lt if mode == "strict" else operator.le
+    relations = covers(P)
+
+    def tally(values, none):
+        keep = np.ones(len(values[-1]), dtype=bool) if relations else True
+        for a, b in relations:
+            keep &= below(values[a], values[b])
+        return keep, reduce(np.minimum, (values[c] for c in P.celeste), none)
+
+    return tally_cum_table(P.n, x_max, tally)
+
+
+def tally_coloring_table(G: Graph, x_max: int) -> np.ndarray:
+    """chrompoly._coloring_cum_table by the per-block tally route."""
+
+    def tally(values, none):
+        mono = (np.where(values[u] == values[v], values[u], none) for u, v in G.sorted_edges())
+        return True, reduce(np.minimum, mono, none)
+
+    return tally_cum_table(G.n, x_max, tally)
 
 
 def dumb_count_extensions(P: BicoloredPoset) -> int:

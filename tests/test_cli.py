@@ -336,6 +336,21 @@ def test_help_goes_to_the_given_stdout(capsys):
         assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["poset-count", "--help"]])
+def test_help_does_not_follow_the_terminal_width(monkeypatch, argv):
+    # help is wrapped at argparse's width on a pipe whatever COLUMNS says
+    outputs = []
+    for columns in (None, "60", "200"):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_run_builds_no_parser_after_the_first_call(monkeypatch):
     run_cli("graph-poly", "--input", fixture("k2.json"))
     built = []

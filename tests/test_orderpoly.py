@@ -817,6 +817,21 @@ def test_negated_coords_equal_negated_arguments(coords):
     assert all(_negated_coords(coords).values())
 
 
+def test_negated_coords_equal_falling_factorial_formula():
+    # binom(t - 1, t - j) as a falling factorial over (t - j)!, which also
+    # reads binom(-1, 0) = 1 at t = j = 0
+    def gen_comb(a, m):
+        return math.prod(range(a, a - m, -1)) // math.factorial(m)
+
+    for t in range(9):
+        for s in range(9 - t):
+            want = Counter()
+            for j in range(t + 1):
+                for k in range(s + 1):
+                    want[j, k] += (-1) ** (t + s) * gen_comb(t - 1, t - j) * gen_comb(s - 1, s - k)
+            assert _negated_coords({(t, s): 1}) == {jk: c for jk, c in want.items() if c}, (t, s)
+
+
 def test_word_reciprocity_single_letter():
     report = check_reciprocity_word(Word((1,), 1))
     assert report.passed

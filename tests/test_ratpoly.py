@@ -235,6 +235,31 @@ def test_negate_args_matches_evaluation(p, x0, y0):
     assert p.negate_args().evaluate(x0, y0) == p.evaluate(-x0, -y0)
 
 
+def _fraction_evaluate(p: BiPoly, x0, y0) -> Fraction:
+    """The value by the Fraction formula, term by term."""
+    x0, y0 = Fraction(x0), Fraction(y0)
+    return sum((c * x0**dx * y0**dy for (dx, dy), c in p.terms.items()), Fraction(0))
+
+
+@given(polys, st.integers(-9, 9), st.integers(-9, 9), coeffs, coeffs)
+@settings(max_examples=80, deadline=None)
+def test_evaluate_matches_fraction_formula(p, x0, y0, fx, fy):
+    # integer points, negative ones included, take the int route; a
+    # Fraction argument takes the Fraction route
+    for point in ((x0, y0), (fx, y0), (x0, fy), (fx, fy)):
+        got = p.evaluate(*point)
+        assert type(got) is Fraction
+        assert got == _fraction_evaluate(p, *point)
+
+
+def test_evaluate_zero_and_constant_polys():
+    assert BiPoly.zero().evaluate(3, -4) == 0
+    assert type(BiPoly.zero().evaluate(3, -4)) is Fraction
+    assert BiPoly.zero().evaluate(Fraction(1, 3), 2) == 0
+    p = BiPoly({(0, 0): Fraction(-5, 6), (2, 1): Fraction(3, 4), (1, 0): Fraction(1, 10)})
+    assert p.evaluate(-2, 3) == Fraction(-5, 6) + Fraction(3, 4) * 4 * 3 - Fraction(2, 10)
+
+
 @given(polys, st.integers(-3, 3), st.integers(-6, 6), st.integers(-6, 6))
 @settings(max_examples=60, deadline=None)
 def test_shift_y_matches_evaluation(p, s, x0, y0):
