@@ -76,9 +76,15 @@ def chrom_count(G: Graph, x0: int, y0: int, budget: int | None = None) -> int:
     return _cum_count(_coloring_cum_table(G, x0), x0, y0 + 1)
 
 
-def _surjections(m: int, s: int) -> int:
-    """The surjections of an m-set onto s values, by inclusion-exclusion."""
-    return sum((-1) ** j * math.comb(s, j) * (s - j) ** m for j in range(s + 1))
+def _surjections(m_max: int) -> list[list[int]]:
+    """surj[m][s], the surjections of an m-set onto s values, for s <= m <=
+    m_max: surj(m, s) = s * (surj(m - 1, s - 1) + surj(m - 1, s)), as the
+    last element's value is either hit by no other element or by some."""
+    surj = [[1]]
+    for m in range(1, m_max + 1):
+        prev = surj[-1] + [0]
+        surj.append([0] + [s * (prev[s - 1] + prev[s]) for s in range(1, m + 1)])
+    return surj
 
 
 def _partition_coords(n: int, weight: Sequence[int], near: Sequence[int]) -> dict:
@@ -93,14 +99,23 @@ def _partition_coords(n: int, weight: Sequence[int], near: Sequence[int]) -> dic
     0): B_t(U) = sum over J of weight[v + J] * B_{t-1}(U - v - J), fewer
     than 3^n pairs (U, J).  Each U's vector B_0(U), B_1(U), ... is packed
     into one int, slot t of `width` bits, so the sum over J is one
-    multiply-add per pair and the shift to t + 1 one shift.  A slot sums
-    the partitions of at most 2^n subsets, fewer than n^n each, and each
-    partition's product is at most max(weight): the weights are 0/1, or
-    acyclic orientation counts, where a(A) * a(B) <= a(A + B) (orient the
-    edges between A and B from A to B).  So no slot reaches 2^width or
-    carries into the next.
+    multiply-add per pair and the shift to t + 1 one shift.
+
+    The widest slot is slot t of by_size[k]: it sums the partitions into
+    t blocks of the C(n, k) subsets of size k, C(n, k) * S(k, t) of them
+    (S a Stirling number of the second kind).  Adding one more block, the
+    other n - k vertices together with a new vertex, turns each of them
+    into a different partition of n + 1 vertices, so there are at most
+    Bell(n + 1) = sum over s of surj(n + 1, s) / s!.  Each partition's
+    product is at most max(weight): the weights are 0/1, or acyclic
+    orientation counts, where a(A) * a(B) <= a(A + B) (orient the edges
+    between A and B from A to B).  Every term is nonnegative, so no
+    partial sum exceeds its slot's total, no slot reaches 2^width, and
+    none carries into the next.
     """
-    width = ((2 * n) ** n * max(weight)).bit_length()
+    surj = _surjections(n + 1)
+    bell = sum(c // math.factorial(s) for s, c in enumerate(surj[n + 1]))
+    width = (bell * max(weight)).bit_length()
     packed = [1] + [0] * ((1 << n) - 1)
     by_size = [1] + [0] * n
     for U in range(1, 1 << n):
@@ -121,7 +136,7 @@ def _partition_coords(n: int, weight: Sequence[int], near: Sequence[int]) -> dic
         for t in range(k + 1):
             b = math.factorial(t) * (sums >> t * width & mask)
             for s in range(n - k + 1):
-                coords[t, s] = coords.get((t, s), 0) + b * _surjections(n - k, s)
+                coords[t, s] = coords.get((t, s), 0) + b * surj[n - k][s]
     return {ts: c for ts, c in coords.items() if c}
 
 

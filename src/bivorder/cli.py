@@ -20,6 +20,7 @@ import sys
 from typing import IO, Callable
 
 from .chrompoly import (
+    _coloring_cum_table,
     check_reciprocity_graph,
     check_reciprocity_graph_poly,
     chrom_count,
@@ -30,6 +31,9 @@ from .graph import Graph, acyclic_orientations, flats, graph_from_json, graph_to
 from .orderpoly import (
     BudgetExceededError,
     CheckReport,
+    _check_budget,
+    _cum_count,
+    _map_cum_table,
     _valid_ys,
     brute_count,
     check_reciprocity_poset,
@@ -133,11 +137,15 @@ def _need_graph(obj: BicoloredPoset | Graph) -> Graph:
 
 
 def _poset_oracle_check(P: BicoloredPoset, budget: int | None) -> CheckReport:
+    """Brute counts against both polynomials at every valid point with
+    x0 <= POSET_ORACLE_X, all read from one brute table per mode."""
+    _check_budget(P.n, POSET_ORACLE_X, budget)
     polys = {"strict": order_poly_strict(P), "weak": order_poly_weak(P)}
+    tables = {mode: _map_cum_table(P, mode, POSET_ORACLE_X) for mode in polys}
     for x0 in range(POSET_ORACLE_X + 1):
         for mode, poly in polys.items():
             for y0 in _valid_ys(mode, x0):
-                got = brute_count(P, mode, x0, y0, budget)
+                got = _cum_count(tables[mode], x0, y0 + (mode == "strict"))
                 want = poly.evaluate(x0, y0)
                 if got != want:
                     return CheckReport(
@@ -150,10 +158,15 @@ def _poset_oracle_check(P: BicoloredPoset, budget: int | None) -> CheckReport:
 
 
 def _graph_oracle_check(G: Graph, budget: int | None) -> CheckReport:
+    """Coloring counts against chrom_poly at every 0 <= y0 <= x0 <=
+    GRAPH_ORACLE_X, all read from one brute table, then the y = x and
+    y = 0 specializations."""
+    _check_budget(G.n, GRAPH_ORACLE_X, budget)
     poly = chrom_poly(G)
+    table = _coloring_cum_table(G, GRAPH_ORACLE_X)
     for x0 in range(GRAPH_ORACLE_X + 1):
         for y0 in range(x0 + 1):
-            got = chrom_count(G, x0, y0, budget)
+            got = _cum_count(table, x0, y0 + 1)
             want = poly.evaluate(x0, y0)
             if got != want:
                 return CheckReport(

@@ -112,7 +112,8 @@ class CheckReport:
 # closed forms ---------------------------------------------------------------
 
 # Chain sums are integer coordinates on a binomial basis, memoized on the
-# five values that fix them; _binomial_poly turns coordinates into a BiPoly.
+# five values that fix them; _binomial_poly turns coordinates into a BiPoly
+# by one integer change of basis, with no polynomial product.
 
 
 def _comb(a: int, m: int) -> int:

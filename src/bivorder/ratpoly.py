@@ -8,14 +8,19 @@ needed.  All arithmetic is exact; nothing here touches floats.
 
 Term order, wherever terms are listed (text form, JSON form), is
 x-degree descending, then y-degree descending.
+
+Every counting polynomial of the package is built by _binomial_poly from
+integer coordinates on a product basis binom(u, t) * binom(v, s), u and
+v integer affine, by one integer basis change over a common denominator.
+binom_poly, the same binomials as polynomials multiplied out in Fraction
+arithmetic, is the public form and the tests' oracle for that change; no
+library route calls it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 Coeff = int | Fraction
@@ -312,8 +317,9 @@ def binom_poly(arg: BiPoly, m: int) -> BiPoly:
     arg must be affine (total degree at most 1); the result is the falling
     factorial arg (arg-1) ... (arg-m+1) divided by m!.  This is the unique
     polynomial agreeing with the integer binomial coefficient on integers.
-    The counting polynomials of this package are built from integer
-    coordinates on products of these by _binomial_poly below.
+    Built by BiPoly products; the counting polynomials are not built from
+    these but by _binomial_poly's integer basis change, which the tests
+    check against products of binom_poly.
     """
     if m < 0:
         raise ValueError("binom_poly needs m >= 0")
@@ -325,27 +331,83 @@ def binom_poly(arg: BiPoly, m: int) -> BiPoly:
     return out * Fraction(1, math.factorial(m))
 
 
-@lru_cache(maxsize=256)
-def _basis_terms(u: BiPoly, v: BiPoly, top: int) -> Mapping[tuple[int, int], tuple]:
-    """(t, s) -> integer terms of t! * s! * binom(u, t) * binom(v, s), t + s <= top."""
-    fu = [binom_poly(u, t) * math.factorial(t) for t in range(top + 1)]
-    fv = [binom_poly(v, s) * math.factorial(s) for s in range(top + 1)]
-    return MappingProxyType({
-        (t, s): tuple((e, int(c)) for e, c in (fu[t] * fv[s])._terms.items())
-        for t in range(top + 1) for s in range(top + 1 - t)
-    })
+def _falling_rows(c: int, top: int) -> list[list[int]]:
+    """Row t, t <= top: the coefficients of t! * binom(l + c, t), the falling
+    factorial (l + c)(l + c - 1)...(l + c - t + 1), in powers of l; row
+    t + 1 is row t times (l + c - t)."""
+    rows = [[1]]
+    for t in range(top):
+        prev = rows[-1]
+        row = [0] + prev
+        if m := c - t:
+            for i, a in enumerate(prev):
+                row[i] += m * a
+        rows.append(row)
+    return rows
+
+
+def _power_rows(form: BiPoly, top: int) -> list[list[tuple[int, int]]]:
+    """Row i, i <= top: the nonzero (k, coefficient of x^k y^(i - k)) of
+    l^i, l = p x + q y the linear part of an integer affine form; one
+    term when l is a monomial, else Pascal's rule row by row."""
+    p, q = (int(form._terms.get(e, 0)) for e in ((1, 0), (0, 1)))
+    if not p or not q:
+        return [[(i if p else 0, (p or q) ** i)] for i in range(top + 1)]
+    rows = [[1]]
+    for _ in range(top):
+        prev = rows[-1]
+        row = [q * a for a in prev]
+        row.append(0)
+        for k, a in enumerate(prev, 1):
+            row[k] += p * a
+        rows.append(row)
+    return [list(enumerate(row)) for row in rows]
 
 
 def _binomial_poly(coords: Mapping[tuple[int, int], int], u: BiPoly, v: BiPoly) -> BiPoly:
     """Sum c * binom(u, t) * binom(v, s) over coords (t, s) -> c, u and v integer
-    affine, in ints over the common denominator (max t + s)!: one Fraction per term."""
+    affine, in ints over the common denominator (max t + s)!: one Fraction per term.
+
+    Write u = l_u + u0 and v = l_v + v0 with l_u, l_v linear.  Over top!,
+    the coordinate (t, s) weighs c * top! / (t! s!) on the integer product
+    t! binom(u, t) * s! binom(v, s), whose factors are rows of _falling_rows
+    in powers of l_u and l_v.  Summing the weighted rows along s, then
+    along t, gives M[i][j], the coefficient of l_u^i * l_v^j, and the
+    binomial rows of l_u and l_v (_power_rows) expand those into
+    monomials.  That is O(top^3) int work when l_u or l_v is a monomial,
+    as on every basis of this package; no BiPoly is multiplied.
+    """
     top = max((t + s for (t, s), c in coords.items() if c), default=0)
     den = math.factorial(top)
-    terms = _basis_terms(u, v, top)
-    num: dict[tuple[int, int], int] = {}
+    u0, v0 = (int(form._terms.get((0, 0), 0)) for form in (u, v))
+    fu = _falling_rows(u0, top)
+    fv = fu if v0 == u0 else _falling_rows(v0, top)
+    along_s = [[0] * (top + 1 - t) for t in range(top + 1)]
     for (t, s), c in coords.items():
         if c:
-            weight = c * (den // (math.factorial(t) * math.factorial(s)))
-            for e, a in terms[t, s]:
-                num[e] = num.get(e, 0) + weight * a
-    return BiPoly._trusted({e: Fraction(a, den) for e, a in num.items()})
+            w = c * (den // (math.factorial(t) * math.factorial(s)))
+            r = along_s[t]
+            for j, g in enumerate(fv[s]):
+                if g:
+                    r[j] += w * g
+    M = [[0] * (top + 1 - i) for i in range(top + 1)]
+    for t, r in enumerate(along_s):
+        if any(r):
+            for i, f in enumerate(fu[t]):
+                if f:
+                    row = M[i]
+                    for j, a in enumerate(r):
+                        row[j] += f * a
+    pu, pv = _power_rows(u, top), _power_rows(v, top)
+    num = [[0] * (d + 1) for d in range(top + 1)]  # num[d][k]: x^k y^(d - k)
+    for i, row in enumerate(M):
+        for k, a in pu[i]:
+            for j, m in enumerate(row):
+                if m:
+                    out = num[i + j]
+                    m *= a
+                    for kk, b in pv[j]:
+                        out[k + kk] += m * b
+    return BiPoly._trusted(
+        {(k, d - k): Fraction(a, den) for d, out in enumerate(num) for k, a in enumerate(out) if a}
+    )

@@ -11,10 +11,12 @@ compared as polynomials.  Apart from those, which read the library's
 flats, orientations, order polynomials, labelings and chain sums,
 nothing imports the library's counting kernels, closed forms, or
 interpolation; only the data types, covers, poset_to_json and binom_poly
-come from the package.  The per-block tally route (map_blocks,
-tally_cum_table, tally_map_table, tally_coloring_table), once the
-library's brute kernel, is the oracle of orderpoly._cum_table, which
-replaced it.  Slow on purpose."""
+come from the package.  product_binomial_poly, binom_poly products
+summed term by term, was the library's coordinate-to-polynomial builder
+and is the oracle of ratpoly._binomial_poly.  The per-block tally route
+(map_blocks, tally_cum_table, tally_map_table, tally_coloring_table),
+once the library's brute kernel, is the oracle of orderpoly._cum_table,
+which replaced it.  Slow on purpose."""
 
 from __future__ import annotations
 
@@ -142,6 +144,18 @@ def fraction_weak_sum(n: int, k: int, prefix_shift: int, full_shift: int) -> BiP
         arg_low = Y + (i - prefix_shift - 2)
         arg_high = X - Y + (prefix_shift - full_shift + n - i)
         total = total + binom_poly(arg_low, i) * binom_poly(arg_high, n - i)
+    return total
+
+
+def product_binomial_poly(coords: dict, u: BiPoly, v: BiPoly) -> BiPoly:
+    """Sum c * binom(u, t) * binom(v, s) over coords (t, s) -> c, each term a
+    product of binom_poly polynomials in Fraction arithmetic.  Once the
+    library's builder (behind a cache of these products), now the oracle of
+    ratpoly._binomial_poly's integer basis change."""
+    total = BiPoly.zero()
+    for (t, s), c in coords.items():
+        if c:
+            total = total + c * binom_poly(u, t) * binom_poly(v, s)
     return total
 
 

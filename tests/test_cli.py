@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bivorder.cli as cli
-from bivorder import chrompoly
+from bivorder import chrompoly, orderpoly
 from bivorder.chrompoly import chrom_poly
 from bivorder.fixtures import complete_graph, fixture_graphs, fixture_posets
 from bivorder.graph import graph_from_json
@@ -276,6 +276,31 @@ def test_poset_oracle_witness_in_both_modes(monkeypatch, errors, mode, x, y):
     assert code == 1
     witness = {"mode": mode, "x": x, "y": y, "poly": "1", "brute": 0}
     assert json.loads(out) == [{"name": "poset-oracle", "passed": False, "witness": witness}]
+
+
+def test_oracle_checks_build_one_brute_table_per_mode():
+    P = poset_from_json(json.loads(Path(fixture("skewdiamond.json")).read_text()))
+    G = graph_from_json(json.loads(Path(fixture("k4.json")).read_text()))
+    orderpoly._map_cum_table.cache_clear()
+    chrompoly._coloring_cum_table.cache_clear()
+    assert cli._poset_oracle_check(P, None).passed
+    assert cli._graph_oracle_check(G, None).passed
+    assert orderpoly._map_cum_table.cache_info().misses == 2
+    assert chrompoly._coloring_cum_table.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "name, budget, maps",
+    [("skewdiamond.json", "1000", 6**5), ("k4.json", "100", 5**4)],
+)
+def test_oracle_check_budget_names_the_largest_x(name, budget, maps):
+    # one table at the sweep's largest x serves every point, so that x is
+    # the one checked, before any polynomial or table is built
+    code, out, err = run_cli(
+        "check", "--input", fixture(name), "--kind", "oracle", "--budget", budget
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: enumeration of {maps} objects exceeds budget {budget}\n"
 
 
 def test_negative_budget_is_usage_error():

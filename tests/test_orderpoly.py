@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bivorder.chrompoly import chrom_poly, classical_chrom_poly
+from bivorder.chrompoly import chrom_count, chrom_poly, classical_chrom_poly
+from bivorder.graph import build_graph
 from bivorder.fixtures import (
     antichain_poset,
     chain_poset,
@@ -18,7 +19,7 @@ from bivorder.fixtures import (
     skew_diamond_poset,
     two_chain_celeste_top,
 )
-from bivorder import orderpoly, poset
+from bivorder import orderpoly, poset, ratpoly
 from bivorder.orderpoly import (
     MODES,
     BudgetExceededError,
@@ -478,6 +479,69 @@ def test_orderpoly_caches_are_bounded():
     ]
     assert {"covers", "linear_extensions"} <= {fn.__name__ for fn in poset_caches}
     assert all(fn.cache_parameters()["maxsize"] is not None for fn in poset_caches)
+
+
+# polynomials from coordinates --------------------------------------------------
+
+
+def grid_poset(cols: int, celeste: bool = True) -> BicoloredPoset:
+    """The product of a 2-chain and a cols-chain: element 2c + r sits in
+    column c and row r.  With celeste, every 4th element is celeste."""
+    n = 2 * cols
+    relations = [(i, i + 2) for i in range(n - 2)] + [(2 * c, 2 * c + 1) for c in range(cols)]
+    return build_poset(n, relations, range(3, n, 4) if celeste else ())
+
+
+ORDER_POLY = {"strict": order_poly_strict, "weak": order_poly_weak}
+
+
+def test_library_routes_multiply_no_polynomial(monkeypatch):
+    P = build_poset(10, [(0, 3), (1, 3), (3, 6), (2, 7), (4, 8), (8, 9)], (5, 9))
+    G = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 6), (1, 5)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polynomial product was built")
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(BiPoly, name, refuse)
+    monkeypatch.setattr(ratpoly, "binom_poly", refuse)
+    order = {mode: ORDER_POLY[mode](P) for mode in MODES}
+    brute = {mode: interpolate_brute(grid_poset(3), mode) for mode in MODES}
+    chrom = chrom_poly.__wrapped__(G)
+    monkeypatch.undo()
+    for mode in MODES:
+        assert brute[mode] == ORDER_POLY[mode](grid_poset(3))
+        for x0 in range(3):
+            for y0 in _valid_ys(mode, x0):
+                assert order[mode].evaluate(x0, y0) == dumb_count_maps(P, mode, x0, y0)
+    for x0 in range(4):
+        for y0 in range(x0 + 1):
+            assert chrom.evaluate(x0, y0) == chrom_count(G, x0, y0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sixty_element_grid_poset(mode):
+    P = grid_poset(30)
+    poly = ORDER_POLY[mode](P)
+    w = mode == "weak"
+    coords = _order_coords(P, mode)
+    for x0, y0 in [(1, 1), (30, 7), (31, 31), (45, 12), (90, 44)]:
+        want = sum(
+            c * math.comb(y0 - w, t) * math.comb(x0 - y0 + w, s) for (t, s), c in coords.items()
+        )
+        assert poly.evaluate(x0, y0) == want
+    # a celeste element has no value above y = x (strict) or at least x + 1 (weak)
+    assert poly.shift_y(int(w)).subs_y_for_x().is_zero
+    # at y = 0 (strict) or 1 (weak) no celeste element is constrained
+    plain = ORDER_POLY[mode](grid_poset(30, celeste=False))
+    assert poly.subs_y(int(w)) == plain
+    assert plain.deg_y == 0
+    if mode == "strict":
+        # the longest chain has 31 elements, and into 1..31 one map keeps it
+        assert [plain.evaluate(x0, 0) for x0 in (30, 31)] == [0, 1]
+    else:
+        # weak maps into 1..2 are the order ideals, C(32, 2) lattice paths
+        assert [plain.evaluate(x0, 0) for x0 in (1, 2)] == [1, math.comb(32, 2)]
 
 
 # brute counts -----------------------------------------------------------------

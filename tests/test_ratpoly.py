@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bivorder.ratpoly import ONE, X, Y, BiPoly, _binomial_poly, _weighted_sum, binom_poly
+from oracles import product_binomial_poly
 
 
 def test_fraction_invariants():
@@ -182,11 +183,14 @@ def _gen_comb(a: int, m: int) -> int:
 
 
 # (u, v) as integer forms (cx, cy, c0): the strict and the weak basis of the
-# order polynomials, and the shifted axes of an interpolation grid
+# order polynomials, the shifted axes of an interpolation grid, the strict
+# basis at (-x, -y), and a pair of forms neither of which is a monomial
 BINOMIAL_BASES = {
     "strict": ((0, 1, 0), (1, -1, 0)),
     "weak": ((0, 1, -1), (1, -1, 1)),
     "grid": ((1, 0, -5), (0, 1, -1)),
+    "negated": ((0, -1, 0), (-1, 1, 0)),
+    "skew": ((2, -1, 1), (1, 3, -2)),
 }
 
 
@@ -206,6 +210,42 @@ def test_binomial_poly_matches_integer_binomials(basis, coords):
             u, v = ux * x0 + uy * y0 + u0, vx * x0 + vy * y0 + v0
             want = sum(c * _gen_comb(u, t) * _gen_comb(v, s) for (t, s), c in coords.items())
             assert p.evaluate(x0, y0) == want
+
+
+# coordinates (t, s) -> c with t + s <= 12
+top_twelve_coords = st.dictionaries(
+    st.integers(0, 12).flatmap(lambda t: st.tuples(st.just(t), st.integers(0, 12 - t))),
+    st.integers(-(10**6), 10**6),
+    max_size=12,
+)
+
+
+@pytest.mark.parametrize("basis", BINOMIAL_BASES)
+@given(top_twelve_coords)
+@settings(max_examples=40, deadline=None)
+def test_binomial_poly_equals_binom_poly_products(basis, coords):
+    u, v = (cx * X + cy * Y + c0 for cx, cy, c0 in BINOMIAL_BASES[basis])
+    p = _binomial_poly(coords, u, v)
+    assert_canonical(p)
+    assert p == product_binomial_poly(coords, u, v)
+
+
+@pytest.mark.parametrize("basis", BINOMIAL_BASES)
+def test_binomial_poly_single_coordinates_up_to_twelve(basis):
+    u, v = (cx * X + cy * Y + c0 for cx, cy, c0 in BINOMIAL_BASES[basis])
+    for t in range(13):
+        for s in range(13 - t):
+            assert _binomial_poly({(t, s): 1}, u, v) == binom_poly(u, t) * binom_poly(v, s)
+
+
+def test_binomial_poly_constant_forms():
+    # a form without linear part: binom(3, t) is a number, 0 once t > 3
+    coords = {(t, s): t + s + 1 for t in range(6) for s in range(6 - t)}
+    assert _binomial_poly(coords, BiPoly.const(3), X) == product_binomial_poly(
+        coords, BiPoly.const(3), X
+    )
+    assert _binomial_poly({}, Y, X - Y) == BiPoly.zero()
+    assert _binomial_poly({(4, 2): 0, (0, 0): 7}, Y, X - Y) == BiPoly.const(7)
 
 
 coeffs = st.fractions(
