@@ -17,8 +17,9 @@ flat, orientation or order ideal is enumerated.
 
 The paper's construction, one strict order polynomial per (flat,
 acyclic orientation) pair, is chrom_poly's oracle in the tests.
-chrom_count enumerates colorings directly and shares no code with
-either route, so it verifies both.
+chrom_count enumerates colorings directly through orderpoly's brute
+counter, each edge a low term (see _coloring_counter), and shares no
+code with either route, so it verifies both.
 
 Both reciprocity checks read the theorem's right side, the signed count
 of (flat, acyclic orientation, compatible coloring) triples, from
@@ -35,11 +36,10 @@ pair's count on its closed poset.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Sequence
-
-import numpy as np
+from typing import Callable, Sequence
 
 from .graph import (
     AcyclicOrientation,
@@ -53,27 +53,24 @@ from .orderpoly import (
     _MODE_BASIS,
     CheckReport,
     _check_budget,
+    _counter,
     _counts_ok,
-    _cum_count,
-    _cum_table,
     brute_count_weak,
 )
 from .ratpoly import BiPoly, X, _binomial_poly
 
 
-@lru_cache(maxsize=4096)
-def _coloring_cum_table(G: Graph, x_max: int) -> np.ndarray:
-    """Cumulative tally of all colorings by (max color, least color of a
-    monochromatic edge); column x_max + 1 collects the colorings with no
-    monochromatic edge at all."""
-    return _cum_table(G.n, x_max, lows=G.sorted_edges())
+def _coloring_counter(G: Graph, x_max: int, budget: int | None) -> Callable:
+    """Admissible colorings counted by (x0, y0), from one enumeration of
+    all colorings into 1..x_max: each edge is a low term, so a coloring is
+    admissible when its least monochromatic color is above y0."""
+    return _counter(G.n, x_max, budget, (), operator.lt, G.sorted_edges(), 1)
 
 
 def chrom_count(G: Graph, x0: int, y0: int, budget: int | None = None) -> int:
     """Count admissible colorings by enumerating all x0^n of them."""
     _counts_ok(x0, y0)
-    _check_budget(G.n, x0, budget)
-    return _cum_count(_coloring_cum_table(G, x0), x0, y0 + 1)
+    return _coloring_counter(G, x0, budget)(x0, y0)
 
 
 def _surjections(m_max: int) -> list[list[int]]:
@@ -253,9 +250,9 @@ def check_reciprocity_graph(
     flat, orientation or poset is enumerated.  The budget still bounds
     x0^n, the colorings of the largest quotient, G itself, and is
     checked before any work, so budget messages are route-independent."""
-    lhs = chrom_poly(G).evaluate(-x0, -y0)
     _counts_ok(x0, y0 + 1)
     _check_budget(G.n, x0, budget)
+    lhs = chrom_poly(G).evaluate(-x0, -y0)
     rhs = _reciprocity_count(G, x0, y0)
     if lhs == rhs:
         return CheckReport("graph-reciprocity", True)

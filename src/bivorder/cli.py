@@ -7,7 +7,9 @@ usage or bad input.  Output for identical inputs is byte-identical.
 
 The argument parser is built once per process.  A verb returns its exit
 code and functions for its JSON payload and text lines; stdout is written
-once, after all of the verb's work, so an error leaves it empty.
+once, after all of the verb's work, so an error leaves it empty.  Brute
+counts come from the library's budgeted counters, which refuse before
+any table is built; both oracle checks sweep them in one loop.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 from typing import IO, Callable
 
 from .chrompoly import (
-    _coloring_cum_table,
+    _coloring_counter,
     check_reciprocity_graph,
     check_reciprocity_graph_poly,
     chrom_count,
@@ -31,9 +33,7 @@ from .graph import Graph, acyclic_orientations, flats, graph_from_json, graph_to
 from .orderpoly import (
     BudgetExceededError,
     CheckReport,
-    _check_budget,
-    _cum_count,
-    _map_cum_table,
+    _poset_counter,
     _valid_ys,
     brute_count,
     check_reciprocity_poset,
@@ -136,44 +136,41 @@ def _need_graph(obj: BicoloredPoset | Graph) -> Graph:
     return obj
 
 
+def _oracle_sweep(name: str, x_max: int, cases: list[tuple]) -> CheckReport:
+    """Brute counts against polynomials at every x0 <= x_max, x-major: at
+    each x0 every case (witness extras, poly, counter, mode) in order, over
+    the mode's valid thresholds.  The first mismatch is the witness."""
+    for x0 in range(x_max + 1):
+        for extras, poly, counter, mode in cases:
+            for y0 in _valid_ys(mode, x0):
+                got, want = counter(x0, y0), poly.evaluate(x0, y0)
+                if got != want:
+                    witness = {**extras, "x": x0, "y": y0, "poly": str(want), "brute": got}
+                    return CheckReport(name, False, witness)
+    return CheckReport(name, True)
+
+
 def _poset_oracle_check(P: BicoloredPoset, budget: int | None) -> CheckReport:
     """Brute counts against both polynomials at every valid point with
-    x0 <= POSET_ORACLE_X, all read from one brute table per mode."""
-    _check_budget(P.n, POSET_ORACLE_X, budget)
-    polys = {"strict": order_poly_strict(P), "weak": order_poly_weak(P)}
-    tables = {mode: _map_cum_table(P, mode, POSET_ORACLE_X) for mode in polys}
-    for x0 in range(POSET_ORACLE_X + 1):
-        for mode, poly in polys.items():
-            for y0 in _valid_ys(mode, x0):
-                got = _cum_count(tables[mode], x0, y0 + (mode == "strict"))
-                want = poly.evaluate(x0, y0)
-                if got != want:
-                    return CheckReport(
-                        "poset-oracle",
-                        False,
-                        {"mode": mode, "x": x0, "y": y0,
-                         "poly": str(want), "brute": got},
-                    )
-    return CheckReport("poset-oracle", True)
+    x0 <= POSET_ORACLE_X, strict before weak at each x0, all read from
+    one brute table per mode."""
+    counters = [_poset_counter(P, mode, POSET_ORACLE_X, budget) for mode in ("strict", "weak")]
+    cases = [
+        ({"mode": "strict"}, order_poly_strict(P), counters[0], "strict"),
+        ({"mode": "weak"}, order_poly_weak(P), counters[1], "weak"),
+    ]
+    return _oracle_sweep("poset-oracle", POSET_ORACLE_X, cases)
 
 
 def _graph_oracle_check(G: Graph, budget: int | None) -> CheckReport:
     """Coloring counts against chrom_poly at every 0 <= y0 <= x0 <=
     GRAPH_ORACLE_X, all read from one brute table, then the y = x and
     y = 0 specializations."""
-    _check_budget(G.n, GRAPH_ORACLE_X, budget)
+    counter = _coloring_counter(G, GRAPH_ORACLE_X, budget)
     poly = chrom_poly(G)
-    table = _coloring_cum_table(G, GRAPH_ORACLE_X)
-    for x0 in range(GRAPH_ORACLE_X + 1):
-        for y0 in range(x0 + 1):
-            got = _cum_count(table, x0, y0 + 1)
-            want = poly.evaluate(x0, y0)
-            if got != want:
-                return CheckReport(
-                    "graph-oracle",
-                    False,
-                    {"x": x0, "y": y0, "poly": str(want), "brute": got},
-                )
+    report = _oracle_sweep("graph-oracle", GRAPH_ORACLE_X, [({}, poly, counter, "strict")])
+    if not report.passed:
+        return report
     if poly.subs_y_for_x() != classical_chrom_poly(G):
         return CheckReport(
             "graph-oracle",

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+from .orderpoly import _check_budget
 from .poset import BicoloredPoset, build_poset
 
 MAX_ORIENTATION_EDGES = 20
@@ -126,7 +127,9 @@ def flats(G: Graph) -> tuple[Flat, ...]:
     The block of the least unplaced vertex is any connected set of
     unplaced vertices containing it, and the rest is partitioned alike.
     That order is not lexicographic ({0,3|1|2} precedes {0|1,2|3}), so
-    the assignments are sorted."""
+    the assignments are sorted.  The 2^n subsets of _subset_masks are
+    checked against the default budget first."""
+    _check_budget(G.n, 2, None)
     adj, _ = _subset_masks(G)
 
     def connected(block: int) -> bool:

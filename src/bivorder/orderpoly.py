@@ -20,7 +20,8 @@ other by the test suite:
   polynomials' ascent/descent rule (see _order_coords),
 * brute-force enumeration of all x^n maps (exact, vectorized in
   cache-sized blocks of one-byte values, each constraint evaluated once
-  per table, per leading value or per block; see _cum_table),
+  per table, per leading value or per block; see _cum_table), read for
+  posets and graphs alike through one budgeted counter (see _counter),
 * Newton interpolation of the brute counts through an integer grid, by
   integer forward differences in the binomial basis.
 
@@ -76,14 +77,18 @@ def _check_budget(n: int, x_max: int, budget: int | None) -> None:
     """A brute table walks all x_max^n maps of n positions into
     (x_max + 1) * (x_max + 2) cells; the larger of the two must fit the
     budget.  A map count of 20 digits or more is written x_max^n, so the
-    message prints however large n is."""
-    maps, cells = x_max**n, (x_max + 1) * (x_max + 2)
+    message prints however large n is.  x_max^n is not computed once its
+    lower bound 2^bits exceeds 10^19 < 2^64, the limit and the cells."""
+    cells = (x_max + 1) * (x_max + 2)
     limit = DEFAULT_BUDGET if budget is None else budget
-    if max(maps, cells) > limit:
+    bits = n * (x_max.bit_length() - 1)
+    if bits >= 64 and bits >= limit.bit_length() and bits >= cells.bit_length():
+        shown = f"{x_max}^{n}"
+    elif max(maps := x_max**n, cells) > limit:
         shown = f"{x_max}^{n}" if maps >= max(cells, 10**19) else max(maps, cells)
-        raise BudgetExceededError(
-            f"enumeration of {shown} objects exceeds budget {limit}"
-        )
+    else:
+        return
+    raise BudgetExceededError(f"enumeration of {shown} objects exceeds budget {limit}")
 
 
 def _valid_ys(mode: str, x0: int) -> range:
@@ -368,19 +373,15 @@ def _inner_maps(k: int, x_max: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, top
 
 
-def _cum_table(
-    n: int,
-    x_max: int,
-    relations: Sequence[tuple[int, int]] = (),
-    below: Callable = operator.lt,
-    lows: Sequence[tuple[int, int]] = (),
-) -> np.ndarray:
+@lru_cache(maxsize=4096)
+def _cum_table(n: int, x_max: int, relations: tuple, below: Callable, lows: tuple) -> np.ndarray:
     """T[x0, t]: the maps phi from n positions into 1..x_max that keep
     every relation, below(phi(a), phi(b)) for (a, b) in relations, counted
     by largest value <= x0 and low value >= t.  The low value is the
     least phi(u) over the low terms (u, v) with phi(u) == phi(v), so (c, c)
     is position c alone; column none = x_max + 1 holds the maps with no
-    low term.
+    low term.  Cached on this plain description, so posets and graphs
+    share one cache; _counter is the only caller.
 
     Every map is enumerated: the last k positions (see _inner_count) vary
     inside a block, one block per value tuple of the leading ones, and
@@ -490,14 +491,24 @@ def _cum_table(
     return table
 
 
-@lru_cache(maxsize=4096)
-def _map_cum_table(P: BicoloredPoset, mode: str, x_max: int) -> np.ndarray:
-    """Cumulative tally of the mode's maps by (max value, min celeste
-    value); strict and weak counts for every (x0 <= x_max, y0) fall out
-    of one enumeration."""
+def _counter(
+    n: int, x_max: int, budget: int | None, relations: tuple, below: Callable, lows: tuple, shift: int
+) -> Callable[[int, int], int]:
+    """The one route to a brute table: check the budget now, and return
+    (x0, y0) -> the maps into 1..x0 <= x_max with low value >= y0 + shift.
+    Each read fetches the cached table (see _cum_table), so it is built at
+    the first read: a caller that takes its counters first refuses first."""
+    _check_budget(n, x_max, budget)
+    key = n, x_max, relations, below, lows
+    return lambda x0, y0: int(_cum_table(*key)[x0, min(y0 + shift, x0 + 1)])
+
+
+def _poset_counter(P: BicoloredPoset, mode: str, x_max: int, budget: int | None) -> Callable:
+    """The mode's maps of P counted by (x0, y0): covers kept strictly or
+    weakly, and celeste elements above y0, or at y0 or above in weak mode."""
     below = operator.lt if mode == "strict" else operator.le
     lows = tuple((c, c) for c in sorted(P.celeste))
-    return _cum_table(P.n, x_max, covers(P), below, lows)
+    return _counter(P.n, x_max, budget, covers(P), below, lows, mode == "strict")
 
 
 def _mode_ok(mode: str) -> None:
@@ -510,12 +521,6 @@ def _counts_ok(x0: int, y0: int) -> None:
         raise ValueError("x0 and y0 must be nonnegative integers")
 
 
-def _cum_count(table: np.ndarray, x0: int, low: int) -> int:
-    """Maps of largest value <= x0 and least celeste value >= low, read
-    from a cumulative table (see _map_cum_table) with x_max >= x0."""
-    return int(table[x0, min(low, x0 + 1)])
-
-
 def brute_count(
     P: BicoloredPoset, mode: str, x0: int, y0: int, budget: int | None = None
 ) -> int:
@@ -524,8 +529,7 @@ def brute_count(
     maps; raises BudgetExceededError past the budget (see _check_budget)."""
     _mode_ok(mode)
     _counts_ok(x0, y0)
-    _check_budget(P.n, x0, budget)
-    return _cum_count(_map_cum_table(P, mode, x0), x0, y0 + (mode == "strict"))
+    return _poset_counter(P, mode, x0, budget)(x0, y0)
 
 
 def brute_count_strict(
@@ -584,10 +588,7 @@ def interpolate_brute(
     grid's largest x, serves the whole grid."""
     _mode_ok(mode)
     xs, _ = _grid(P.n, mode)
-    _check_budget(P.n, xs[-1], budget)
-    table = _map_cum_table(P, mode, xs[-1])
-    strict = mode == "strict"
-    return interpolate_poly(lambda a, b: _cum_count(table, a, b + strict), P.n, mode)
+    return interpolate_poly(_poset_counter(P, mode, xs[-1], budget), P.n, mode)
 
 
 # reciprocity ------------------------------------------------------------------

@@ -16,7 +16,9 @@ summed term by term, was the library's coordinate-to-polynomial builder
 and is the oracle of ratpoly._binomial_poly.  The per-block tally route
 (map_blocks, tally_cum_table, tally_map_table, tally_coloring_table),
 once the library's brute kernel, is the oracle of orderpoly._cum_table,
-which replaced it.  Slow on purpose."""
+which replaced it, on the constraint descriptions that
+orderpoly._poset_counter and chrompoly._coloring_counter give it.
+Slow on purpose."""
 
 from __future__ import annotations
 
@@ -308,8 +310,7 @@ def compatible_cum_table(G: Graph, x_max: int) -> np.ndarray:
     every flat's quotient into 1..x_max counts (-1)^(quotient size) times
     for each acyclic orientation it weakly increases along, tested on the
     orientation's directed edges; column x_max + 1 collects the colorings
-    with no contracted vertex.  Read it as orderpoly._cum_count reads a
-    map table."""
+    with no contracted vertex.  compatible_count reads it."""
     width = x_max + 2
     total = np.zeros((x_max + 1) * width, dtype=np.int64)
     for F in flats(G):
@@ -325,6 +326,13 @@ def compatible_cum_table(G: Graph, x_max: int) -> np.ndarray:
             total += sign * np.bincount(code, minlength=len(total))
     cum = total.reshape(x_max + 1, width).cumsum(axis=0)
     return cum[:, ::-1].cumsum(axis=1)[:, ::-1]
+
+
+def compatible_count(G: Graph, x0: int, y0: int) -> int:
+    """The reciprocity right side over colorings into 1..x0 whose
+    contracted colors all exceed y0: compatible_cum_table(G, x0) at
+    threshold y0 + 1, which past x0 reads the no-contracted column."""
+    return int(compatible_cum_table(G, x0)[x0, min(y0 + 1, x0 + 1)])
 
 
 # the per-block tally route -----------------------------------------------
@@ -371,7 +379,8 @@ def tally_cum_table(n: int, x_max: int, tally) -> np.ndarray:
 
 
 def tally_map_table(P: BicoloredPoset, mode: str, x_max: int) -> np.ndarray:
-    """orderpoly._map_cum_table by the per-block tally route."""
+    """The mode's map table of P (see orderpoly._poset_counter) by the
+    per-block tally route."""
     below = operator.lt if mode == "strict" else operator.le
     relations = covers(P)
 
@@ -385,7 +394,8 @@ def tally_map_table(P: BicoloredPoset, mode: str, x_max: int) -> np.ndarray:
 
 
 def tally_coloring_table(G: Graph, x_max: int) -> np.ndarray:
-    """chrompoly._coloring_cum_table by the per-block tally route."""
+    """G's coloring table (see chrompoly._coloring_counter) by the
+    per-block tally route."""
 
     def tally(values, none):
         mono = (np.where(values[u] == values[v], values[u], none) for u, v in G.sorted_edges())

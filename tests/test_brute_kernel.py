@@ -1,9 +1,12 @@
 """The brute kernel orderpoly._cum_table against the per-block tally
 route it replaced (tests/oracles.py), for posets in both modes and for
 graphs, at every block shape, and its time and memory at the budget's
-extreme shapes."""
+extreme shapes.  The kernel runs uncached, on the constraint
+descriptions that orderpoly._poset_counter and
+chrompoly._coloring_counter give it."""
 
 import math
+import operator
 import random
 import time
 import tracemalloc
@@ -11,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bivorder import chrompoly, orderpoly
+from bivorder import orderpoly
 from bivorder.fixtures import (
     antichain_poset,
     chain_poset,
@@ -26,8 +29,16 @@ from bivorder.poset import build_poset, covers
 from oracles import all_graphs, catalog_posets, tally_coloring_table, tally_map_table
 
 MODES = ("strict", "weak")
-map_table = orderpoly._map_cum_table.__wrapped__
-coloring_table = chrompoly._coloring_cum_table.__wrapped__
+kernel = orderpoly._cum_table.__wrapped__
+
+
+def map_table(P, mode, x_max):
+    below = operator.lt if mode == "strict" else operator.le
+    return kernel(P.n, x_max, covers(P), below, tuple((c, c) for c in sorted(P.celeste)))
+
+
+def coloring_table(G, x_max):
+    return kernel(G.n, x_max, (), operator.lt, G.sorted_edges())
 
 
 def random_poset(rng, n):
@@ -126,8 +137,8 @@ def test_edgeless_and_complete_graphs(n):
 def _table_build(kind, n):
     if kind == "poset":
         P = chain_poset(n, (n - 1,))
-        return lambda x_max: orderpoly._map_cum_table.__wrapped__(P, "weak", x_max)
-    return lambda x_max: chrompoly._coloring_cum_table.__wrapped__(complete_graph(n), x_max)
+        return lambda x_max: map_table(P, "weak", x_max)
+    return lambda x_max: coloring_table(complete_graph(n), x_max)
 
 
 @pytest.mark.parametrize("kind", ["poset", "graph"])

@@ -25,7 +25,6 @@ from bivorder.fixtures import (
 from bivorder.graph import Graph, acyclic_orientations, flats, orientation_to_poset, trivial_flat
 from bivorder.orderpoly import (
     BudgetExceededError,
-    _cum_count,
     _negated_coords,
     brute_count_weak,
     order_poly_strict,
@@ -34,7 +33,7 @@ from bivorder.orderpoly import (
 from bivorder.ratpoly import ONE, X, Y, BiPoly
 from oracles import (
     all_graphs,
-    compatible_cum_table,
+    compatible_count,
     dumb_count_colorings,
     pair_key_counts,
     per_pair_sum,
@@ -74,15 +73,15 @@ def test_chrom_count_edge_cases():
 @pytest.mark.parametrize("block", [1, 3, 10, 1 << 15])
 def test_coloring_tables_match_definition_at_every_block_size(monkeypatch, block):
     monkeypatch.setattr(orderpoly, "_BLOCK_MAPS", block)
-    table = chrompoly._coloring_cum_table.__wrapped__
+    # uncached, so every table is built at this block size
+    monkeypatch.setattr(orderpoly, "_cum_table", orderpoly._cum_table.__wrapped__)
     graphs = [complete_graph(4), cycle_graph(4), Graph(0, frozenset())] + all_graphs(3)
     for G in graphs:
         for x_max in range(4):
-            T = table(G, x_max)
+            count = chrompoly._coloring_counter(G, x_max, None)
             for x0 in range(x_max + 1):
                 for y0 in range(x0 + 2):
-                    got = int(T[x0, min(y0 + 1, x_max + 1)])
-                    assert got == dumb_count_colorings(G, x0, y0), (G, x0, y0)
+                    assert count(x0, y0) == dumb_count_colorings(G, x0, y0), (G, x0, y0)
 
 def test_chrom_count_budget():
     with pytest.raises(BudgetExceededError):
@@ -191,7 +190,7 @@ def test_chrom_poly_reads_no_flats_or_orientations(monkeypatch):
         raise AssertionError("chrom_poly ran the order-ideal dynamic program")
 
     monkeypatch.setattr(orderpoly, "_order_coords", forbidden)
-    cached = (graph.flats, graph.acyclic_orientations, orderpoly._map_cum_table)
+    cached = (graph.flats, graph.acyclic_orientations, orderpoly._cum_table)
     before = [fn.cache_info() for fn in cached]
     poly = chrom_poly.__wrapped__(cycle_graph(7))
     assert [fn.cache_info() for fn in cached] == before
@@ -233,7 +232,7 @@ def test_chrom_poly_budget_stops_before_work(monkeypatch):
 
 def test_chrompoly_budget_messages_print_past_the_digit_limit(monkeypatch):
     # 10^5000 colorings and 3^10000 subset pairs are too long to print in full
-    monkeypatch.setattr(chrompoly, "_coloring_cum_table", None)
+    monkeypatch.setattr(orderpoly, "_cum_table", None)
     monkeypatch.setattr(chrompoly, "_chrom_coords", None)
     with pytest.raises(BudgetExceededError, match="budget") as err:
         chrom_count(Graph(5000, frozenset()), 10, 0)
@@ -381,9 +380,8 @@ def _per_pair_rhs(G, x0, y0, budget=None):
 
 def _assert_table_is_per_pair_sum(G, xs):
     for x0 in xs:
-        table = compatible_cum_table(G, x0)
         for y0 in range(x0 + 2):
-            assert _cum_count(table, x0, y0 + 1) == _per_pair_rhs(G, x0, y0), (G, x0, y0)
+            assert compatible_count(G, x0, y0) == _per_pair_rhs(G, x0, y0), (G, x0, y0)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -404,9 +402,8 @@ def _assert_count_is_pair_oracle(G, xs):
     # the oracle table is the per-pair sum (see _assert_table_is_per_pair_sum);
     # y0 = x0 + 1 reads the threshold clamped to x0
     for x0 in xs:
-        table = compatible_cum_table(G, x0)
         for y0 in range(x0 + 2):
-            want = _cum_count(table, x0, y0 + 1)
+            want = compatible_count(G, x0, y0)
             assert chrompoly._reciprocity_count(G, x0, y0) == want, (G, x0, y0)
 
 
@@ -452,11 +449,11 @@ def test_numeric_reciprocity_builds_no_poset(monkeypatch):
         for module in (graph, chrompoly):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     chrompoly._reciprocity_coords.cache_clear()
-    before = orderpoly._map_cum_table.cache_info()
+    before = orderpoly._cum_table.cache_info()
     C5 = cycle_graph(5)
     for x0 in range(1, 6):
         assert all(check_reciprocity_graph(C5, x0, y0).passed for y0 in range(x0 + 1))
-    assert orderpoly._map_cum_table.cache_info() == before
+    assert orderpoly._cum_table.cache_info() == before
     # one computation per graph serves every (x0, y0)
     assert chrompoly._reciprocity_coords.cache_info().misses == 1
 
@@ -495,7 +492,9 @@ def test_reciprocity_budget_matches_per_pair_route(n):
 def test_reciprocity_budget_boundary_names_largest_quotient(monkeypatch):
     K4 = complete_graph(4)
     assert check_reciprocity_graph(K4, 3, 1, budget=81).passed
-    monkeypatch.setattr(chrompoly, "_reciprocity_coords", None)  # nothing is computed before the check
+    # nothing is computed before the check
+    monkeypatch.setattr(chrompoly, "chrom_poly", None)
+    monkeypatch.setattr(chrompoly, "_reciprocity_coords", None)
     with pytest.raises(BudgetExceededError, match="enumeration of 81 objects exceeds budget 80"):
         check_reciprocity_graph(K4, 3, 1, budget=80)
 

@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 import bivorder.cli as cli
-from bivorder import chrompoly, orderpoly
+from bivorder import orderpoly
 from bivorder.chrompoly import chrom_poly
 from bivorder.fixtures import complete_graph, fixture_graphs, fixture_posets
 from bivorder.graph import graph_from_json
-from bivorder.orderpoly import CheckReport
+from bivorder.orderpoly import BudgetExceededError, CheckReport
 from bivorder.poset import poset_from_json
 from bivorder.ratpoly import BiPoly, X
 
@@ -279,14 +279,11 @@ def test_poset_oracle_witness_in_both_modes(monkeypatch, errors, mode, x, y):
 
 
 def test_oracle_checks_build_one_brute_table_per_mode():
-    P = poset_from_json(json.loads(Path(fixture("skewdiamond.json")).read_text()))
-    G = graph_from_json(json.loads(Path(fixture("k4.json")).read_text()))
-    orderpoly._map_cum_table.cache_clear()
-    chrompoly._coloring_cum_table.cache_clear()
-    assert cli._poset_oracle_check(P, None).passed
-    assert cli._graph_oracle_check(G, None).passed
-    assert orderpoly._map_cum_table.cache_info().misses == 2
-    assert chrompoly._coloring_cum_table.cache_info().misses == 1
+    # posets and graphs share one table cache: two poset modes, one graph
+    orderpoly._cum_table.cache_clear()
+    for name in ("skewdiamond.json", "k4.json"):
+        assert run_cli("check", "--input", fixture(name), "--kind", "oracle")[0] == 0
+    assert orderpoly._cum_table.cache_info().misses == 3
 
 
 @pytest.mark.parametrize(
@@ -442,6 +439,50 @@ def test_graph_reciprocity_on_twelve_vertices_over_default_budget(tmp_path):
     assert err == "error: enumeration of 16777216 objects exceeds budget 10000000\n"
 
 
+def test_budget_refuses_a_huge_graph_without_computing_the_power(tmp_path):
+    # 3^(10^8) has 48 million digits; the bit lengths decide
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 100000000, "edges": []}')
+    start = time.perf_counter()
+    code, out, err = run_cli("graph-poly", "--input", str(path))
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration of 3^100000000 objects exceeds budget 10000000\n"
+
+
+def test_list_flats_refuses_its_subsets_past_the_budget(tmp_path):
+    # flats tabulate all 2^n vertex subsets, checked before any is made
+    code, out, err = run_cli("list-flats", "--input", _graph_file(tmp_path, 100, []))
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration of 2^100 objects exceeds budget 10000000\n"
+
+
+@pytest.mark.parametrize(
+    "argv, maps",
+    [
+        (("poset-count", "--input", fixture("skewdiamond.json"), "--mode", "strict",
+          "--x", "3", "--y", "1"), 3**5),
+        (("graph-count", "--input", fixture("k4.json"), "--x", "3", "--y", "1"), 3**4),
+        (("check", "--input", fixture("skewdiamond.json"), "--kind", "oracle"), 6**5),
+        (("check", "--input", fixture("k4.json"), "--kind", "oracle"), 5**4),
+        (None, 10**5),  # interpolate_brute, at the weak grid's largest x = 10
+    ],
+    ids=["brute_count", "chrom_count", "poset-oracle", "graph-oracle", "interpolate_brute"],
+)
+def test_every_brute_count_refuses_before_any_table(monkeypatch, argv, maps):
+    def no_table(*key):
+        raise AssertionError("a brute table was built past the budget")
+
+    monkeypatch.setattr(orderpoly, "_cum_table", no_table)
+    message = f"enumeration of {maps} objects exceeds budget 10"
+    if argv is None:
+        P = poset_from_json(json.loads(Path(fixture("skewdiamond.json")).read_text()))
+        with pytest.raises(BudgetExceededError, match=message):
+            orderpoly.interpolate_brute(P, "weak", budget=10)
+    else:
+        assert run_cli(*argv, "--budget", "10") == (2, "", f"error: {message}\n")
+
+
 def test_graph_poly_over_budget_exits_two(tmp_path):
     code, out, err = run_cli("graph-poly", "--input", _graph_file(tmp_path, 15, []))
     assert (code, out) == (2, "")
@@ -450,7 +491,7 @@ def test_graph_poly_over_budget_exits_two(tmp_path):
 
 def test_budget_message_stays_short_past_the_digit_limit(tmp_path, monkeypatch):
     # 10^5000 colorings: the count is written as a power, and none is enumerated
-    monkeypatch.setattr(chrompoly, "_coloring_cum_table", None)
+    monkeypatch.setattr(orderpoly, "_cum_table", None)
     code, out, err = run_cli(
         "graph-count", "--input", _graph_file(tmp_path, 5000, []), "--x", "10", "--y", "0"
     )

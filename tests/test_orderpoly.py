@@ -582,17 +582,17 @@ def test_brute_tables_match_definition_at_every_block_size(monkeypatch, block):
     # small blocks put the leading positions in the outer loop, where
     # their values are plain ints shared by a whole block
     monkeypatch.setattr(orderpoly, "_BLOCK_MAPS", block)
-    table = orderpoly._map_cum_table.__wrapped__
+    # uncached, so every table is built at this block size
+    monkeypatch.setattr(orderpoly, "_cum_table", orderpoly._cum_table.__wrapped__)
     posets = [skew_diamond_poset(), fence_poset(4, (0, 3)), antichain_poset(3), build_poset(0)]
     posets += [P for P in catalog_posets(3) if len(P.celeste) == 1]
     for P in posets:
         for mode in ("strict", "weak"):
             for x_max in range(4):
-                T = table(P, mode, x_max)
+                count = orderpoly._poset_counter(P, mode, x_max, None)
                 for x0 in range(x_max + 1):
                     for y0 in range(x0 + 2):
-                        col = 0 if not P.celeste else min(y0 + (mode == "strict"), x_max + 1)
-                        assert int(T[x0, col]) == dumb_count_maps(P, mode, x0, y0), (P, mode, x0, y0)
+                        assert count(x0, y0) == dumb_count_maps(P, mode, x0, y0), (P, mode, x0, y0)
 
 def test_brute_rejects_bad_arguments():
     P = chain_poset(2)
@@ -619,9 +619,32 @@ def test_brute_budget_error():
         brute_count_weak(Q, 5, 2, budget=41)
 
 
+def _budget_message(n, x_max, limit):
+    """The budget message from the full power x_max**n."""
+    maps, cells = x_max**n, (x_max + 1) * (x_max + 2)
+    if max(maps, cells) <= limit:
+        return None
+    shown = f"{x_max}^{n}" if maps >= max(cells, 10**19) else max(maps, cells)
+    return f"enumeration of {shown} objects exceeds budget {limit}"
+
+
+def test_budget_check_decides_from_bit_lengths_as_from_the_power():
+    # the bit-length shortcut must give every message of the full power;
+    # at n <= 2 the cells outnumber the maps
+    for n in [1, 2, *range(0, 90, 3)]:
+        for x_max in (0, 1, 2, 3, 7, 8, 100, 255, 256, 3000, 2**32 + 5, 2**64):
+            for limit in (0, 1, 10, 10**7, 2**63, 10**19, 2**64, 10**40):
+                try:
+                    orderpoly._check_budget(n, x_max, limit)
+                    got = None
+                except BudgetExceededError as exc:
+                    got = str(exc)
+                assert got == _budget_message(n, x_max, limit), (n, x_max, limit)
+
+
 def test_brute_budget_message_prints_past_the_digit_limit(monkeypatch):
     # 2^15000 has more digits than Python turns into a string; no map is visited
-    monkeypatch.setattr(orderpoly, "_map_cum_table", None)
+    monkeypatch.setattr(orderpoly, "_cum_table", None)
     with pytest.raises(BudgetExceededError, match="budget") as err:
         brute_count_strict(BicoloredPoset(15000, frozenset(), frozenset()), 2, 0)
     assert "2^15000" in str(err.value)
@@ -742,9 +765,9 @@ def test_interpolate_poly_reproduces_degree_n_in_each_variable(mode, n):
 @pytest.mark.parametrize("mode", MODES)
 def test_interpolate_brute_enumerates_once(mode):
     P = fence_poset(4, (1,))
-    orderpoly._map_cum_table.cache_clear()
+    orderpoly._cum_table.cache_clear()
     interpolate_brute(P, mode)
-    assert orderpoly._map_cum_table.cache_info().misses == 1
+    assert orderpoly._cum_table.cache_info().misses == 1
 
 
 def test_interpolate_budget_error():
