@@ -171,20 +171,13 @@ def _graph_oracle_check(G: Graph, budget: int | None) -> CheckReport:
     report = _oracle_sweep("graph-oracle", GRAPH_ORACLE_X, [({}, poly, counter, "strict")])
     if not report.passed:
         return report
-    if poly.subs_y_for_x() != classical_chrom_poly(G):
-        return CheckReport(
-            "graph-oracle",
-            False,
-            {"identity": "y=x", "got": poly.subs_y_for_x().text(),
-             "want": classical_chrom_poly(G).text()},
-        )
-    if poly.subs_y(0) != X**G.n:
-        return CheckReport(
-            "graph-oracle",
-            False,
-            {"identity": "y=0", "got": poly.subs_y(0).text(),
-             "want": (X**G.n).text()},
-        )
+    for identity, got, want in (
+        ("y=x", poly.subs_y_for_x(), classical_chrom_poly(G)),
+        ("y=0", poly.subs_y(0), X**G.n),
+    ):
+        if got != want:
+            witness = {"identity": identity, "got": got.text(), "want": want.text()}
+            return CheckReport("graph-oracle", False, witness)
     return CheckReport("graph-oracle", True)
 
 

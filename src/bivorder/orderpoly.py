@@ -279,11 +279,13 @@ def _order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -
     above no element of its step; with a natural one each prefix of a step
     keeps an ideal.
 
-    A state (ideal, last label) holds two vectors over (t, s), each packed
-    in one int with slot (t, s) at bit t * S + s * T: a counts the chains
-    whose steps are all celeste-free, b those that have opened at least one
-    step allowed to hold celeste.  Every count is at most (t + s)^n <= n^n,
-    so it fits in width bits and no slot carries into the next.
+    A state (ideal, last label) holds one int over (t, s), slot (t, s) at
+    bit t * S + s * T.  The slots (t, 0), below bit T, count the chains
+    whose steps are all celeste-free, the slots with s >= 1 those that
+    have opened at least one step allowed to hold celeste, so a celeste
+    element keeps only the bits from T up.  Every count is at most
+    (t + s)^n <= n^n, so it fits in width bits and no slot carries into
+    the next.
     """
     preds = _pred_masks(P)
     if labeling is None:
@@ -294,30 +296,27 @@ def _order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -
     n = P.n
     width = n * n.bit_length() + 1
     S, T = width, width * (n + 1)
+    free = (1 << T) - 1
     # the empty prefix ends above every label, so the first element opens a step
-    level: dict[int, dict[int, tuple[int, int]]] = {0: {n + 1: (1, 0)}}
+    level: dict[int, dict[int, int]] = {0: {n + 1: 1}}
     for _ in range(n):
-        nxt: dict[int, dict[int, tuple[int, int]]] = {}
+        nxt: dict[int, dict[int, int]] = {}
         for ideal, states in level.items():
-            a_all = b_all = 0
-            for a, b in states.values():
-                a_all += a
-                b_all += b
-            a_open, opened = a_all << S, (a_all + b_all) << T
+            total = sum(states.values())
+            opened, free_open = total << T, (total & free) << S
             for v in range(n):
                 if ideal >> v & 1 or preds[v] & ~ideal:
                     continue
                 lab = labels[v]
-                a_join = b_join = 0
-                for r, (a, b) in states.items():
+                join = 0
+                for r, c in states.items():
                     if r < lab:
-                        a_join += a
-                        b_join += b
-                a = 0 if celeste >> v & 1 else a_open + a_join
+                        join += c
+                c = join & ~free if celeste >> v & 1 else join + free_open
                 # each (ideal, label) is reached from one ideal only
-                nxt.setdefault(ideal | 1 << v, {})[lab] = (a, opened + b_join)
+                nxt.setdefault(ideal | 1 << v, {})[lab] = opened + c
         level = nxt
-    total = sum(a + b for a, b in level[(1 << n) - 1].values())
+    total = sum(level[(1 << n) - 1].values())
     mask = (1 << width) - 1
     coords = {}
     for t in range(n + 1):

@@ -1,10 +1,11 @@
 """Exact sparse polynomials in two variables over the rationals.
 
 A polynomial in x and y is stored as a dict mapping exponent pairs
-(dx, dy) to nonzero Fraction coefficients.  The map is canonical: zero
-coefficients are dropped on construction, so structural equality of the
-term maps is polynomial identity and no normalization pass is ever
-needed.  All arithmetic is exact; nothing here touches floats.
+(dx, dy) to nonzero int numerators over one positive int denominator, in
+lowest terms (the zero polynomial has denominator 1), so structural
+equality is polynomial identity.  All arithmetic runs in ints; Fractions
+appear only at the boundary: the constructor and from_json read them,
+terms, coeff and evaluate return them, and text prints them.
 
 Term order, wherever terms are listed (text form, JSON form), is
 x-degree descending, then y-degree descending.
@@ -12,9 +13,9 @@ x-degree descending, then y-degree descending.
 Every counting polynomial of the package is built by _binomial_poly from
 integer coordinates on a product basis binom(u, t) * binom(v, s), u and
 v integer affine, by one integer basis change over a common denominator.
-binom_poly, the same binomials as polynomials multiplied out in Fraction
-arithmetic, is the public form and the tests' oracle for that change; no
-library route calls it.
+binom_poly, the same binomials as BiPoly products multiplied out, is the
+public form and the tests' oracle for that change; no library route
+calls it.
 """
 
 from __future__ import annotations
@@ -38,10 +39,19 @@ def _exact_int(value: object, term: object) -> int:
     raise ValueError(f"non-integer {value!r} in term {term!r}")
 
 
-class BiPoly:
-    """Immutable polynomial in x and y with Fraction coefficients."""
+def _ratio(value: object) -> tuple[int, int]:
+    """(numerator, denominator) of a number, through Fraction() unless it
+    is an int or a Fraction already."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, value.denominator
 
-    __slots__ = ("_terms",)
+
+class BiPoly:
+    """Immutable polynomial in x and y with rational coefficients, held as
+    int numerators _num over one positive int denominator _den."""
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[tuple[int, int], Coeff] | None = None):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -51,17 +61,24 @@ class BiPoly:
                 if dx < 0 or dy < 0:
                     raise ValueError(f"negative exponent ({dx}, {dy})")
                 clean[dx, dy] = clean.get((dx, dy), 0) + Fraction(c)
-        object.__setattr__(self, "_terms", {e: c for e, c in clean.items() if c})
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        p = BiPoly._trusted({e: c.numerator * den // c.denominator for e, c in clean.items()}, den)
+        for name in self.__slots__:
+            object.__setattr__(self, name, getattr(p, name))
 
     @classmethod
-    def _trusted(cls, terms: dict[tuple[int, int], Fraction]) -> BiPoly:
-        """Wrap a term map built from other polynomials' terms, dropping
-        zero coefficients without re-validation: its exponents are sums of
-        nonnegative ints and its coefficients Fractions.  Every result of
+    def _trusted(cls, num: dict[tuple[int, int], int], den: int) -> BiPoly:
+        """Wrap int numerators over a positive int denominator without
+        re-validation, dropping zero numerators and dividing out the gcd:
+        the one place the lowest-terms form is made.  Every result of
         arithmetic, substitution and _binomial_poly is built here; outside
         input goes through __init__, which converts and checks."""
+        num = {e: a for e, a in num.items() if a}
+        if (g := math.gcd(den, *num.values())) > 1:
+            num = {e: a // g for e, a in num.items()}
         out = object.__new__(cls)
-        object.__setattr__(out, "_terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(out, "_num", num)
+        object.__setattr__(out, "_den", den // g)
         return out
 
     # construction helpers
@@ -82,31 +99,31 @@ class BiPoly:
 
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
-        """Copy of the term map; mutating it does not affect the polynomial."""
-        return dict(self._terms)
+        """The term map of Fraction coefficients, a new dict on each call."""
+        return {e: Fraction(a, self._den) for e, a in self._num.items()}
 
     def sorted_terms(self) -> list[tuple[tuple[int, int], Fraction]]:
-        return [(e, self._terms[e]) for e in sorted(self._terms, key=_sort_key)]
+        return [(e, Fraction(self._num[e], self._den)) for e in sorted(self._num, key=_sort_key)]
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     @property
     def deg_x(self) -> int:
         """Degree in x; zero polynomial reports -1."""
-        return max((dx for dx, _ in self._terms), default=-1)
+        return max((dx for dx, _ in self._num), default=-1)
 
     @property
     def deg_y(self) -> int:
-        return max((dy for _, dy in self._terms), default=-1)
+        return max((dy for _, dy in self._num), default=-1)
 
     @property
     def total_degree(self) -> int:
-        return max((dx + dy for dx, dy in self._terms), default=-1)
+        return max((dx + dy for dx, dy in self._num), default=-1)
 
     def coeff(self, dx: int, dy: int) -> Fraction:
-        return self._terms.get((dx, dy), Fraction(0))
+        return Fraction(self._num.get((dx, dy), 0), self._den)
 
     # arithmetic
 
@@ -114,27 +131,22 @@ class BiPoly:
         raise AttributeError("BiPoly is immutable")
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, BiPoly):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == BiPoly.const(other)._terms
-        return NotImplemented
+        rhs = self._coerced(other)
+        return NotImplemented if rhs is None else self._den == rhs._den and self._num == rhs._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._num.items()), self._den))
 
     def _coerced(self, other: object) -> BiPoly | None:
         if isinstance(other, BiPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return BiPoly.const(other)
+            return BiPoly._trusted({(0, 0): other.numerator}, other.denominator)
         return None
 
     def __add__(self, other: object) -> BiPoly:
         rhs = self._coerced(other)
-        if rhs is None:
-            return NotImplemented
-        return _weighted_sum(((1, self), (1, rhs)))
+        return NotImplemented if rhs is None else _weighted_sum(((1, self), (1, rhs)))
 
     __radd__ = __add__
 
@@ -143,27 +155,23 @@ class BiPoly:
 
     def __sub__(self, other: object) -> BiPoly:
         rhs = self._coerced(other)
-        if rhs is None:
-            return NotImplemented
-        return _weighted_sum(((1, self), (-1, rhs)))
+        return NotImplemented if rhs is None else _weighted_sum(((1, self), (-1, rhs)))
 
     def __rsub__(self, other: object) -> BiPoly:
         rhs = self._coerced(other)
-        if rhs is None:
-            return NotImplemented
-        return _weighted_sum(((1, rhs), (-1, self)))
+        return NotImplemented if rhs is None else _weighted_sum(((1, rhs), (-1, self)))
 
     def __mul__(self, other: object) -> BiPoly:
         rhs = self._coerced(other)
         if rhs is None:
             return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
-        for (ax, ay), ac in self._terms.items():
-            for (bx, by), bc in rhs._terms.items():
+        out: dict[tuple[int, int], int] = {}
+        for (ax, ay), ac in self._num.items():
+            for (bx, by), bc in rhs._num.items():
                 e = (ax + bx, ay + by)
                 v = ac * bc
                 out[e] = out[e] + v if e in out else v
-        return BiPoly._trusted(out)
+        return BiPoly._trusted(out, self._den * rhs._den)
 
     __rmul__ = __mul__
 
@@ -176,65 +184,57 @@ class BiPoly:
         return out
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     # evaluation and substitution
 
     def evaluate(self, x0: Coeff, y0: Coeff) -> Fraction:
-        """The value at (x0, y0).  At integer points the terms are summed
-        in ints over the lcm of the denominators, one Fraction in all."""
-        if isinstance(x0, int) and isinstance(y0, int):
-            den = math.lcm(*(c.denominator for c in self._terms.values()))
-            num = sum(
-                c.numerator * (den // c.denominator) * x0**dx * y0**dy
-                for (dx, dy), c in self._terms.items()
-            )
-            return Fraction(num, den)
-        x0 = Fraction(x0)
-        y0 = Fraction(y0)
-        total = Fraction(0)
-        for (dx, dy), c in self._terms.items():
-            total += c * x0**dx * y0**dy
-        return total
+        """The value at (x0, y0), one Fraction in all.  With x0 = p/q and
+        y0 = r/s, the term x^dx y^dy weighs p^dx q^(D - dx) r^dy s^(E - dy)
+        over q^D s^E, D and E the x- and y-degrees; at integer points
+        q = s = 1."""
+        (p, q), (r, s) = _ratio(x0), _ratio(y0)
+        top_x, top_y = max(self.deg_x, 0), max(self.deg_y, 0)
+        xs = [p**i * q ** (top_x - i) for i in range(top_x + 1)]
+        ys = [r**j * s ** (top_y - j) for j in range(top_y + 1)]
+        num = sum(a * xs[dx] * ys[dy] for (dx, dy), a in self._num.items())
+        return Fraction(num, self._den * q**top_x * s**top_y)
 
     def negate_args(self) -> BiPoly:
         """The polynomial p(-x, -y)."""
         return BiPoly._trusted(
-            {e: c if (e[0] + e[1]) % 2 == 0 else -c for e, c in self._terms.items()}
+            {e: a if (e[0] + e[1]) % 2 == 0 else -a for e, a in self._num.items()}, self._den
         )
 
     def shift_y(self, s: int) -> BiPoly:
         """The polynomial p(x, y + s) for an integer shift s."""
-        shift = Fraction(s)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (dx, dy), c in self._terms.items():
+        out: dict[tuple[int, int], int] = {}
+        for (dx, dy), a in self._num.items():
             # expand (y + s)^dy by the binomial theorem
             for t in range(dy + 1):
-                term = c * math.comb(dy, t) * shift ** (dy - t)
-                out[dx, t] = out.get((dx, t), Fraction(0)) + term
-        return BiPoly._trusted(out)
+                out[dx, t] = out.get((dx, t), 0) + a * math.comb(dy, t) * s ** (dy - t)
+        return BiPoly._trusted(out, self._den)
 
     def subs_y(self, c: Coeff) -> BiPoly:
-        """Substitute the constant c for y, leaving a polynomial in x."""
-        c = Fraction(c)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (dx, dy), a in self._terms.items():
-            e = (dx, 0)
-            out[e] = out.get(e, Fraction(0)) + a * c**dy
-        return BiPoly._trusted(out)
+        """Substitute the constant c = r/s for y, leaving a polynomial in x:
+        each term is scaled by s to the top y-degree E, over s^E."""
+        (r, s), top = _ratio(c), max(self.deg_y, 0)
+        out: dict[tuple[int, int], int] = {}
+        for (dx, dy), a in self._num.items():
+            out[dx, 0] = out.get((dx, 0), 0) + a * r**dy * s ** (top - dy)
+        return BiPoly._trusted(out, self._den * s**top)
 
     def subs_y_for_x(self) -> BiPoly:
         """Substitute x for y, collapsing to a polynomial in x alone."""
-        out: dict[tuple[int, int], Fraction] = {}
-        for (dx, dy), a in self._terms.items():
-            e = (dx + dy, 0)
-            out[e] = out.get(e, Fraction(0)) + a
-        return BiPoly._trusted(out)
+        out: dict[tuple[int, int], int] = {}
+        for (dx, dy), a in self._num.items():
+            out[dx + dy, 0] = out.get((dx + dy, 0), 0) + a
+        return BiPoly._trusted(out, self._den)
 
     # text and JSON forms
 
     def text(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         pieces: list[str] = []
         for (dx, dy), c in self.sorted_terms():
@@ -261,17 +261,13 @@ class BiPoly:
         return f"BiPoly({self.text()})"
 
     def to_json(self) -> dict:
-        return {
-            "terms": [
-                {
-                    "dx": dx,
-                    "dy": dy,
-                    "num": str(c.numerator),
-                    "den": str(c.denominator),
-                }
-                for (dx, dy), c in self.sorted_terms()
-            ]
-        }
+        """Each term's coefficient in lowest terms, by one gcd and no Fraction."""
+        terms = []
+        for dx, dy in sorted(self._num, key=_sort_key):
+            a = self._num[dx, dy]
+            g = math.gcd(a, self._den)
+            terms.append({"dx": dx, "dy": dy, "num": str(a // g), "den": str(self._den // g)})
+        return {"terms": terms}
 
     @classmethod
     def from_json(cls, data: dict) -> BiPoly:
@@ -293,17 +289,19 @@ class BiPoly:
 def _weighted_sum(parts: Iterable[tuple[int, BiPoly]]) -> BiPoly:
     """The sum of c * p over (c, p) pairs with integer weights c.
 
-    Accumulates into one term map, so adding many summands rebuilds no
-    polynomial per summand; +, - and unary - are its two- and one-term
-    cases.
+    Accumulates numerators over the lcm of the denominators into one term
+    map, so adding many summands rebuilds no polynomial per summand; +, -
+    and unary - are its two- and one-term cases.
     """
-    acc: dict[tuple[int, int], Fraction] = {}
+    parts = [(c, p) for c, p in parts if c]
+    den = math.lcm(*(p._den for _, p in parts))
+    acc: dict[tuple[int, int], int] = {}
     for c, p in parts:
-        if c:
-            for e, v in p._terms.items():
-                v = v if c == 1 else c * v
-                acc[e] = acc[e] + v if e in acc else v
-    return BiPoly._trusted(acc)
+        m = c * (den // p._den)
+        for e, v in p._num.items():
+            v = v if m == 1 else m * v
+            acc[e] = acc[e] + v if e in acc else v
+    return BiPoly._trusted(acc, den)
 
 
 X = BiPoly.monomial(1, 0)
@@ -328,7 +326,7 @@ def binom_poly(arg: BiPoly, m: int) -> BiPoly:
     out = BiPoly.const(1)
     for t in range(m):
         out = out * (arg - t)
-    return out * Fraction(1, math.factorial(m))
+    return BiPoly._trusted(out._num, out._den * math.factorial(m))
 
 
 def _falling_rows(c: int, top: int) -> list[list[int]]:
@@ -350,7 +348,7 @@ def _power_rows(form: BiPoly, top: int) -> list[list[tuple[int, int]]]:
     """Row i, i <= top: the nonzero (k, coefficient of x^k y^(i - k)) of
     l^i, l = p x + q y the linear part of an integer affine form; one
     term when l is a monomial, else Pascal's rule row by row."""
-    p, q = (int(form._terms.get(e, 0)) for e in ((1, 0), (0, 1)))
+    p, q = (form._num.get(e, 0) for e in ((1, 0), (0, 1)))
     if not p or not q:
         return [[(i if p else 0, (p or q) ** i)] for i in range(top + 1)]
     rows = [[1]]
@@ -366,7 +364,8 @@ def _power_rows(form: BiPoly, top: int) -> list[list[tuple[int, int]]]:
 
 def _binomial_poly(coords: Mapping[tuple[int, int], int], u: BiPoly, v: BiPoly) -> BiPoly:
     """Sum c * binom(u, t) * binom(v, s) over coords (t, s) -> c, u and v integer
-    affine, in ints over the common denominator (max t + s)!: one Fraction per term.
+    affine, in ints over the common denominator top! = (max t + s)!, which
+    one gcd then reduces.
 
     Write u = l_u + u0 and v = l_v + v0 with l_u, l_v linear.  Over top!,
     the coordinate (t, s) weighs c * top! / (t! s!) on the integer product
@@ -379,7 +378,7 @@ def _binomial_poly(coords: Mapping[tuple[int, int], int], u: BiPoly, v: BiPoly) 
     """
     top = max((t + s for (t, s), c in coords.items() if c), default=0)
     den = math.factorial(top)
-    u0, v0 = (int(form._terms.get((0, 0), 0)) for form in (u, v))
+    u0, v0 = (form._num.get((0, 0), 0) for form in (u, v))
     fu = _falling_rows(u0, top)
     fv = fu if v0 == u0 else _falling_rows(v0, top)
     along_s = [[0] * (top + 1 - t) for t in range(top + 1)]
@@ -408,6 +407,5 @@ def _binomial_poly(coords: Mapping[tuple[int, int], int], u: BiPoly, v: BiPoly) 
                     m *= a
                     for kk, b in pv[j]:
                         out[k + kk] += m * b
-    return BiPoly._trusted(
-        {(k, d - k): Fraction(a, den) for d, out in enumerate(num) for k, a in enumerate(out) if a}
-    )
+    terms = {(k, d - k): a for d, out in enumerate(num) for k, a in enumerate(out)}
+    return BiPoly._trusted(terms, den)

@@ -17,13 +17,16 @@ and is the oracle of ratpoly._binomial_poly.  The per-block tally route
 (map_blocks, tally_cum_table, tally_map_table, tally_coloring_table),
 once the library's brute kernel, is the oracle of orderpoly._cum_table,
 which replaced it, on the constraint descriptions that
-orderpoly._poset_counter and chrompoly._coloring_counter give it.
-Slow on purpose."""
+orderpoly._poset_counter and chrompoly._coloring_counter give it.  The
+dict_* functions, polynomials as plain dicts of Fraction coefficients,
+are the oracle of BiPoly's integer arithmetic.  Slow on purpose."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
+from fractions import Fraction
 import operator
 from functools import lru_cache, reduce
 from typing import Sequence
@@ -159,6 +162,65 @@ def product_binomial_poly(coords: dict, u: BiPoly, v: BiPoly) -> BiPoly:
         if c:
             total = total + c * binom_poly(u, t) * binom_poly(v, s)
     return total
+
+
+# term-map polynomials -------------------------------------------------------
+
+# BiPoly's former representation, one Fraction per monomial in a plain
+# dict (dx, dy) -> Fraction with zero coefficients dropped, and its
+# arithmetic written out term by term: the oracle of BiPoly's integer
+# numerators over one denominator.
+
+
+def _nonzero(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
+
+
+def dict_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _nonzero(out)
+
+
+def dict_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (ax, ay), ac in a.items():
+        for (bx, by), bc in b.items():
+            e = (ax + bx, ay + by)
+            out[e] = out.get(e, Fraction(0)) + ac * bc
+    return _nonzero(out)
+
+
+def dict_negate_args(a: dict) -> dict:
+    return {(dx, dy): c * (-1) ** (dx + dy) for (dx, dy), c in a.items()}
+
+
+def dict_shift_y(a: dict, s: int) -> dict:
+    out: dict = {}
+    for (dx, dy), c in a.items():
+        for t in range(dy + 1):
+            out[dx, t] = out.get((dx, t), Fraction(0)) + c * math.comb(dy, t) * Fraction(s) ** (dy - t)
+    return _nonzero(out)
+
+
+def dict_subs_y(a: dict, y0) -> dict:
+    out: dict = {}
+    for (dx, dy), c in a.items():
+        out[dx, 0] = out.get((dx, 0), Fraction(0)) + c * Fraction(y0) ** dy
+    return _nonzero(out)
+
+
+def dict_subs_y_for_x(a: dict) -> dict:
+    out: dict = {}
+    for (dx, dy), c in a.items():
+        out[dx + dy, 0] = out.get((dx + dy, 0), Fraction(0)) + c
+    return _nonzero(out)
+
+
+def dict_evaluate(a: dict, x0, y0) -> Fraction:
+    x0, y0 = Fraction(x0), Fraction(y0)
+    return sum((c * x0**dx * y0**dy for (dx, dy), c in a.items()), Fraction(0))
 
 
 # word-key counts -----------------------------------------------------------
@@ -500,8 +562,6 @@ def relabeled_graph(G: Graph, perm) -> tuple:
 def eval_int_grid(poly, points) -> dict:
     """Evaluate an exact polynomial at integer points with plain int
     arithmetic (denominators cleared once)."""
-    import math
-
     terms = poly.terms
     den = 1
     for c in terms.values():

@@ -278,6 +278,28 @@ def test_poset_oracle_witness_in_both_modes(monkeypatch, errors, mode, x, y):
     assert json.loads(out) == [{"name": "poset-oracle", "passed": False, "witness": witness}]
 
 
+@pytest.mark.parametrize(
+    "name, patched, got, want",
+    [
+        ("classical_chrom_poly", lambda G: X**G.n, "x^3 - 3*x^2 + 2*x", "x^3"),
+        ("X", X + 1, "x^3", "x^3 + 3*x^2 + 3*x + 1"),
+    ],
+    ids=["y=x", "y=0"],
+)
+def test_graph_oracle_identity_witnesses(monkeypatch, name, patched, got, want):
+    # the point sweep passes, so each patched identity is the failure
+    monkeypatch.setattr(cli, name, patched)
+    code, out, err = run_cli(
+        "check", "--input", fixture("k3.json"), "--kind", "oracle", "--format", "json"
+    )
+    identity = "y=x" if name == "classical_chrom_poly" else "y=0"
+    assert (code, err) == (1, "")
+    assert out == (
+        '[{"name": "graph-oracle", "passed": false, "witness": '
+        f'{{"got": "{got}", "identity": "{identity}", "want": "{want}"}}}}]\n'
+    )
+
+
 def test_oracle_checks_build_one_brute_table_per_mode():
     # posets and graphs share one table cache: two poset modes, one graph
     orderpoly._cum_table.cache_clear()

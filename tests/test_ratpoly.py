@@ -1,12 +1,28 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bivorder import ratpoly
+from bivorder.chrompoly import chrom_poly
+from bivorder.graph import graph_from_json
+from bivorder.orderpoly import order_poly_strict, order_poly_weak
+from bivorder.poset import poset_from_json
 from bivorder.ratpoly import ONE, X, Y, BiPoly, _binomial_poly, _weighted_sum, binom_poly
-from oracles import product_binomial_poly
+from oracles import (
+    dict_add,
+    dict_evaluate,
+    dict_mul,
+    dict_negate_args,
+    dict_shift_y,
+    dict_subs_y,
+    dict_subs_y_for_x,
+    product_binomial_poly,
+)
 
 
 def test_fraction_invariants():
@@ -313,9 +329,13 @@ def test_json_round_trip_random(p):
 
 
 def assert_canonical(p):
-    for (dx, dy), c in p._terms.items():
+    # nonzero int numerators over one positive int denominator, in lowest
+    # terms, so the zero polynomial has denominator 1
+    assert type(p._den) is int and p._den > 0
+    for (dx, dy), a in p._num.items():
         assert type(dx) is int and type(dy) is int and dx >= 0 and dy >= 0
-        assert type(c) is Fraction and c != 0
+        assert type(a) is int and a != 0
+    assert math.gcd(p._den, *p._num.values()) == 1
     assert p == BiPoly(p.terms)
 
 
@@ -332,3 +352,73 @@ def test_results_have_canonical_term_maps(a, b, s, k):
     ]
     for r in results:
         assert_canonical(r)
+
+
+term_maps = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), coeffs.filter(bool), max_size=6
+)
+
+
+@given(term_maps, term_maps, st.integers(-3, 3), coeffs, st.integers(-5, 5), coeffs, coeffs)
+@settings(max_examples=100, deadline=None)
+def test_arithmetic_matches_fraction_term_maps(a, b, s, c, x0, fx, fy):
+    p, q = BiPoly(a), BiPoly(b)
+    assert p.terms == a
+    pairs = [
+        (p + q, dict_add(a, b)),
+        (p * q, dict_mul(a, b)),
+        (p.negate_args(), dict_negate_args(a)),
+        (p.shift_y(s), dict_shift_y(a, s)),
+        (p.subs_y(s), dict_subs_y(a, s)),
+        (p.subs_y(c), dict_subs_y(a, c)),
+        (p.subs_y_for_x(), dict_subs_y_for_x(a)),
+    ]
+    for got, want in pairs:
+        assert got.terms == want
+    for point in ((x0, s), (fx, s), (x0, fy), (fx, fy)):
+        got = p.evaluate(*point)
+        assert type(got) is Fraction and got == dict_evaluate(a, *point)
+
+
+def test_integer_built_polys_make_no_fraction(monkeypatch):
+    # coordinates, products, sums and the reciprocity transforms of
+    # polynomials built from ints stay in ints; Fractions are only output
+    coords = {(3, 1): 7, (2, 2): -5, (0, 4): 11, (1, 0): 2}
+
+    def ops():
+        p = _binomial_poly(coords, Y, X - Y)
+        q = _binomial_poly(coords, Y - 1, X - Y + 1)
+        return [
+            p, q, p * q, _weighted_sum([(3, p), (-2, q)]), p.negate_args(),
+            q.shift_y(1), p.subs_y_for_x(), p + q, p - q, -p, p * 5,
+        ]
+
+    want = ops()
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(ratpoly, "Fraction", NoFraction)
+    got = ops()
+    monkeypatch.undo()
+    assert got == want
+
+
+def test_polynomials_match_bytes_recorded_before_integer_numerators():
+    # to_json, text and a Fraction-point value of 40 order polynomials of
+    # seeded 6- to 8-element posets and 20 chromatic polynomials of
+    # seeded 6- to 8-vertex graphs, recorded while BiPoly held one
+    # Fraction per term
+    golden = json.loads((Path(__file__).parent / "poly_golden.json").read_text())
+    assert len(golden) == 60
+    for g in golden:
+        if "graph" in g:
+            p = chrom_poly(graph_from_json(g["graph"]))
+        else:
+            order_poly = order_poly_strict if g["mode"] == "strict" else order_poly_weak
+            p = order_poly(poset_from_json(g["poset"]))
+        assert json.dumps(p.to_json()) == json.dumps(g["json"])
+        assert p.text() == g["text"]
+        assert str(p.evaluate(Fraction(-1, 3), Fraction(5, 2))) == g["at"]
+        assert BiPoly.from_json(g["json"]) == p
