@@ -22,8 +22,8 @@ other by the test suite:
   cache-sized blocks of one-byte values, each constraint evaluated once
   per table, per leading value or per block; see _cum_table), read for
   posets and graphs alike through one budgeted counter (see _counter),
-* Newton interpolation of the brute counts through an integer grid, by
-  integer forward differences in the binomial basis.
+* interpolation of the brute counts on the simplex x0 <= n, by integer
+  forward differences in the mode's binomial basis.
 
 Strict and weak are one construction in two modes, taken as an argument
 by each routine below; the chain sums differ only in their shifts, and
@@ -546,12 +546,6 @@ def brute_count_weak(
 # interpolation ----------------------------------------------------------------
 
 
-def _grid(n: int, mode: str) -> tuple[range, range]:
-    # n + 1 consecutive values in each variable, every point in the
-    # validity region: y <= n <= x (strict), y <= n + 1 <= x + 1 (weak)
-    return range(n, 2 * n + 1), _valid_ys(mode, n)
-
-
 def _integer(value: object, x0: int, y0: int) -> int:
     count = int(value)
     if count != value:
@@ -559,35 +553,51 @@ def _integer(value: object, x0: int, y0: int) -> int:
     return count
 
 
-def interpolate_poly(counter: Callable[[int, int], int], n: int, mode: str) -> BiPoly:
-    """Reconstruct the unique polynomial of degree <= n in each variable
-    through the counter's integer values on the mode's grid of consecutive
-    integers, in Newton's form: the sum of the forward differences Δ^{i,j}
-    at (xs[0], ys[0]) times binom(x - xs[0], i) * binom(y - ys[0], j).
+def _simplex_coords(counter: Callable[[int, int], int], n: int, mode: str) -> dict:
+    """The coordinates c[t, s], t + s <= n, on the mode's basis (_MODE_BASIS)
+    of the polynomial through the counter's values at (x0, y0) = (i + j, i + w),
+    i + j <= n, w = 0 strict and 1 weak, all in the validity region.  At
+    u = y - w = i and v = x - y + w = j the basis is binom(i, t) * binom(j, s),
+    so c[t, s] is the forward difference Δ_i^t Δ_j^s N at (0, 0), taken in
+    place along j and then along i."""
+    w = mode == "weak"
+    rows = [
+        [_integer(counter(i + j, i + w), i + j, i + w) for j in range(n + 1 - i)]
+        for i in range(n + 1)
+    ]
+    for row in rows:
+        for k in range(1, len(row)):
+            for m in range(len(row) - 1, k - 1, -1):
+                row[m] -= row[m - 1]
+    for k in range(1, n + 1):  # row m is one shorter than row m - 1
+        for m in range(n, k - 1, -1):
+            rows[m] = [a - b for a, b in zip(rows[m], rows[m - 1])]
+    return {(t, s): c for t, row in enumerate(rows) for s, c in enumerate(row)}
 
-    The counter is any callable (x0, y0) -> count; feeding it a brute
-    enumerator yields the polynomial without touching the closed forms.
+
+def interpolate_poly(counter: Callable[[int, int], int], n: int, mode: str) -> BiPoly:
+    """Reconstruct the unique polynomial of total degree <= n through the
+    counter's integer values on the mode's simplex of (n + 1)(n + 2) / 2
+    points with x0 <= n (see _simplex_coords), in the mode's binomial basis.
+
+    Total degree n is all a counting polynomial of n elements or vertices
+    reaches: it is a sum of c[t, s] * binom(y - w, t) * binom(x - y + w, s)
+    with t + s <= n.  The counter is any callable (x0, y0) -> count; feeding
+    it a brute enumerator yields the polynomial without the closed forms.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     _mode_ok(mode)
-    xs, ys = _grid(n, mode)
-    diffs = np.array([[_integer(counter(a, b), a, b) for b in ys] for a in xs], object)
-    for _ in range(2):  # along x, then y; each pass transposes: diffs[i, j] = Δ^{i,j}
-        diffs = np.array([np.diff(diffs, i, axis=0)[0] for i in range(n + 1)]).T
-    # zero coordinates are skipped: a counting polynomial has total
-    # degree n, so every Δ^{i,j} with i + j > n is 0
-    return _binomial_poly(dict(np.ndenumerate(diffs)), X - xs[0], Y - ys[0])
+    return _binomial_poly(_simplex_coords(counter, n, mode), *_MODE_BASIS[mode])
 
 
 def interpolate_brute(
     P: BicoloredPoset, mode: str, budget: int | None = None
 ) -> BiPoly:
-    """Interpolated brute-force polynomial; one enumeration, up to the
-    grid's largest x, serves the whole grid."""
+    """Interpolated brute-force polynomial; one enumeration of the P.n^P.n
+    maps into 1..P.n serves every point of the simplex."""
     _mode_ok(mode)
-    xs, _ = _grid(P.n, mode)
-    return interpolate_poly(_poset_counter(P, mode, xs[-1], budget), P.n, mode)
+    return interpolate_poly(_poset_counter(P, mode, P.n, budget), P.n, mode)
 
 
 # reciprocity ------------------------------------------------------------------

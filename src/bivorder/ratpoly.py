@@ -5,7 +5,7 @@ A polynomial in x and y is stored as a dict mapping exponent pairs
 lowest terms (the zero polynomial has denominator 1), so structural
 equality is polynomial identity.  All arithmetic runs in ints; Fractions
 appear only at the boundary: the constructor and from_json read them,
-terms, coeff and evaluate return them, and text prints them.
+and terms, coeff and evaluate return them.
 
 Term order, wherever terms are listed (text form, JSON form), is
 x-degree descending, then y-degree descending.
@@ -237,7 +237,10 @@ class BiPoly:
         if not self._num:
             return "0"
         pieces: list[str] = []
-        for (dx, dy), c in self.sorted_terms():
+        for dx, dy in sorted(self._num, key=_sort_key):
+            a = self._num[dx, dy]
+            g = math.gcd(a, self._den)  # |a| / den in lowest terms, as in to_json
+            num, den = abs(a) // g, self._den // g
             mono: list[str] = []
             if dx == 1:
                 mono.append("x")
@@ -247,14 +250,11 @@ class BiPoly:
                 mono.append("y")
             elif dy > 1:
                 mono.append(f"y^{dy}")
-            mag = abs(c)
-            if mag != 1 or not mono:
-                mono.insert(0, str(mag))
+            if num != den or not mono:
+                mono.insert(0, f"{num}/{den}" if den > 1 else str(num))
             body = "*".join(mono)
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
+            signs = ("+ ", "- ") if pieces else ("", "-")
+            pieces.append(signs[a < 0] + body)
         return " ".join(pieces)
 
     def __repr__(self) -> str:

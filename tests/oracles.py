@@ -19,7 +19,11 @@ once the library's brute kernel, is the oracle of orderpoly._cum_table,
 which replaced it, on the constraint descriptions that
 orderpoly._poset_counter and chrompoly._coloring_counter give it.  The
 dict_* functions, polynomials as plain dicts of Fraction coefficients,
-are the oracle of BiPoly's integer arithmetic.  Slow on purpose."""
+are the oracle of BiPoly's integer arithmetic.  product_interpolate_poly,
+Newton interpolation through a product grid of degree n in each variable
+(x from n to 2n), was the library's interpolate_poly and is the oracle of
+its reading of the simplex x0 <= n; it keeps the library's value check
+and builds its result by ratpoly._binomial_poly.  Slow on purpose."""
 
 from __future__ import annotations
 
@@ -46,11 +50,14 @@ from bivorder.orderpoly import (
     _chain_coords,
     _checked_labeling,
     _default_labeling,
+    _integer,
+    _mode_ok,
+    _valid_ys,
     order_poly_strict,
     order_poly_weak,
 )
 from bivorder.poset import BicoloredPoset, _pred_masks, covers, poset_to_json
-from bivorder.ratpoly import X, Y, BiPoly, binom_poly
+from bivorder.ratpoly import X, Y, BiPoly, _binomial_poly, binom_poly
 
 
 def dumb_count_maps(P: BicoloredPoset, mode: str, x0: int, y0: int) -> int:
@@ -162,6 +169,30 @@ def product_binomial_poly(coords: dict, u: BiPoly, v: BiPoly) -> BiPoly:
         if c:
             total = total + c * binom_poly(u, t) * binom_poly(v, s)
     return total
+
+
+def _grid(n: int, mode: str) -> tuple[range, range]:
+    # n + 1 consecutive values in each variable, every point in the
+    # validity region: y <= n <= x (strict), y <= n + 1 <= x + 1 (weak)
+    return range(n, 2 * n + 1), _valid_ys(mode, n)
+
+
+def product_interpolate_poly(counter, n: int, mode: str) -> BiPoly:
+    """Reconstruct the unique polynomial of degree <= n in each variable
+    through the counter's integer values on the mode's grid of consecutive
+    integers, in Newton's form: the sum of the forward differences Δ^{i,j}
+    at (xs[0], ys[0]) times binom(x - xs[0], i) * binom(y - ys[0], j).
+    Once orderpoly.interpolate_poly, now the oracle of its simplex reader."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    _mode_ok(mode)
+    xs, ys = _grid(n, mode)
+    diffs = np.array([[_integer(counter(a, b), a, b) for b in ys] for a in xs], object)
+    for _ in range(2):  # along x, then y; each pass transposes: diffs[i, j] = Δ^{i,j}
+        diffs = np.array([np.diff(diffs, i, axis=0)[0] for i in range(n + 1)]).T
+    # zero coordinates are skipped: a counting polynomial has total
+    # degree n, so every Δ^{i,j} with i + j > n is 0
+    return _binomial_poly(dict(np.ndenumerate(diffs)), X - xs[0], Y - ys[0])
 
 
 # term-map polynomials -------------------------------------------------------

@@ -183,8 +183,8 @@ def test_criterion_8_chromatic_interpolation():
     for n in range(5):
         for G in all_graphs(n):
             poly = chrom_poly(G)
-            # one coloring table up to the grid's largest x serves the grid
-            counter = chrompoly._coloring_counter(G, 2 * G.n, None)
+            # one coloring table up to the simplex's largest x = n serves it
+            counter = chrompoly._coloring_counter(G, G.n, None)
             assert poly == interpolate_poly(counter, G.n, "strict")
             assert poly.subs_y_for_x() == classical_chrom_poly(G)
             assert poly.subs_y(0) == X**G.n

@@ -487,7 +487,7 @@ def test_list_flats_refuses_its_subsets_past_the_budget(tmp_path):
         (("graph-count", "--input", fixture("k4.json"), "--x", "3", "--y", "1"), 3**4),
         (("check", "--input", fixture("skewdiamond.json"), "--kind", "oracle"), 6**5),
         (("check", "--input", fixture("k4.json"), "--kind", "oracle"), 5**4),
-        (None, 10**5),  # interpolate_brute, at the weak grid's largest x = 10
+        (None, 5**5),  # interpolate_brute, at the simplex's largest x = n = 5
     ],
     ids=["brute_count", "chrom_count", "poset-oracle", "graph-oracle", "interpolate_brute"],
 )

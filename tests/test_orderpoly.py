@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bivorder import chrompoly
 from bivorder.chrompoly import chrom_count, chrom_poly, classical_chrom_poly
 from bivorder.graph import build_graph
 from bivorder.fixtures import (
@@ -63,6 +64,7 @@ from bivorder.poset import (
 )
 from bivorder.ratpoly import ONE, X, Y, BiPoly, _binomial_poly, binom_poly
 from oracles import (
+    all_graphs,
     bipoly_poset_reciprocity,
     catalog_posets,
     dumb_count_chain,
@@ -73,6 +75,7 @@ from oracles import (
     fraction_strict_sum,
     fraction_weak_sum,
     key_coords,
+    product_interpolate_poly,
     relabeled_poset,
     up_to_isomorphism,
     word_key_counts,
@@ -743,11 +746,15 @@ def test_interpolate_poly_accepts_any_counter():
 
 
 def test_interpolate_poly_rejects_non_integer_values():
-    # the grid of n = 0 in strict mode is the one point (0, 0)
+    # the simplex of n = 0 in strict mode is the one point (0, 0)
     with pytest.raises(ValueError, match=r"\(0, 0\)"):
         interpolate_poly(lambda a, b: Fraction(1, 2), 0, "strict")
+    # the weak simplex of n = 1 is (0, 1), (1, 1), (1, 2)
+    with pytest.raises(ValueError, match=r"2\.5 at \(1, 2\)"):
+        interpolate_poly(lambda a, b: 2.5 if (a, b) == (1, 2) else 1, 1, "weak")
+    # (2, 2) lies on the oracle's product grid only
     with pytest.raises(ValueError, match=r"2\.5 at \(2, 2\)"):
-        interpolate_poly(lambda a, b: 2.5 if (a, b) == (2, 2) else 1, 1, "weak")
+        product_interpolate_poly(lambda a, b: 2.5 if (a, b) == (2, 2) else 1, 1, "weak")
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -759,6 +766,30 @@ def test_interpolate_poly_reproduces_degree_n_in_each_variable(mode, n):
     coeffs = {(i, j): rng.randint(-9, 9) for i in range(n + 1) for j in range(n + 1)}
     coeffs[n, n] = rng.choice((-1, 1)) * rng.randint(1, 9)
     target = BiPoly(coeffs)
+    assert product_interpolate_poly(target.evaluate, n, mode) == target
+
+
+@given(
+    st.sampled_from(MODES),
+    st.integers(0, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(-9, 9), min_size=(n + 1) * (n + 2) // 2,
+                     max_size=(n + 1) * (n + 2) // 2),
+            st.integers(0, n),
+            st.integers(-9, 9).filter(bool),
+        )
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_interpolate_poly_reproduces_total_degree_n(mode, case):
+    # every coefficient x^i y^j with i + j <= n, and a nonzero top term x^k y^(n - k)
+    n, values, k, top = case
+    exps = [(i, d - i) for d in range(n + 1) for i in range(d + 1)]
+    coeffs = dict(zip(exps, values))
+    coeffs[k, n - k] = top
+    target = BiPoly(coeffs)
+    assert target.total_degree == n
     assert interpolate_poly(target.evaluate, n, mode) == target
 
 
@@ -771,13 +802,15 @@ def test_interpolate_brute_enumerates_once(mode):
 
 
 def test_interpolate_budget_error():
-    # the grid's largest x is 2n, so n elements walk (2n)^n maps
+    # the simplex's largest x is n, so n elements walk n^n maps
+    P = antichain_poset(7, (0,))
+    assert interpolate_brute(P, "weak") == order_poly_weak(P)  # 7^7 = 823 543 maps
     with pytest.raises(BudgetExceededError):
-        interpolate_brute(antichain_poset(7, (0,)), "weak")
+        interpolate_brute(antichain_poset(8, (0,)), "weak")  # 8^8
     P = antichain_poset(5, (0,))
     with pytest.raises(BudgetExceededError):
-        interpolate_brute(P, "weak", budget=10**5 - 1)
-    assert interpolate_brute(P, "weak", budget=10**5) == order_poly_weak(P)
+        interpolate_brute(P, "weak", budget=5**5 - 1)
+    assert interpolate_brute(P, "weak", budget=5**5) == order_poly_weak(P)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -791,9 +824,51 @@ def test_interpolate_brute_six_elements_under_default_budget(mode):
 @pytest.mark.parametrize("n", range(8))
 def test_interpolate_poly_asks_only_for_valid_points(mode, n):
     asked = []
-    interpolate_poly(lambda a, b: asked.append((a, b)) or 0, n, mode)
+    product_interpolate_poly(lambda a, b: asked.append((a, b)) or 0, n, mode)
     assert len(asked) == (n + 1) ** 2
     assert all(b in _valid_ys(mode, a) for a, b in asked)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", range(8))
+def test_interpolate_poly_asks_only_for_simplex_points(mode, n):
+    asked = []
+    interpolate_poly(lambda a, b: asked.append((a, b)) or 0, n, mode)
+    assert len(asked) == len(set(asked)) == (n + 1) * (n + 2) // 2
+    assert all(b in _valid_ys(mode, a) and a <= n for a, b in asked)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_interpolate_poly_equals_product_grid_on_catalog(mode):
+    for n in range(5):
+        for P in catalog_posets(n):
+            counter = orderpoly._poset_counter(P, mode, 2 * n, None)
+            assert interpolate_poly(counter, n, mode) == product_interpolate_poly(counter, n, mode)
+
+
+def test_interpolate_poly_equals_product_grid_on_graphs():
+    for n in range(5):
+        for G in all_graphs(n):
+            counter = chrompoly._coloring_counter(G, 2 * n, None)
+            simplex = interpolate_poly(counter, n, "strict")
+            assert simplex == product_interpolate_poly(counter, n, "strict")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_interpolate_brute_reads_one_table_at_x_n(mode, monkeypatch):
+    P = fence_poset(5, (1,))
+    cached = orderpoly._cum_table
+    cached.cache_clear()
+    keys = set()
+
+    def recording(*key):
+        keys.add(key)
+        return cached(*key)
+
+    monkeypatch.setattr(orderpoly, "_cum_table", recording)
+    interpolate_brute(P, mode)
+    assert cached.cache_info().currsize == 1
+    assert [key[:2] for key in keys] == [(P.n, P.n)]
 
 
 def test_interpolate_validates_arguments():
