@@ -247,11 +247,11 @@ def check_reciprocity_graph(
     """Verify chrom_poly(G)(-x0, -y0) against the signed count of
     compatible colorings over all flats and orientations, read in ints
     from one cached computation per graph (see _reciprocity_count); no
-    flat, orientation or poset is enumerated.  The budget still bounds
-    x0^n, the colorings of the largest quotient, G itself, and is
-    checked before any work, so budget messages are route-independent."""
+    flat, orientation or poset is enumerated.  The budget bounds that
+    computation's 3^n subset pairs, whatever x0, and is checked before
+    any work."""
     _counts_ok(x0, y0 + 1)
-    _check_budget(G.n, x0, budget)
+    _check_budget(G.n, 3, budget)
     lhs = chrom_poly(G).evaluate(-x0, -y0)
     rhs = _reciprocity_count(G, x0, y0)
     if lhs == rhs:

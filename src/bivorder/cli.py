@@ -9,7 +9,8 @@ The argument parser is built once per process.  A verb returns its exit
 code and functions for its JSON payload and text lines; stdout is written
 once, after all of the verb's work, so an error leaves it empty.  Brute
 counts come from the library's budgeted counters, which refuse before
-any table is built; both oracle checks sweep them in one loop.
+any table is built; both oracle checks sweep them in one loop over every
+valid point with x0 <= n, the simplex that fixes an n-element polynomial.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ from .orderpoly import (
 from .poset import BicoloredPoset, linear_extensions, poset_from_json
 from .ratpoly import X
 
-POSET_ORACLE_X = 6
-GRAPH_ORACLE_X = 5
 GRAPH_RECIPROCITY_X = 5
 
 
@@ -152,23 +151,24 @@ def _oracle_sweep(name: str, x_max: int, cases: list[tuple]) -> CheckReport:
 
 def _poset_oracle_check(P: BicoloredPoset, budget: int | None) -> CheckReport:
     """Brute counts against both polynomials at every valid point with
-    x0 <= POSET_ORACLE_X, strict before weak at each x0, all read from
-    one brute table per mode."""
-    counters = [_poset_counter(P, mode, POSET_ORACLE_X, budget) for mode in ("strict", "weak")]
+    x0 <= P.n, strict before weak at each x0, all read from one brute
+    table per mode.  These are the points _simplex_coords reads, which fix
+    a polynomial of total degree <= n, so a wrong coordinate cannot pass."""
+    counters = [_poset_counter(P, mode, P.n, budget) for mode in ("strict", "weak")]
     cases = [
         ({"mode": "strict"}, order_poly_strict(P), counters[0], "strict"),
         ({"mode": "weak"}, order_poly_weak(P), counters[1], "weak"),
     ]
-    return _oracle_sweep("poset-oracle", POSET_ORACLE_X, cases)
+    return _oracle_sweep("poset-oracle", P.n, cases)
 
 
 def _graph_oracle_check(G: Graph, budget: int | None) -> CheckReport:
-    """Coloring counts against chrom_poly at every 0 <= y0 <= x0 <=
-    GRAPH_ORACLE_X, all read from one brute table, then the y = x and
-    y = 0 specializations."""
-    counter = _coloring_counter(G, GRAPH_ORACLE_X, budget)
+    """Coloring counts against chrom_poly at every 0 <= y0 <= x0 <= G.n,
+    the strict simplex that fixes it (see _poset_oracle_check), all read
+    from one brute table, then the y = x and y = 0 specializations."""
+    counter = _coloring_counter(G, G.n, budget)
     poly = chrom_poly(G)
-    report = _oracle_sweep("graph-oracle", GRAPH_ORACLE_X, [({}, poly, counter, "strict")])
+    report = _oracle_sweep("graph-oracle", G.n, [({}, poly, counter, "strict")])
     if not report.passed:
         return report
     for identity, got, want in (

@@ -102,9 +102,6 @@ class BiPoly:
         """The term map of Fraction coefficients, a new dict on each call."""
         return {e: Fraction(a, self._den) for e, a in self._num.items()}
 
-    def sorted_terms(self) -> list[tuple[tuple[int, int], Fraction]]:
-        return [(e, Fraction(self._num[e], self._den)) for e in sorted(self._num, key=_sort_key)]
-
     @property
     def is_zero(self) -> bool:
         return not self._num

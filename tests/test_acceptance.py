@@ -26,13 +26,12 @@ from bivorder.fixtures import complete_graph, skew_diamond_poset
 from bivorder.graph import acyclic_orientations, flats
 from bivorder.orderpoly import (
     _order_coords,
+    _poset_counter,
+    _simplex_coords,
     chain_strict,
     chain_weak,
     check_reciprocity_poset,
-    interpolate_brute,
-    interpolate_poly,
     order_poly_strict,
-    order_poly_weak,
 )
 from bivorder.poset import (
     Word,
@@ -126,20 +125,23 @@ def test_criterion_3_word_polynomials():
     assert time.perf_counter() - start < 60.0
 
 
+def _nonzero_simplex_coords(counter, n: int, mode: str) -> dict:
+    """The nonzero coordinates interpolated from one brute table at x = n."""
+    return {ts: c for ts, c in _simplex_coords(counter, n, mode).items() if c}
+
+
 @criterion(4, "decomposition equals interpolated brute force, n <= 4 catalog")
 def test_criterion_4_decomposition_vs_interpolation():
     for n in range(5):
         for P in catalog_posets(n):
-            strict = order_poly_strict(P)
-            weak = order_poly_weak(P)
-            assert strict == interpolate_brute(P, "strict")
-            assert weak == interpolate_brute(P, "weak")
             # every labeling's sum, compared as integer coordinates
             for mode, labelings in (
                 ("strict", all_reverse_natural_labelings(P)),
                 ("weak", all_natural_labelings(P)),
             ):
                 coords = _order_coords(P, mode)
+                counter = _poset_counter(P, mode, n, None)
+                assert _nonzero_simplex_coords(counter, n, mode) == coords
                 assert all(_order_coords(P, mode, lab) == coords for lab in labelings)
 
 
@@ -182,10 +184,10 @@ def test_criterion_7_triangle():
 def test_criterion_8_chromatic_interpolation():
     for n in range(5):
         for G in all_graphs(n):
-            poly = chrom_poly(G)
             # one coloring table up to the simplex's largest x = n serves it
             counter = chrompoly._coloring_counter(G, G.n, None)
-            assert poly == interpolate_poly(counter, G.n, "strict")
+            assert _nonzero_simplex_coords(counter, G.n, "strict") == chrompoly._chrom_coords(G)
+            poly = chrom_poly(G)
             assert poly.subs_y_for_x() == classical_chrom_poly(G)
             assert poly.subs_y(0) == X**G.n
 

@@ -475,28 +475,30 @@ def test_reciprocity_witness_is_per_pair_sum(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_reciprocity_budget_matches_per_pair_route(n):
-    # the per-pair route checks each quotient; the trivial flat's, G itself, is the largest
+    # the gate counts the 3^n subset pairs of the one computation, checked
+    # like chrom_poly's (at least a table's 20 cells), not the x0^n colorings
+    # the per-pair route enumerates; whatever x0, at the gate the check
+    # passes with the per-pair value and one below it refuses
+    gate = max(3**n, 20)
     for G in all_graphs(n):
         for x0 in range(1, 5):
-            for budget in (x0**n - 1, x0**n, (x0 + 1) * (x0 + 2) - 1):
-                try:
-                    want = _per_pair_rhs(G, x0, 1, budget)
-                except BudgetExceededError:
-                    with pytest.raises(BudgetExceededError, match="budget"):
-                        check_reciprocity_graph(G, x0, 1, budget)
-                else:
-                    report = check_reciprocity_graph(G, x0, 1, budget)
-                    assert report.passed and want == chrom_poly(G).evaluate(-x0, -1)
+            message = f"enumeration of {gate} objects exceeds budget {gate - 1}"
+            with pytest.raises(BudgetExceededError, match=message):
+                check_reciprocity_graph(G, x0, 1, gate - 1)
+            report = check_reciprocity_graph(G, x0, 1, gate)
+            assert report.passed and _per_pair_rhs(G, x0, 1) == chrom_poly(G).evaluate(-x0, -1)
 
 
 def test_reciprocity_budget_boundary_names_largest_quotient(monkeypatch):
+    # the largest quotient, K4 itself, is gated by its 3^4 subset pairs:
+    # at x0 = 4 they fit budget 81, where its 4^4 colorings would not
     K4 = complete_graph(4)
-    assert check_reciprocity_graph(K4, 3, 1, budget=81).passed
+    assert check_reciprocity_graph(K4, 4, 1, budget=81).passed
     # nothing is computed before the check
     monkeypatch.setattr(chrompoly, "chrom_poly", None)
     monkeypatch.setattr(chrompoly, "_reciprocity_coords", None)
     with pytest.raises(BudgetExceededError, match="enumeration of 81 objects exceeds budget 80"):
-        check_reciprocity_graph(K4, 3, 1, budget=80)
+        check_reciprocity_graph(K4, 4, 1, budget=80)
 
 
 @pytest.mark.parametrize("n", range(4))

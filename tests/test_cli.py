@@ -7,15 +7,24 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bivorder.cli as cli
 from bivorder import orderpoly
-from bivorder.chrompoly import chrom_poly
-from bivorder.fixtures import complete_graph, fixture_graphs, fixture_posets
-from bivorder.graph import graph_from_json
-from bivorder.orderpoly import BudgetExceededError, CheckReport
-from bivorder.poset import poset_from_json
-from bivorder.ratpoly import BiPoly, X
+from bivorder.chrompoly import chrom_count, chrom_poly
+from bivorder.fixtures import (
+    complete_graph,
+    cycle_graph,
+    fence_poset,
+    fixture_graphs,
+    fixture_posets,
+    path_graph,
+)
+from bivorder.graph import Graph, graph_from_json, graph_to_json
+from bivorder.orderpoly import MODES, BudgetExceededError, CheckReport, brute_count
+from bivorder.poset import build_poset, poset_from_json, poset_to_json
+from bivorder.ratpoly import BiPoly, X, _binomial_poly
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -227,12 +236,12 @@ def test_budget_error_exits_two(tmp_path):
 
 
 def test_graph_reciprocity_budget_exits_two():
-    # at x0 = 2 the largest quotient, K4 itself, has 2^4 colorings
+    # the check's one subset computation on K4 visits fewer than 3^4 pairs, whatever x0
     code, out, err = run_cli(
         "check", "--input", fixture("k4.json"), "--kind", "graph-reciprocity", "--budget", "10"
     )
     assert (code, out) == (2, "")
-    assert err == "error: enumeration of 16 objects exceeds budget 10\n"
+    assert err == "error: enumeration of 81 objects exceeds budget 10\n"
 
 
 def test_large_antichain_is_rejected_by_budget_not_closure(tmp_path):
@@ -310,16 +319,108 @@ def test_oracle_checks_build_one_brute_table_per_mode():
 
 @pytest.mark.parametrize(
     "name, budget, maps",
-    [("skewdiamond.json", "1000", 6**5), ("k4.json", "100", 5**4)],
+    [("skewdiamond.json", "1000", 5**5), ("k4.json", "100", 4**4)],
 )
 def test_oracle_check_budget_names_the_largest_x(name, budget, maps):
-    # one table at the sweep's largest x serves every point, so that x is
-    # the one checked, before any polynomial or table is built
+    # one table at the sweep's largest x = n serves every point, so that x
+    # is the one checked, before any polynomial or table is built
     code, out, err = run_cli(
         "check", "--input", fixture(name), "--kind", "oracle", "--budget", budget
     )
     assert (code, out) == (2, "")
     assert err == f"error: enumeration of {maps} objects exceeds budget {budget}\n"
+
+
+def _basis_bump(t, s, mode):
+    """binom(y - w, t) * binom(x - y + w, s): zero at every valid point with
+    x0 < t + s, so only a sweep that reaches x0 = t + s sees it."""
+    return _binomial_poly({(t, s): 1}, *orderpoly._MODE_BASIS[mode])
+
+
+@pytest.mark.parametrize("kind", ["graph", "poset"])
+def test_oracle_fails_on_a_planted_top_coordinate(monkeypatch, tmp_path, kind):
+    # a sweep that stops below x0 = n passes both of these
+    if kind == "graph":
+        obj, name, bump = cycle_graph(6), "chrom_poly", _basis_bump(3, 3, "strict")
+        brute, extras = chrom_count(obj, 6, 3), {}
+        data = graph_to_json(obj)
+    else:
+        obj, name, bump = fence_poset(7), "order_poly_strict", _basis_bump(3, 4, "strict")
+        brute, extras = brute_count(obj, "strict", 7, 3), {"mode": "strict"}
+        data = poset_to_json(obj)
+    exact = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda P: exact(P) + bump)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli("check", "--input", str(path), "--kind", "oracle", "--format", "json")
+    assert (code, err) == (1, "")
+    witness = {**extras, "x": obj.n, "y": 3, "poly": str(brute + 1), "brute": brute}
+    assert json.loads(out) == [{"name": f"{kind}-oracle", "passed": False, "witness": witness}]
+
+
+@st.composite
+def planted_bumps(draw):
+    """A poset or graph of up to 7 elements, a mode, and a nonzero multiple
+    of one of its mode's top-degree basis elements."""
+    n = draw(st.integers(0, 7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    chosen = [p for p, k in zip(pairs, keep) if k]
+    if draw(st.booleans()):
+        obj, mode = Graph(n, frozenset(chosen)), "strict"
+    else:
+        marks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        obj = build_poset(n, chosen, [v for v, m in enumerate(marks) if m])
+        mode = draw(st.sampled_from(MODES))
+    t = draw(st.integers(0, n))
+    c = draw(st.integers(-3, 3).filter(bool))
+    return obj, mode, t, c
+
+
+@given(planted_bumps())
+@settings(max_examples=40, deadline=None)
+def test_oracle_finds_any_planted_top_coordinate(planted):
+    obj, mode, t, c = planted
+    n = obj.n
+    name = "chrom_poly" if isinstance(obj, Graph) else f"order_poly_{mode}"
+    exact = getattr(cli, name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, name, lambda P: exact(P) + c * _basis_bump(t, n - t, mode))
+        [report] = cli._run_checks(obj, "oracle", None)
+    assert not report.passed
+    # the bump is zero below x0 = n and c at the one point with y0 - w = t there
+    witness = report.witness
+    assert (witness["x"], witness["y"]) == (n, t + (mode == "weak"))
+    assert witness.get("mode", "strict") == mode
+    assert int(witness["poly"]) - witness["brute"] == c
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_oracle_reads_exactly_the_simplex(monkeypatch, n):
+    # every point interpolate_poly reads, and no other, from one table at x = n
+    tables, read = [], {}
+
+    def recorded(key, x_max, counter):
+        tables.append(x_max)
+        read[key] = set()
+        return lambda x0, y0: read[key].add((x0, y0)) or counter(x0, y0)
+
+    poset_counter, coloring_counter = cli._poset_counter, cli._coloring_counter
+    monkeypatch.setattr(
+        cli, "_poset_counter",
+        lambda P, mode, x_max, budget: recorded(mode, x_max, poset_counter(P, mode, x_max, budget)),
+    )
+    monkeypatch.setattr(
+        cli, "_coloring_counter",
+        lambda G, x_max, budget: recorded("graph", x_max, coloring_counter(G, x_max, budget)),
+    )
+    for obj in (fence_poset(n), path_graph(n)):
+        assert all(r.passed for r in cli._run_checks(obj, "oracle", None))
+    assert tables == [n, n, n]
+    for key, mode in (("strict", "strict"), ("weak", "weak"), ("graph", "strict")):
+        simplex = set()
+        orderpoly._simplex_coords(lambda x0, y0: simplex.add((x0, y0)) or 0, n, mode)
+        assert read[key] == simplex
 
 
 def test_negative_budget_is_usage_error():
@@ -426,9 +527,13 @@ def test_graph_poly_past_orientation_limit(tmp_path):
 
 
 def test_check_all_past_orientation_limit(tmp_path):
-    # neither reciprocity check enumerates K8's orientations
+    # neither reciprocity check enumerates K8's orientations; the oracle
+    # reads one table of 8^8 colorings, past the default budget
     k8 = _graph_file(tmp_path, 8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
     code, out, err = run_cli("check", "--input", k8, "--kind", "all")
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration of 16777216 objects exceeds budget 10000000\n"
+    code, out, err = run_cli("check", "--input", k8, "--kind", "all", "--budget", "16777216")
     assert (code, err) == (0, "")
     assert out == "PASS graph-reciprocity\nPASS graph-reciprocity-poly\nPASS graph-oracle\n"
 
@@ -441,7 +546,7 @@ def _prism_file(tmp_path):
 
 
 def test_graph_reciprocity_on_twelve_vertices(tmp_path):
-    # 5^12 colorings fit this budget; no flat is enumerated, so it takes seconds
+    # no flat is enumerated, so it takes seconds
     start = time.perf_counter()
     code, out, err = run_cli(
         "check", "--input", _prism_file(tmp_path), "--kind", "graph-reciprocity",
@@ -453,12 +558,17 @@ def test_graph_reciprocity_on_twelve_vertices(tmp_path):
 
 
 def test_graph_reciprocity_on_twelve_vertices_over_default_budget(tmp_path):
-    # at x0 = 4 the 4^12 colorings exceed the default budget
+    # the gate counts the 3^12 subset pairs, not the x0^12 colorings, so the
+    # prism is no longer over the default budget; one less than 3^12 refuses
+    prism = _prism_file(tmp_path)
+    code, out, err = run_cli("check", "--input", prism, "--kind", "graph-reciprocity")
+    assert (code, err) == (0, "")
+    assert out == "PASS graph-reciprocity\nPASS graph-reciprocity-poly\n"
     code, out, err = run_cli(
-        "check", "--input", _prism_file(tmp_path), "--kind", "graph-reciprocity"
+        "check", "--input", prism, "--kind", "graph-reciprocity", "--budget", "531440"
     )
     assert (code, out) == (2, "")
-    assert err == "error: enumeration of 16777216 objects exceeds budget 10000000\n"
+    assert err == "error: enumeration of 531441 objects exceeds budget 531440\n"
 
 
 def test_budget_refuses_a_huge_graph_without_computing_the_power(tmp_path):
@@ -485,8 +595,8 @@ def test_list_flats_refuses_its_subsets_past_the_budget(tmp_path):
         (("poset-count", "--input", fixture("skewdiamond.json"), "--mode", "strict",
           "--x", "3", "--y", "1"), 3**5),
         (("graph-count", "--input", fixture("k4.json"), "--x", "3", "--y", "1"), 3**4),
-        (("check", "--input", fixture("skewdiamond.json"), "--kind", "oracle"), 6**5),
-        (("check", "--input", fixture("k4.json"), "--kind", "oracle"), 5**4),
+        (("check", "--input", fixture("skewdiamond.json"), "--kind", "oracle"), 5**5),
+        (("check", "--input", fixture("k4.json"), "--kind", "oracle"), 4**4),
         (None, 5**5),  # interpolate_brute, at the simplex's largest x = n = 5
     ],
     ids=["brute_count", "chrom_count", "poset-oracle", "graph-oracle", "interpolate_brute"],
