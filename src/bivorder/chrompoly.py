@@ -246,11 +246,12 @@ def check_reciprocity_graph(
 ) -> CheckReport:
     """Verify chrom_poly(G)(-x0, -y0) against the signed count of
     compatible colorings over all flats and orientations, read in ints
-    from one cached computation per graph (see _reciprocity_count); no
-    flat, orientation or poset is enumerated.  The budget bounds that
-    computation's 3^n subset pairs, whatever x0, and is checked before
-    any work."""
-    _counts_ok(x0, y0 + 1)
+    from one cached computation per graph (see _reciprocity_count), on the
+    domain 0 <= y0 <= x0 (ValueError outside it); no flat, orientation or
+    poset is enumerated.  The budget bounds that computation's 3^n subset
+    pairs, whatever x0, and is checked before any work."""
+    if not 0 <= y0 <= x0:
+        raise ValueError("graph reciprocity is checked on 0 <= y0 <= x0")
     _check_budget(G.n, 3, budget)
     lhs = chrom_poly(G).evaluate(-x0, -y0)
     rhs = _reciprocity_count(G, x0, y0)

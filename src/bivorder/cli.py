@@ -9,17 +9,18 @@ The argument parser is built once per process.  A verb returns its exit
 code and functions for its JSON payload and text lines; stdout is written
 once, after all of the verb's work, so an error leaves it empty.  Brute
 counts come from the library's budgeted counters, which refuse before
-any table is built; both oracle checks sweep them in one loop over every
-valid point with x0 <= n, the simplex that fixes an n-element polynomial.
+any table is built.  One walker, _sweep, serves every check sweep, both
+oracles and graph reciprocity: every valid point with x0 <= n, the
+simplex that fixes a polynomial of total degree <= n.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import sys
+from functools import cache, partial
 from typing import IO, Callable
 
 from .chrompoly import (
@@ -32,8 +33,10 @@ from .chrompoly import (
 )
 from .graph import Graph, acyclic_orientations, flats, graph_from_json, graph_to_json
 from .orderpoly import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     CheckReport,
+    _order_coords,
     _poset_counter,
     _valid_ys,
     brute_count,
@@ -42,9 +45,7 @@ from .orderpoly import (
     order_poly_weak,
 )
 from .poset import BicoloredPoset, linear_extensions, poset_from_json
-from .ratpoly import X
-
-GRAPH_RECIPROCITY_X = 5
+from .ratpoly import BiPoly, X
 
 
 def _budget(text: str) -> int:
@@ -58,10 +59,10 @@ def _budget(text: str) -> int:
     return value
 
 
-@functools.cache
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     # argparse's width on a pipe, pinned so that help does not follow COLUMNS
-    formatter = functools.partial(argparse.HelpFormatter, width=78)
+    formatter = partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
         prog="bivorder",
         description="Bivariate order and chromatic counting polynomials.",
@@ -135,18 +136,23 @@ def _need_graph(obj: BicoloredPoset | Graph) -> Graph:
     return obj
 
 
-def _oracle_sweep(name: str, x_max: int, cases: list[tuple]) -> CheckReport:
-    """Brute counts against polynomials at every x0 <= x_max, x-major: at
-    each x0 every case (witness extras, poly, counter, mode) in order, over
-    the mode's valid thresholds.  The first mismatch is the witness."""
-    for x0 in range(x_max + 1):
-        for extras, poly, counter, mode in cases:
+def _sweep(name: str, n: int, cases: list[tuple[str, Callable]]) -> CheckReport:
+    """The one loop of every check sweep, over the simplex that fixes a
+    polynomial of total degree <= n: at each x0 <= n, every case (mode,
+    point check) in order over the mode's valid thresholds.  A point check
+    returns a witness or None; the first witness fails the report."""
+    for x0 in range(n + 1):
+        for mode, check in cases:
             for y0 in _valid_ys(mode, x0):
-                got, want = counter(x0, y0), poly.evaluate(x0, y0)
-                if got != want:
-                    witness = {**extras, "x": x0, "y": y0, "poly": str(want), "brute": got}
+                if (witness := check(x0, y0)) is not None:
                     return CheckReport(name, False, witness)
     return CheckReport(name, True)
+
+
+def _oracle_point(extras: dict, poly: BiPoly, counter: Callable, x0: int, y0: int) -> dict | None:
+    """The oracle's point check: the brute count against the polynomial."""
+    got, want = counter(x0, y0), poly.evaluate(x0, y0)
+    return None if got == want else {**extras, "x": x0, "y": y0, "poly": str(want), "brute": got}
 
 
 def _poset_oracle_check(P: BicoloredPoset, budget: int | None) -> CheckReport:
@@ -154,12 +160,12 @@ def _poset_oracle_check(P: BicoloredPoset, budget: int | None) -> CheckReport:
     x0 <= P.n, strict before weak at each x0, all read from one brute
     table per mode.  These are the points _simplex_coords reads, which fix
     a polynomial of total degree <= n, so a wrong coordinate cannot pass."""
-    counters = [_poset_counter(P, mode, P.n, budget) for mode in ("strict", "weak")]
+    strict, weak = (_poset_counter(P, mode, P.n, budget) for mode in ("strict", "weak"))
     cases = [
-        ({"mode": "strict"}, order_poly_strict(P), counters[0], "strict"),
-        ({"mode": "weak"}, order_poly_weak(P), counters[1], "weak"),
+        ("strict", partial(_oracle_point, {"mode": "strict"}, order_poly_strict(P), strict)),
+        ("weak", partial(_oracle_point, {"mode": "weak"}, order_poly_weak(P), weak)),
     ]
-    return _oracle_sweep("poset-oracle", P.n, cases)
+    return _sweep("poset-oracle", P.n, cases)
 
 
 def _graph_oracle_check(G: Graph, budget: int | None) -> CheckReport:
@@ -168,7 +174,7 @@ def _graph_oracle_check(G: Graph, budget: int | None) -> CheckReport:
     from one brute table, then the y = x and y = 0 specializations."""
     counter = _coloring_counter(G, G.n, budget)
     poly = chrom_poly(G)
-    report = _oracle_sweep("graph-oracle", G.n, [({}, poly, counter, "strict")])
+    report = _sweep("graph-oracle", G.n, [("strict", partial(_oracle_point, {}, poly, counter))])
     if not report.passed:
         return report
     for identity, got, want in (
@@ -179,15 +185,6 @@ def _graph_oracle_check(G: Graph, budget: int | None) -> CheckReport:
             witness = {"identity": identity, "got": got.text(), "want": want.text()}
             return CheckReport("graph-oracle", False, witness)
     return CheckReport("graph-oracle", True)
-
-
-def _graph_reciprocity_sweep(G: Graph, budget: int | None) -> CheckReport:
-    for x0 in range(1, GRAPH_RECIPROCITY_X + 1):
-        for y0 in range(1, x0 + 1):
-            report = check_reciprocity_graph(G, x0, y0, budget)
-            if not report.passed:
-                return report
-    return CheckReport("graph-reciprocity", True)
 
 
 def _run_checks(obj: BicoloredPoset | Graph, kind: str, budget: int | None) -> list[CheckReport]:
@@ -204,7 +201,8 @@ def _run_checks(obj: BicoloredPoset | Graph, kind: str, budget: int | None) -> l
             reports.append(_poset_oracle_check(obj, budget))
     else:
         if kind in ("graph-reciprocity", "all"):
-            reports.append(_graph_reciprocity_sweep(obj, budget))
+            point = lambda x0, y0: check_reciprocity_graph(obj, x0, y0, budget).witness
+            reports.append(_sweep("graph-reciprocity", obj.n, [("strict", point)]))
             reports.append(check_reciprocity_graph_poly(obj))
         if kind in ("oracle", "all"):
             reports.append(_graph_oracle_check(obj, budget))
@@ -230,7 +228,12 @@ def _dispatch(args: argparse.Namespace) -> tuple[Callable, Callable, int]:
             count = chrom_count(_need_graph(obj), args.x, args.y, args.budget)
         return lambda: {"count": count}, lambda: [str(count)], 0
     if verb == "list-extensions":
-        exts = linear_extensions(_need_poset(obj))
+        P = _need_poset(obj)
+        # c[0, n] counts the chains of n one-element steps: the extensions
+        if (count := _order_coords(P, "strict").get((0, P.n), 0)) > DEFAULT_BUDGET:
+            message = f"enumeration of {count} objects exceeds budget {DEFAULT_BUDGET}"
+            raise BudgetExceededError(message)
+        exts = linear_extensions(P)
         return (
             lambda: {"extensions": [list(e) for e in exts]},
             lambda: (" ".join(map(str, e)) for e in exts),

@@ -73,19 +73,18 @@ class BudgetExceededError(RuntimeError):
     """Raised when an enumeration would visit more objects than allowed."""
 
 
-def _check_budget(n: int, x_max: int, budget: int | None) -> None:
-    """A brute table walks all x_max^n maps of n positions into
-    (x_max + 1) * (x_max + 2) cells; the larger of the two must fit the
-    budget.  A map count of 20 digits or more is written x_max^n, so the
-    message prints however large n is.  x_max^n is not computed once its
-    lower bound 2^bits exceeds 10^19 < 2^64, the limit and the cells."""
-    cells = (x_max + 1) * (x_max + 2)
+def _check_budget(n: int, base: int, budget: int | None, cells: int = 0) -> None:
+    """base^n objects, and the cells of the table they fill if any (only
+    _counter builds one), must fit the budget.  A count of 20 digits or
+    more is written base^n, so the message prints however large n is.
+    base^n is not computed once its lower bound 2^bits exceeds
+    10^19 < 2^64, the limit and the cells."""
     limit = DEFAULT_BUDGET if budget is None else budget
-    bits = n * (x_max.bit_length() - 1)
+    bits = n * (base.bit_length() - 1)
     if bits >= 64 and bits >= limit.bit_length() and bits >= cells.bit_length():
-        shown = f"{x_max}^{n}"
-    elif max(maps := x_max**n, cells) > limit:
-        shown = f"{x_max}^{n}" if maps >= max(cells, 10**19) else max(maps, cells)
+        shown = f"{base}^{n}"
+    elif max(objects := base**n, cells) > limit:
+        shown = f"{base}^{n}" if objects >= max(cells, 10**19) else max(objects, cells)
     else:
         return
     raise BudgetExceededError(f"enumeration of {shown} objects exceeds budget {limit}")
@@ -497,7 +496,7 @@ def _counter(
     (x0, y0) -> the maps into 1..x0 <= x_max with low value >= y0 + shift.
     Each read fetches the cached table (see _cum_table), so it is built at
     the first read: a caller that takes its counters first refuses first."""
-    _check_budget(n, x_max, budget)
+    _check_budget(n, x_max, budget, (x_max + 1) * (x_max + 2))
     key = n, x_max, relations, below, lows
     return lambda x0, y0: int(_cum_table(*key)[x0, min(y0 + shift, x0 + 1)])
 

@@ -476,10 +476,10 @@ def test_reciprocity_witness_is_per_pair_sum(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_reciprocity_budget_matches_per_pair_route(n):
     # the gate counts the 3^n subset pairs of the one computation, checked
-    # like chrom_poly's (at least a table's 20 cells), not the x0^n colorings
-    # the per-pair route enumerates; whatever x0, at the gate the check
-    # passes with the per-pair value and one below it refuses
-    gate = max(3**n, 20)
+    # like chrom_poly's (no table, so no cells), not the x0^n colorings the
+    # per-pair route enumerates; whatever x0, at the gate the check passes
+    # with the per-pair value and one below it refuses
+    gate = 3**n
     for G in all_graphs(n):
         for x0 in range(1, 5):
             message = f"enumeration of {gate} objects exceeds budget {gate - 1}"
@@ -487,6 +487,14 @@ def test_reciprocity_budget_matches_per_pair_route(n):
                 check_reciprocity_graph(G, x0, 1, gate - 1)
             report = check_reciprocity_graph(G, x0, 1, gate)
             assert report.passed and _per_pair_rhs(G, x0, 1) == chrom_poly(G).evaluate(-x0, -1)
+
+
+@pytest.mark.parametrize("x0", range(4))
+def test_reciprocity_check_refuses_thresholds_off_its_domain(x0):
+    # off 0 <= y0 <= x0 the sides no longer count colorings into 1..x0
+    for y0 in (x0 + 1, -1):
+        with pytest.raises(ValueError, match="0 <= y0 <= x0"):
+            check_reciprocity_graph(complete_graph(2), x0, y0)
 
 
 def test_reciprocity_budget_boundary_names_largest_quotient(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bivorder.cli as cli
-from bivorder import orderpoly
+from bivorder import chrompoly, orderpoly
 from bivorder.chrompoly import chrom_count, chrom_poly
 from bivorder.fixtures import (
     complete_graph,
@@ -107,6 +107,32 @@ def test_list_extensions():
     assert json.loads(out_json)["extensions"] == [
         [0, 1, 2, 3, 4], [0, 1, 3, 2, 4], [0, 3, 1, 2, 4],
     ]
+
+
+
+def _antichain_file(tmp_path, n):
+    path = tmp_path / f"antichain{n}.json"
+    path.write_text(json.dumps({"n": n, "covers": [], "celeste": []}))
+    return str(path)
+
+
+def test_list_extensions_refuses_past_the_default_budget(tmp_path, monkeypatch):
+    # the 12-antichain's 12! extensions are counted, not listed
+    def never(P):
+        raise AssertionError("linear_extensions called past the budget")
+
+    monkeypatch.setattr(cli, "linear_extensions", never)
+    code, out, err = run_cli("list-extensions", "--input", _antichain_file(tmp_path, 12))
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration of 479001600 objects exceeds budget 10000000\n"
+
+
+def test_list_extensions_lists_below_the_default_budget(tmp_path):
+    code, out, err = run_cli("list-extensions", "--input", _antichain_file(tmp_path, 8))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == len(set(lines)) == 40320
+    assert lines[0] == "0 1 2 3 4 5 6 7"
 
 
 def test_list_flats():
@@ -423,6 +449,68 @@ def test_oracle_reads_exactly_the_simplex(monkeypatch, n):
         assert read[key] == simplex
 
 
+
+def _planted_reciprocity(t, s, c):
+    """_reciprocity_coords with c added to d[t, s]."""
+    exact = chrompoly._reciprocity_coords
+    return lambda G: {**exact(G), (t, s): exact(G).get((t, s), 0) + c}
+
+
+def test_graph_reciprocity_fails_on_a_planted_top_coordinate(monkeypatch, tmp_path):
+    # binom(y, 3) * binom(x - y, 3) is zero at every point with x0 < 6, so a
+    # sweep that stops below x0 = n passes it
+    monkeypatch.setattr(chrompoly, "_reciprocity_coords", _planted_reciprocity(3, 3, 1))
+    C6 = cycle_graph(6)
+    path = tmp_path / "c6.json"
+    path.write_text(json.dumps(graph_to_json(C6)))
+    code, out, err = run_cli("check", "--input", str(path), "--kind", "graph-reciprocity")
+    assert (code, err) == (1, "")
+    witness = {"graph": graph_to_json(C6), "lhs": "78342", "rhs": "78343", "x": 6, "y": 3}
+    first, second = out.splitlines()
+    assert first == "FAIL graph-reciprocity witness=" + json.dumps(witness, sort_keys=True)
+    assert second.startswith("FAIL graph-reciprocity-poly ")
+
+
+@st.composite
+def planted_reciprocity(draw):
+    """A graph of up to 7 vertices and a nonzero multiple of one of its
+    top-degree coordinates."""
+    n = draw(st.integers(0, 7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    G = Graph(n, frozenset(p for p, k in zip(pairs, keep) if k))
+    return G, draw(st.integers(0, n)), draw(st.integers(-3, 3).filter(bool))
+
+
+@given(planted_reciprocity())
+@settings(max_examples=40, deadline=None)
+def test_graph_reciprocity_finds_any_planted_top_coordinate(planted):
+    G, t, c = planted
+    n = G.n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chrompoly, "_reciprocity_coords", _planted_reciprocity(t, n - t, c))
+        report = cli._run_checks(G, "graph-reciprocity", None)[0]
+    assert report.name == "graph-reciprocity" and not report.passed
+    # binom(y, t) * binom(x - y, n - t) is zero below x0 = n and 1 at y0 = t there
+    witness = report.witness
+    assert (witness["x"], witness["y"]) == (n, t)
+    assert int(witness["rhs"]) - int(witness["lhs"]) == (-1) ** n * c
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_graph_reciprocity_reads_the_oracle_simplex(monkeypatch, n):
+    # the points the graph oracle reads, 0 <= y0 <= x0 <= n, x0 by x0
+    read = []
+    exact = cli.check_reciprocity_graph
+
+    def recorded(G, x0, y0, budget):
+        read.append((x0, y0))
+        return exact(G, x0, y0, budget)
+
+    monkeypatch.setattr(cli, "check_reciprocity_graph", recorded)
+    assert all(r.passed for r in cli._run_checks(path_graph(n), "graph-reciprocity", None))
+    assert read == [(x0, y0) for x0 in range(n + 1) for y0 in range(x0 + 1)]
+
 def test_negative_budget_is_usage_error():
     for argv in [
         ("poset-count", "--input", fixture("chain2celestetop.json"), "--mode", "strict",
@@ -570,6 +658,21 @@ def test_graph_reciprocity_on_twelve_vertices_over_default_budget(tmp_path):
     assert (code, out) == (2, "")
     assert err == "error: enumeration of 531441 objects exceeds budget 531440\n"
 
+
+
+def test_graph_reciprocity_budget_counts_no_table_cells():
+    # K2's subset computation visits fewer than 3^2 pairs and builds no
+    # table; the oracle's table at x = 2 has 3 * 4 = 12 cells
+    k2 = fixture("k2.json")
+    code, out, err = run_cli("check", "--input", k2, "--kind", "graph-reciprocity", "--budget", "9")
+    assert (code, err) == (0, "")
+    assert out == "PASS graph-reciprocity\nPASS graph-reciprocity-poly\n"
+    code, out, err = run_cli("check", "--input", k2, "--kind", "graph-reciprocity", "--budget", "8")
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration of 9 objects exceeds budget 8\n"
+    code, out, err = run_cli("check", "--input", k2, "--kind", "all", "--budget", "9")
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration of 12 objects exceeds budget 9\n"
 
 def test_budget_refuses_a_huge_graph_without_computing_the_power(tmp_path):
     # 3^(10^8) has 48 million digits; the bit lengths decide

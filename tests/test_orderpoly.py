@@ -622,9 +622,9 @@ def test_brute_budget_error():
         brute_count_weak(Q, 5, 2, budget=41)
 
 
-def _budget_message(n, x_max, limit):
+def _budget_message(n, x_max, limit, cells):
     """The budget message from the full power x_max**n."""
-    maps, cells = x_max**n, (x_max + 1) * (x_max + 2)
+    maps = x_max**n
     if max(maps, cells) <= limit:
         return None
     shown = f"{x_max}^{n}" if maps >= max(cells, 10**19) else max(maps, cells)
@@ -632,17 +632,21 @@ def _budget_message(n, x_max, limit):
 
 
 def test_budget_check_decides_from_bit_lengths_as_from_the_power():
-    # the bit-length shortcut must give every message of the full power;
-    # at n <= 2 the cells outnumber the maps
+    # the bit-length shortcut must give every message of the full power, in
+    # the brute form with a table's cells (at n <= 2 they outnumber the
+    # maps) and in the cell-free form of the subset gates
     for n in [1, 2, *range(0, 90, 3)]:
         for x_max in (0, 1, 2, 3, 7, 8, 100, 255, 256, 3000, 2**32 + 5, 2**64):
             for limit in (0, 1, 10, 10**7, 2**63, 10**19, 2**64, 10**40):
-                try:
-                    orderpoly._check_budget(n, x_max, limit)
-                    got = None
-                except BudgetExceededError as exc:
-                    got = str(exc)
-                assert got == _budget_message(n, x_max, limit), (n, x_max, limit)
+                cells = (x_max + 1) * (x_max + 2)
+                for extra, counted in [((cells,), cells), ((), 0)]:
+                    try:
+                        orderpoly._check_budget(n, x_max, limit, *extra)
+                        got = None
+                    except BudgetExceededError as exc:
+                        got = str(exc)
+                    want = _budget_message(n, x_max, limit, counted)
+                    assert got == want, (n, x_max, limit, extra)
 
 
 def test_brute_budget_message_prints_past_the_digit_limit(monkeypatch):
