@@ -158,7 +158,7 @@ def chrom_poly(G: Graph) -> BiPoly:
     their quotients of the strict order polynomials of the induced
     bicolored posets, gives the same polynomial and is the tests' oracle.
     """
-    _check_budget(G.n, 3, None)
+    _check_budget(G.n, 3, None, 0)
     return _binomial_poly(_chrom_coords(G), *_MODE_BASIS["strict"])
 
 
@@ -228,7 +228,7 @@ def _reciprocity_coords(G: Graph) -> MappingProxyType[tuple[int, int], int]:
     about 3^n / 2 pairs, gated at 3^n like chrom_poly.  chrom_poly runs the
     same dynamic program with 0/1 weights instead.
     """
-    _check_budget(G.n, 3, None)
+    _check_budget(G.n, 3, None, 0)
     return MappingProxyType(_partition_coords(G.n, _acyclic_counts(G), [-1] * G.n))
 
 
@@ -241,29 +241,20 @@ def _reciprocity_count(G: Graph, x0: int, y0: int) -> int:
     return (-1) ** G.n * sum(d * math.comb(y, t) * math.comb(x0 - y, s) for (t, s), d in coords)
 
 
-def check_reciprocity_graph(
-    G: Graph, x0: int, y0: int, budget: int | None = None
-) -> CheckReport:
-    """Verify chrom_poly(G)(-x0, -y0) against the signed count of
-    compatible colorings over all flats and orientations, read in ints
-    from one cached computation per graph (see _reciprocity_count), on the
-    domain 0 <= y0 <= x0 (ValueError outside it); no flat, orientation or
-    poset is enumerated.  The budget bounds that computation's 3^n subset
-    pairs, whatever x0, and is checked before any work."""
+def check_reciprocity_graph(G: Graph, x0: int, y0: int, budget: int | None = None) -> CheckReport:
+    """Verify chrom_poly(G)(-x0, -y0), on 0 <= y0 <= x0 (ValueError
+    outside), against the signed count of compatible colorings over all
+    flats and orientations, read in ints from one cached computation per
+    graph (see _reciprocity_count); no flat, orientation or poset is
+    enumerated.  The budget bounds its 3^n subset pairs, whatever x0."""
     if not 0 <= y0 <= x0:
         raise ValueError("graph reciprocity is checked on 0 <= y0 <= x0")
-    _check_budget(G.n, 3, budget)
+    _check_budget(G.n, 3, budget, 0)
     lhs = chrom_poly(G).evaluate(-x0, -y0)
     rhs = _reciprocity_count(G, x0, y0)
     if lhs == rhs:
         return CheckReport("graph-reciprocity", True)
-    witness = {
-        "graph": graph_to_json(G),
-        "x": x0,
-        "y": y0,
-        "lhs": str(lhs),
-        "rhs": str(rhs),
-    }
+    witness = {"graph": graph_to_json(G), "x": x0, "y": y0, "lhs": str(lhs), "rhs": str(rhs)}
     return CheckReport("graph-reciprocity", False, witness)
 
 

@@ -9,18 +9,17 @@ The argument parser is built once per process.  A verb returns its exit
 code and functions for its JSON payload and text lines; stdout is written
 once, after all of the verb's work, so an error leaves it empty.  Brute
 counts come from the library's budgeted counters, which refuse before
-any table is built.  One walker, _sweep, serves every check sweep, both
-oracles and graph reciprocity: every valid point with x0 <= n, the
-simplex that fixes a polynomial of total degree <= n.
+any table is built.  One walker, _sweep, runs every check sweep over the
+valid points with x0 <= n, which fix a polynomial of total degree <= n.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
-from functools import cache, partial
 from typing import IO, Callable
 
 from .chrompoly import (
@@ -33,10 +32,9 @@ from .chrompoly import (
 )
 from .graph import Graph, acyclic_orientations, flats, graph_from_json, graph_to_json
 from .orderpoly import (
-    DEFAULT_BUDGET,
     BudgetExceededError,
     CheckReport,
-    _order_coords,
+    _check_extensions,
     _poset_counter,
     _valid_ys,
     brute_count,
@@ -59,10 +57,10 @@ def _budget(text: str) -> int:
     return value
 
 
-@cache
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # argparse's width on a pipe, pinned so that help does not follow COLUMNS
-    formatter = partial(argparse.HelpFormatter, width=78)
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
         prog="bivorder",
         description="Bivariate order and chromatic counting polynomials.",
@@ -137,8 +135,7 @@ def _need_graph(obj: BicoloredPoset | Graph) -> Graph:
 
 
 def _sweep(name: str, n: int, cases: list[tuple[str, Callable]]) -> CheckReport:
-    """The one loop of every check sweep, over the simplex that fixes a
-    polynomial of total degree <= n: at each x0 <= n, every case (mode,
+    """The one loop of every check sweep: at each x0 <= n, every case (mode,
     point check) in order over the mode's valid thresholds.  A point check
     returns a witness or None; the first witness fails the report."""
     for x0 in range(n + 1):
@@ -160,11 +157,10 @@ def _poset_oracle_check(P: BicoloredPoset, budget: int | None) -> CheckReport:
     x0 <= P.n, strict before weak at each x0, all read from one brute
     table per mode.  These are the points _simplex_coords reads, which fix
     a polynomial of total degree <= n, so a wrong coordinate cannot pass."""
-    strict, weak = (_poset_counter(P, mode, P.n, budget) for mode in ("strict", "weak"))
-    cases = [
-        ("strict", partial(_oracle_point, {"mode": "strict"}, order_poly_strict(P), strict)),
-        ("weak", partial(_oracle_point, {"mode": "weak"}, order_poly_weak(P), weak)),
-    ]
+    modes = ("strict", "weak")
+    counters = [_poset_counter(P, mode, P.n, budget) for mode in modes]
+    parts = zip(modes, (order_poly_strict(P), order_poly_weak(P)), counters)
+    cases = [(m, functools.partial(_oracle_point, {"mode": m}, p, c)) for m, p, c in parts]
     return _sweep("poset-oracle", P.n, cases)
 
 
@@ -174,7 +170,8 @@ def _graph_oracle_check(G: Graph, budget: int | None) -> CheckReport:
     from one brute table, then the y = x and y = 0 specializations."""
     counter = _coloring_counter(G, G.n, budget)
     poly = chrom_poly(G)
-    report = _sweep("graph-oracle", G.n, [("strict", partial(_oracle_point, {}, poly, counter))])
+    point = functools.partial(_oracle_point, {}, poly, counter)
+    report = _sweep("graph-oracle", G.n, [("strict", point)])
     if not report.passed:
         return report
     for identity, got, want in (
@@ -229,10 +226,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[Callable, Callable, int]:
         return lambda: {"count": count}, lambda: [str(count)], 0
     if verb == "list-extensions":
         P = _need_poset(obj)
-        # c[0, n] counts the chains of n one-element steps: the extensions
-        if (count := _order_coords(P, "strict").get((0, P.n), 0)) > DEFAULT_BUDGET:
-            message = f"enumeration of {count} objects exceeds budget {DEFAULT_BUDGET}"
-            raise BudgetExceededError(message)
+        _check_extensions(P)
         exts = linear_extensions(P)
         return (
             lambda: {"extensions": [list(e) for e in exts]},

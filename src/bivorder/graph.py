@@ -129,7 +129,7 @@ def flats(G: Graph) -> tuple[Flat, ...]:
     That order is not lexicographic ({0,3|1|2} precedes {0|1,2|3}), so
     the assignments are sorted.  The 2^n subsets of _subset_masks are
     checked against the default budget first."""
-    _check_budget(G.n, 2, None)
+    _check_budget(G.n, 2, None, 0)
     adj, _ = _subset_masks(G)
 
     def connected(block: int) -> bool:

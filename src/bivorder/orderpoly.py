@@ -73,12 +73,11 @@ class BudgetExceededError(RuntimeError):
     """Raised when an enumeration would visit more objects than allowed."""
 
 
-def _check_budget(n: int, base: int, budget: int | None, cells: int = 0) -> None:
-    """base^n objects, and the cells of the table they fill if any (only
-    _counter builds one), must fit the budget.  A count of 20 digits or
-    more is written base^n, so the message prints however large n is.
-    base^n is not computed once its lower bound 2^bits exceeds
-    10^19 < 2^64, the limit and the cells."""
+def _check_budget(n: int, base: int, budget: int | None, cells: int) -> None:
+    """base^n objects and the cells of the table they fill (0 where none is
+    built; only _counter builds one) must fit the budget.  A count of 20+
+    digits is written base^n, not computed once its lower bound 2^bits
+    exceeds 10^19 < 2^64, the limit and the cells, so any n prints."""
     limit = DEFAULT_BUDGET if budget is None else budget
     bits = n * (base.bit_length() - 1)
     if bits >= 64 and bits >= limit.bit_length() and bits >= cells.bit_length():
@@ -88,6 +87,22 @@ def _check_budget(n: int, base: int, budget: int | None, cells: int = 0) -> None
     else:
         return
     raise BudgetExceededError(f"enumeration of {shown} objects exceeds budget {limit}")
+
+
+def _check_extensions(P: BicoloredPoset) -> None:
+    """Refuse past the default budget to list P's linear extensions.  Level
+    k counts by ideal the k-element prefixes linear_extensions visits, no
+    more than the extensions (level n), and refuses once its count does."""
+    preds, level = _pred_masks(P), {0: 1}
+    for _ in range(P.n):
+        nxt, count = Counter(), 0
+        for ideal, ways in level.items():
+            for v in range(P.n):
+                if not (ideal >> v & 1 or preds[v] & ~ideal):
+                    nxt[ideal | 1 << v] += ways
+                    count += ways
+            _check_budget(1, count, None, 0)  # the level's prefixes so far
+        level = nxt
 
 
 def _valid_ys(mode: str, x0: int) -> range:

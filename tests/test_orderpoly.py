@@ -639,14 +639,38 @@ def test_budget_check_decides_from_bit_lengths_as_from_the_power():
         for x_max in (0, 1, 2, 3, 7, 8, 100, 255, 256, 3000, 2**32 + 5, 2**64):
             for limit in (0, 1, 10, 10**7, 2**63, 10**19, 2**64, 10**40):
                 cells = (x_max + 1) * (x_max + 2)
-                for extra, counted in [((cells,), cells), ((), 0)]:
+                for counted in (cells, 0):
                     try:
-                        orderpoly._check_budget(n, x_max, limit, *extra)
+                        orderpoly._check_budget(n, x_max, limit, counted)
                         got = None
                     except BudgetExceededError as exc:
                         got = str(exc)
                     want = _budget_message(n, x_max, limit, counted)
-                    assert got == want, (n, x_max, limit, extra)
+                    assert got == want, (n, x_max, limit, counted)
+
+
+@given(bicolored_posets(1, 7), st.integers(-1, 1))
+@settings(max_examples=60, deadline=None)
+def test_extension_gate_refuses_exactly_past_the_budget(P, shift):
+    # the gate refuses iff the extensions outnumber the budget, so it
+    # decides as counting the listing would
+    count = len(linear_extensions(P))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orderpoly, "DEFAULT_BUDGET", count + shift)
+        if shift < 0:
+            with pytest.raises(BudgetExceededError):
+                orderpoly._check_extensions(P)
+        else:
+            orderpoly._check_extensions(P)
+
+
+def test_extension_gate_is_cheap_on_tall_posets():
+    # one ideal per level on a chain; on a fence, whose extensions grow
+    # like (2/pi)^n n!, it refuses inside the first level past the budget
+    orderpoly._check_extensions(chain_poset(60))
+    with pytest.raises(BudgetExceededError, match="enumeration of 100") as info:
+        orderpoly._check_extensions(fence_poset(60))
+    assert int(str(info.value).split()[2]) < 2 * orderpoly.DEFAULT_BUDGET
 
 
 def test_brute_budget_message_prints_past_the_digit_limit(monkeypatch):
