@@ -12,7 +12,6 @@ partitions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -208,8 +207,10 @@ def is_acyclic(n: int, directed_edges: Iterable[tuple[int, int]]) -> bool:
 
 @lru_cache(maxsize=4096)
 def acyclic_orientations(H: Graph) -> tuple[AcyclicOrientation, ...]:
-    """All acyclic orientations, enumerated as lexicographic direction
-    vectors over the sorted edge list and filtered for acyclicity."""
+    """All acyclic orientations, as lexicographic direction vectors over the
+    sorted edge list, (u, v) before (v, u), grown edge by edge: reach[r]
+    holds the vertices r reaches, so a -> b closes a cycle when b reaches a,
+    and otherwise every reach[r] that holds a gains reach[b]."""
     edges = H.sorted_edges()
     if len(edges) > MAX_ORIENTATION_EDGES:
         raise ValueError(
@@ -217,12 +218,17 @@ def acyclic_orientations(H: Graph) -> tuple[AcyclicOrientation, ...]:
             f"of {MAX_ORIENTATION_EDGES}"
         )
     out = []
-    for dirs in itertools.product((0, 1), repeat=len(edges)):
-        directed = tuple(
-            (u, v) if d == 0 else (v, u) for (u, v), d in zip(edges, dirs)
-        )
-        if is_acyclic(H.n, directed):
+
+    def orient(directed: tuple[tuple[int, int], ...], reach: list[int]) -> None:
+        if len(directed) == len(edges):
             out.append(AcyclicOrientation(directed))
+            return
+        u, v = edges[len(directed)]
+        for a, b in ((u, v), (v, u)):
+            if not reach[b] >> a & 1:
+                orient(directed + ((a, b),), [r | reach[b] if r >> a & 1 else r for r in reach])
+
+    orient((), [1 << v for v in range(H.n)])
     return tuple(out)
 
 

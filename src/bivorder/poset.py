@@ -3,8 +3,10 @@
 A bicolored poset is a finite strict partial order on elements 0..n-1
 together with a celeste subset; the complement is silver.  Celeste
 elements are the ones a counting map must send above (or at least to)
-the threshold y.  The order relation is stored transitively closed, so
-membership of (a, b) answers "a strictly below b" directly.
+the threshold y.  The order relation is stored transitively closed.
+Every order question (validation, covers, linear extensions, labelings)
+is answered from _pred_masks, one bitmask of the elements below each
+element, so each costs O(|less|) mask operations, not pair lookups.
 
 Linear extensions are enumerated in a fixed deterministic order, and a
 labeling plus an extension yields a word whose ascent and descent
@@ -30,14 +32,16 @@ class BicoloredPoset:
         for a, b in self.less:
             if not (0 <= a < self.n and 0 <= b < self.n):
                 raise ValueError(f"relation ({a}, {b}) out of range for n={self.n}")
+        preds = _pred_masks(self)
+        for a, b in self.less:
             if a == b:
                 raise ValueError(f"relation ({a}, {a}) violates irreflexivity")
-            if (b, a) in self.less:
+            if preds[a] >> b & 1:
                 raise ValueError(f"cycle detected: both ({a}, {b}) and ({b}, {a}) hold")
         for a, b in self.less:
-            for c, d in self.less:
-                if b == c and (a, d) not in self.less:
-                    raise ValueError(f"relation is not transitively closed at ({a}, {d})")
+            if missing := preds[a] & ~preds[b]:
+                c = missing.bit_length() - 1  # c < a < b, yet not c < b
+                raise ValueError(f"relation is not transitively closed at ({c}, {b})")
         for c in self.celeste:
             if not (0 <= c < self.n):
                 raise ValueError(f"celeste element {c} out of range for n={self.n}")
@@ -55,38 +59,36 @@ def build_poset(
     """
     if n < 0:
         raise ValueError("poset size must be nonnegative")
-    seen: set[tuple[int, int]] = set()
-    below: list[set[int]] = [set() for _ in range(n)]  # below[a] = {b : a < b}
+    preds = [0] * n  # preds[b]: bitmask of the a with a < b
     for a, b in relations:
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"relation ({a}, {b}) out of range for n={n}")
-        if (a, b) in seen:
+        if preds[b] >> a & 1:
             raise ValueError(f"duplicate relation ({a}, {b})")
-        seen.add((a, b))
         if a == b:
             raise ValueError(f"cycle detected: relation ({a}, {a})")
-        below[a].add(b)
-    # Warshall closure; an element below nothing neither gains nor passes on relations
-    related = [a for a in range(n) if below[a]]
+        preds[b] |= 1 << a
+    # Warshall closure; an element above nothing neither gains nor passes on relations
+    related = [b for b in range(n) if preds[b]]
     for k in related:
-        for a in related:
-            if k in below[a]:
-                below[a] |= below[k]
+        for b in related:
+            if preds[b] >> k & 1:
+                preds[b] |= preds[k]
     for a in related:
-        if a in below[a]:
+        if preds[a] >> a & 1:
             raise ValueError(f"cycle detected through element {a}")
-    less = frozenset((a, b) for a in range(n) for b in below[a])
+    less = frozenset((a, b) for b in related for a in range(n) if preds[b] >> a & 1)
     return BicoloredPoset(n, less, frozenset(celeste))
 
 
 @lru_cache(maxsize=4096)
 def covers(P: BicoloredPoset) -> tuple[tuple[int, int], ...]:
     """Cover relations: a < b with nothing strictly between."""
-    out = []
-    for a, b in sorted(P.less):
-        if not any((a, m) in P.less and (m, b) in P.less for m in range(P.n)):
-            out.append((a, b))
-    return tuple(out)
+    preds = _pred_masks(P)
+    inner = [0] * P.n
+    for a, b in P.less:
+        inner[b] |= preds[a]
+    return tuple((a, b) for a, b in sorted(P.less) if not inner[b] >> a & 1)
 
 
 @lru_cache(maxsize=4096)
@@ -97,26 +99,21 @@ def linear_extensions(P: BicoloredPoset) -> tuple[tuple[int, ...], ...]:
     among the minimal available ones in increasing index order, so the
     output order is deterministic (lexicographic by element sequence).
     """
-    preds = [set() for _ in range(P.n)]
-    for a, b in P.less:
-        preds[b].add(a)
+    preds = _pred_masks(P)
     out: list[tuple[int, ...]] = []
     placed: list[int] = []
-    remaining = set(range(P.n))
 
-    def extend() -> None:
-        if not remaining:
+    def extend(done: int) -> None:
+        if len(placed) == P.n:
             out.append(tuple(placed))
             return
-        for v in sorted(remaining):
-            if preds[v] <= set(placed):
+        for v in range(P.n):
+            if not (done >> v & 1 or preds[v] & ~done):
                 placed.append(v)
-                remaining.remove(v)
-                extend()
+                extend(done | 1 << v)
                 placed.pop()
-                remaining.add(v)
 
-    extend()
+    extend(0)
     return tuple(out)
 
 

@@ -23,7 +23,13 @@ are the oracle of BiPoly's integer arithmetic.  product_interpolate_poly,
 Newton interpolation through a product grid of degree n in each variable
 (x from n to 2n), was the library's interpolate_poly and is the oracle of
 its reading of the simplex x0 <= n; it keeps the library's value check
-and builds its result by ratpoly._binomial_poly.  Slow on purpose."""
+and builds its result by ratpoly._binomial_poly.  pairwise_validate,
+set_closure_less and pair_covers read the order by pair lookups and
+successor sets, as the poset module did before it read it only through
+predecessor bitmasks, and are the oracles of BicoloredPoset's checks,
+build_poset and covers; dumb_acyclic_orientations filters all 2^m
+direction vectors, as graph.acyclic_orientations did before it grew
+reachability masks.  Slow on purpose."""
 
 from __future__ import annotations
 
@@ -43,6 +49,7 @@ from bivorder.graph import (
     Graph,
     acyclic_orientations,
     flats,
+    is_acyclic,
     orientation_to_poset,
 )
 from bivorder.orderpoly import (
@@ -497,14 +504,93 @@ def tally_coloring_table(G: Graph, x_max: int) -> np.ndarray:
     return tally_cum_table(G.n, x_max, tally)
 
 
-def dumb_count_extensions(P: BicoloredPoset) -> int:
-    """Permutations that refine the order, filtered one by one."""
-    count = 0
+def dumb_linear_extensions(P: BicoloredPoset) -> tuple[tuple[int, ...], ...]:
+    """Permutations that refine the order, filtered one by one, in
+    lexicographic order."""
+    out = []
     for perm in itertools.permutations(range(P.n)):
         pos = {e: i for i, e in enumerate(perm)}
         if all(pos[a] < pos[b] for a, b in P.less):
-            count += 1
-    return count
+            out.append(perm)
+    return tuple(out)
+
+
+def dumb_count_extensions(P: BicoloredPoset) -> int:
+    return len(dumb_linear_extensions(P))
+
+
+# order representations by pairs and sets --------------------------------------
+# The library's poset module once read the order this way; it now reads it
+# only through predecessor bitmasks, and these are its references.
+
+
+def pairwise_validate(n: int, less: frozenset, celeste: frozenset) -> None:
+    """The checks of BicoloredPoset, one pair lookup at a time: range,
+    irreflexivity and antisymmetry per relation, then transitivity over
+    every pair of relations."""
+    if n < 0:
+        raise ValueError("poset size must be nonnegative")
+    for a, b in less:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"relation ({a}, {b}) out of range for n={n}")
+        if a == b:
+            raise ValueError(f"relation ({a}, {a}) violates irreflexivity")
+        if (b, a) in less:
+            raise ValueError(f"cycle detected: both ({a}, {b}) and ({b}, {a}) hold")
+    for a, b in less:
+        for c, d in less:
+            if b == c and (a, d) not in less:
+                raise ValueError(f"relation is not transitively closed at ({a}, {d})")
+    for c in celeste:
+        if not (0 <= c < n):
+            raise ValueError(f"celeste element {c} out of range for n={n}")
+
+
+def set_closure_less(n: int, relations) -> frozenset:
+    """The closed relation build_poset gives, by Warshall on successor
+    sets, with build_poset's checks and messages."""
+    if n < 0:
+        raise ValueError("poset size must be nonnegative")
+    seen: set[tuple[int, int]] = set()
+    below: list[set[int]] = [set() for _ in range(n)]  # below[a] = {b : a < b}
+    for a, b in relations:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"relation ({a}, {b}) out of range for n={n}")
+        if (a, b) in seen:
+            raise ValueError(f"duplicate relation ({a}, {b})")
+        seen.add((a, b))
+        if a == b:
+            raise ValueError(f"cycle detected: relation ({a}, {a})")
+        below[a].add(b)
+    for k in range(n):
+        for a in range(n):
+            if k in below[a]:
+                below[a] |= below[k]
+    for a in range(n):
+        if a in below[a]:
+            raise ValueError(f"cycle detected through element {a}")
+    return frozenset((a, b) for a in range(n) for b in below[a])
+
+
+def pair_covers(P: BicoloredPoset) -> tuple[tuple[int, int], ...]:
+    """Sorted relations a < b with no m such that a < m < b."""
+    return tuple(
+        (a, b)
+        for a, b in sorted(P.less)
+        if not any((a, m) in P.less and (m, b) in P.less for m in range(P.n))
+    )
+
+
+def dumb_acyclic_orientations(H: Graph) -> tuple[AcyclicOrientation, ...]:
+    """Every direction vector over the sorted edges, (u, v) as 0 and
+    (v, u) as 1, in lexicographic order, kept when acyclic."""
+    edges = H.sorted_edges()
+    out = []
+    for dirs in itertools.product((0, 1), repeat=len(edges)):
+        directed = tuple((u, v) if d == 0 else (v, u) for (u, v), d in zip(edges, dirs))
+        if is_acyclic(H.n, directed):
+            out.append(AcyclicOrientation(directed))
+    return tuple(out)
 
 
 # exhaustive catalogs ---------------------------------------------------------

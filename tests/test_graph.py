@@ -24,7 +24,7 @@ from bivorder.graph import (
     trivial_flat,
 )
 from bivorder.chrompoly import classical_chrom_poly
-from oracles import all_graphs, dumb_flats
+from oracles import all_graphs, dumb_acyclic_orientations, dumb_flats
 
 BELL = [1, 1, 2, 5, 15, 52, 203]
 
@@ -148,6 +148,23 @@ def test_acyclic_orientations_are_acyclic_and_complete():
         assert tuple((min(e), max(e)) for e in o.directed_edges) == G.sorted_edges()
     # the two cyclic direction vectors of the 4-cycle are the only exclusions
     assert len(oriented) == 2 ** len(G.edges) - 2
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_acyclic_orientations_equal_direction_vector_filter(n):
+    for G in all_graphs(n):
+        assert acyclic_orientations.__wrapped__(G) == dumb_acyclic_orientations(G)
+
+
+SEVEN_VERTEX_EDGES = list(itertools.combinations(range(7), 2))
+
+
+@given(st.lists(st.sampled_from(SEVEN_VERTEX_EDGES), unique=True, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_acyclic_orientations_equal_direction_vector_filter_on_seven_vertices(edges):
+    # at most 12 edges, so the filter reads at most 4096 direction vectors
+    G = build_graph(7, edges)
+    assert acyclic_orientations.__wrapped__(G) == dumb_acyclic_orientations(G)
 
 
 def test_orientation_edge_limit():

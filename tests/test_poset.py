@@ -1,4 +1,6 @@
 import itertools
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,14 @@ from bivorder.poset import (
     reverse_word,
     word_of,
 )
-from oracles import all_strict_orders, dumb_count_extensions
+from oracles import (
+    all_strict_orders,
+    dumb_count_extensions,
+    dumb_linear_extensions,
+    pair_covers,
+    pairwise_validate,
+    set_closure_less,
+)
 
 
 def test_build_closure():
@@ -63,6 +72,81 @@ def test_direct_construction_validates():
         BicoloredPoset(3, frozenset({(0, 1), (1, 2)}), frozenset())
     with pytest.raises(ValueError, match="cycle"):
         BicoloredPoset(2, frozenset({(0, 1), (1, 0)}), frozenset())
+
+
+@st.composite
+def relation_lists(draw):
+    """A relation list on at most 7 elements: pairs drawn from a random
+    order, their closure, or their closure but one pair, plus optional
+    2-cycles, self-loops and repeated pairs."""
+    n = draw(st.integers(0, 7))
+    if n == 0:
+        return 0, []
+    order = draw(st.permutations(range(n)))
+    forward = list(itertools.combinations(order, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(forward), max_size=len(forward)))
+    rel = [p for p, k in zip(forward, keep) if k]
+    form = draw(st.sampled_from(["drawn", "closed", "closed but one"]))
+    if form != "drawn":
+        rel = sorted(set_closure_less(n, rel))
+    if form == "closed but one" and rel:
+        rel.remove(draw(st.sampled_from(rel)))  # unclosed unless a cover is dropped
+    for fault in draw(st.lists(st.sampled_from(["2-cycle", "self-loop", "repeat"]), max_size=2)):
+        if fault == "self-loop":
+            a = draw(st.integers(0, n - 1))
+            rel.append((a, a))
+        elif rel:
+            a, b = draw(st.sampled_from(rel))
+            rel.append((b, a) if fault == "2-cycle" else (a, b))
+    return n, draw(st.permutations(rel))
+
+
+def _outcome(build, *args):
+    try:
+        return "ok", build(*args)
+    except ValueError as err:
+        return "error", str(err)
+
+
+@given(relation_lists())
+@settings(max_examples=400, deadline=None)
+def test_direct_construction_agrees_with_pairwise_reference(case):
+    n, rel = case
+    less = frozenset(rel)
+    expected, message = _outcome(pairwise_validate, n, less, frozenset())
+    got = _outcome(BicoloredPoset, n, less, frozenset())
+    assert got[0] == expected
+    if expected == "error":
+        # the named pair may differ; the kind of fault may not
+        assert re.split("[(:]", got[1])[0] == re.split("[(:]", message)[0]
+
+
+@given(relation_lists())
+@settings(max_examples=400, deadline=None)
+def test_build_poset_agrees_with_set_closure_reference(case):
+    n, rel = case
+    expected = _outcome(set_closure_less, n, rel)
+    got = _outcome(build_poset, n, rel)
+    if expected[0] == "ok":
+        assert got[0] == "ok" and got[1].less == expected[1]
+        assert covers(got[1]) == pair_covers(got[1])
+        assert linear_extensions(got[1]) == dumb_linear_extensions(got[1])
+    else:
+        assert got == expected
+
+
+def test_large_posets_load_cover_and_extend_quickly():
+    # the pairwise transitivity check took about 25 s on the 200-chain alone;
+    # the 2x50 grid has about 2 * 10^27 extensions, so only the chain is listed
+    start = time.perf_counter()
+    chain = build_poset(200, [(i, i + 1) for i in range(199)])
+    grid_covers = sorted([(i, i + 2) for i in range(98)] + [(2 * c, 2 * c + 1) for c in range(50)])
+    grid = build_poset(100, grid_covers)
+    assert len(chain.less) == 200 * 199 // 2
+    assert covers(chain) == tuple((i, i + 1) for i in range(199))
+    assert linear_extensions(chain) == (tuple(range(200)),)
+    assert covers(grid) == tuple(grid_covers)
+    assert time.perf_counter() - start < 2
 
 
 def test_two_chain_fixture():
