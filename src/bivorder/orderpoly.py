@@ -14,10 +14,11 @@ other by the test suite:
   extensions' word polynomials (the per-extension decompositions below,
   kept as the test oracle), computed without listing an extension: its
   integer coordinates on the chain sums' binomial basis count Stanley's
-  chains of order ideals, and one dynamic program over the ideals places
-  each step of a chain in increasing label order, so an element joins the
-  open step only at an ascent of the labels, which is the word
-  polynomials' ascent/descent rule (see _order_coords),
+  chains of order ideals, and one dynamic program over the ideals of the
+  related elements places each step of a chain in increasing label order,
+  so an element joins the open step only at an ascent of the labels (the
+  word polynomials' ascent/descent rule); each isolated element multiplies
+  in its linear factor by one pass over the coordinates (see _order_coords),
 * brute-force enumeration of all x^n maps (exact, vectorized in
   cache-sized blocks of one-byte values, each constraint evaluated once
   per table, per leading value or per block; see _cum_table), read for
@@ -278,47 +279,53 @@ def weak_word_decomposition(
 
 def _order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -> dict:
     """The mode's order polynomial of P as its nonzero integer coordinates
-    c[t, s] on the basis binom(y - w, t) * binom(x - y + w, s), w = 0 strict
-    and 1 weak (_MODE_BASIS).
+    c[t, s] on the basis binom(u, t) * binom(v, s), u = y - w, v = x - y + w,
+    w = 0 strict and 1 weak (_MODE_BASIS).
 
-    c[t, s] counts the chains of order ideals {} = I_0 < ... < I_{t+s} = P
-    whose first t steps hold no celeste element (Stanley's P-partitions): a
-    strict step is an antichain of minimal elements of the rest, a weak step
-    any nonempty set that keeps an ideal.  A forward dynamic program places
-    the elements one at a time, each step's in increasing label order, so
-    every chain is counted once.  A minimal element v of the rest may open
-    a new step, or, when its label exceeds the last one placed, join the
-    open step: the ascent rule of the strict words, the descent rule of the
-    weak ones.  With a reverse natural labeling a joining element lies
-    above no element of its step; with a natural one each prefix of a step
-    keeps an ideal.
+    On the related elements R (those in some relation), c[t, s] counts the
+    chains of order ideals {} = I_0 < ... < I_{t+s} = R whose first t steps
+    hold no celeste element (Stanley's P-partitions): a strict step is an
+    antichain of minimal elements of the rest, a weak step any nonempty set
+    that keeps an ideal.  A forward dynamic program places the elements one
+    at a time, each step's in increasing label order, so every chain is
+    counted once.  A minimal element v of the rest may open a new step, or,
+    when its label exceeds the last one placed, join the open step: the
+    ascent rule of the strict words, the descent rule of the weak ones.
+    With a reverse natural labeling a joining element lies above no element
+    of its step; with a natural one each prefix of a step keeps an ideal.
 
     A state (ideal, last label) holds one int over (t, s), slot (t, s) at
     bit t * S + s * T.  The slots (t, 0), below bit T, count the chains
     whose steps are all celeste-free, the slots with s >= 1 those that
     have opened at least one step allowed to hold celeste, so a celeste
     element keeps only the bits from T up.  Every count is at most
-    (t + s)^n <= n^n, so it fits in width bits and no slot carries into
-    the next.
-    """
+    (t + s)^m <= m^m for the m elements of R, so no slot carries.
+
+    A disjoint union's polynomial is the product of its parts', so each
+    isolated element then multiplies in v if celeste, u + v if silver: as
+    v * binom(v, s) = (s + 1) * binom(v, s + 1) + s * binom(v, s), and so
+    for u, c'[t, s] = s * (c[t, s - 1] + c[t, s]), plus for a silver
+    element t * (c[t - 1, s] + c[t, s])."""
     preds = _pred_masks(P)
     if labeling is None:
         labels = _default_labeling(preds, mode)
     else:
         labels = _checked_labeling(P, labeling, mode)
     celeste = sum(1 << c for c in P.celeste)
-    n = P.n
-    width = n * n.bit_length() + 1
-    S, T = width, width * (n + 1)
+    related = reduce(operator.or_, (p | 1 << b for b, p in enumerate(preds) if p), 0)
+    elements = [v for v in range(P.n) if related >> v & 1]
+    m = len(elements)
+    width = m * m.bit_length() + 1
+    S, T = width, width * (m + 1)
     free = (1 << T) - 1
     # the empty prefix ends above every label, so the first element opens a step
-    level: dict[int, dict[int, int]] = {0: {n + 1: 1}}
-    for _ in range(n):
+    level: dict[int, dict[int, int]] = {0: {P.n + 1: 1}}
+    for _ in range(m):
         nxt: dict[int, dict[int, int]] = {}
         for ideal, states in level.items():
             total = sum(states.values())
             opened, free_open = total << T, (total & free) << S
-            for v in range(n):
+            for v in elements:
                 if ideal >> v & 1 or preds[v] & ~ideal:
                     continue
                 lab = labels[v]
@@ -330,13 +337,19 @@ def _order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -
                 # each (ideal, label) is reached from one ideal only
                 nxt.setdefault(ideal | 1 << v, {})[lab] = opened + c
         level = nxt
-    total = sum(level[(1 << n) - 1].values())
+    total = sum(level[related].values())
     mask = (1 << width) - 1
-    coords = {}
-    for t in range(n + 1):
-        for s in range(n + 1 - t):
-            if c := total >> (t * S + s * T) & mask:
-                coords[t, s] = c
+    slots = ((t, s) for t in range(m + 1) for s in range(m + 1 - t))
+    coords = {(t, s): c for t, s in slots if (c := total >> (t * S + s * T) & mask)}
+    for silver in (not celeste >> v & 1 for v in range(P.n) if not related >> v & 1):
+        peeled: dict[tuple[int, int], int] = {}
+        for (t, s), c in coords.items():  # every c > 0, so no sum cancels
+            peeled[t, s + 1] = peeled.get((t, s + 1), 0) + (s + 1) * c
+            if k := s + silver * t:
+                peeled[t, s] = peeled.get((t, s), 0) + k * c
+            if silver:
+                peeled[t + 1, s] = peeled.get((t + 1, s), 0) + (t + 1) * c
+        coords = peeled
     return coords
 
 
@@ -619,18 +632,21 @@ def interpolate_brute(
 
 def _negated_coords(coords: dict) -> dict:
     """The nonzero coordinates of p(-x, -y) on the strict basis B[t, s] =
-    binom(y, t) * binom(x - y, s), given p's.  By Vandermonde, binom(-u, t) =
-    (-1)^t sum_j binom(t - 1, t - j) binom(u, j), so B[t, s](-x, -y) = (-1)^(t + s)
-    sum_{j, k} binom(t - 1, t - j) binom(s - 1, s - k) B[j, k].  This holds
-    only on a basis whose arguments u = y, v = x - y are linear, not affine."""
-    out: Counter[tuple[int, int]] = Counter()
+    binom(y, t) * binom(x - y, s), given p's.  By Vandermonde, binom(-u, a) =
+    sum_j L[a][j] binom(u, j), L[a][j] = (-1)^a binom(a - 1, a - j) (zero at
+    j = 0 < a), so B[t, s](-x, -y) = sum_{j, k} L[t][j] L[s][k] B[j, k]: one
+    pass along s, a second along t.  This holds only on a basis whose
+    arguments u = y, v = x - y are linear, not affine."""
+    L = [[(j, (-1) ** a * _comb(a - 1, a - j)) for j in range(a > 0, a + 1)]
+         for a in range(max(map(max, coords), default=0) + 1)]
+    half: dict[tuple[int, int], int] = {}
     for (t, s), c in coords.items():
-        sign = (-1) ** (t + s)
-        for j, k in product(range(t > 0, t + 1), range(s > 0, s + 1)):  # skip zeros
-            # binom(-1, 0) = 1 at t = j = 0, where math.comb needs t >= 1
-            bt = math.comb(t - 1, t - j) if t else 1
-            bs = math.comb(s - 1, s - k) if s else 1
-            out[j, k] += sign * c * bt * bs
+        for k, b in L[s]:
+            half[t, k] = half.get((t, k), 0) + b * c
+    out: dict[tuple[int, int], int] = {}
+    for (t, k), c in half.items():
+        for j, b in L[t]:
+            out[j, k] = out.get((j, k), 0) + b * c
     return {jk: c for jk, c in out.items() if c}
 
 

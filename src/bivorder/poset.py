@@ -95,26 +95,37 @@ def covers(P: BicoloredPoset) -> tuple[tuple[int, int], ...]:
 def linear_extensions(P: BicoloredPoset) -> tuple[tuple[int, ...], ...]:
     """All linear extensions, as element sequences, in a fixed order.
 
-    Generated by backtracking: at each step the next element is chosen
-    among the minimal available ones in increasing index order, so the
-    output order is deterministic (lexicographic by element sequence).
+    Generated by backtracking on an explicit stack (no recursion limit):
+    at each step the next element is chosen among the minimal available
+    ones in increasing index order, so the output order is deterministic
+    (lexicographic by element sequence).
     """
-    preds = _pred_masks(P)
-    out: list[tuple[int, ...]] = []
-    placed: list[int] = []
-
-    def extend(done: int) -> None:
-        if len(placed) == P.n:
+    preds, n = _pred_masks(P), P.n
+    above: list[list[int]] = [[] for _ in range(n)]
+    for a, b in P.less:
+        above[a].append(b)
+    out, placed, done = [], [], 0
+    first = sum(1 << v for v in range(n) if not preds[v])
+    stack = [(first, first)]  # per depth: its minimal elements, and those not yet tried
+    while stack:
+        minimal, rest = stack[-1]
+        if not rest:
+            stack.pop()
+            if placed:
+                done ^= 1 << placed.pop()
+            continue
+        low = rest & -rest
+        stack[-1] = minimal, rest ^ low
+        placed.append(v := low.bit_length() - 1)
+        done |= low
+        if len(placed) == n:  # v is maximal, so the next level is empty
             out.append(tuple(placed))
-            return
-        for v in range(P.n):
-            if not (done >> v & 1 or preds[v] & ~done):
-                placed.append(v)
-                extend(done | 1 << v)
-                placed.pop()
-
-    extend(0)
-    return tuple(out)
+        minimal ^= low  # the rest keeps its minimal elements and may gain some above v
+        for u in above[v]:
+            if not preds[u] & ~done:
+                minimal |= 1 << u
+        stack.append((minimal, minimal))
+    return tuple(out) if n else ((),)
 
 
 def _pred_masks(P: BicoloredPoset) -> tuple[int, ...]:

@@ -29,7 +29,10 @@ successor sets, as the poset module did before it read it only through
 predecessor bitmasks, and are the oracles of BicoloredPoset's checks,
 build_poset and covers; dumb_acyclic_orientations filters all 2^m
 direction vectors, as graph.acyclic_orientations did before it grew
-reachability masks.  Slow on purpose."""
+reachability masks.  whole_order_coords runs the ideal-chain program
+over every element, as orderpoly._order_coords did before it multiplied
+the isolated elements in, and is the oracle of that factoring.  Slow on
+purpose."""
 
 from __future__ import annotations
 
@@ -330,6 +333,77 @@ def key_coords(keys: dict[tuple[int, int, int, int], int], mode: str) -> dict:
         for ts, c in _chain_coords(mode, *key):
             coords[ts] += count * c
     return {ts: c for ts, c in coords.items() if c}
+
+
+# whole ideal-chain program --------------------------------------------------
+
+# orderpoly._order_coords as it was before it took the isolated elements
+# out of its dynamic program and multiplied each one in: the same program
+# run over all of P, the oracle of that factoring.
+
+
+def whole_order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -> dict:
+    """The mode's order polynomial of P as its nonzero integer coordinates
+    c[t, s] on the basis binom(y - w, t) * binom(x - y + w, s), w = 0 strict
+    and 1 weak (_MODE_BASIS).
+
+    c[t, s] counts the chains of order ideals {} = I_0 < ... < I_{t+s} = P
+    whose first t steps hold no celeste element (Stanley's P-partitions): a
+    strict step is an antichain of minimal elements of the rest, a weak step
+    any nonempty set that keeps an ideal.  A forward dynamic program places
+    the elements one at a time, each step's in increasing label order, so
+    every chain is counted once.  A minimal element v of the rest may open
+    a new step, or, when its label exceeds the last one placed, join the
+    open step: the ascent rule of the strict words, the descent rule of the
+    weak ones.  With a reverse natural labeling a joining element lies
+    above no element of its step; with a natural one each prefix of a step
+    keeps an ideal.
+
+    A state (ideal, last label) holds one int over (t, s), slot (t, s) at
+    bit t * S + s * T.  The slots (t, 0), below bit T, count the chains
+    whose steps are all celeste-free, the slots with s >= 1 those that
+    have opened at least one step allowed to hold celeste, so a celeste
+    element keeps only the bits from T up.  Every count is at most
+    (t + s)^n <= n^n, so it fits in width bits and no slot carries into
+    the next.
+    """
+    preds = _pred_masks(P)
+    if labeling is None:
+        labels = _default_labeling(preds, mode)
+    else:
+        labels = _checked_labeling(P, labeling, mode)
+    celeste = sum(1 << c for c in P.celeste)
+    n = P.n
+    width = n * n.bit_length() + 1
+    S, T = width, width * (n + 1)
+    free = (1 << T) - 1
+    # the empty prefix ends above every label, so the first element opens a step
+    level: dict[int, dict[int, int]] = {0: {n + 1: 1}}
+    for _ in range(n):
+        nxt: dict[int, dict[int, int]] = {}
+        for ideal, states in level.items():
+            total = sum(states.values())
+            opened, free_open = total << T, (total & free) << S
+            for v in range(n):
+                if ideal >> v & 1 or preds[v] & ~ideal:
+                    continue
+                lab = labels[v]
+                join = 0
+                for r, c in states.items():
+                    if r < lab:
+                        join += c
+                c = join & ~free if celeste >> v & 1 else join + free_open
+                # each (ideal, label) is reached from one ideal only
+                nxt.setdefault(ideal | 1 << v, {})[lab] = opened + c
+        level = nxt
+    total = sum(level[(1 << n) - 1].values())
+    mask = (1 << width) - 1
+    coords = {}
+    for t in range(n + 1):
+        for s in range(n + 1 - t):
+            if c := total >> (t * S + s * T) & mask:
+                coords[t, s] = c
+    return coords
 
 
 def dumb_count_colorings(G: Graph, x0: int, y0: int) -> int:

@@ -136,6 +136,16 @@ def test_list_extensions_lists_below_the_default_budget(tmp_path):
     assert lines[0] == "0 1 2 3 4 5 6 7"
 
 
+def test_list_extensions_of_a_chain_deeper_than_the_recursion_limit(tmp_path):
+    # one extension placed element by element, past the interpreter's depth
+    n = sys.getrecursionlimit() + 10
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"n": n, "covers": [[i, i + 1] for i in range(n - 1)]}))
+    code, out, err = run_cli("list-extensions", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert out == " ".join(map(str, range(n))) + "\n"
+
+
 def test_list_flats():
     code, out, _ = run_cli("list-flats", "--input", fixture("k3.json"))
     assert code == 0

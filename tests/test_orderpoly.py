@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -78,6 +79,7 @@ from oracles import (
     product_interpolate_poly,
     relabeled_poset,
     up_to_isomorphism,
+    whole_order_coords,
     word_key_counts,
 )
 
@@ -399,7 +401,7 @@ def _surjections(n, k):
     return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
 
 
-@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("n", range(17))
 def test_order_coords_of_antichains_count_surjections(n):
     # no order and no celeste: c[t, s] counts every surjection onto a
     # (t + s)-chain, the largest coordinates of any n-element poset, so a
@@ -413,6 +415,46 @@ def test_order_coords_of_antichains_count_surjections(n):
         assert _order_coords(antichain_poset(n, tuple(range(n))), mode) == {
             ts: c for ts, c in celeste.items() if c
         }
+
+
+@st.composite
+def posets_with_isolated_elements(draw) -> BicoloredPoset:
+    """A random poset with 0-4 elements of random colour added in no
+    relation, all under shuffled names."""
+    P = draw(bicolored_posets(1, 8))
+    extra = draw(st.lists(st.booleans(), max_size=4))  # True: celeste
+    names = draw(st.permutations(range(P.n + len(extra))))
+    relations = [(names[a], names[b]) for a, b in P.less]
+    celeste = [names[c] for c in P.celeste] + [
+        names[P.n + i] for i, c in enumerate(extra) if c
+    ]
+    return build_poset(len(names), relations, celeste)
+
+
+@given(posets_with_isolated_elements(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_order_coords_equal_whole_program_with_isolated_elements(P, rng):
+    # multiplying the isolated elements in gives the coordinates of the
+    # program run over every element, under the default labeling and one
+    # random valid one
+    for mode in MODES:
+        position = {v: i for i, v in enumerate(_random_extension(P, rng))}
+        lab = tuple(
+            position[v] + 1 if mode == "weak" else P.n - position[v] for v in range(P.n)
+        )
+        assert _order_coords(P, mode) == whole_order_coords(P, mode)
+        assert _order_coords(P, mode, lab) == whole_order_coords(P, mode, lab)
+
+
+def test_sixteen_element_antichains_take_no_ideal_chains():
+    # every element is isolated, so no dynamic program runs: the product
+    # of 16 linear factors, which the program over all 2^16 ideals took
+    # seconds and hundreds of MiB to reach in weak mode
+    posets = [antichain_poset(16), antichain_poset(16, (0, 5, 11, 15))]
+    start = time.perf_counter()
+    polys = [ORDER_POLY[mode](P) for P in posets for mode in MODES]
+    assert time.perf_counter() - start < 0.1
+    assert polys == [X**16, X**16, X**12 * (X - Y) ** 4, X**12 * (X - Y + 1) ** 4]
 
 
 def test_order_coords_builds_pred_masks_once(monkeypatch):
@@ -473,7 +515,8 @@ def test_orderpoly_caches_are_bounded():
         fn for fn in vars(orderpoly).values()
         if hasattr(fn, "cache_parameters") and fn.__module__ == orderpoly.__name__
     ]
-    assert 0 < len(caches) <= 4
+    # _chain_coords, _inner_maps and _cum_table; a speed-up is no new memo
+    assert 0 < len(caches) <= 3
     assert all(fn.cache_parameters()["maxsize"] is not None for fn in caches)
     # the poset caches hold every extension of a poset; they are bounded too
     poset_caches = [
