@@ -55,7 +55,7 @@ from .orderpoly import (
     _check_budget,
     _counter,
     _counts_ok,
-    brute_count_weak,
+    brute_count,
 )
 from .ratpoly import BiPoly, X, _binomial_poly
 
@@ -195,7 +195,7 @@ def count_compatible_colorings(
     any polynomial; the signed sum of these counts over all pairs is the
     right side check_reciprocity_graph reads from coordinates."""
     P = orientation_to_poset(flat, orientation)
-    return brute_count_weak(P, x0, y0 + 1, budget)
+    return brute_count(P, "weak", x0, y0 + 1, budget)
 
 
 def _acyclic_counts(G: Graph) -> list[int]:

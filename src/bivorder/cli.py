@@ -284,8 +284,9 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
         return 2 if exc.code else 0
     try:
         payload, lines, code = _dispatch(args)
-    except (OSError, json.JSONDecodeError, ValueError, BudgetExceededError) as exc:
-        err.write(f"error: {exc}\n")
+    except (OSError, json.JSONDecodeError, ValueError, BudgetExceededError,
+            MemoryError, OverflowError) as exc:  # the last two: an input too large to hold
+        err.write(f"error: {str(exc) or 'out of memory'}\n")
         return 2
     if args.format == "json":
         out.write(json.dumps(payload(), sort_keys=True) + "\n")

@@ -91,14 +91,20 @@ def graph_from_json(data: dict) -> Graph:
     return build_graph(n, edges)
 
 
-def _subset_masks(G: Graph) -> tuple[list[int], bytearray]:
-    """Each vertex's neighbors as a bitmask, and one byte per vertex
-    subset S, 1 when S is independent: S is independent when S minus its
-    lowest vertex is and that vertex has no neighbor in it."""
+def _neighbor_masks(G: Graph) -> list[int]:
+    """Each vertex's neighbors as a bitmask."""
     adj = [0] * G.n
     for u, v in G.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
+    return adj
+
+
+def _subset_masks(G: Graph) -> tuple[list[int], bytearray]:
+    """Each vertex's neighbors as a bitmask, and one byte per vertex
+    subset S, 1 when S is independent: S is independent when S minus its
+    lowest vertex is and that vertex has no neighbor in it."""
+    adj = _neighbor_masks(G)
     independent = bytearray(1 << G.n)
     independent[0] = 1
     for S in range(1, 1 << G.n):
@@ -126,10 +132,11 @@ def flats(G: Graph) -> tuple[Flat, ...]:
     The block of the least unplaced vertex is any connected set of
     unplaced vertices containing it, and the rest is partitioned alike.
     That order is not lexicographic ({0,3|1|2} precedes {0|1,2|3}), so
-    the assignments are sorted.  The 2^n subsets of _subset_masks are
-    checked against the default budget first."""
+    the assignments are sorted.  Its first step alone tries the 2^(n - 1)
+    subsets that hold vertex 0, so 2^n is checked against the default
+    budget first."""
     _check_budget(G.n, 2, None, 0)
-    adj, _ = _subset_masks(G)
+    adj = _neighbor_masks(G)
 
     def connected(block: int) -> bool:
         seen = todo = block & -block

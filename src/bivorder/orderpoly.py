@@ -27,9 +27,12 @@ other by the test suite:
   forward differences in the mode's binomial basis.
 
 Strict and weak are one construction in two modes, taken as an argument
-by each routine below; the chain sums differ only in their shifts, and
-reciprocity checks the two modes against each other by negating the
-strict integer coordinates (see _negated_coords).
+by each routine below (chain_poly, word_decomposition, brute_count,
+interpolate_brute); only order_poly_* and word_poly_* keep one name per
+mode, as the command line and the bench harness import them by those
+names.  The chain sums differ only in their shifts, and reciprocity checks
+the two modes against each other by negating the strict integer
+coordinates (see _negated_coords).
 
 Counts and polynomials agree on the validity region (_valid_ys)
 0 <= y <= x in strict mode and 1 <= y <= x + 1 in weak mode; outside it
@@ -163,29 +166,20 @@ def _chain_poly(mode: str, key: tuple[int, int, int, int]) -> BiPoly:
     return _binomial_poly(dict(_chain_coords(mode, *key)), *_MODE_BASIS[mode])
 
 
-def _validate_nk(n: int, k: int) -> None:
+def chain_poly(n: int, k: int, mode: str) -> BiPoly:
+    """The mode's counting polynomial of an n-chain whose lowest celeste
+    element sits at position k+1 (k = n means no celeste element at all).
+
+    Strict maps phi(a_1) < ... < phi(a_n) into 1..x with phi > y from
+    position k+1 on split by how many of the first k values lie at or
+    below y; weak maps increase weakly, with phi >= y from position k+1 on.
+    """
+    _mode_ok(mode)
     if n < 0:
         raise ValueError("chain length must be nonnegative")
     if not 0 <= k <= n:
         raise ValueError(f"k={k} must lie in 0..{n}")
-
-
-def chain_strict(n: int, k: int) -> BiPoly:
-    """Strict counting polynomial of an n-chain whose lowest celeste element
-    sits at position k+1 (k = n means no celeste element at all).
-
-    Maps phi(a_1) < ... < phi(a_n) into 1..x with phi > y from position
-    k+1 on split by how many of the first k values lie at or below y.
-    """
-    _validate_nk(n, k)
-    return _chain_poly("strict", (n, k, 0, 0))
-
-
-def chain_weak(n: int, k: int) -> BiPoly:
-    """Weak counterpart of chain_strict: phi weakly increasing, phi >= y
-    from position k+1 on."""
-    _validate_nk(n, k)
-    return _chain_poly("weak", (n, k, 0, 0))
+    return _chain_poly(mode, (n, k, 0, 0))
 
 
 def _word_key(
@@ -249,32 +243,18 @@ def _checked_labeling(
     return labeling
 
 
-def _word_decomposition(
-    P: BicoloredPoset, mode: str, labeling: tuple[int, ...] | None
+def word_decomposition(
+    P: BicoloredPoset, mode: str, labeling: tuple[int, ...] | None = None
 ) -> tuple[tuple[Word, BiPoly], ...]:
+    """The (word, word polynomial) summands of the mode's order polynomial,
+    one per linear extension.  Strict words need a reverse natural labeling,
+    weak words a natural one; any such labeling gives the same total, which
+    the tests exercise."""
+    _mode_ok(mode)
     labeling = _checked_labeling(P, labeling, mode)
     word_poly = word_poly_strict if mode == "strict" else word_poly_weak
     words = (word_of(ext, labeling, P) for ext in linear_extensions(P))
     return tuple((w, word_poly(w)) for w in words)
-
-
-def strict_word_decomposition(
-    P: BicoloredPoset, labeling: tuple[int, ...] | None = None
-) -> tuple[tuple[Word, BiPoly], ...]:
-    """The (word, word polynomial) summands of order_poly_strict.
-
-    The labeling must be reverse natural; any such labeling gives the
-    same total, which the tests exercise.
-    """
-    return _word_decomposition(P, "strict", labeling)
-
-
-def weak_word_decomposition(
-    P: BicoloredPoset, labeling: tuple[int, ...] | None = None
-) -> tuple[tuple[Word, BiPoly], ...]:
-    """The (word, word polynomial) summands of order_poly_weak; the
-    labeling must be natural."""
-    return _word_decomposition(P, "weak", labeling)
 
 
 def _order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -> dict:
@@ -556,18 +536,6 @@ def brute_count(
     _mode_ok(mode)
     _counts_ok(x0, y0)
     return _poset_counter(P, mode, x0, budget)(x0, y0)
-
-
-def brute_count_strict(
-    P: BicoloredPoset, x0: int, y0: int, budget: int | None = None
-) -> int:
-    return brute_count(P, "strict", x0, y0, budget)
-
-
-def brute_count_weak(
-    P: BicoloredPoset, x0: int, y0: int, budget: int | None = None
-) -> int:
-    return brute_count(P, "weak", x0, y0, budget)
 
 
 # interpolation ----------------------------------------------------------------

@@ -28,8 +28,7 @@ from bivorder.orderpoly import (
     _order_coords,
     _poset_counter,
     _simplex_coords,
-    chain_strict,
-    chain_weak,
+    chain_poly,
     check_reciprocity_poset,
     order_poly_strict,
 )
@@ -82,8 +81,8 @@ def test_criterion_1_chain_formulas():
     start = time.perf_counter()
     for n in range(7):
         for k in range(n + 1):
-            strict_vals = eval_int_grid(chain_strict(n, k), STRICT_GRID_8)
-            weak_vals = eval_int_grid(chain_weak(n, k), WEAK_GRID_8)
+            strict_vals = eval_int_grid(chain_poly(n, k, "strict"), STRICT_GRID_8)
+            weak_vals = eval_int_grid(chain_poly(n, k, "weak"), WEAK_GRID_8)
             for x0, y0 in STRICT_GRID_8:
                 assert strict_vals[x0, y0] == dumb_count_chain(n, k, "strict", x0, y0)
             for x0, y0 in WEAK_GRID_8:
@@ -95,13 +94,13 @@ def test_criterion_1_chain_formulas():
 def test_criterion_2_example_chain():
     half = Fraction(1, 2)
     expected = half * (X**2 - X - Y**2 + Y)
-    assert chain_strict(2, 1) == expected
-    assert chain_strict(2, 1).evaluate(3, 1) == 3
+    assert chain_poly(2, 1, "strict") == expected
+    assert chain_poly(2, 1, "strict").evaluate(3, 1) == 3
     assert order_poly_strict(two_chain_celeste_top()) == expected
     # the variant with -y in place of +y undercounts: 2 instead of 3
     printed_variant = half * (X**2 - X - Y**2 - Y)
     assert printed_variant.evaluate(3, 1) == 2
-    assert printed_variant != chain_strict(2, 1)
+    assert printed_variant != chain_poly(2, 1, "strict")
 
 
 @criterion(3, "word polynomials vs brute word-map counts, length <= 5")

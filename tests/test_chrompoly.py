@@ -26,7 +26,7 @@ from bivorder.graph import Graph, acyclic_orientations, flats, orientation_to_po
 from bivorder.orderpoly import (
     BudgetExceededError,
     _negated_coords,
-    brute_count_weak,
+    brute_count,
     order_poly_strict,
     order_poly_weak,
 )
@@ -343,7 +343,7 @@ def test_count_compatible_is_enumeration():
     F = next(F for F in flats(K3) if F.blocks == ((0, 1), (2,)))
     sigma = acyclic_orientations(F.quotient)[0]
     P = orientation_to_poset(F, sigma)
-    assert count_compatible_colorings(F, sigma, 4, 2) == brute_count_weak(P, 4, 3)
+    assert count_compatible_colorings(F, sigma, 4, 2) == brute_count(P, "weak", 4, 3)
 
 
 def test_reciprocity_frozen_value():

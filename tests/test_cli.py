@@ -696,6 +696,27 @@ def test_budget_refuses_a_huge_graph_without_computing_the_power(tmp_path):
     assert err == "error: enumeration of 3^100000000 objects exceeds budget 10000000\n"
 
 
+@pytest.mark.parametrize("n", [2**62, 2**64])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poset-poly", "--mode", "strict"),
+        ("poset-count", "--mode", "weak", "--x", "2", "--y", "1"),
+        ("list-extensions",),
+        ("check",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_poset_too_large_to_hold_exits_two(tmp_path, argv, n):
+    # a list of n masks fails its size check before anything is allocated:
+    # MemoryError at 2^62 elements, OverflowError at 2^64
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": n, "covers": []}))
+    code, out, err = run_cli(*argv, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) > len("error: \n")
+
+
 def test_list_flats_refuses_its_subsets_past_the_budget(tmp_path):
     # flats tabulate all 2^n vertex subsets, checked before any is made
     code, out, err = run_cli("list-flats", "--input", _graph_file(tmp_path, 100, []))

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +9,8 @@ import pytest
 
 import bivorder
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
@@ -25,3 +29,18 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_readme_library_example_prints_what_its_comments_say():
+    # each print in the README's python block is followed by the line it
+    # prints as a comment; text after a comma there explains the value
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)[1]
+    expected = [
+        line.split("#", 1)[1].split(",")[0].strip()
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert expected and out.getvalue().splitlines() == expected

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -34,18 +35,14 @@ from bivorder.orderpoly import (
     _valid_ys,
     _word_key,
     brute_count,
-    brute_count_strict,
-    brute_count_weak,
-    chain_strict,
-    chain_weak,
+    chain_poly,
     check_reciprocity_poset,
     check_reciprocity_word,
     interpolate_brute,
     interpolate_poly,
     order_poly_strict,
     order_poly_weak,
-    strict_word_decomposition,
-    weak_word_decomposition,
+    word_decomposition,
     word_poly_strict,
     word_poly_weak,
 )
@@ -90,43 +87,61 @@ half = Fraction(1, 2)
 
 
 def test_chain_strict_two_one():
-    p = chain_strict(2, 1)
+    p = chain_poly(2, 1, "strict")
     assert p == half * X**2 - half * X - half * Y**2 + half * Y
     assert p.evaluate(3, 1) == 3
 
 
 def test_chain_weak_two_one():
-    p = chain_weak(2, 1)
+    p = chain_poly(2, 1, "weak")
     assert p == half * (X + Y) * (X - Y + 1)
     assert p.evaluate(3, 2) == 5
 
 
 def test_chain_singletons():
-    assert chain_strict(1, 0) == X - Y
-    assert chain_weak(1, 0) == X - Y + 1
-    assert chain_strict(0, 0) == ONE
-    assert chain_weak(0, 0) == ONE
+    assert chain_poly(1, 0, "strict") == X - Y
+    assert chain_poly(1, 0, "weak") == X - Y + 1
+    assert chain_poly(0, 0, "strict") == ONE
+    assert chain_poly(0, 0, "weak") == ONE
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_chain_no_celeste_collapses(n):
     # k = n leaves no celeste element; y drops out entirely
-    assert chain_strict(n, n) == binom_poly(X, n)
-    assert chain_weak(n, n) == binom_poly(X + (n - 1), n)
+    assert chain_poly(n, n, "strict") == binom_poly(X, n)
+    assert chain_poly(n, n, "weak") == binom_poly(X + (n - 1), n)
 
 
 def test_chain_validates_k():
     with pytest.raises(ValueError):
-        chain_strict(2, 3)
+        chain_poly(2, 3, "strict")
     with pytest.raises(ValueError):
-        chain_weak(2, -1)
+        chain_poly(2, -1, "weak")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mode: brute_count(chain_poset(30), mode, -1, 0),
+        lambda mode: interpolate_brute(antichain_poset(12), mode),
+        lambda mode: chain_poly(-1, 0, mode),
+        lambda mode: word_decomposition(two_chain_celeste_top(), mode, (9, 9)),
+    ],
+    ids=["brute_count", "interpolate_brute", "chain_poly", "word_decomposition"],
+)
+@pytest.mark.parametrize("mode", ["both", "Strict", None])
+def test_mode_entries_reject_an_unknown_mode_first(call, mode):
+    # every other argument is bad or past the budget too, so only a mode
+    # check made before any other check or work gives this message
+    with pytest.raises(ValueError, match=re.escape("mode must be one of ('strict', 'weak')")):
+        call(mode)
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_chain_formulas_match_dumb_counts(n):
     for k in range(n + 1):
-        ps = chain_strict(n, k)
-        pw = chain_weak(n, k)
+        ps = chain_poly(n, k, "strict")
+        pw = chain_poly(n, k, "weak")
         for x0 in range(6):
             for y0 in range(x0 + 1):
                 assert ps.evaluate(x0, y0) == dumb_count_chain(n, k, "strict", x0, y0)
@@ -136,7 +151,7 @@ def test_chain_formulas_match_dumb_counts(n):
 
 def test_chain_weak_negative_binomial_term_cancels():
     # at y = 1 the i = 1 summand has binom(y-2, 1) = -1; the total still counts
-    assert chain_weak(2, 1).evaluate(3, 1) == dumb_count_chain(2, 1, "weak", 3, 1) == 6
+    assert chain_poly(2, 1, "weak").evaluate(3, 1) == dumb_count_chain(2, 1, "weak", 3, 1) == 6
 
 
 # word polynomials ------------------------------------------------------------
@@ -222,8 +237,8 @@ def test_chain_coords_match_fraction_chain_sums(n):
 
 def test_order_poly_two_element_examples():
     assert order_poly_strict(antichain_poset(2, (1,))) == X**2 - X * Y
-    assert order_poly_strict(two_chain_celeste_top()) == chain_strict(2, 1)
-    assert order_poly_weak(two_chain_celeste_top()) == chain_weak(2, 1)
+    assert order_poly_strict(two_chain_celeste_top()) == chain_poly(2, 1, "strict")
+    assert order_poly_weak(two_chain_celeste_top()) == chain_poly(2, 1, "weak")
 
 
 def test_order_poly_empty_poset():
@@ -241,16 +256,16 @@ def test_order_poly_no_celeste_is_y_free():
 def test_decomposition_has_one_summand_per_extension():
     for P in (skew_diamond_poset(), antichain_poset(3, (0,)), fence_poset(5, (1,))):
         exts = linear_extensions(P)
-        assert len(strict_word_decomposition(P)) == len(exts)
-        assert len(weak_word_decomposition(P)) == len(exts)
+        assert len(word_decomposition(P, "strict")) == len(exts)
+        assert len(word_decomposition(P, "weak")) == len(exts)
 
 
 def test_decomposition_rejects_wrong_labeling_kind():
     P = two_chain_celeste_top()
     with pytest.raises(ValueError, match="reverse natural"):
-        strict_word_decomposition(P, (1, 2))
+        word_decomposition(P, "strict", (1, 2))
     with pytest.raises(ValueError, match="natural"):
-        weak_word_decomposition(P, (2, 1))
+        word_decomposition(P, "weak", (2, 1))
     with pytest.raises(ValueError):
         order_poly_strict(P, (1, 2))
     with pytest.raises(ValueError):
@@ -285,15 +300,15 @@ def _per_extension_coords(P, mode, labeling):
 
 
 def _assert_equal_per_extension_sums(P, strict_labelings, weak_labelings):
-    for mode, labelings, order_poly, decomposition in (
-        ("strict", strict_labelings, order_poly_strict, strict_word_decomposition),
-        ("weak", weak_labelings, order_poly_weak, weak_word_decomposition),
+    for mode, labelings, order_poly in (
+        ("strict", strict_labelings, order_poly_strict),
+        ("weak", weak_labelings, order_poly_weak),
     ):
         for lab in (None, *labelings):
             assert _order_coords(P, mode, lab) == _per_extension_coords(P, mode, lab)
             # the public per-word polynomials, on the posets small enough to be cheap
             if P.n <= 2:
-                assert order_poly(P, lab) == _per_extension_sum(decomposition(P, lab))
+                assert order_poly(P, lab) == _per_extension_sum(word_decomposition(P, mode, lab))
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -595,31 +610,31 @@ def test_sixty_element_grid_poset(mode):
 
 def test_brute_frozen_values():
     sd = skew_diamond_poset()
-    assert brute_count_strict(sd, 4, 1) == 2
-    assert brute_count_weak(sd, 4, 2) == 88
-    assert brute_count_strict(sd, 5, 2) == 13
-    assert brute_count_weak(sd, 5, 3) == 185
-    assert brute_count_strict(two_chain_celeste_top(), 3, 1) == 3
-    assert brute_count_weak(two_chain_celeste_top(), 3, 2) == 5
+    assert brute_count(sd, "strict", 4, 1) == 2
+    assert brute_count(sd, "weak", 4, 2) == 88
+    assert brute_count(sd, "strict", 5, 2) == 13
+    assert brute_count(sd, "weak", 5, 3) == 185
+    assert brute_count(two_chain_celeste_top(), "strict", 3, 1) == 3
+    assert brute_count(two_chain_celeste_top(), "weak", 3, 2) == 5
 
 
 def test_brute_threshold_edges():
     P = chain_poset(1, (0,))
     # strict threshold can exhaust the range; weak allows y = x
-    assert brute_count_strict(P, 3, 3) == 0
-    assert brute_count_weak(P, 3, 3) == 1
-    assert brute_count_weak(P, 3, 4) == 0
+    assert brute_count(P, "strict", 3, 3) == 0
+    assert brute_count(P, "weak", 3, 3) == 1
+    assert brute_count(P, "weak", 3, 4) == 0
     # without celeste the threshold is vacuous at any y
     Q = chain_poset(1)
-    assert brute_count_strict(Q, 3, 9) == 3
-    assert brute_count_weak(Q, 3, 9) == 3
+    assert brute_count(Q, "strict", 3, 9) == 3
+    assert brute_count(Q, "weak", 3, 9) == 3
 
 
 def test_brute_zero_sizes():
     empty = build_poset(0)
-    assert brute_count_strict(empty, 0, 0) == 1
-    assert brute_count_weak(empty, 5, 3) == 1
-    assert brute_count_strict(chain_poset(2), 0, 0) == 0
+    assert brute_count(empty, "strict", 0, 0) == 1
+    assert brute_count(empty, "weak", 5, 3) == 1
+    assert brute_count(chain_poset(2), "strict", 0, 0) == 0
 
 
 
@@ -643,7 +658,7 @@ def test_brute_tables_match_definition_at_every_block_size(monkeypatch, block):
 def test_brute_rejects_bad_arguments():
     P = chain_poset(2)
     with pytest.raises(ValueError):
-        brute_count_strict(P, -1, 0)
+        brute_count(P, "strict", -1, 0)
     with pytest.raises(ValueError):
         brute_count(P, "loose", 2, 0)
 
@@ -651,18 +666,18 @@ def test_brute_rejects_bad_arguments():
 def test_brute_budget_error():
     P = antichain_poset(4)
     with pytest.raises(BudgetExceededError):
-        brute_count_strict(P, 100, 0)
+        brute_count(P, "strict", 100, 0)
     with pytest.raises(BudgetExceededError):
-        brute_count_weak(P, 10, 0, budget=9999)
+        brute_count(P, "weak", 10, 0, budget=9999)
     # the same call under a sufficient budget succeeds
-    assert brute_count_weak(P, 10, 0, budget=10000) == 10000
+    assert brute_count(P, "weak", 10, 0, budget=10000) == 10000
     # one element walks x0 maps but fills (x0 + 1) * (x0 + 2) table cells
     Q = chain_poset(1, (0,))
     with pytest.raises(BudgetExceededError):
         brute_count(Q, "strict", 10_000_000, 1)
-    assert brute_count_weak(Q, 4, 2, budget=30) == 3
+    assert brute_count(Q, "weak", 4, 2, budget=30) == 3
     with pytest.raises(BudgetExceededError):
-        brute_count_weak(Q, 5, 2, budget=41)
+        brute_count(Q, "weak", 5, 2, budget=41)
 
 
 def _budget_message(n, x_max, limit, cells):
@@ -720,7 +735,7 @@ def test_brute_budget_message_prints_past_the_digit_limit(monkeypatch):
     # 2^15000 has more digits than Python turns into a string; no map is visited
     monkeypatch.setattr(orderpoly, "_cum_table", None)
     with pytest.raises(BudgetExceededError, match="budget") as err:
-        brute_count_strict(BicoloredPoset(15000, frozenset(), frozenset()), 2, 0)
+        brute_count(BicoloredPoset(15000, frozenset(), frozenset()), "strict", 2, 0)
     assert "2^15000" in str(err.value)
 
 
@@ -729,10 +744,10 @@ def test_brute_kernel_matches_dumb_filter(n):
     for P in catalog_posets(n):
         for x0 in range(5):
             for y0 in range(x0 + 2):
-                assert brute_count_strict(P, x0, y0) == dumb_count_maps(
+                assert brute_count(P, "strict", x0, y0) == dumb_count_maps(
                     P, "strict", x0, y0
                 )
-                assert brute_count_weak(P, x0, y0) == dumb_count_maps(
+                assert brute_count(P, "weak", x0, y0) == dumb_count_maps(
                     P, "weak", x0, y0
                 )
 
@@ -749,8 +764,8 @@ def test_brute_kernel_matches_dumb_filter_size_four_sample():
     posets = catalog_posets(4)
     for P in posets[::97]:
         for x0, y0 in [(3, 1), (4, 2), (5, 0), (4, 5)]:
-            assert brute_count_strict(P, x0, y0) == dumb_count_maps(P, "strict", x0, y0)
-            assert brute_count_weak(P, x0, y0) == dumb_count_maps(P, "weak", x0, y0)
+            assert brute_count(P, "strict", x0, y0) == dumb_count_maps(P, "strict", x0, y0)
+            assert brute_count(P, "weak", x0, y0) == dumb_count_maps(P, "weak", x0, y0)
 
 
 # oracle equivalence: polynomial values are counts on the validity region
@@ -764,9 +779,9 @@ def test_polynomials_count_on_validity_region(n):
         strict_vals = eval_int_grid(order_poly_strict(P), strict_pts)
         weak_vals = eval_int_grid(order_poly_weak(P), weak_pts)
         for x0, y0 in strict_pts:
-            assert strict_vals[x0, y0] == brute_count_strict(P, x0, y0)
+            assert strict_vals[x0, y0] == brute_count(P, "strict", x0, y0)
         for x0, y0 in weak_pts:
-            assert weak_vals[x0, y0] == brute_count_weak(P, x0, y0)
+            assert weak_vals[x0, y0] == brute_count(P, "weak", x0, y0)
 
 
 def test_polynomials_count_on_fixtures_up_to_six():
@@ -784,9 +799,9 @@ def test_polynomials_count_on_fixtures_up_to_six():
         strict_vals = eval_int_grid(order_poly_strict(P), strict_pts)
         weak_vals = eval_int_grid(order_poly_weak(P), weak_pts)
         for x0, y0 in strict_pts:
-            assert strict_vals[x0, y0] == brute_count_strict(P, x0, y0)
+            assert strict_vals[x0, y0] == brute_count(P, "strict", x0, y0)
         for x0, y0 in weak_pts:
-            assert weak_vals[x0, y0] == brute_count_weak(P, x0, y0)
+            assert weak_vals[x0, y0] == brute_count(P, "weak", x0, y0)
 
 
 # interpolation ----------------------------------------------------------------
@@ -807,7 +822,7 @@ def test_interpolate_fixture():
 
 def test_interpolate_poly_accepts_any_counter():
     # a counter that is already a polynomial comes back unchanged
-    target = chain_strict(2, 1)
+    target = chain_poly(2, 1, "strict")
     rebuilt = interpolate_poly(lambda a, b: int(target.evaluate(a, b)), 2, "strict")
     assert rebuilt == target
     # integer-valued Fractions and numpy integers count as integers
@@ -959,8 +974,8 @@ def test_specializations_recover_classical_order_counts(n):
         strict = order_poly_strict(P)
         weak = order_poly_weak(P)
         for x0 in range(7):
-            assert strict.evaluate(x0, 0) == brute_count_strict(stripped, x0, 0)
-            assert weak.evaluate(x0, 1) == brute_count_weak(stripped, x0, 1)
+            assert strict.evaluate(x0, 0) == brute_count(stripped, "strict", x0, 0)
+            assert weak.evaluate(x0, 1) == brute_count(stripped, "weak", x0, 1)
 
 
 # reciprocity -------------------------------------------------------------------
