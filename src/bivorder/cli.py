@@ -23,6 +23,7 @@ import sys
 from typing import IO, Callable
 
 from .chrompoly import (
+    _budgeted,
     _coloring_counter,
     check_reciprocity_graph,
     check_reciprocity_graph_poly,
@@ -169,7 +170,7 @@ def _graph_oracle_check(G: Graph, budget: int | None) -> CheckReport:
     the strict simplex that fixes it (see _poset_oracle_check), all read
     from one brute table, then the y = x and y = 0 specializations."""
     counter = _coloring_counter(G, G.n, budget)
-    poly = chrom_poly(G)
+    poly = _budgeted(chrom_poly, G, budget)
     point = functools.partial(_oracle_point, {}, poly, counter)
     report = _sweep("graph-oracle", G.n, [("strict", point)])
     if not report.passed:
@@ -200,7 +201,7 @@ def _run_checks(obj: BicoloredPoset | Graph, kind: str, budget: int | None) -> l
         if kind in ("graph-reciprocity", "all"):
             point = lambda x0, y0: check_reciprocity_graph(obj, x0, y0, budget).witness
             reports.append(_sweep("graph-reciprocity", obj.n, [("strict", point)]))
-            reports.append(check_reciprocity_graph_poly(obj))
+            reports.append(check_reciprocity_graph_poly(obj, budget))
         if kind in ("oracle", "all"):
             reports.append(_graph_oracle_check(obj, budget))
     return reports

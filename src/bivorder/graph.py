@@ -217,13 +217,16 @@ def acyclic_orientations(H: Graph) -> tuple[AcyclicOrientation, ...]:
     """All acyclic orientations, as lexicographic direction vectors over the
     sorted edge list, (u, v) before (v, u), grown edge by edge: reach[r]
     holds the vertices r reaches, so a -> b closes a cycle when b reaches a,
-    and otherwise every reach[r] that holds a gains reach[b]."""
+    and otherwise every reach[r] that holds a gains reach[b].  Only the
+    vertices on an edge, at most twice the edge limit, get an index and a
+    reach mask."""
     edges = H.sorted_edges()
     if len(edges) > MAX_ORIENTATION_EDGES:
         raise ValueError(
             f"{len(edges)} edges exceeds the orientation enumeration limit "
             f"of {MAX_ORIENTATION_EDGES}"
         )
+    index = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
     out = []
 
     def orient(directed: tuple[tuple[int, int], ...], reach: list[int]) -> None:
@@ -232,10 +235,11 @@ def acyclic_orientations(H: Graph) -> tuple[AcyclicOrientation, ...]:
             return
         u, v = edges[len(directed)]
         for a, b in ((u, v), (v, u)):
-            if not reach[b] >> a & 1:
-                orient(directed + ((a, b),), [r | reach[b] if r >> a & 1 else r for r in reach])
+            ia, ib = index[a], index[b]
+            if not reach[ib] >> ia & 1:
+                orient(directed + ((a, b),), [r | reach[ib] if r >> ia & 1 else r for r in reach])
 
-    orient((), [1 << v for v in range(H.n)])
+    orient((), [1 << i for i in range(len(index))])
     return tuple(out)
 
 

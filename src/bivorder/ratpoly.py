@@ -10,12 +10,16 @@ and terms, coeff and evaluate return them.
 Term order, wherever terms are listed (text form, JSON form), is
 x-degree descending, then y-degree descending.
 
-Every counting polynomial of the package is built by _binomial_poly from
-integer coordinates on a product basis binom(u, t) * binom(v, s), u and
-v integer affine, by one integer basis change over a common denominator.
-binom_poly, the same binomials as BiPoly products multiplied out, is the
-public form and the tests' oracle for that change; no library route
-calls it.
+Every counting polynomial of the package is built by _falling_poly, one
+integer expansion into monomials of rows of weights on the products
+u(u - 1)...(u - t + 1) * l^j, u integer affine and l linear, over one
+denominator.  chrom_poly hands it those rows directly; every other
+route, and chrom_poly's oracle, goes through _binomial_poly, which
+first turns integer coordinates on a product basis
+binom(u, t) * binom(v, s), v integer affine too, into such rows over
+the common denominator top!.  binom_poly, the same binomials as BiPoly
+products multiplied out, is the public form and the tests' oracle for
+both; no library route calls it.
 """
 
 from __future__ import annotations
@@ -313,8 +317,9 @@ def binom_poly(arg: BiPoly, m: int) -> BiPoly:
     factorial arg (arg-1) ... (arg-m+1) divided by m!.  This is the unique
     polynomial agreeing with the integer binomial coefficient on integers.
     Built by BiPoly products; the counting polynomials are not built from
-    these but by _binomial_poly's integer basis change, which the tests
-    check against products of binom_poly.
+    these but by _falling_poly's integer expansion (through _binomial_poly
+    on every route but chrom_poly's), which the tests check against
+    products of binom_poly.
     """
     if m < 0:
         raise ValueError("binom_poly needs m >= 0")
@@ -359,35 +364,23 @@ def _power_rows(form: BiPoly, top: int) -> list[list[tuple[int, int]]]:
     return [list(enumerate(row)) for row in rows]
 
 
-def _binomial_poly(coords: Mapping[tuple[int, int], int], u: BiPoly, v: BiPoly) -> BiPoly:
-    """Sum c * binom(u, t) * binom(v, s) over coords (t, s) -> c, u and v integer
-    affine, in ints over the common denominator top! = (max t + s)!, which
-    one gcd then reduces.
+def _falling_poly(rows: list[list[int]], u: BiPoly, v: BiPoly, den: int) -> BiPoly:
+    """Sum rows[t][j] * u(u - 1)...(u - t + 1) * l_v^j / den, u integer
+    affine, l_v the linear part of the integer affine v; rows[t] holds
+    at most len(rows) - t entries, so top = len(rows) - 1 bounds the
+    total degree.
 
-    Write u = l_u + u0 and v = l_v + v0 with l_u, l_v linear.  Over top!,
-    the coordinate (t, s) weighs c * top! / (t! s!) on the integer product
-    t! binom(u, t) * s! binom(v, s), whose factors are rows of _falling_rows
-    in powers of l_u and l_v.  Summing the weighted rows along s, then
-    along t, gives M[i][j], the coefficient of l_u^i * l_v^j, and the
-    binomial rows of l_u and l_v (_power_rows) expand those into
-    monomials.  That is O(top^3) int work when l_u or l_v is a monomial,
-    as on every basis of this package; no BiPoly is multiplied.
+    The falling factorials are rows of _falling_rows in powers of l_u, the
+    linear part of u, so summing rows[t] along t gives M[i][j], the
+    coefficient of l_u^i * l_v^j, and the binomial rows of l_u and l_v
+    (_power_rows) expand those into monomials.  That is O(top^3) int work
+    when l_u or l_v is a monomial, as on every basis of this package; no
+    BiPoly is multiplied.
     """
-    top = max((t + s for (t, s), c in coords.items() if c), default=0)
-    den = math.factorial(top)
-    u0, v0 = (form._num.get((0, 0), 0) for form in (u, v))
-    fu = _falling_rows(u0, top)
-    fv = fu if v0 == u0 else _falling_rows(v0, top)
-    along_s = [[0] * (top + 1 - t) for t in range(top + 1)]
-    for (t, s), c in coords.items():
-        if c:
-            w = c * (den // (math.factorial(t) * math.factorial(s)))
-            r = along_s[t]
-            for j, g in enumerate(fv[s]):
-                if g:
-                    r[j] += w * g
+    top = len(rows) - 1
+    fu = _falling_rows(u._num.get((0, 0), 0), top)
     M = [[0] * (top + 1 - i) for i in range(top + 1)]
-    for t, r in enumerate(along_s):
+    for t, r in enumerate(rows):
         if any(r):
             for i, f in enumerate(fu[t]):
                 if f:
@@ -406,3 +399,28 @@ def _binomial_poly(coords: Mapping[tuple[int, int], int], u: BiPoly, v: BiPoly) 
                         out[k + kk] += m * b
     terms = {(k, d - k): a for d, out in enumerate(num) for k, a in enumerate(out)}
     return BiPoly._trusted(terms, den)
+
+
+def _binomial_poly(coords: Mapping[tuple[int, int], int], u: BiPoly, v: BiPoly) -> BiPoly:
+    """Sum c * binom(u, t) * binom(v, s) over coords (t, s) -> c, u and v integer
+    affine, in ints over the common denominator top! = (max t + s)!, which
+    one gcd then reduces.
+
+    Over top!, the coordinate (t, s) weighs c * top! / (t! s!) on the
+    integer product t! binom(u, t) * s! binom(v, s).  The second factor is
+    row s of _falling_rows in powers of l_v, the linear part of v, so
+    summing the weighted rows along s gives rows[t][j], the weight of
+    t! binom(u, t) * l_v^j, and _falling_poly expands those.
+    """
+    top = max((t + s for (t, s), c in coords.items() if c), default=0)
+    den = math.factorial(top)
+    fv = _falling_rows(v._num.get((0, 0), 0), top)
+    rows = [[0] * (top + 1 - t) for t in range(top + 1)]
+    for (t, s), c in coords.items():
+        if c:
+            w = c * (den // (math.factorial(t) * math.factorial(s)))
+            r = rows[t]
+            for j, g in enumerate(fv[s]):
+                if g:
+                    r[j] += w * g
+    return _falling_poly(rows, u, v, den)

@@ -30,7 +30,7 @@ from bivorder.orderpoly import (
     order_poly_strict,
     order_poly_weak,
 )
-from bivorder.ratpoly import ONE, X, Y, BiPoly
+from bivorder.ratpoly import ONE, X, Y, BiPoly, _binomial_poly
 from oracles import (
     all_graphs,
     compatible_count,
@@ -136,6 +136,32 @@ def test_chrom_poly_equals_per_pair_sum_six_vertices(keep):
     assert chrom_poly(G) == per_pair_sum(G)
 
 
+def _coords_route(G):
+    """chrom_poly by the strict-basis coordinates and _binomial_poly."""
+    return _binomial_poly(chrompoly._chrom_coords(G), Y, X - Y)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_chrom_poly_equals_coordinate_route(n):
+    for G in all_graphs(n):
+        assert chrom_poly.__wrapped__(G) == _coords_route(G), G
+
+
+@given(st.integers(6, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+)))
+@settings(max_examples=30, deadline=None)
+def test_chrom_poly_equals_coordinate_route_six_to_ten_vertices(graph):
+    n, keep = graph
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    G = Graph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+    assert chrom_poly.__wrapped__(G) == _coords_route(G)
+
+
+def test_chrom_poly_equals_coordinate_route_k8():
+    assert chrom_poly.__wrapped__(complete_graph(8)) == _coords_route(complete_graph(8))
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_chrom_coords_are_nonnegative(n):
     # c[t, s] counts ordered partitions into t independent blocks
@@ -225,7 +251,7 @@ def test_chrom_poly_twelve_vertices():
 
 def test_chrom_poly_budget_stops_before_work(monkeypatch):
     # 3^15 subset pairs exceed the default budget; no subset is visited
-    monkeypatch.setattr(chrompoly, "_chrom_coords", None)
+    monkeypatch.setattr(chrompoly, "_chrom_sums", None)
     with pytest.raises(BudgetExceededError, match="budget"):
         chrom_poly.__wrapped__(edgeless_graph(15))
 
@@ -233,7 +259,7 @@ def test_chrom_poly_budget_stops_before_work(monkeypatch):
 def test_chrompoly_budget_messages_print_past_the_digit_limit(monkeypatch):
     # 10^5000 colorings and 3^10000 subset pairs are too long to print in full
     monkeypatch.setattr(orderpoly, "_cum_table", None)
-    monkeypatch.setattr(chrompoly, "_chrom_coords", None)
+    monkeypatch.setattr(chrompoly, "_chrom_sums", None)
     with pytest.raises(BudgetExceededError, match="budget") as err:
         chrom_count(Graph(5000, frozenset()), 10, 0)
     assert "10^5000" in str(err.value)
@@ -455,6 +481,19 @@ def test_numeric_reciprocity_builds_no_poset(monkeypatch):
         assert all(check_reciprocity_graph(C5, x0, y0).passed for y0 in range(x0 + 1))
     assert orderpoly._cum_table.cache_info() == before
     # one computation per graph serves every (x0, y0)
+    assert chrompoly._reciprocity_coords.cache_info().misses == 1
+
+
+def test_default_budget_keeps_one_cache_entry_per_graph():
+    # lru_cache keys f(G) and f(G, None) apart; under the default budget
+    # the checks call f(G), so chrom_poly and both checks compute once
+    chrom_poly.cache_clear()
+    chrompoly._reciprocity_coords.cache_clear()
+    C5 = cycle_graph(5)
+    chrom_poly(C5)
+    assert check_reciprocity_graph(C5, 2, 1).passed
+    assert check_reciprocity_graph_poly(C5).passed
+    assert chrom_poly.cache_info().misses == 1
     assert chrompoly._reciprocity_coords.cache_info().misses == 1
 
 

@@ -685,6 +685,26 @@ def test_graph_reciprocity_budget_counts_no_table_cells():
     assert (code, out) == (2, "")
     assert err == "error: enumeration of 12 objects exceeds budget 9\n"
 
+def test_graph_reciprocity_budget_lifts_the_default(monkeypatch, tmp_path):
+    # a budget above the default reaches every subset computation the check
+    # runs, not only its first gate: 3^5 = 243 pairs under a default of 100
+    monkeypatch.setattr(orderpoly, "DEFAULT_BUDGET", 100)
+    for fn in (chrom_poly, chrompoly._reciprocity_coords):
+        fn.cache_clear()
+    c5 = _graph_file(tmp_path, 5, [(v, (v + 1) % 5) for v in range(5)])
+    # the oracle's table of 5^5 colorings has 6 * 7 = 42 cells
+    for kind, budget, passed in (
+        ("graph-reciprocity", "1000", ["graph-reciprocity", "graph-reciprocity-poly"]),
+        ("oracle", "3125", ["graph-oracle"]),
+    ):
+        code, out, err = run_cli("check", "--input", c5, "--kind", kind, "--budget", budget)
+        assert (code, err) == (0, "")
+        assert out == "".join(f"PASS {name}\n" for name in passed)
+    code, out, err = run_cli("check", "--input", c5, "--kind", "graph-reciprocity")
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration of 243 objects exceeds budget 100\n"
+
+
 def test_budget_refuses_a_huge_graph_without_computing_the_power(tmp_path):
     # 3^(10^8) has 48 million digits; the bit lengths decide
     path = tmp_path / "huge.json"

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +166,32 @@ def test_acyclic_orientations_equal_direction_vector_filter_on_seven_vertices(ed
     # at most 12 edges, so the filter reads at most 4096 direction vectors
     G = build_graph(7, edges)
     assert acyclic_orientations.__wrapped__(G) == dumb_acyclic_orientations(G)
+
+
+@given(st.lists(st.sampled_from(SEVEN_VERTEX_EDGES), unique=True, max_size=10), st.integers(0, 30))
+@settings(max_examples=30, deadline=None)
+def test_acyclic_orientations_ignore_vertices_off_the_edges(edges, spread):
+    # vertices spread apart, with isolated vertices between and after them,
+    # give the orientations of the 7-vertex graph with the same relabeling
+    label = [v * (spread + 1) + spread for v in range(7)]
+    G = build_graph(7 * (spread + 1) + spread, [(label[u], label[v]) for u, v in edges])
+    want = [
+        AcyclicOrientation(tuple((label[a], label[b]) for a, b in o.directed_edges))
+        for o in dumb_acyclic_orientations(build_graph(7, edges))
+    ]
+    assert list(acyclic_orientations.__wrapped__(G)) == want
+
+
+def test_acyclic_orientations_hold_no_mask_per_isolated_vertex():
+    # a reach mask per vertex took 26 MiB on 20 000 isolated vertices
+    G = edgeless_graph(20000)
+    tracemalloc.start()
+    try:
+        assert acyclic_orientations.__wrapped__(G) == (AcyclicOrientation(()),)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_orientation_edge_limit():

@@ -12,7 +12,16 @@ from bivorder.chrompoly import chrom_poly
 from bivorder.graph import graph_from_json
 from bivorder.orderpoly import order_poly_strict, order_poly_weak
 from bivorder.poset import poset_from_json
-from bivorder.ratpoly import ONE, X, Y, BiPoly, _binomial_poly, _weighted_sum, binom_poly
+from bivorder.ratpoly import (
+    ONE,
+    X,
+    Y,
+    BiPoly,
+    _binomial_poly,
+    _falling_poly,
+    _weighted_sum,
+    binom_poly,
+)
 from oracles import (
     dict_add,
     dict_evaluate,
@@ -252,6 +261,32 @@ def test_binomial_poly_single_coordinates_up_to_twelve(basis):
     for t in range(13):
         for s in range(13 - t):
             assert _binomial_poly({(t, s): 1}, u, v) == binom_poly(u, t) * binom_poly(v, s)
+
+
+# triangular rows: rows[t] has top + 1 - t entries, top <= 8
+falling_rows = st.integers(0, 8).flatmap(lambda top: st.tuples(*(
+    st.lists(st.integers(-(10**4), 10**4), min_size=top + 1 - t, max_size=top + 1 - t)
+    for t in range(top + 1)
+)))
+
+
+@pytest.mark.parametrize("basis", BINOMIAL_BASES)
+@given(falling_rows, st.integers(1, 5040))
+@settings(max_examples=30, deadline=None)
+def test_falling_poly_equals_binom_poly_products(basis, rows, den):
+    # the shared tail of _binomial_poly and chrom_poly: rows[t][j] weighs
+    # t! * binom(u, t) * l_v^j, l_v the linear part of v, whose constant
+    # term the tail ignores
+    (ux, uy, u0), (vx, vy, v0) = BINOMIAL_BASES[basis]
+    u, lv = ux * X + uy * Y + u0, vx * X + vy * Y
+    p = _falling_poly(list(rows), u, lv + v0 + 7, den)
+    assert_canonical(p)
+    want = sum(
+        (c * math.factorial(t) * binom_poly(u, t) * lv**j for t, r in enumerate(rows)
+         for j, c in enumerate(r)),
+        BiPoly.zero(),
+    )
+    assert p == want * Fraction(1, den)
 
 
 def test_binomial_poly_constant_forms():
