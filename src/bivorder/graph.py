@@ -37,13 +37,6 @@ class Graph:
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
     """Normalize edges to (min, max) pairs; loops, duplicates, and

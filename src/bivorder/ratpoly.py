@@ -13,11 +13,12 @@ x-degree descending, then y-degree descending.
 Every counting polynomial of the package is built by _falling_poly, one
 integer expansion into monomials of rows of weights on the products
 u(u - 1)...(u - t + 1) * l^j, u integer affine and l linear, over one
-denominator.  chrom_poly hands it those rows directly; every other
-route, and chrom_poly's oracle, goes through _binomial_poly, which
-first turns integer coordinates on a product basis
-binom(u, t) * binom(v, s), v integer affine too, into such rows over
-the common denominator top!.  binom_poly, the same binomials as BiPoly
+denominator.  Both graph polynomials, chrom_poly and its reciprocity
+side, hand it those rows directly (chrompoly._sums_poly); every other
+route, and the graph polynomials' oracle in the tests, goes through
+_binomial_poly, which first turns integer coordinates on a product
+basis binom(u, t) * binom(v, s), v integer affine too, into such rows
+over the common denominator top!.  binom_poly, the same binomials as BiPoly
 products multiplied out, is the public form and the tests' oracle for
 both; no library route calls it.
 """
@@ -318,8 +319,8 @@ def binom_poly(arg: BiPoly, m: int) -> BiPoly:
     polynomial agreeing with the integer binomial coefficient on integers.
     Built by BiPoly products; the counting polynomials are not built from
     these but by _falling_poly's integer expansion (through _binomial_poly
-    on every route but chrom_poly's), which the tests check against
-    products of binom_poly.
+    on every route but the graph polynomials'), which the tests check
+    against products of binom_poly.
     """
     if m < 0:
         raise ValueError("binom_poly needs m >= 0")

@@ -31,8 +31,13 @@ build_poset and covers; dumb_acyclic_orientations filters all 2^m
 direction vectors, as graph.acyclic_orientations did before it grew
 reachability masks.  whole_order_coords runs the ideal-chain program
 over every element, as orderpoly._order_coords did before it multiplied
-the isolated elements in, and is the oracle of that factoring.  Slow on
-purpose."""
+the isolated elements in, and is the oracle of that factoring.
+partition_coords, the per-size sums of chrompoly's subset dynamic
+program on the strict basis binom(y, t) * binom(x - y, s), was the
+library's route to both graph polynomials (chrom_coords and
+reciprocity_coords, built by ratpoly._binomial_poly) and is the oracle
+of chrompoly._sums_poly, which reads the same sums straight into
+monomials.  Slow on purpose."""
 
 from __future__ import annotations
 
@@ -46,6 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
+from bivorder.chrompoly import _acyclic_counts, _chrom_sums, _partition_sums
 from bivorder.graph import (
     AcyclicOrientation,
     Flat,
@@ -507,6 +513,54 @@ def compatible_count(G: Graph, x0: int, y0: int) -> int:
     contracted colors all exceed y0: compatible_cum_table(G, x0) at
     threshold y0 + 1, which past x0 reads the no-contracted column."""
     return int(compatible_cum_table(G, x0)[x0, min(y0 + 1, x0 + 1)])
+
+
+# the strict-basis route of the subset dynamic program ---------------------
+# Once the library's route to both graph polynomials, now the oracle of
+# chrompoly._sums_poly, through ratpoly._binomial_poly.
+
+
+def surjections(m_max: int) -> list[list[int]]:
+    """surj[m][s], the surjections of an m-set onto s values, for s <= m <=
+    m_max: surj(m, s) = s * (surj(m - 1, s - 1) + surj(m - 1, s)), as the
+    last element's value is either hit by no other element or by some."""
+    surj = [[1]]
+    for m in range(1, m_max + 1):
+        prev = surj[-1] + [0]
+        surj.append([0] + [s * (prev[s - 1] + prev[s]) for s in range(1, m + 1)])
+    return surj
+
+
+def partition_coords(sums: list[list[int]]) -> dict:
+    """The nonzero c[t, s] = sum over W of t! * B_t(V - W) * surj(|W|, s)
+    on the strict basis binom(y, t) * binom(x - y, s), from the per-size
+    sums of B over the n = len(sums) - 1 vertices (see
+    chrompoly._partition_sums): t! orders the blocks and surj expands
+    (x - y)^|W|."""
+    n = len(sums) - 1
+    surj = surjections(n)
+    coords: dict[tuple[int, int], int] = {}
+    for k, row in enumerate(sums):
+        for t, b in enumerate(row):
+            b *= math.factorial(t)
+            for s in range(n - k + 1):
+                coords[t, s] = coords.get((t, s), 0) + b * surj[n - k][s]
+    return {ts: c for ts, c in coords.items() if c}
+
+
+def chrom_coords(G: Graph) -> dict[tuple[int, int], int]:
+    """chrom_poly's nonzero coordinates on the strict basis, where
+    t! * B_t(U) counts the colorings of G[U] with exactly the colors
+    1..t."""
+    return partition_coords(_chrom_sums(G))
+
+
+def reciprocity_coords(G: Graph) -> dict[tuple[int, int], int]:
+    """The nonzero coordinates of (-1)^n chrom_poly(G)(-x, -y) on the
+    strict basis: each block B weighs a(G[B]), its acyclic orientations,
+    so t! * B_t(U) sums prod a(G[block]) over the ordered partitions of U
+    into t blocks."""
+    return partition_coords(_partition_sums(G.n, _acyclic_counts(G), [-1] * G.n))
 
 
 # the per-block tally route -----------------------------------------------

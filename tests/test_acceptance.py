@@ -43,6 +43,7 @@ from bivorder.fixtures import two_chain_celeste_top
 from oracles import (
     all_graphs,
     catalog_posets,
+    chrom_coords,
     compatible_count,
     dumb_count_chain,
     dumb_count_word,
@@ -185,7 +186,7 @@ def test_criterion_8_chromatic_interpolation():
         for G in all_graphs(n):
             # one coloring table up to the simplex's largest x = n serves it
             counter = chrompoly._coloring_counter(G, G.n, None)
-            assert _nonzero_simplex_coords(counter, G.n, "strict") == chrompoly._chrom_coords(G)
+            assert _nonzero_simplex_coords(counter, G.n, "strict") == chrom_coords(G)
             poly = chrom_poly(G)
             assert poly.subs_y_for_x() == classical_chrom_poly(G)
             assert poly.subs_y(0) == X**G.n
@@ -201,7 +202,7 @@ def test_criterion_9_graph_reciprocity():
                     assert report.passed, report.witness
                     # the paper's right side, summed over (flat, orientation) pairs
                     pair_sum = compatible_count(G, x0, y0)
-                    assert pair_sum == chrompoly._reciprocity_count(G, x0, y0)
+                    assert pair_sum == chrompoly._reciprocity_poly(G).evaluate(x0, y0)
             poly_report = check_reciprocity_graph_poly(G)
             assert poly_report.passed, poly_report.witness
 

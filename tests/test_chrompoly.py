@@ -33,10 +33,12 @@ from bivorder.orderpoly import (
 from bivorder.ratpoly import ONE, X, Y, BiPoly, _binomial_poly
 from oracles import (
     all_graphs,
+    chrom_coords,
     compatible_count,
     dumb_count_colorings,
     pair_key_counts,
     per_pair_sum,
+    reciprocity_coords,
     relabeled_graph,
     signed_pairs,
     up_to_isomorphism,
@@ -138,7 +140,7 @@ def test_chrom_poly_equals_per_pair_sum_six_vertices(keep):
 
 def _coords_route(G):
     """chrom_poly by the strict-basis coordinates and _binomial_poly."""
-    return _binomial_poly(chrompoly._chrom_coords(G), Y, X - Y)
+    return _binomial_poly(chrom_coords(G), Y, X - Y)
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -167,17 +169,17 @@ def test_chrom_coords_are_nonnegative(n):
     # c[t, s] counts ordered partitions into t independent blocks
     # followed by s arbitrary ones
     for G in all_graphs(n):
-        assert all(c >= 0 for c in chrompoly._chrom_coords(G).values())
+        assert all(c >= 0 for c in chrom_coords(G).values())
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_negated_chrom_coords_equal_reciprocity_coords(n):
     # chrom_poly(-x, -y) = (-1)^n times the polynomial with coordinates
-    # _reciprocity_coords, so negating in coordinates must give them;
-    # _partition_coords and _negated_coords both return nonzero entries only
+    # reciprocity_coords, so negating in coordinates must give them;
+    # partition_coords and _negated_coords both return nonzero entries only
     for G in all_graphs(n):
-        want = {ts: (-1) ** n * d for ts, d in chrompoly._reciprocity_coords(G).items() if d}
-        assert _negated_coords(chrompoly._chrom_coords(G)) == want, G
+        want = {ts: (-1) ** n * d for ts, d in reciprocity_coords(G).items() if d}
+        assert _negated_coords(chrom_coords(G)) == want, G
 
 
 def _surjections(n, k):
@@ -193,13 +195,14 @@ def test_chrom_coords_closed_forms_pin_packing_width(n):
     # the two extremes of the block weights: in the edgeless graph every
     # block is independent, so c[t, s] counts all surjections onto t + s
     # colors; in the complete graph only singletons are, so the t lower
-    # colors take t distinct vertices.  A packed slot too narrow for the
-    # edgeless counts carries into its neighbour.
+    # colors take t distinct vertices.  A packed slot of the library's
+    # dynamic program too narrow for the edgeless counts carries into its
+    # neighbour.
     top = [(t, s) for t in range(n + 1) for s in range(n + 1 - t)]
     edgeless = {(t, s): _surjections(n, t + s) for t, s in top}
     complete = {(t, s): math.perm(n, t) * _surjections(n - t, s) for t, s in top}
-    assert chrompoly._chrom_coords(edgeless_graph(n)) == {ts: c for ts, c in edgeless.items() if c}
-    assert chrompoly._chrom_coords(complete_graph(n)) == {ts: c for ts, c in complete.items() if c}
+    assert chrom_coords(edgeless_graph(n)) == {ts: c for ts, c in edgeless.items() if c}
+    assert chrom_coords(complete_graph(n)) == {ts: c for ts, c in complete.items() if c}
 
 
 @pytest.mark.parametrize("n", range(11))
@@ -207,8 +210,32 @@ def test_reciprocity_coords_at_weight_extremes(n):
     # edgeless blocks weigh a = 1 each; complete blocks weigh a(K_m) = m!,
     # the largest weights any n-vertex graph has
     for G in (edgeless_graph(n), complete_graph(n)):
-        want = {ts: (-1) ** n * d for ts, d in chrompoly._reciprocity_coords(G).items()}
-        assert _negated_coords(chrompoly._chrom_coords(G)) == want, G
+        want = {ts: (-1) ** n * d for ts, d in reciprocity_coords(G).items()}
+        assert _negated_coords(chrom_coords(G)) == want, G
+        assert chrompoly._reciprocity_poly(G) == chrom_poly(G).negate_args(), G
+
+
+def _reciprocity_coords_route(G):
+    """The reciprocity right side by the strict-basis coordinates and
+    _binomial_poly."""
+    return (-1) ** G.n * _binomial_poly(reciprocity_coords(G), Y, X - Y)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_reciprocity_poly_equals_coordinate_route(n):
+    for G in all_graphs(n):
+        assert chrompoly._reciprocity_poly.__wrapped__(G) == _reciprocity_coords_route(G), G
+
+
+@given(st.integers(6, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+)))
+@settings(max_examples=20, deadline=None)
+def test_reciprocity_poly_equals_coordinate_route_six_to_nine_vertices(graph):
+    n, keep = graph
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    G = Graph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+    assert chrompoly._reciprocity_poly.__wrapped__(G) == _reciprocity_coords_route(G)
 
 
 def test_chrom_poly_reads_no_flats_or_orientations(monkeypatch):
@@ -281,7 +308,7 @@ def test_graph_and_chrompoly_caches_are_bounded():
         "acyclic_orientations",
         "chrom_poly",
         "classical_chrom_poly",
-        "_reciprocity_coords",
+        "_reciprocity_poly",
     } <= names
     assert all(fn.cache_parameters()["maxsize"] is not None for fn in caches)
 
@@ -426,11 +453,12 @@ def test_compatible_table_equals_per_pair_sum_five_and_six_vertices(n, keep):
 
 def _assert_count_is_pair_oracle(G, xs):
     # the oracle table is the per-pair sum (see _assert_table_is_per_pair_sum);
-    # y0 = x0 + 1 reads the threshold clamped to x0
+    # y0 = x0 + 1 reads the threshold clamped to x0, as no color lies above it
+    rhs = chrompoly._reciprocity_poly(G)
     for x0 in xs:
         for y0 in range(x0 + 2):
             want = compatible_count(G, x0, y0)
-            assert chrompoly._reciprocity_count(G, x0, y0) == want, (G, x0, y0)
+            assert rhs.evaluate(x0, min(y0, x0)) == want, (G, x0, y0)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -474,27 +502,38 @@ def test_numeric_reciprocity_builds_no_poset(monkeypatch):
     for name in ("flats", "acyclic_orientations"):
         for module in (graph, chrompoly):
             monkeypatch.setattr(module, name, forbidden, raising=False)
-    chrompoly._reciprocity_coords.cache_clear()
+    chrompoly._reciprocity_poly.cache_clear()
     before = orderpoly._cum_table.cache_info()
     C5 = cycle_graph(5)
     for x0 in range(1, 6):
         assert all(check_reciprocity_graph(C5, x0, y0).passed for y0 in range(x0 + 1))
     assert orderpoly._cum_table.cache_info() == before
     # one computation per graph serves every (x0, y0)
-    assert chrompoly._reciprocity_coords.cache_info().misses == 1
+    assert chrompoly._reciprocity_poly.cache_info().misses == 1
 
 
 def test_default_budget_keeps_one_cache_entry_per_graph():
     # lru_cache keys f(G) and f(G, None) apart; under the default budget
     # the checks call f(G), so chrom_poly and both checks compute once
     chrom_poly.cache_clear()
-    chrompoly._reciprocity_coords.cache_clear()
+    chrompoly._reciprocity_poly.cache_clear()
     C5 = cycle_graph(5)
     chrom_poly(C5)
     assert check_reciprocity_graph(C5, 2, 1).passed
     assert check_reciprocity_graph_poly(C5).passed
     assert chrom_poly.cache_info().misses == 1
-    assert chrompoly._reciprocity_coords.cache_info().misses == 1
+    assert chrompoly._reciprocity_poly.cache_info().misses == 1
+
+
+def test_reciprocity_side_is_computed_once_for_every_budget():
+    # the budget only gates the work, so the right side is cached on the
+    # graph alone: three budgets, one computation
+    chrompoly._reciprocity_poly.cache_clear()
+    C5 = cycle_graph(5)
+    for budget in (1000, 2000, None):
+        assert check_reciprocity_graph_poly(C5, budget).passed
+        assert check_reciprocity_graph(C5, 3, 2, budget).passed
+    assert chrompoly._reciprocity_poly.cache_info().misses == 1
 
 
 def test_reciprocity_witness_is_per_pair_sum(monkeypatch):
@@ -540,12 +579,22 @@ def test_reciprocity_budget_boundary_names_largest_quotient(monkeypatch):
     # the largest quotient, K4 itself, is gated by its 3^4 subset pairs:
     # at x0 = 4 they fit budget 81, where its 4^4 colorings would not
     K4 = complete_graph(4)
-    assert check_reciprocity_graph(K4, 4, 1, budget=81).passed
+    message = "enumeration of 81 objects exceeds budget 80"
+    checks = (
+        lambda budget: check_reciprocity_graph(K4, 4, 1, budget),
+        lambda budget: check_reciprocity_graph_poly(K4, budget),
+    )
+    for check in checks:
+        assert check(81).passed
+        # the right side is cached on the graph alone; a hit skips no gate
+        with pytest.raises(BudgetExceededError, match=message):
+            check(80)
     # nothing is computed before the check
     monkeypatch.setattr(chrompoly, "chrom_poly", None)
-    monkeypatch.setattr(chrompoly, "_reciprocity_coords", None)
-    with pytest.raises(BudgetExceededError, match="enumeration of 81 objects exceeds budget 80"):
-        check_reciprocity_graph(K4, 4, 1, budget=80)
+    monkeypatch.setattr(chrompoly, "_reciprocity_poly", None)
+    for check in checks:
+        with pytest.raises(BudgetExceededError, match=message):
+            check(80)
 
 
 @pytest.mark.parametrize("n", range(4))

@@ -24,7 +24,7 @@ from bivorder.fixtures import (
 from bivorder.graph import Graph, graph_from_json, graph_to_json
 from bivorder.orderpoly import MODES, BudgetExceededError, CheckReport, brute_count
 from bivorder.poset import build_poset, poset_from_json, poset_to_json
-from bivorder.ratpoly import BiPoly, X, _binomial_poly
+from bivorder.ratpoly import BiPoly, X, Y, _binomial_poly, binom_poly
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -462,15 +462,18 @@ def test_oracle_reads_exactly_the_simplex(monkeypatch, n):
 
 
 def _planted_reciprocity(t, s, c):
-    """_reciprocity_coords with c added to d[t, s]."""
-    exact = chrompoly._reciprocity_coords
-    return lambda G: {**exact(G), (t, s): exact(G).get((t, s), 0) + c}
+    """_reciprocity_poly with (-1)^n * c * binom(y, t) * binom(x - y, s)
+    added: c added to the strict-basis coordinate d[t, s] of
+    (-1)^n chrom_poly(-x, -y)."""
+    exact = chrompoly._reciprocity_poly
+    plant = c * binom_poly(Y, t) * binom_poly(X - Y, s)
+    return lambda G: exact(G) + (-1) ** G.n * plant
 
 
 def test_graph_reciprocity_fails_on_a_planted_top_coordinate(monkeypatch, tmp_path):
     # binom(y, 3) * binom(x - y, 3) is zero at every point with x0 < 6, so a
     # sweep that stops below x0 = n passes it
-    monkeypatch.setattr(chrompoly, "_reciprocity_coords", _planted_reciprocity(3, 3, 1))
+    monkeypatch.setattr(chrompoly, "_reciprocity_poly", _planted_reciprocity(3, 3, 1))
     C6 = cycle_graph(6)
     path = tmp_path / "c6.json"
     path.write_text(json.dumps(graph_to_json(C6)))
@@ -479,7 +482,18 @@ def test_graph_reciprocity_fails_on_a_planted_top_coordinate(monkeypatch, tmp_pa
     witness = {"graph": graph_to_json(C6), "lhs": "78342", "rhs": "78343", "x": 6, "y": 3}
     first, second = out.splitlines()
     assert first == "FAIL graph-reciprocity witness=" + json.dumps(witness, sort_keys=True)
-    assert second.startswith("FAIL graph-reciprocity-poly ")
+    # the polynomial form prints both sides in full, byte for byte
+    poly_witness = {
+        "graph": graph_to_json(C6),
+        "lhs": "x^6 + 6*x^4*y + 6*x^3*y + 9*x^2*y^2 + 6*x^2*y + 12*x*y^2 + 6*x*y + 2*y^3 + 9*y^2 + 5*y",
+        "rhs": (
+            "x^6 + 6*x^4*y + 1/36*x^3*y^3 - 1/12*x^3*y^2 + 109/18*x^3*y - 1/12*x^2*y^4 "
+            "+ 1/6*x^2*y^3 + 109/12*x^2*y^2 + 35/6*x^2*y + 1/12*x*y^5 - 1/12*x*y^4 "
+            "- 5/18*x*y^3 + 73/6*x*y^2 + 55/9*x*y - 1/36*y^6 + 5/36*y^4 + 2*y^3 "
+            "+ 80/9*y^2 + 5*y"
+        ),
+    }
+    assert second == "FAIL graph-reciprocity-poly witness=" + json.dumps(poly_witness, sort_keys=True)
 
 
 @st.composite
@@ -499,7 +513,7 @@ def test_graph_reciprocity_finds_any_planted_top_coordinate(planted):
     G, t, c = planted
     n = G.n
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chrompoly, "_reciprocity_coords", _planted_reciprocity(t, n - t, c))
+        mp.setattr(chrompoly, "_reciprocity_poly", _planted_reciprocity(t, n - t, c))
         report = cli._run_checks(G, "graph-reciprocity", None)[0]
     assert report.name == "graph-reciprocity" and not report.passed
     # binom(y, t) * binom(x - y, n - t) is zero below x0 = n and 1 at y0 = t there
@@ -689,7 +703,7 @@ def test_graph_reciprocity_budget_lifts_the_default(monkeypatch, tmp_path):
     # a budget above the default reaches every subset computation the check
     # runs, not only its first gate: 3^5 = 243 pairs under a default of 100
     monkeypatch.setattr(orderpoly, "DEFAULT_BUDGET", 100)
-    for fn in (chrom_poly, chrompoly._reciprocity_coords):
+    for fn in (chrom_poly, chrompoly._reciprocity_poly):
         fn.cache_clear()
     c5 = _graph_file(tmp_path, 5, [(v, (v + 1) % 5) for v in range(5)])
     # the oracle's table of 5^5 colorings has 6 * 7 = 42 cells

@@ -72,7 +72,10 @@ def test_flats_respect_connectivity():
 
 def test_flats_blocks_partition_and_connect():
     for G in (cycle_graph(4), complete_graph(4), path_graph(4)):
-        adj = G.adjacency()
+        adj = [set() for _ in range(G.n)]
+        for u, v in G.edges:
+            adj[u].add(v)
+            adj[v].add(u)
         for F in flats(G):
             elements = sorted(v for b in F.blocks for v in b)
             assert elements == list(range(G.n))
