@@ -164,7 +164,9 @@ def _budgeted(cached: Callable, G: Graph, budget: int | None):
 
 @lru_cache(maxsize=4096)
 def classical_chrom_poly(G: Graph) -> BiPoly:
-    """Single-variable chromatic polynomial by deletion and contraction."""
+    """Single-variable chromatic polynomial by deletion and contraction:
+    exponential in the edges and gated by no budget, so it serves only as
+    a reference (chrom_poly(G).subs_y_for_x() is the budgeted route)."""
     if not G.edges:
         return X**G.n
     e = min(G.edges)

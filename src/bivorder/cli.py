@@ -11,6 +11,8 @@ once, after all of the verb's work, so an error leaves it empty.  Brute
 counts come from the library's budgeted counters, which refuse before
 any table is built.  One walker, _sweep, runs every check sweep over the
 valid points with x0 <= n, which fix a polynomial of total degree <= n.
+One oracle check serves posets and graphs: it fails a polynomial of
+total degree above n before its sweep, so the sweep is complete.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from .chrompoly import (
     check_reciprocity_graph_poly,
     chrom_count,
     chrom_poly,
-    classical_chrom_poly,
 )
 from .graph import Graph, acyclic_orientations, flats, graph_from_json, graph_to_json
 from .orderpoly import (
+    MODES,
     BudgetExceededError,
     CheckReport,
     _check_extensions,
@@ -44,7 +46,7 @@ from .orderpoly import (
     order_poly_weak,
 )
 from .poset import BicoloredPoset, linear_extensions, poset_from_json
-from .ratpoly import BiPoly, X
+from .ratpoly import BiPoly
 
 
 def _budget(text: str) -> int:
@@ -153,36 +155,18 @@ def _oracle_point(extras: dict, poly: BiPoly, counter: Callable, x0: int, y0: in
     return None if got == want else {**extras, "x": x0, "y": y0, "poly": str(want), "brute": got}
 
 
-def _poset_oracle_check(P: BicoloredPoset, budget: int | None) -> CheckReport:
-    """Brute counts against both polynomials at every valid point with
-    x0 <= P.n, strict before weak at each x0, all read from one brute
-    table per mode.  These are the points _simplex_coords reads, which fix
-    a polynomial of total degree <= n, so a wrong coordinate cannot pass."""
-    modes = ("strict", "weak")
-    counters = [_poset_counter(P, mode, P.n, budget) for mode in modes]
-    parts = zip(modes, (order_poly_strict(P), order_poly_weak(P)), counters)
-    cases = [(m, functools.partial(_oracle_point, {"mode": m}, p, c)) for m, p, c in parts]
-    return _sweep("poset-oracle", P.n, cases)
-
-
-def _graph_oracle_check(G: Graph, budget: int | None) -> CheckReport:
-    """Coloring counts against chrom_poly at every 0 <= y0 <= x0 <= G.n,
-    the strict simplex that fixes it (see _poset_oracle_check), all read
-    from one brute table, then the y = x and y = 0 specializations."""
-    counter = _coloring_counter(G, G.n, budget)
-    poly = _budgeted(chrom_poly, G, budget)
-    point = functools.partial(_oracle_point, {}, poly, counter)
-    report = _sweep("graph-oracle", G.n, [("strict", point)])
-    if not report.passed:
-        return report
-    for identity, got, want in (
-        ("y=x", poly.subs_y_for_x(), classical_chrom_poly(G)),
-        ("y=0", poly.subs_y(0), X**G.n),
-    ):
-        if got != want:
-            witness = {"identity": identity, "got": got.text(), "want": want.text()}
-            return CheckReport("graph-oracle", False, witness)
-    return CheckReport("graph-oracle", True)
+def _oracle_check(name: str, n: int, parts: list[tuple[str, dict, BiPoly, Callable]]) -> CheckReport:
+    """Brute counts against each part (mode, witness extras, polynomial,
+    counter) at every valid point with x0 <= n, strict before weak at each
+    x0, each mode read from one brute table.  These points fix a polynomial
+    of total degree <= n (see _simplex_coords), and every counting
+    polynomial of n elements has total degree n, so a polynomial above it
+    fails first, its witness the degree, and no wrong coordinate can pass."""
+    for _, extras, poly, _ in parts:
+        if (degree := poly.total_degree) > n:
+            return CheckReport(name, False, {**extras, "degree": degree, "n": n})
+    cases = [(m, functools.partial(_oracle_point, e, p, c)) for m, e, p, c in parts]
+    return _sweep(name, n, cases)
 
 
 def _run_checks(obj: BicoloredPoset | Graph, kind: str, budget: int | None) -> list[CheckReport]:
@@ -192,18 +176,23 @@ def _run_checks(obj: BicoloredPoset | Graph, kind: str, budget: int | None) -> l
     if kind == "graph-reciprocity" and is_poset:
         raise ValueError("graph-reciprocity needs a graph input")
     reports: list[CheckReport] = []
-    if is_poset:
-        if kind in ("poset-reciprocity", "all"):
-            reports.append(check_reciprocity_poset(obj))
-        if kind in ("oracle", "all"):
-            reports.append(_poset_oracle_check(obj, budget))
-    else:
-        if kind in ("graph-reciprocity", "all"):
-            point = lambda x0, y0: check_reciprocity_graph(obj, x0, y0, budget).witness
-            reports.append(_sweep("graph-reciprocity", obj.n, [("strict", point)]))
-            reports.append(check_reciprocity_graph_poly(obj, budget))
-        if kind in ("oracle", "all"):
-            reports.append(_graph_oracle_check(obj, budget))
+    if is_poset and kind in ("poset-reciprocity", "all"):
+        reports.append(check_reciprocity_poset(obj))
+    if not is_poset and kind in ("graph-reciprocity", "all"):
+        point = lambda x0, y0: check_reciprocity_graph(obj, x0, y0, budget).witness
+        reports.append(_sweep("graph-reciprocity", obj.n, [("strict", point)]))
+        reports.append(check_reciprocity_graph_poly(obj, budget))
+    if kind in ("oracle", "all"):
+        # the counters come first, so the budget refuses before any polynomial
+        if is_poset:
+            counters = [_poset_counter(obj, mode, obj.n, budget) for mode in MODES]
+            polys = (order_poly_strict(obj), order_poly_weak(obj))
+            parts = [(m, {"mode": m}, p, c) for m, p, c in zip(MODES, polys, counters)]
+        else:
+            counter = _coloring_counter(obj, obj.n, budget)
+            parts = [("strict", {}, _budgeted(chrom_poly, obj, budget), counter)]
+        name = "poset-oracle" if is_poset else "graph-oracle"
+        reports.append(_oracle_check(name, obj.n, parts))
     return reports
 
 

@@ -279,7 +279,10 @@ def _order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -
     whose steps are all celeste-free, the slots with s >= 1 those that
     have opened at least one step allowed to hold celeste, so a celeste
     element keeps only the bits from T up.  Every count is at most
-    (t + s)^m <= m^m for the m elements of R, so no slot carries.
+    (t + s)^m <= m^m for the m elements of R, so no slot carries.  Each
+    level counts its states as it stores them and refuses (see
+    _check_budget) once its states times the (m + 1)(m + 2)/2 slots pass
+    the default budget, before the level is complete.
 
     A disjoint union's polynomial is the product of its parts', so each
     isolated element then multiplies in v if celeste, u + v if silver: as
@@ -298,10 +301,13 @@ def _order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -
     width = m * m.bit_length() + 1
     S, T = width, width * (m + 1)
     free = (1 << T) - 1
+    slots = (m + 1) * (m + 2) // 2
+    bound = DEFAULT_BUDGET // slots
     # the empty prefix ends above every label, so the first element opens a step
     level: dict[int, dict[int, int]] = {0: {P.n + 1: 1}}
     for _ in range(m):
         nxt: dict[int, dict[int, int]] = {}
+        count = 0
         for ideal, states in level.items():
             total = sum(states.values())
             opened, free_open = total << T, (total & free) << S
@@ -316,6 +322,9 @@ def _order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -
                 c = join & ~free if celeste >> v & 1 else join + free_open
                 # each (ideal, label) is reached from one ideal only
                 nxt.setdefault(ideal | 1 << v, {})[lab] = opened + c
+                count += 1
+            if count > bound:
+                _check_budget(1, count * slots, None, 0)  # the level's states so far
         level = nxt
     total = sum(level[related].values())
     mask = (1 << width) - 1
@@ -337,7 +346,9 @@ def order_poly_strict(
     P: BicoloredPoset, labeling: tuple[int, ...] | None = None
 ) -> BiPoly:
     """Polynomial counting strict order preserving maps of P into 1..x
-    with every celeste element sent strictly above y."""
+    with every celeste element sent strictly above y.  Raises
+    BudgetExceededError when the ideal-chain states outgrow the default
+    budget (see _order_coords)."""
     return _binomial_poly(_order_coords(P, "strict", labeling), *_MODE_BASIS["strict"])
 
 
@@ -345,7 +356,8 @@ def order_poly_weak(
     P: BicoloredPoset, labeling: tuple[int, ...] | None = None
 ) -> BiPoly:
     """Polynomial counting weak order preserving maps of P into 1..x with
-    every celeste element sent to y or above."""
+    every celeste element sent to y or above.  Raises BudgetExceededError
+    as order_poly_strict does."""
     return _binomial_poly(_order_coords(P, "weak", labeling), *_MODE_BASIS["weak"])
 
 

@@ -325,25 +325,29 @@ def test_poset_oracle_witness_in_both_modes(monkeypatch, errors, mode, x, y):
 
 
 @pytest.mark.parametrize(
-    "name, patched, got, want",
+    "name, attr, mode, t, out",
     [
-        ("classical_chrom_poly", lambda G: X**G.n, "x^3 - 3*x^2 + 2*x", "x^3"),
-        ("X", X + 1, "x^3", "x^3 + 3*x^2 + 3*x + 1"),
+        ("k3.json", "chrom_poly", "strict", 4,
+         '{"name": "graph-oracle", "passed": false, "witness": {"degree": 4, "n": 3}}'),
+        ("skewdiamond.json", "order_poly_strict", "strict", 6,
+         '{"name": "poset-oracle", "passed": false, '
+         '"witness": {"degree": 6, "mode": "strict", "n": 5}}'),
+        ("skewdiamond.json", "order_poly_weak", "weak", 6,
+         '{"name": "poset-oracle", "passed": false, '
+         '"witness": {"degree": 6, "mode": "weak", "n": 5}}'),
     ],
-    ids=["y=x", "y=0"],
+    ids=["graph", "strict", "weak"],
 )
-def test_graph_oracle_identity_witnesses(monkeypatch, name, patched, got, want):
-    # the point sweep passes, so each patched identity is the failure
-    monkeypatch.setattr(cli, name, patched)
-    code, out, err = run_cli(
-        "check", "--input", fixture("k3.json"), "--kind", "oracle", "--format", "json"
+def test_oracle_refuses_a_polynomial_above_degree_n(monkeypatch, name, attr, mode, t, out):
+    # binom(y - w, n + 1) is zero at every swept point, where y0 - w <= x0 <= n,
+    # so the sweep alone passes it; the degree guard fails it first
+    exact = getattr(cli, attr)
+    monkeypatch.setattr(cli, attr, lambda P: exact(P) + _basis_bump(t, 0, mode))
+    code, got, err = run_cli(
+        "check", "--input", fixture(name), "--kind", "oracle", "--format", "json"
     )
-    identity = "y=x" if name == "classical_chrom_poly" else "y=0"
     assert (code, err) == (1, "")
-    assert out == (
-        '[{"name": "graph-oracle", "passed": false, "witness": '
-        f'{{"got": "{got}", "identity": "{identity}", "want": "{want}"}}}}]\n'
-    )
+    assert got == f"[{out}]\n"
 
 
 def test_oracle_checks_build_one_brute_table_per_mode():
@@ -397,8 +401,9 @@ def test_oracle_fails_on_a_planted_top_coordinate(monkeypatch, tmp_path, kind):
 
 @st.composite
 def planted_bumps(draw):
-    """A poset or graph of up to 7 elements, a mode, and a nonzero multiple
-    of one of its mode's top-degree basis elements."""
+    """A poset or graph of up to 7 elements, a mode, a total degree d of n
+    or n + 1, and a nonzero multiple of one of its mode's basis elements of
+    total degree d."""
     n = draw(st.integers(0, 7))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -409,26 +414,32 @@ def planted_bumps(draw):
         marks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
         obj = build_poset(n, chosen, [v for v, m in enumerate(marks) if m])
         mode = draw(st.sampled_from(MODES))
-    t = draw(st.integers(0, n))
+    d = n + draw(st.booleans())
+    t = draw(st.integers(0, d))
     c = draw(st.integers(-3, 3).filter(bool))
-    return obj, mode, t, c
+    return obj, mode, d, t, c
 
 
 @given(planted_bumps())
 @settings(max_examples=40, deadline=None)
 def test_oracle_finds_any_planted_top_coordinate(planted):
-    obj, mode, t, c = planted
+    obj, mode, d, t, c = planted
     n = obj.n
     name = "chrom_poly" if isinstance(obj, Graph) else f"order_poly_{mode}"
     exact = getattr(cli, name)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, name, lambda P: exact(P) + c * _basis_bump(t, n - t, mode))
+        mp.setattr(cli, name, lambda P: exact(P) + c * _basis_bump(t, d - t, mode))
         [report] = cli._run_checks(obj, "oracle", None)
     assert not report.passed
-    # the bump is zero below x0 = n and c at the one point with y0 - w = t there
     witness = report.witness
-    assert (witness["x"], witness["y"]) == (n, t + (mode == "weak"))
     assert witness.get("mode", "strict") == mode
+    if d > n:
+        # the degree guard fails it before the sweep
+        assert witness.keys() - {"mode"} == {"degree", "n"}
+        assert (witness["degree"], witness["n"]) == (d, n)
+        return
+    # the bump is zero below x0 = n and c at the one point with y0 - w = t there
+    assert (witness["x"], witness["y"]) == (n, t + (mode == "weak"))
     assert int(witness["poly"]) - witness["brute"] == c
 
 
@@ -728,6 +739,20 @@ def test_budget_refuses_a_huge_graph_without_computing_the_power(tmp_path):
     assert time.perf_counter() - start < 2
     assert (code, out) == (2, "")
     assert err == "error: enumeration of 3^100000000 objects exceeds budget 10000000\n"
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_poset_poly_refuses_the_31_element_tree(tmp_path, mode):
+    # the ideal-chain DP's states, not the input size, are past the budget:
+    # the complete binary tree on 31 elements has 458 330 order ideals
+    path = tmp_path / "tree.json"
+    covers = [[i, c] for i in range(31) for c in (2 * i + 1, 2 * i + 2) if c < 31]
+    path.write_text(json.dumps({"n": 31, "covers": covers, "celeste": []}))
+    start = time.perf_counter()
+    code, out, err = run_cli("poset-poly", "--input", str(path), "--mode", mode)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration of 10002432 objects exceeds budget 10000000\n"
 
 
 @pytest.mark.parametrize("n", [2**62, 2**64])

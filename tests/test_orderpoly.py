@@ -731,6 +731,26 @@ def test_extension_gate_is_cheap_on_tall_posets():
     assert int(str(info.value).split()[2]) < 2 * orderpoly.DEFAULT_BUDGET
 
 
+def _binary_tree(n: int) -> BicoloredPoset:
+    """The complete binary tree on n elements, its root 0 at the bottom."""
+    return build_poset(n, [(i, c) for i in range(n) for c in (2 * i + 1, 2 * i + 2) if c < n], [])
+
+
+def test_ideal_dp_refuses_inside_the_first_level_past_the_budget(monkeypatch):
+    # the 15-element tree's widest level holds 500 (ideal, label) states of
+    # 16 * 17 / 2 = 136 slots each, 68 000 state-slots, well inside the
+    # default; under 10^4 it refuses once a level stores more than
+    # 10^4 // 136 = 73 states, checked after each ideal
+    P = _binary_tree(15)
+    for mode in MODES:
+        assert _order_coords(P, mode) == whole_order_coords(P, mode)
+    monkeypatch.setattr(orderpoly, "DEFAULT_BUDGET", 10**4)
+    for call in (order_poly_strict, order_poly_weak, check_reciprocity_poset):
+        with pytest.raises(BudgetExceededError) as info:
+            call(P)
+        assert str(info.value) == "enumeration of 10336 objects exceeds budget 10000"
+
+
 def test_brute_budget_message_prints_past_the_digit_limit(monkeypatch):
     # 2^15000 has more digits than Python turns into a string; no map is visited
     monkeypatch.setattr(orderpoly, "_cum_table", None)
