@@ -350,6 +350,32 @@ def test_oracle_refuses_a_polynomial_above_degree_n(monkeypatch, name, attr, mod
     assert got == f"[{out}]\n"
 
 
+@pytest.mark.parametrize(
+    "error, identity, witness",
+    [
+        (Y, "y=x", {"x": 1, "y": 1, "poly": "1", "brute": 0}),
+        (X - Y, "y=0", {"x": 1, "y": 0, "poly": "2", "brute": 1}),
+    ],
+    ids=["y=x", "y=0"],
+)
+def test_graph_oracle_identity_witnesses(monkeypatch, error, identity, witness):
+    # each error breaks one classical identity, chi(x, x) = chi_G(x) or
+    # chi(x, 0) = x^n, and keeps the other; the sweep alone must catch it
+    G = graph_from_json(json.loads(Path(fixture("k3.json")).read_text()))
+    wrong = chrom_poly(G) + error
+    classical = [chrompoly.classical_chrom_poly(G).evaluate(x0, 0) for x0 in range(5)]
+    assert ([wrong.evaluate(x0, x0) for x0 in range(5)] == classical) == (identity == "y=0")
+    assert ([wrong.evaluate(x0, 0) for x0 in range(5)] == [x0**3 for x0 in range(5)]) == (
+        identity == "y=x"
+    )
+    monkeypatch.setattr(cli, "chrom_poly", lambda P, **kw: wrong)
+    code, out, err = run_cli(
+        "check", "--input", fixture("k3.json"), "--kind", "oracle", "--format", "json"
+    )
+    assert (code, err) == (1, "")
+    assert json.loads(out) == [{"name": "graph-oracle", "passed": False, "witness": witness}]
+
+
 def test_oracle_checks_build_one_brute_table_per_mode():
     # posets and graphs share one table cache: two poset modes, one graph
     orderpoly._cum_table.cache_clear()
