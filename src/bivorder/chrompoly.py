@@ -48,14 +48,8 @@ from .graph import (
     graph_to_json,
     orientation_to_poset,
 )
-from .orderpoly import (
-    _MODE_BASIS,
-    CheckReport,
-    _check_budget,
-    _counter,
-    _counts_ok,
-    brute_count,
-)
+from .orderpoly import _MODE_BASIS, CheckReport, _counter, _counts_ok, brute_count
+from .poset import _check_budget
 from .ratpoly import BiPoly, X, _falling_poly
 
 
@@ -147,7 +141,7 @@ def chrom_poly(G: Graph, budget: int | None = None) -> BiPoly:
 
     The work is a subset dynamic program over fewer than 3^n pairs of
     vertex sets, so 3^n is checked against the budget (the default when
-    None) like brute maps (see orderpoly._check_budget): by default from
+    None) like brute maps (see poset._check_budget): by default from
     15 vertices on it raises BudgetExceededError before any enumeration.
     """
     _check_budget(G.n, 3, budget, 0)

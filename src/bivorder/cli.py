@@ -35,9 +35,7 @@ from .chrompoly import (
 from .graph import Graph, acyclic_orientations, flats, graph_from_json, graph_to_json
 from .orderpoly import (
     MODES,
-    BudgetExceededError,
     CheckReport,
-    _check_extensions,
     _poset_counter,
     _valid_ys,
     brute_count,
@@ -45,7 +43,7 @@ from .orderpoly import (
     order_poly_strict,
     order_poly_weak,
 )
-from .poset import BicoloredPoset, linear_extensions, poset_from_json
+from .poset import BicoloredPoset, BudgetExceededError, linear_extensions, poset_from_json
 from .ratpoly import BiPoly
 
 
@@ -79,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         if mode:
             p.add_argument(
-                "--mode", choices=("strict", "weak"), required=True,
+                "--mode", choices=MODES, required=True,
                 help="strict or weak order preservation",
             )
         if point:
@@ -215,9 +213,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[Callable, Callable, int]:
             count = chrom_count(_need_graph(obj), args.x, args.y, args.budget)
         return lambda: {"count": count}, lambda: [str(count)], 0
     if verb == "list-extensions":
-        P = _need_poset(obj)
-        _check_extensions(P)
-        exts = linear_extensions(P)
+        exts = linear_extensions(_need_poset(obj))
         return (
             lambda: {"extensions": [list(e) for e in exts]},
             lambda: (" ".join(map(str, e)) for e in exts),

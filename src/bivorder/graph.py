@@ -7,7 +7,8 @@ two or more are the contracted ones; they become the celeste elements
 of the posets an acyclic orientation of the quotient gives rise to.
 flats generates the connected partitions directly, block by block, so
 its work follows the number of flats rather than all Bell(n) set
-partitions.
+partitions, and it refuses past 2^n subsets through poset's budget gate;
+acyclic_orientations refuses graphs of more than 20 edges.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .orderpoly import _check_budget
-from .poset import BicoloredPoset, build_poset
+from .poset import BicoloredPoset, _check_budget, _json_n, _json_pairs, build_poset
 
 MAX_ORIENTATION_EDGES = 20
 
@@ -64,24 +64,11 @@ def graph_to_json(G: Graph) -> dict:
 
 
 def graph_from_json(data: dict) -> Graph:
-    if not isinstance(data, dict) or "n" not in data:
-        raise ValueError("graph JSON must be an object with an 'n' field")
-    n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("graph field 'n' must be an integer")
+    n = _json_n(data, "graph")
     raw_edges = data.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ValueError("graph field 'edges' must be a list")
-    edges = []
-    for item in raw_edges:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
-        ):
-            raise ValueError(f"edge {item!r} must be a pair of integers")
-        edges.append((item[0], item[1]))
-    return build_graph(n, edges)
+    return build_graph(n, _json_pairs(raw_edges, "edge"))
 
 
 def _neighbor_masks(G: Graph) -> list[int]:

@@ -37,6 +37,9 @@ coordinates (see _negated_coords).
 Counts and polynomials agree on the validity region (_valid_ys)
 0 <= y <= x in strict mode and 1 <= y <= x + 1 in weak mode; outside it
 the polynomial is still defined but no longer counts anything.
+
+The brute counters and the ideal-chain dynamic program refuse through
+the budget gate in poset (see poset._check_budget).
 """
 
 from __future__ import annotations
@@ -47,14 +50,15 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
+from . import poset
 from .poset import (
     BicoloredPoset,
     Word,
-    _natural_labels,
+    _check_budget,
     _pred_masks,
     ascents,
     covers,
@@ -62,51 +66,15 @@ from .poset import (
     is_natural_labeling,
     is_reverse_natural_labeling,
     linear_extensions,
+    natural_labeling,
     poset_to_json,
+    reverse_natural_labeling,
     word_of,
 )
 from .ratpoly import X, Y, BiPoly, _binomial_poly
 
-DEFAULT_BUDGET = 10_000_000
-
 MODES = ("strict", "weak")
 _MODE_BASIS = {"strict": (Y, X - Y), "weak": (Y - 1, X - Y + 1)}  # see _order_coords
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration would visit more objects than allowed."""
-
-
-def _check_budget(n: int, base: int, budget: int | None, cells: int) -> None:
-    """base^n objects and the cells of the table they fill (0 where none is
-    built; only _counter builds one) must fit the budget.  A count of 20+
-    digits is written base^n, not computed once its lower bound 2^bits
-    exceeds 10^19 < 2^64, the limit and the cells, so any n prints."""
-    limit = DEFAULT_BUDGET if budget is None else budget
-    bits = n * (base.bit_length() - 1)
-    if bits >= 64 and bits >= limit.bit_length() and bits >= cells.bit_length():
-        shown = f"{base}^{n}"
-    elif max(objects := base**n, cells) > limit:
-        shown = f"{base}^{n}" if objects >= max(cells, 10**19) else max(objects, cells)
-    else:
-        return
-    raise BudgetExceededError(f"enumeration of {shown} objects exceeds budget {limit}")
-
-
-def _check_extensions(P: BicoloredPoset) -> None:
-    """Refuse past the default budget to list P's linear extensions.  Level
-    k counts by ideal the k-element prefixes linear_extensions visits, no
-    more than the extensions (level n), and refuses once its count does."""
-    preds, level = _pred_masks(P), {0: 1}
-    for _ in range(P.n):
-        nxt, count = Counter(), 0
-        for ideal, ways in level.items():
-            for v in range(P.n):
-                if not (ideal >> v & 1 or preds[v] & ~ideal):
-                    nxt[ideal | 1 << v] += ways
-                    count += ways
-            _check_budget(1, count, None, 0)  # the level's prefixes so far
-        level = nxt
 
 
 def _valid_ys(mode: str, x0: int) -> range:
@@ -219,23 +187,15 @@ def word_poly_weak(w: Word) -> BiPoly:
 # decomposition over linear extensions ---------------------------------------
 
 
-def _default_labeling(preds: Sequence[int], mode: str) -> tuple[int, ...]:
-    """The natural labeling along the first extension (see
-    _natural_labels), reversed for strict words."""
-    labels = _natural_labels(preds)
-    if mode == "strict":
-        return tuple(len(preds) + 1 - lab for lab in labels)
-    return labels
-
-
 def _checked_labeling(
     P: BicoloredPoset, labeling: tuple[int, ...] | None, mode: str
 ) -> tuple[int, ...]:
-    """The mode's default labeling, or the given one once it is checked:
-    strict words need a reverse natural labeling, weak words a natural one."""
+    """The mode's default labeling, the reverse natural one for strict words
+    and the natural one for weak words, or the given one once it is checked
+    to be of that kind."""
     strict = mode == "strict"
     if labeling is None:
-        return _default_labeling(_pred_masks(P), mode)
+        return reverse_natural_labeling(P) if strict else natural_labeling(P)
     valid = is_reverse_natural_labeling if strict else is_natural_labeling
     if not valid(P, tuple(labeling)):
         kind = "reverse natural" if strict else "natural"
@@ -289,11 +249,7 @@ def _order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -
     v * binom(v, s) = (s + 1) * binom(v, s + 1) + s * binom(v, s), and so
     for u, c'[t, s] = s * (c[t, s - 1] + c[t, s]), plus for a silver
     element t * (c[t - 1, s] + c[t, s])."""
-    preds = _pred_masks(P)
-    if labeling is None:
-        labels = _default_labeling(preds, mode)
-    else:
-        labels = _checked_labeling(P, labeling, mode)
+    preds, labels = _pred_masks(P), _checked_labeling(P, labeling, mode)
     celeste = sum(1 << c for c in P.celeste)
     related = reduce(operator.or_, (p | 1 << b for b, p in enumerate(preds) if p), 0)
     elements = [v for v in range(P.n) if related >> v & 1]
@@ -302,7 +258,7 @@ def _order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -
     S, T = width, width * (m + 1)
     free = (1 << T) - 1
     slots = (m + 1) * (m + 2) // 2
-    bound = DEFAULT_BUDGET // slots
+    bound = poset.DEFAULT_BUDGET // slots
     # the empty prefix ends above every label, so the first element opens a step
     level: dict[int, dict[int, int]] = {0: {P.n + 1: 1}}
     for _ in range(m):

@@ -11,13 +11,41 @@ element, so each costs O(|less|) mask operations, not pair lookups.
 Linear extensions are enumerated in a fixed deterministic order, and a
 labeling plus an extension yields a word whose ascent and descent
 positions drive the closed-form counting polynomials.
+
+The one budget gate of every exponential enumeration, _check_budget
+against DEFAULT_BUDGET read at each call, lives here, below orderpoly,
+graph and chrompoly; linear_extensions passes it before listing anything.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+DEFAULT_BUDGET = 10_000_000
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised when an enumeration would visit more objects than allowed."""
+
+
+def _check_budget(n: int, base: int, budget: int | None, cells: int) -> None:
+    """base^n objects and the cells of the table they fill (0 where none is
+    built; only orderpoly._counter builds one) must fit the budget, the
+    default when None.  A count of 20+ digits is written base^n, not
+    computed once its lower bound 2^bits exceeds 10^19 < 2^64, the limit
+    and the cells, so any n prints."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    bits = n * (base.bit_length() - 1)
+    if bits >= 64 and bits >= limit.bit_length() and bits >= cells.bit_length():
+        shown = f"{base}^{n}"
+    elif max(objects := base**n, cells) > limit:
+        shown = f"{base}^{n}" if objects >= max(cells, 10**19) else max(objects, cells)
+    else:
+        return
+    raise BudgetExceededError(f"enumeration of {shown} objects exceeds budget {limit}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +127,22 @@ def linear_extensions(P: BicoloredPoset) -> tuple[tuple[int, ...], ...]:
     at each step the next element is chosen among the minimal available
     ones in increasing index order, so the output order is deterministic
     (lexicographic by element sequence).
+
+    Refuses past the default budget before listing: level k counts by
+    ideal the k-element prefixes the backtracking visits, no more than the
+    extensions (level n), and refuses once its count does.
     """
     preds, n = _pred_masks(P), P.n
+    level = {0: 1}
+    for _ in range(n):
+        nxt, count = Counter(), 0
+        for ideal, ways in level.items():
+            for v in range(n):
+                if not (ideal >> v & 1 or preds[v] & ~ideal):
+                    nxt[ideal | 1 << v] += ways
+                    count += ways
+            _check_budget(1, count, None, 0)  # the level's prefixes so far
+        level = nxt
     above: list[list[int]] = [[] for _ in range(n)]
     for a, b in P.less:
         above[a].append(b)
@@ -274,26 +316,35 @@ def poset_to_json(P: BicoloredPoset) -> dict:
     }
 
 
-def poset_from_json(data: dict) -> BicoloredPoset:
+def _json_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_n(data: dict, kind: str) -> int:
+    """The integer 'n' field of a poset or graph JSON object."""
     if not isinstance(data, dict) or "n" not in data:
-        raise ValueError("poset JSON must be an object with an 'n' field")
-    n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("poset field 'n' must be an integer")
+        raise ValueError(f"{kind} JSON must be an object with an 'n' field")
+    if not _json_int(n := data["n"]):
+        raise ValueError(f"{kind} field 'n' must be an integer")
+    return n
+
+
+def _json_pairs(items: list, what: str) -> list[tuple[int, int]]:
+    """The items, each a JSON list of two integers, as pairs."""
+    for item in items:
+        if not (isinstance(item, list) and len(item) == 2 and all(map(_json_int, item))):
+            raise ValueError(f"{what} {item!r} must be a pair of integers")
+    return [(a, b) for a, b in items]
+
+
+def poset_from_json(data: dict) -> BicoloredPoset:
+    n = _json_n(data, "poset")
     raw_covers = data.get("covers", [])
     raw_celeste = data.get("celeste", [])
     if not isinstance(raw_covers, list) or not isinstance(raw_celeste, list):
         raise ValueError("poset fields 'covers' and 'celeste' must be lists")
-    pairs = []
-    for item in raw_covers:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
-        ):
-            raise ValueError(f"cover {item!r} must be a pair of integers")
-        pairs.append((item[0], item[1]))
+    pairs = _json_pairs(raw_covers, "cover")
     for c in raw_celeste:
-        if not isinstance(c, int) or isinstance(c, bool):
+        if not _json_int(c):
             raise ValueError(f"celeste entry {c!r} must be an integer")
     return build_poset(n, pairs, raw_celeste)

@@ -65,15 +65,21 @@ from bivorder.orderpoly import (
     CheckReport,
     _chain_coords,
     _checked_labeling,
-    _default_labeling,
     _integer,
     _mode_ok,
     _valid_ys,
     order_poly_strict,
     order_poly_weak,
 )
-from bivorder.poset import BicoloredPoset, _pred_masks, covers, poset_to_json
+from bivorder.poset import BicoloredPoset, _natural_labels, _pred_masks, covers, poset_to_json
 from bivorder.ratpoly import X, Y, BiPoly, _binomial_poly, binom_poly
+
+
+def _default_labeling(preds: Sequence[int], mode: str) -> tuple[int, ...]:
+    """The mode's default labeling of the order the masks generate: the
+    natural one along the first extension, reversed for strict words."""
+    labels = _natural_labels(preds)
+    return tuple(len(preds) + 1 - lab for lab in labels) if mode == "strict" else labels
 
 
 def dumb_count_maps(P: BicoloredPoset, mode: str, x0: int, y0: int) -> int:

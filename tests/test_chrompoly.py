@@ -24,12 +24,12 @@ from bivorder.fixtures import (
 )
 from bivorder.graph import Graph, acyclic_orientations, flats, orientation_to_poset, trivial_flat
 from bivorder.orderpoly import (
-    BudgetExceededError,
     _negated_coords,
     brute_count,
     order_poly_strict,
     order_poly_weak,
 )
+from bivorder.poset import BudgetExceededError
 from bivorder.ratpoly import ONE, X, Y, BiPoly, _binomial_poly
 from oracles import (
     all_graphs,

@@ -1,6 +1,8 @@
 import argparse
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
 import time
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bivorder.cli as cli
-from bivorder import chrompoly, orderpoly
+from bivorder import chrompoly, orderpoly, poset
 from bivorder.chrompoly import chrom_count, chrom_poly
 from bivorder.fixtures import (
     complete_graph,
@@ -22,8 +24,8 @@ from bivorder.fixtures import (
     path_graph,
 )
 from bivorder.graph import Graph, graph_from_json, graph_to_json
-from bivorder.orderpoly import MODES, BudgetExceededError, CheckReport, brute_count
-from bivorder.poset import build_poset, poset_from_json, poset_to_json
+from bivorder.orderpoly import MODES, CheckReport, brute_count
+from bivorder.poset import BudgetExceededError, build_poset, poset_from_json, poset_to_json
 from bivorder.ratpoly import BiPoly, X, Y, _binomial_poly, binom_poly
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -116,16 +118,26 @@ def _antichain_file(tmp_path, n):
     return str(path)
 
 
-def test_list_extensions_refuses_past_the_default_budget(tmp_path, monkeypatch):
+def test_list_extensions_refuses_past_the_default_budget(tmp_path):
     # the 12-antichain's 12! extensions are not listed: its 8-element
-    # prefixes pass the budget after 397 of the 792 7-element ideals
-    def never(P):
-        raise AssertionError("linear_extensions called past the budget")
-
-    monkeypatch.setattr(cli, "linear_extensions", never)
-    code, out, err = run_cli("list-extensions", "--input", _antichain_file(tmp_path, 12))
-    assert (code, out) == (2, "")
-    assert err == "error: enumeration of 10004400 objects exceeds budget 10000000\n"
+    # prefixes pass the budget after 397 of the 792 7-element ideals.  Run
+    # apart under a 1 GiB address-space cap, so a listing that got past
+    # the gate would end in MemoryError within the time bound, not swap
+    cap = 1 << 30
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bivorder", "list-extensions",
+         "--input", _antichain_file(tmp_path, 12)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=Path(cli.__file__).resolve().parents[1],
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: enumeration of 10004400 objects exceeds budget 10000000\n"
 
 
 def test_list_extensions_lists_below_the_default_budget(tmp_path):
@@ -134,6 +146,36 @@ def test_list_extensions_lists_below_the_default_budget(tmp_path):
     lines = out.splitlines()
     assert len(lines) == len(set(lines)) == 40320
     assert lines[0] == "0 1 2 3 4 5 6 7"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"covers": []}, "poset JSON must be an object with an 'n' field"),
+        ({"edges": []}, "graph JSON must be an object with an 'n' field"),
+        ({"n": "3", "covers": []}, "poset field 'n' must be an integer"),
+        ({"n": True, "edges": []}, "graph field 'n' must be an integer"),
+        ({"n": 2, "covers": [[0]]}, "cover [0] must be a pair of integers"),
+        ({"n": 2, "edges": [[0, True]]}, "edge [0, True] must be a pair of integers"),
+        ({"n": 2, "edges": [[0, 1.0]]}, "edge [0, 1.0] must be a pair of integers"),
+        ({"n": 2, "celeste": ["a"]}, "celeste entry 'a' must be an integer"),
+        ({"n": 2, "covers": [[0], 1], "celeste": [None]}, "cover [0] must be a pair of integers"),
+        ({"n": 2, "covers": {}}, "poset fields 'covers' and 'celeste' must be lists"),
+        ({"n": 2, "celeste": 1}, "poset fields 'covers' and 'celeste' must be lists"),
+        ({"n": 2, "edges": "01"}, "graph field 'edges' must be a list"),
+    ],
+    ids=[
+        "poset-no-n", "graph-no-n", "poset-str-n", "graph-bool-n", "short-cover",
+        "bool-edge", "float-edge", "str-celeste", "cover-before-celeste",
+        "dict-covers", "int-celeste", "str-edges",
+    ],
+)
+def test_malformed_input_names_its_fault(tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    verb = "list-flats" if "edges" in data else "list-extensions"
+    code, out, err = run_cli(verb, "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_list_extensions_of_a_chain_deeper_than_the_recursion_limit(tmp_path):
@@ -739,7 +781,7 @@ def test_graph_reciprocity_budget_counts_no_table_cells():
 def test_graph_reciprocity_budget_lifts_the_default(monkeypatch, tmp_path):
     # a budget above the default reaches every subset computation the check
     # runs, not only its first gate: 3^5 = 243 pairs under a default of 100
-    monkeypatch.setattr(orderpoly, "DEFAULT_BUDGET", 100)
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 100)
     for fn in (chrom_poly, chrompoly._reciprocity_poly):
         fn.cache_clear()
     c5 = _graph_file(tmp_path, 5, [(v, (v + 1) % 5) for v in range(5)])

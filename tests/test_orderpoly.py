@@ -25,7 +25,6 @@ from bivorder.fixtures import (
 from bivorder import orderpoly, poset, ratpoly
 from bivorder.orderpoly import (
     MODES,
-    BudgetExceededError,
     CheckReport,
     _chain_coords,
     _chain_poly,
@@ -48,6 +47,7 @@ from bivorder.orderpoly import (
 )
 from bivorder.poset import (
     BicoloredPoset,
+    BudgetExceededError,
     Word,
     _natural_labels,
     _pred_masks,
@@ -699,7 +699,7 @@ def test_budget_check_decides_from_bit_lengths_as_from_the_power():
                 cells = (x_max + 1) * (x_max + 2)
                 for counted in (cells, 0):
                     try:
-                        orderpoly._check_budget(n, x_max, limit, counted)
+                        poset._check_budget(n, x_max, limit, counted)
                         got = None
                     except BudgetExceededError as exc:
                         got = str(exc)
@@ -711,24 +711,50 @@ def test_budget_check_decides_from_bit_lengths_as_from_the_power():
 @settings(max_examples=60, deadline=None)
 def test_extension_gate_refuses_exactly_past_the_budget(P, shift):
     # the gate refuses iff the extensions outnumber the budget, so it
-    # decides as counting the listing would
+    # decides as counting the listing would; uncached, so every call
+    # passes the gate
     count = len(linear_extensions(P))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(orderpoly, "DEFAULT_BUDGET", count + shift)
+        mp.setattr(poset, "DEFAULT_BUDGET", count + shift)
         if shift < 0:
             with pytest.raises(BudgetExceededError):
-                orderpoly._check_extensions(P)
+                linear_extensions.__wrapped__(P)
         else:
-            orderpoly._check_extensions(P)
+            assert len(linear_extensions.__wrapped__(P)) == count
 
 
-def test_extension_gate_is_cheap_on_tall_posets():
+def test_extension_gate_is_cheap_on_tall_posets(monkeypatch):
     # one ideal per level on a chain; on a fence, whose extensions grow
-    # like (2/pi)^n n!, it refuses inside the first level past the budget
-    orderpoly._check_extensions(chain_poset(60))
-    with pytest.raises(BudgetExceededError, match="enumeration of 100") as info:
-        orderpoly._check_extensions(fence_poset(60))
-    assert int(str(info.value).split()[2]) < 2 * orderpoly.DEFAULT_BUDGET
+    # like (2/pi)^n n!, it refuses inside the first level past the budget.
+    # A budget of 1000 on fence(10), 50 521 extensions, keeps a listing
+    # that got past the gate short
+    assert linear_extensions.__wrapped__(chain_poset(60)) == (tuple(range(60)),)
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 1000)
+    with pytest.raises(BudgetExceededError) as info:
+        linear_extensions.__wrapped__(fence_poset(10))
+    assert str(info.value) == "enumeration of 1008 objects exceeds budget 1000"
+
+
+@pytest.mark.parametrize(
+    "lister",
+    [
+        lambda P: word_decomposition(P, "strict"),
+        lambda P: word_decomposition(P, "weak"),
+        all_natural_labelings,
+        all_reverse_natural_labelings,
+    ],
+    ids=["strict-words", "weak-words", "natural", "reverse-natural"],
+)
+def test_extension_listers_refuse_past_the_budget(monkeypatch, lister):
+    # every lister of extensions passes the gate inside linear_extensions:
+    # the 6-antichain's 720 extensions pass a budget of 100 in level 3,
+    # whose 120 prefixes come 8 from each of the 15 two-element ideals,
+    # at the 13th ideal; cleared, so no earlier listing answers
+    linear_extensions.cache_clear()
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 100)
+    with pytest.raises(BudgetExceededError) as info:
+        lister(antichain_poset(6))
+    assert str(info.value) == "enumeration of 104 objects exceeds budget 100"
 
 
 def _binary_tree(n: int) -> BicoloredPoset:
@@ -744,7 +770,7 @@ def test_ideal_dp_refuses_inside_the_first_level_past_the_budget(monkeypatch):
     P = _binary_tree(15)
     for mode in MODES:
         assert _order_coords(P, mode) == whole_order_coords(P, mode)
-    monkeypatch.setattr(orderpoly, "DEFAULT_BUDGET", 10**4)
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 10**4)
     for call in (order_poly_strict, order_poly_weak, check_reciprocity_poset):
         with pytest.raises(BudgetExceededError) as info:
             call(P)
