@@ -14,7 +14,8 @@ positions drive the closed-form counting polynomials.
 
 The one budget gate of every exponential enumeration, _check_budget
 against DEFAULT_BUDGET read at each call, lives here, below orderpoly,
-graph and chrompoly; linear_extensions passes it before listing anything.
+graph and chrompoly; linear_extensions passes it before listing anything,
+and a listing it has cached is returned without passing it again.
 """
 
 from __future__ import annotations
@@ -130,43 +131,47 @@ def linear_extensions(P: BicoloredPoset) -> tuple[tuple[int, ...], ...]:
 
     Refuses past the default budget before listing: level k counts by
     ideal the k-element prefixes the backtracking visits, no more than the
-    extensions (level n), and refuses once its count does.
+    extensions (level n), and refuses once its count does.  The count
+    records each ideal's minimal elements, the backtracking's next choices.
     """
     preds, n = _pred_masks(P), P.n
+    above: list[list[int]] = [[] for _ in range(n)]
+    for a, b in P.less:
+        above[a].append(b)
+    minimal = {0: sum(1 << v for v in range(n) if not preds[v])}  # by ideal
     level = {0: 1}
     for _ in range(n):
         nxt, count = Counter(), 0
         for ideal, ways in level.items():
-            for v in range(n):
-                if not (ideal >> v & 1 or preds[v] & ~ideal):
-                    nxt[ideal | 1 << v] += ways
-                    count += ways
+            rest = choices = minimal[ideal]
+            count += ways * choices.bit_count()
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                nxt[grown := ideal | low] += ways
+                if grown not in minimal:  # the others stay minimal; some above low may join
+                    grew = choices ^ low
+                    for u in above[low.bit_length() - 1]:
+                        if not preds[u] & ~grown:
+                            grew |= 1 << u
+                    minimal[grown] = grew
             _check_budget(1, count, None, 0)  # the level's prefixes so far
         level = nxt
-    above: list[list[int]] = [[] for _ in range(n)]
-    for a, b in P.less:
-        above[a].append(b)
     out, placed, done = [], [], 0
-    first = sum(1 << v for v in range(n) if not preds[v])
-    stack = [(first, first)]  # per depth: its minimal elements, and those not yet tried
+    stack = [minimal[0]]  # per depth: the minimal elements not yet tried
     while stack:
-        minimal, rest = stack[-1]
-        if not rest:
+        if not (rest := stack[-1]):
             stack.pop()
             if placed:
                 done ^= 1 << placed.pop()
             continue
         low = rest & -rest
-        stack[-1] = minimal, rest ^ low
-        placed.append(v := low.bit_length() - 1)
+        stack[-1] = rest ^ low
+        placed.append(low.bit_length() - 1)
         done |= low
-        if len(placed) == n:  # v is maximal, so the next level is empty
+        if len(placed) == n:
             out.append(tuple(placed))
-        minimal ^= low  # the rest keeps its minimal elements and may gain some above v
-        for u in above[v]:
-            if not preds[u] & ~done:
-                minimal |= 1 << u
-        stack.append((minimal, minimal))
+        stack.append(minimal[done])
     return tuple(out) if n else ((),)
 
 
@@ -281,11 +286,7 @@ def word_of(
         if pos[a] > pos[b]:
             raise ValueError(f"sequence does not refine the poset at ({a}, {b})")
     letters = tuple(labels[e] for e in extension)
-    cp = None
-    celeste_positions = [i + 1 for i, e in enumerate(extension) if e in P.celeste]
-    if celeste_positions:
-        cp = min(celeste_positions)
-    return Word(letters, cp)
+    return Word(letters, next((i for i, e in enumerate(extension, 1) if e in P.celeste), None))
 
 
 def ascents(letters: Sequence[int]) -> set[int]:

@@ -2,9 +2,13 @@ import itertools
 import math
 import random
 import re
+import resource
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -726,9 +730,29 @@ def test_extension_gate_refuses_exactly_past_the_budget(P, shift):
 def test_extension_gate_is_cheap_on_tall_posets(monkeypatch):
     # one ideal per level on a chain; on a fence, whose extensions grow
     # like (2/pi)^n n!, it refuses inside the first level past the budget.
-    # A budget of 1000 on fence(10), 50 521 extensions, keeps a listing
-    # that got past the gate short
+    # fence(60) at the default budget runs apart under a 1 GiB
+    # address-space cap, so a listing that got past the gate would end in
+    # MemoryError, not swap; fence(10), 50 521 extensions, under 1000
+    # pins the exact count
     assert linear_extensions.__wrapped__(chain_poset(60)) == (tuple(range(60)),)
+    cap = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from bivorder.fixtures import fence_poset\n"
+         "from bivorder.poset import BudgetExceededError, linear_extensions\n"
+         "try:\n"
+         "    linear_extensions.__wrapped__(fence_poset(60))\n"
+         "except BudgetExceededError as exc:\n"
+         "    print(exc)\n"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=Path(poset.__file__).resolve().parents[1],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("enumeration of 100")
+    assert int(proc.stdout.split()[2]) < 2 * poset.DEFAULT_BUDGET
     monkeypatch.setattr(poset, "DEFAULT_BUDGET", 1000)
     with pytest.raises(BudgetExceededError) as info:
         linear_extensions.__wrapped__(fence_poset(10))
