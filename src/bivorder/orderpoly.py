@@ -17,8 +17,9 @@ other by the test suite:
   chains of order ideals, and one dynamic program over the ideals of the
   related elements places each step of a chain in increasing label order,
   so an element joins the open step only at an ascent of the labels (the
-  word polynomials' ascent/descent rule); each isolated element multiplies
-  in its linear factor by one pass over the coordinates (see _order_coords),
+  word polynomials' ascent/descent rule); the isolated elements, in no
+  relation, multiply the finished polynomial by their linear factors in
+  one integer product (see _order_poly),
 * brute-force enumeration of all x^n maps (exact, vectorized in
   cache-sized blocks of one-byte values, each constraint evaluated once
   per table, per leading value or per block; see _cum_table), read for
@@ -32,7 +33,8 @@ interpolate_brute); only order_poly_* and word_poly_* keep one name per
 mode, as the command line and the bench harness import them by those
 names.  The chain sums differ only in their shifts, and reciprocity checks
 the two modes against each other by negating the strict integer
-coordinates (see _negated_coords).
+coordinates of the related elements (see _negated_coords and
+check_reciprocity_poset).
 
 Counts and polynomials agree on the validity region (_valid_ys)
 0 <= y <= x in strict mode and 1 <= y <= x + 1 in weak mode; outside it
@@ -59,6 +61,7 @@ from .poset import (
     BicoloredPoset,
     Word,
     _check_budget,
+    _natural_labels,
     _pred_masks,
     ascents,
     covers,
@@ -66,12 +69,10 @@ from .poset import (
     is_natural_labeling,
     is_reverse_natural_labeling,
     linear_extensions,
-    natural_labeling,
     poset_to_json,
-    reverse_natural_labeling,
     word_of,
 )
-from .ratpoly import X, Y, BiPoly, _binomial_poly
+from .ratpoly import X, Y, BiPoly, _binomial_poly, _times_powers
 
 MODES = ("strict", "weak")
 _MODE_BASIS = {"strict": (Y, X - Y), "weak": (Y - 1, X - Y + 1)}  # see _order_coords
@@ -188,14 +189,16 @@ def word_poly_weak(w: Word) -> BiPoly:
 
 
 def _checked_labeling(
-    P: BicoloredPoset, labeling: tuple[int, ...] | None, mode: str
+    P: BicoloredPoset, labeling: tuple[int, ...] | None, mode: str, preds: tuple | None = None
 ) -> tuple[int, ...]:
     """The mode's default labeling, the reverse natural one for strict words
-    and the natural one for weak words, or the given one once it is checked
-    to be of that kind."""
+    and the natural one for weak words, read from P's predecessor masks
+    (built here unless given), or the given one once it is checked to be of
+    that kind."""
     strict = mode == "strict"
     if labeling is None:
-        return reverse_natural_labeling(P) if strict else natural_labeling(P)
+        labels = _natural_labels(_pred_masks(P) if preds is None else preds)
+        return tuple(P.n + 1 - lab for lab in labels) if strict else labels
     valid = is_reverse_natural_labeling if strict else is_natural_labeling
     if not valid(P, tuple(labeling)):
         kind = "reverse natural" if strict else "natural"
@@ -217,39 +220,39 @@ def word_decomposition(
     return tuple((w, word_poly(w)) for w in words)
 
 
-def _order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -> dict:
-    """The mode's order polynomial of P as its nonzero integer coordinates
-    c[t, s] on the basis binom(u, t) * binom(v, s), u = y - w, v = x - y + w,
-    w = 0 strict and 1 weak (_MODE_BASIS).
+def _order_coords(
+    P: BicoloredPoset, mode: str, labeling: tuple | None = None
+) -> tuple[dict, int, int]:
+    """The mode's order polynomial of the related elements R of P, those in
+    some relation, as its nonzero integer coordinates c[t, s] on the basis
+    binom(u, t) * binom(v, s), u = y - w, v = x - y + w, w = 0 strict and 1
+    weak (_MODE_BASIS); with the numbers of silver and of celeste isolated
+    elements, whose linear factors _order_poly multiplies in.
 
-    On the related elements R (those in some relation), c[t, s] counts the
-    chains of order ideals {} = I_0 < ... < I_{t+s} = R whose first t steps
-    hold no celeste element (Stanley's P-partitions): a strict step is an
-    antichain of minimal elements of the rest, a weak step any nonempty set
-    that keeps an ideal.  A forward dynamic program places the elements one
-    at a time, each step's in increasing label order, so every chain is
-    counted once.  A minimal element v of the rest may open a new step, or,
-    when its label exceeds the last one placed, join the open step: the
-    ascent rule of the strict words, the descent rule of the weak ones.
-    With a reverse natural labeling a joining element lies above no element
-    of its step; with a natural one each prefix of a step keeps an ideal.
+    c[t, s] counts the chains of order ideals {} = I_0 < ... < I_{t+s} = R
+    whose first t steps hold no celeste element (Stanley's P-partitions): a
+    strict step is an antichain of minimal elements of the rest, a weak
+    step any nonempty set that keeps an ideal.  A forward dynamic program
+    places the elements one at a time, each step's in increasing label
+    order, so every chain is counted once.  A minimal element v of the rest
+    may open a new step, or, when its label exceeds the last one placed,
+    join the open step: the ascent rule of the strict words, the descent
+    rule of the weak ones.  With a reverse natural labeling a joining
+    element lies above no element of its step; with a natural one each
+    prefix of a step keeps an ideal.
 
     A state (ideal, last label) holds one int over (t, s), slot (t, s) at
     bit t * S + s * T.  The slots (t, 0), below bit T, count the chains
     whose steps are all celeste-free, the slots with s >= 1 those that
     have opened at least one step allowed to hold celeste, so a celeste
     element keeps only the bits from T up.  Every count is at most
-    (t + s)^m <= m^m for the m elements of R, so no slot carries.  Each
-    level counts its states as it stores them and refuses (see
-    _check_budget) once its states times the (m + 1)(m + 2)/2 slots pass
-    the default budget, before the level is complete.
-
-    A disjoint union's polynomial is the product of its parts', so each
-    isolated element then multiplies in v if celeste, u + v if silver: as
-    v * binom(v, s) = (s + 1) * binom(v, s + 1) + s * binom(v, s), and so
-    for u, c'[t, s] = s * (c[t, s - 1] + c[t, s]), plus for a silver
-    element t * (c[t - 1, s] + c[t, s])."""
-    preds, labels = _pred_masks(P), _checked_labeling(P, labeling, mode)
+    (t + s)^m <= m^m for the m elements of R, so no slot carries.  The
+    total is read one s-row of T bits at a time, then slot by slot inside
+    the row.  Each level counts its states as it stores them and refuses
+    (see _check_budget) once its states times the (m + 1)(m + 2)/2 slots
+    pass the default budget, before the level is complete."""
+    preds = _pred_masks(P)
+    labels = _checked_labeling(P, labeling, mode, preds)
     celeste = sum(1 << c for c in P.celeste)
     related = reduce(operator.or_, (p | 1 << b for b, p in enumerate(preds) if p), 0)
     elements = [v for v in range(P.n) if related >> v & 1]
@@ -284,18 +287,23 @@ def _order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -
         level = nxt
     total = sum(level[related].values())
     mask = (1 << width) - 1
-    slots = ((t, s) for t in range(m + 1) for s in range(m + 1 - t))
-    coords = {(t, s): c for t, s in slots if (c := total >> (t * S + s * T) & mask)}
-    for silver in (not celeste >> v & 1 for v in range(P.n) if not related >> v & 1):
-        peeled: dict[tuple[int, int], int] = {}
-        for (t, s), c in coords.items():  # every c > 0, so no sum cancels
-            peeled[t, s + 1] = peeled.get((t, s + 1), 0) + (s + 1) * c
-            if k := s + silver * t:
-                peeled[t, s] = peeled.get((t, s), 0) + k * c
-            if silver:
-                peeled[t + 1, s] = peeled.get((t + 1, s), 0) + (t + 1) * c
-        coords = peeled
-    return coords
+    coords = {}
+    for s in range(m + 1):
+        row = total >> s * T & free
+        for t in range(m + 1 - s):
+            if c := row >> t * S & mask:
+                coords[t, s] = c
+    isolated_celeste = (celeste & ~related).bit_count()
+    return coords, P.n - m - isolated_celeste, isolated_celeste
+
+
+def _order_poly(mode: str, coords: dict, silver: int, celeste: int) -> BiPoly:
+    """The mode's order polynomial of P from _order_coords: R's, built once
+    from its coordinates, times x^silver * v^celeste, v = x - y + w.  A
+    disjoint union's polynomial is the product of its parts', and an
+    isolated element's is u + v = x if silver, v if celeste."""
+    u, v = _MODE_BASIS[mode]
+    return _times_powers(_binomial_poly(coords, u, v), silver, v, celeste)
 
 
 def order_poly_strict(
@@ -305,7 +313,7 @@ def order_poly_strict(
     with every celeste element sent strictly above y.  Raises
     BudgetExceededError when the ideal-chain states outgrow the default
     budget (see _order_coords)."""
-    return _binomial_poly(_order_coords(P, "strict", labeling), *_MODE_BASIS["strict"])
+    return _order_poly("strict", *_order_coords(P, "strict", labeling))
 
 
 def order_poly_weak(
@@ -314,7 +322,7 @@ def order_poly_weak(
     """Polynomial counting weak order preserving maps of P into 1..x with
     every celeste element sent to y or above.  Raises BudgetExceededError
     as order_poly_strict does."""
-    return _binomial_poly(_order_coords(P, "weak", labeling), *_MODE_BASIS["weak"])
+    return _order_poly("weak", *_order_coords(P, "weak", labeling))
 
 
 # brute-force enumeration -----------------------------------------------------
@@ -573,8 +581,8 @@ def _negated_coords(coords: dict) -> dict:
     j = 0 < a), so B[t, s](-x, -y) = sum_{j, k} L[t][j] L[s][k] B[j, k]: one
     pass along s, a second along t.  This holds only on a basis whose
     arguments u = y, v = x - y are linear, not affine."""
-    L = [[(j, (-1) ** a * _comb(a - 1, a - j)) for j in range(a > 0, a + 1)]
-         for a in range(max(map(max, coords), default=0) + 1)]
+    L = [[(0, 1)]] + [[(j, (-1) ** a * math.comb(a - 1, a - j)) for j in range(1, a + 1)]
+                      for a in range(1, max(map(max, coords), default=0) + 1)]
     half: dict[tuple[int, int], int] = {}
     for (t, s), c in coords.items():
         for k, b in L[s]:
@@ -587,14 +595,19 @@ def _negated_coords(coords: dict) -> dict:
 
 
 def check_reciprocity_poset(P: BicoloredPoset) -> CheckReport:
-    """Verify (-1)^n p_strict(-x, -y) == p_weak(x, y + 1) on coordinates: the
-    weak basis at y + 1 is the strict basis, so the identity is (-1)^n
-    _negated_coords(strict) == weak.  Only a failure builds the polynomials."""
-    strict, weak = (_order_coords(P, mode) for mode in MODES)
-    if _negated_coords(strict) == {ts: (-1) ** P.n * c for ts, c in weak.items()}:
+    """Verify (-1)^n p_strict(-x, -y) == p_weak(x, y + 1) on the coordinates
+    of the related elements R (see _order_coords): the weak basis at y + 1
+    is the strict basis, so R's identity is (-1)^|R| _negated_coords(strict)
+    == weak.  Each isolated element's factor satisfies the identity alone,
+    (-1) * (-x) = x and (-1) * (-x + y) = x - (y + 1) + 1, and the factors
+    are nonzero, so P's identity holds exactly when R's does.  Only a
+    failure builds polynomials, P's whole ones, for the witness."""
+    (strict, silver, celeste), (weak, _, _) = (_order_coords(P, mode) for mode in MODES)
+    sign = (-1) ** (P.n - silver - celeste)
+    if _negated_coords(strict) == {ts: sign * c for ts, c in weak.items()}:
         return CheckReport("poset-reciprocity", True)
-    lhs = _binomial_poly(strict, *_MODE_BASIS["strict"]).negate_args() * (-1) ** P.n
-    rhs = _binomial_poly(weak, *_MODE_BASIS["weak"]).shift_y(1)
+    lhs = _order_poly("strict", strict, silver, celeste).negate_args() * (-1) ** P.n
+    rhs = _order_poly("weak", weak, silver, celeste).shift_y(1)
     witness = {"poset": poset_to_json(P), "lhs": lhs.text(), "rhs": rhs.text()}
     return CheckReport("poset-reciprocity", False, witness)
 

@@ -18,7 +18,9 @@ side, hand it those rows directly (chrompoly._sums_poly); every other
 route, and the graph polynomials' oracle in the tests, goes through
 _binomial_poly, which first turns integer coordinates on a product
 basis binom(u, t) * binom(v, s), v integer affine too, into such rows
-over the common denominator top!.  binom_poly, the same binomials as BiPoly
+over the common denominator top!.  The order polynomials then multiply
+their isolated elements' linear factors in by _times_powers, one integer
+product of the numerators.  binom_poly, the same binomials as BiPoly
 products multiplied out, is the public form and the tests' oracle for
 both; no library route calls it.
 """
@@ -425,3 +427,25 @@ def _binomial_poly(coords: Mapping[tuple[int, int], int], u: BiPoly, v: BiPoly) 
                 if g:
                     r[j] += w * g
     return _falling_poly(rows, u, v, den)
+
+
+def _times_powers(p: BiPoly, b: int, v: BiPoly, a: int) -> BiPoly:
+    """p * x^b * v^a, v integer affine, by one integer product of p's
+    numerators with x^b * v^a over p's denominator; v^a is expanded by the
+    binomial theorem, (l_v + c)^a = sum_i binom(a, i) * c^(a - i) * l_v^i,
+    l_v the linear part of v (_power_rows) and c its constant.  No BiPoly
+    is multiplied."""
+    if not (a or b):
+        return p
+    c = v._num.get((0, 0), 0)
+    factor: dict[tuple[int, int], int] = {}
+    for i, row in enumerate(_power_rows(v, a)):
+        if w := math.comb(a, i) * c ** (a - i):
+            for k, e in row:
+                factor[b + k, i - k] = w * e
+    out: dict[tuple[int, int], int] = {}
+    for (dx, dy), n in p._num.items():
+        for (fx, fy), f in factor.items():
+            e = (dx + fx, dy + fy)
+            out[e] = out.get(e, 0) + n * f
+    return BiPoly._trusted(out, p._den)

@@ -30,8 +30,10 @@ predecessor bitmasks, and are the oracles of BicoloredPoset's checks,
 build_poset and covers; dumb_acyclic_orientations filters all 2^m
 direction vectors, as graph.acyclic_orientations did before it grew
 reachability masks.  whole_order_coords runs the ideal-chain program
-over every element, as orderpoly._order_coords did before it multiplied
-the isolated elements in, and is the oracle of that factoring.
+over every element, as orderpoly._order_coords did before it left the
+isolated elements out; as a polynomial it is the oracle of
+order_poly_*, which multiply the isolated elements' linear factors
+into the related elements' finished polynomial.
 partition_coords, the per-size sums of chrompoly's subset dynamic
 program on the strict basis binom(y, t) * binom(x - y, s), was the
 library's route to both graph polynomials (chrom_coords and
@@ -350,8 +352,8 @@ def key_coords(keys: dict[tuple[int, int, int, int], int], mode: str) -> dict:
 # whole ideal-chain program --------------------------------------------------
 
 # orderpoly._order_coords as it was before it took the isolated elements
-# out of its dynamic program and multiplied each one in: the same program
-# run over all of P, the oracle of that factoring.
+# out of its dynamic program: the same program run over all of P, whose
+# polynomial is the oracle of multiplying their linear factors in.
 
 
 def whole_order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -> dict:

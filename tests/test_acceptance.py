@@ -30,7 +30,9 @@ from bivorder.orderpoly import (
     _simplex_coords,
     chain_poly,
     check_reciprocity_poset,
+    interpolate_poly,
     order_poly_strict,
+    order_poly_weak,
 )
 from bivorder.poset import (
     Word,
@@ -134,14 +136,15 @@ def _nonzero_simplex_coords(counter, n: int, mode: str) -> dict:
 def test_criterion_4_decomposition_vs_interpolation():
     for n in range(5):
         for P in catalog_posets(n):
-            # every labeling's sum, compared as integer coordinates
-            for mode, labelings in (
-                ("strict", all_reverse_natural_labelings(P)),
-                ("weak", all_natural_labelings(P)),
+            # the polynomial, isolated elements' factors included, and every
+            # labeling's sum over the related elements as integer coordinates
+            for mode, labelings, order_poly in (
+                ("strict", all_reverse_natural_labelings(P), order_poly_strict),
+                ("weak", all_natural_labelings(P), order_poly_weak),
             ):
-                coords = _order_coords(P, mode)
                 counter = _poset_counter(P, mode, n, None)
-                assert _nonzero_simplex_coords(counter, n, mode) == coords
+                assert interpolate_poly(counter, n, mode) == order_poly(P)
+                coords = _order_coords(P, mode)
                 assert all(_order_coords(P, mode, lab) == coords for lab in labelings)
 
 

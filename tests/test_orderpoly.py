@@ -29,6 +29,7 @@ from bivorder.fixtures import (
 from bivorder import orderpoly, poset, ratpoly
 from bivorder.orderpoly import (
     MODES,
+    _MODE_BASIS,
     CheckReport,
     _chain_coords,
     _chain_poly,
@@ -303,13 +304,18 @@ def _per_extension_coords(P, mode, labeling):
     return {ts: c for ts, c in coords.items() if c}
 
 
+def _coords_poly(coords, mode):
+    """The polynomial with these coordinates on the mode's basis."""
+    return _binomial_poly(coords, *_MODE_BASIS[mode])
+
+
 def _assert_equal_per_extension_sums(P, strict_labelings, weak_labelings):
     for mode, labelings, order_poly in (
         ("strict", strict_labelings, order_poly_strict),
         ("weak", weak_labelings, order_poly_weak),
     ):
         for lab in (None, *labelings):
-            assert _order_coords(P, mode, lab) == _per_extension_coords(P, mode, lab)
+            assert order_poly(P, lab) == _coords_poly(_per_extension_coords(P, mode, lab), mode)
             # the public per-word polynomials, on the posets small enough to be cheap
             if P.n <= 2:
                 assert order_poly(P, lab) == _per_extension_sum(word_decomposition(P, mode, lab))
@@ -412,7 +418,9 @@ def test_order_coords_equal_word_key_oracle_random(P, rng):
         lab = tuple(
             position[v] + 1 if mode == "weak" else P.n - position[v] for v in range(P.n)
         )
-        assert _order_coords(P, mode, lab) == key_coords(word_key_counts(P, mode, lab), mode)
+        assert ORDER_POLY[mode](P, lab) == _coords_poly(
+            key_coords(word_key_counts(P, mode, lab), mode), mode
+        )
 
 
 def _surjections(n, k):
@@ -422,47 +430,86 @@ def _surjections(n, k):
 
 @pytest.mark.parametrize("n", range(17))
 def test_order_coords_of_antichains_count_surjections(n):
-    # no order and no celeste: c[t, s] counts every surjection onto a
-    # (t + s)-chain, the largest coordinates of any n-element poset, so a
-    # packed slot too narrow for them carries into its neighbour
+    # no order: c[t, s] counts the surjections onto a (t + s)-chain, with
+    # every celeste element in the top s values, so the product of the
+    # isolated elements' linear factors has these coordinates
     silver = {(t, s): _surjections(n, t + s) for t in range(n + 1) for s in range(n + 1 - t)}
     celeste = {(0, s): _surjections(n, s) for s in range(n + 1)}
     for mode in MODES:
-        assert _order_coords(antichain_poset(n), mode) == {
-            ts: c for ts, c in silver.items() if c
-        }
-        assert _order_coords(antichain_poset(n, tuple(range(n))), mode) == {
-            ts: c for ts, c in celeste.items() if c
-        }
+        assert ORDER_POLY[mode](antichain_poset(n)) == _coords_poly(silver, mode)
+        assert ORDER_POLY[mode](antichain_poset(n, tuple(range(n)))) == _coords_poly(celeste, mode)
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_order_coords_pack_the_largest_counts_without_carry(m):
+    # a bottom element under an (m - 1)-antichain, every element related:
+    # the bottom takes the first step alone and the rest count the
+    # surjections of m - 1 elements, near the largest coordinates of any
+    # m-element poset, so a packed slot too narrow for them carries into
+    # its neighbour
+    P = build_poset(m, [(0, v) for v in range(1, m)], range(1, m, 3))
+    for mode in MODES:
+        assert _order_coords(P, mode) == (whole_order_coords(P, mode), 0, 0)
 
 
 @st.composite
-def posets_with_isolated_elements(draw) -> BicoloredPoset:
-    """A random poset with 0-4 elements of random colour added in no
-    relation, all under shuffled names."""
+def posets_with_isolated_elements(draw) -> tuple:
+    """A random poset P, the colours of 0-4 elements added in no relation
+    (True: celeste), and P with them added, all under shuffled names."""
     P = draw(bicolored_posets(1, 8))
-    extra = draw(st.lists(st.booleans(), max_size=4))  # True: celeste
+    extra = draw(st.lists(st.booleans(), max_size=4))
     names = draw(st.permutations(range(P.n + len(extra))))
     relations = [(names[a], names[b]) for a, b in P.less]
     celeste = [names[c] for c in P.celeste] + [
         names[P.n + i] for i, c in enumerate(extra) if c
     ]
-    return build_poset(len(names), relations, celeste)
+    return P, extra, build_poset(len(names), relations, celeste)
 
 
 @given(posets_with_isolated_elements(), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
-def test_order_coords_equal_whole_program_with_isolated_elements(P, rng):
-    # multiplying the isolated elements in gives the coordinates of the
+def test_order_coords_equal_whole_program_with_isolated_elements(case, rng):
+    # multiplying the isolated elements in gives the polynomial of the
     # program run over every element, under the default labeling and one
     # random valid one
+    _, _, P = case
     for mode in MODES:
         position = {v: i for i, v in enumerate(_random_extension(P, rng))}
         lab = tuple(
             position[v] + 1 if mode == "weak" else P.n - position[v] for v in range(P.n)
         )
-        assert _order_coords(P, mode) == whole_order_coords(P, mode)
-        assert _order_coords(P, mode, lab) == whole_order_coords(P, mode, lab)
+        order_poly = ORDER_POLY[mode]
+        assert order_poly(P) == _coords_poly(whole_order_coords(P, mode), mode)
+        assert order_poly(P, lab) == _coords_poly(whole_order_coords(P, mode, lab), mode)
+
+
+@given(posets_with_isolated_elements())
+@settings(max_examples=40, deadline=None)
+def test_isolated_elements_multiply_the_polynomial(case):
+    # order_poly(P + A) == order_poly(P) * X^b * (X - Y + w)^a for b silver
+    # and a celeste isolated elements, by BiPoly products; reciprocity
+    # gives the verdict and witness of the polynomial comparison
+    P, extra, union = case
+    a = sum(extra)
+    for mode, w in (("strict", 0), ("weak", 1)):
+        want = ORDER_POLY[mode](P) * X ** (len(extra) - a) * (X - Y + w) ** a
+        assert ORDER_POLY[mode](union) == want
+    assert check_reciprocity_poset(union) == bipoly_poset_reciprocity(union)
+
+
+@pytest.mark.parametrize("celeste", [(), tuple(range(0, 200, 3))], ids=["silver", "third"])
+def test_two_hundred_element_antichains_run_no_dynamic_program(celeste):
+    # 200 isolated elements: the finished polynomial is one product of
+    # linear factors, with no ideal, no coordinate and no basis change of
+    # degree 200
+    P = antichain_poset(200, celeste)
+    start = time.perf_counter()
+    polys = [ORDER_POLY[mode](P) for mode in MODES]
+    report = check_reciprocity_poset(P)
+    assert time.perf_counter() - start < 0.1
+    a = len(celeste)
+    assert polys == [X ** (200 - a) * (X - Y + w) ** a for w in (0, 1)]
+    assert report.passed
 
 
 def test_sixteen_element_antichains_take_no_ideal_chains():
@@ -477,14 +524,16 @@ def test_sixteen_element_antichains_take_no_ideal_chains():
 
 
 def test_order_coords_builds_pred_masks_once(monkeypatch):
-    # the default labeling and the dynamic program share one set of masks
+    # the default labeling and the dynamic program share one set of masks,
+    # whichever module would build them
     calls = []
 
     def counted(P):
         calls.append(P)
         return _pred_masks(P)
 
-    monkeypatch.setattr(orderpoly, "_pred_masks", counted)
+    for module in (orderpoly, poset):
+        monkeypatch.setattr(module, "_pred_masks", counted)
     for P in (skew_diamond_poset(), fence_poset(5), antichain_poset(3, (1,))):
         for mode in MODES:
             calls.clear()
@@ -513,7 +562,7 @@ def _assert_coords_are_counts(P):
     # c[t, s] counts surjections onto a (t + s)-chain with every celeste
     # element in the top s values, so it is a nonnegative integer
     for mode in MODES:
-        coords = _order_coords(P, mode)
+        coords, _, _ = _order_coords(P, mode)
         assert all(type(c) is int and c >= 0 for c in coords.values()), (P, mode)
 
 
@@ -589,7 +638,8 @@ def test_sixty_element_grid_poset(mode):
     P = grid_poset(30)
     poly = ORDER_POLY[mode](P)
     w = mode == "weak"
-    coords = _order_coords(P, mode)
+    coords, silver, celeste = _order_coords(P, mode)
+    assert (silver, celeste) == (0, 0)
     for x0, y0 in [(1, 1), (30, 7), (31, 31), (45, 12), (90, 44)]:
         want = sum(
             c * math.comb(y0 - w, t) * math.comb(x0 - y0 + w, s) for (t, s), c in coords.items()
@@ -793,7 +843,7 @@ def test_ideal_dp_refuses_inside_the_first_level_past_the_budget(monkeypatch):
     # 10^4 // 136 = 73 states, checked after each ideal
     P = _binary_tree(15)
     for mode in MODES:
-        assert _order_coords(P, mode) == whole_order_coords(P, mode)
+        assert _order_coords(P, mode) == (whole_order_coords(P, mode), 0, 0)
     monkeypatch.setattr(poset, "DEFAULT_BUDGET", 10**4)
     for call in (order_poly_strict, order_poly_weak, check_reciprocity_poset):
         with pytest.raises(BudgetExceededError) as info:
@@ -1096,10 +1146,11 @@ def test_reciprocity_failure_carries_the_oracle_witness(monkeypatch, P):
     order_coords = orderpoly._order_coords
 
     def skewed(P, mode, labeling=None):
-        coords = dict(order_coords(P, mode, labeling))
+        coords, silver, celeste = order_coords(P, mode, labeling)
+        coords = dict(coords)
         if mode == "weak":
             coords[min(coords)] += 1
-        return coords
+        return coords, silver, celeste
 
     monkeypatch.setattr(orderpoly, "_order_coords", skewed)
     report = check_reciprocity_poset(P)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bivorder
 from bivorder.fixtures import (
     antichain_poset,
     chain_poset,
@@ -320,3 +321,10 @@ def test_poset_json_rejects_malformed():
         poset_from_json({"n": 2, "covers": [[0]]})
     with pytest.raises(ValueError):
         poset_from_json({"n": 2, "covers": [], "celeste": ["a"]})
+
+
+def test_package_exposes_no_copy_of_the_budget():
+    # the gate reads bivorder.poset.DEFAULT_BUDGET at each call; a copy made
+    # at import would gate nothing when assigned
+    assert not hasattr(bivorder, "DEFAULT_BUDGET")
+    assert "DEFAULT_BUDGET" not in bivorder.__all__

@@ -19,6 +19,7 @@ from bivorder.ratpoly import (
     BiPoly,
     _binomial_poly,
     _falling_poly,
+    _times_powers,
     _weighted_sum,
     binom_poly,
 )
@@ -287,6 +288,20 @@ def test_falling_poly_equals_binom_poly_products(basis, rows, den):
         BiPoly.zero(),
     )
     assert p == want * Fraction(1, den)
+
+
+@pytest.mark.parametrize("basis", BINOMIAL_BASES)
+@given(top_twelve_coords, st.integers(0, 5), st.integers(0, 5))
+@settings(max_examples=30, deadline=None)
+def test_times_powers_equals_bipoly_products(basis, coords, b, a):
+    # the isolated elements' factors of the order polynomials: p * x^b * v^a
+    # for either form of the basis, against BiPoly products
+    u, v = (cx * X + cy * Y + c0 for cx, cy, c0 in BINOMIAL_BASES[basis])
+    p = _binomial_poly(coords, u, v)
+    for form in (u, v):
+        got = _times_powers(p, b, form, a)
+        assert_canonical(got)
+        assert got == p * X**b * form**a
 
 
 def test_binomial_poly_constant_forms():
