@@ -90,9 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         return p
 
-    add("poset-poly", "print a poset's counting polynomial", mode=True)
+    add("poset-poly", "print a poset's counting polynomial", mode=True, budget=True)
     add("poset-count", "count maps by brute force", mode=True, point=True, budget=True)
-    add("graph-poly", "print a graph's chromatic polynomial")
+    add("graph-poly", "print a graph's chromatic polynomial", budget=True)
     add("graph-count", "count colorings by brute force", point=True, budget=True)
     add("list-extensions", "list a poset's linear extensions")
     add("list-flats", "list a graph's connected-partition flats")
@@ -109,7 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_input(path: str) -> BicoloredPoset | Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("input JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("input JSON must be an object")
     poset_keys = {"covers", "celeste"} & data.keys()
@@ -201,10 +204,11 @@ def _dispatch(args: argparse.Namespace) -> tuple[Callable, Callable, int]:
     verb = args.verb
     if verb == "poset-poly":
         P = _need_poset(obj)
-        poly = order_poly_strict(P) if args.mode == "strict" else order_poly_weak(P)
+        order_poly = order_poly_strict if args.mode == "strict" else order_poly_weak
+        poly = order_poly(P, budget=args.budget)
         return poly.to_json, lambda: [poly.text()], 0
     if verb == "graph-poly":
-        poly = chrom_poly(_need_graph(obj))
+        poly = _budgeted(chrom_poly, _need_graph(obj), args.budget)
         return poly.to_json, lambda: [poly.text()], 0
     if verb in ("poset-count", "graph-count"):
         if verb == "poset-count":

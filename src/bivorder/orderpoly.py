@@ -221,7 +221,7 @@ def word_decomposition(
 
 
 def _order_coords(
-    P: BicoloredPoset, mode: str, labeling: tuple | None = None
+    P: BicoloredPoset, mode: str, labeling: tuple | None = None, budget: int | None = None
 ) -> tuple[dict, int, int]:
     """The mode's order polynomial of the related elements R of P, those in
     some relation, as its nonzero integer coordinates c[t, s] on the basis
@@ -250,7 +250,7 @@ def _order_coords(
     total is read one s-row of T bits at a time, then slot by slot inside
     the row.  Each level counts its states as it stores them and refuses
     (see _check_budget) once its states times the (m + 1)(m + 2)/2 slots
-    pass the default budget, before the level is complete."""
+    pass the budget, the default when None, before the level is complete."""
     preds = _pred_masks(P)
     labels = _checked_labeling(P, labeling, mode, preds)
     celeste = sum(1 << c for c in P.celeste)
@@ -261,7 +261,7 @@ def _order_coords(
     S, T = width, width * (m + 1)
     free = (1 << T) - 1
     slots = (m + 1) * (m + 2) // 2
-    bound = poset.DEFAULT_BUDGET // slots
+    bound = (poset.DEFAULT_BUDGET if budget is None else budget) // slots
     # the empty prefix ends above every label, so the first element opens a step
     level: dict[int, dict[int, int]] = {0: {P.n + 1: 1}}
     for _ in range(m):
@@ -283,7 +283,7 @@ def _order_coords(
                 nxt.setdefault(ideal | 1 << v, {})[lab] = opened + c
                 count += 1
             if count > bound:
-                _check_budget(1, count * slots, None, 0)  # the level's states so far
+                _check_budget(1, count * slots, budget, 0)  # the level's states so far
         level = nxt
     total = sum(level[related].values())
     mask = (1 << width) - 1
@@ -307,22 +307,22 @@ def _order_poly(mode: str, coords: dict, silver: int, celeste: int) -> BiPoly:
 
 
 def order_poly_strict(
-    P: BicoloredPoset, labeling: tuple[int, ...] | None = None
+    P: BicoloredPoset, labeling: tuple[int, ...] | None = None, budget: int | None = None
 ) -> BiPoly:
     """Polynomial counting strict order preserving maps of P into 1..x
     with every celeste element sent strictly above y.  Raises
-    BudgetExceededError when the ideal-chain states outgrow the default
-    budget (see _order_coords)."""
-    return _order_poly("strict", *_order_coords(P, "strict", labeling))
+    BudgetExceededError when the ideal-chain states outgrow the budget,
+    the default when None (see _order_coords)."""
+    return _order_poly("strict", *_order_coords(P, "strict", labeling, budget))
 
 
 def order_poly_weak(
-    P: BicoloredPoset, labeling: tuple[int, ...] | None = None
+    P: BicoloredPoset, labeling: tuple[int, ...] | None = None, budget: int | None = None
 ) -> BiPoly:
     """Polynomial counting weak order preserving maps of P into 1..x with
     every celeste element sent to y or above.  Raises BudgetExceededError
     as order_poly_strict does."""
-    return _order_poly("weak", *_order_coords(P, "weak", labeling))
+    return _order_poly("weak", *_order_coords(P, "weak", labeling, budget))
 
 
 # brute-force enumeration -----------------------------------------------------
@@ -378,6 +378,11 @@ def _cum_table(n: int, x_max: int, relations: tuple, below: Callable, lows: tupl
     cells, else by np.add.at, so a block costs O(its maps) and a table
     O(maps + cells), never O(blocks * cells).
 
+    A low term's array is built from one comparison, in the values' own
+    type: an inner term (u, v) is max(phi(u), (phi(u) != phi(v)) * none),
+    and the term of a leading value c is (phi(v) != c) * (none - c) + c,
+    so the maps where phi(u) != phi(v) read none.
+
     Values take one byte while the sentinel x_max + 1 < 256, two below
     65536.  Memory beyond the int64 table's 8 * cells bytes stays under
     (3 * n * x_max + 128) * M bytes, M = max(_BLOCK_MAPS, x_max) the maps
@@ -402,7 +407,7 @@ def _cum_table(n: int, x_max: int, relations: tuple, below: Callable, lows: tupl
     for u, v in lows:
         if min(u, v) >= lead:
             cu, cv = cols[u - lead], cols[v - lead]
-            term = cu if u == v else np.where(cu == cv, cu, dtype.type(none))
+            term = cu if u == v else np.maximum(cu, (cu != cv) * dtype.type(none))
             inner_low = term if inner_low is None else np.minimum(inner_low, term)
     inner_code = top.astype(code_type) * width
     # per leading position: its relations and low terms with inner positions
@@ -431,8 +436,9 @@ def _cum_table(n: int, x_max: int, relations: tuple, below: Callable, lows: tupl
             m = below(value, col) if left else below(col, value)
             mask = m if mask is None else mask & m
         if low_in[p]:
-            eq = reduce(operator.or_, (col == value for col in low_in[p]))
-            low = np.where(eq, dtype.type(value), dtype.type(none))
+            apart = reduce(operator.and_, (col != value for col in low_in[p]))
+            low = apart * dtype.type(none - value)
+            low += dtype.type(value)
         return mask, low
 
     if lead > 1:  # a value recurs only under two or more leading positions

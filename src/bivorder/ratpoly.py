@@ -5,7 +5,9 @@ A polynomial in x and y is stored as a dict mapping exponent pairs
 lowest terms (the zero polynomial has denominator 1), so structural
 equality is polynomial identity.  All arithmetic runs in ints; Fractions
 appear only at the boundary: the constructor and from_json read them,
-and terms, coeff and evaluate return them.
+and terms, coeff and evaluate return them.  evaluate at an int point,
+the oracles' case, sums the numerators' values in one int pass and
+builds its one Fraction at the end.
 
 Term order, wherever terms are listed (text form, JSON form), is
 x-degree descending, then y-degree descending.
@@ -193,10 +195,14 @@ class BiPoly:
     # evaluation and substitution
 
     def evaluate(self, x0: Coeff, y0: Coeff) -> Fraction:
-        """The value at (x0, y0), one Fraction in all.  With x0 = p/q and
-        y0 = r/s, the term x^dx y^dy weighs p^dx q^(D - dx) r^dy s^(E - dy)
-        over q^D s^E, D and E the x- and y-degrees; at integer points
-        q = s = 1."""
+        """The value at (x0, y0), one Fraction in all.  At int points one
+        pass sums a * x0^dx * y0^dy over the numerators, over the one
+        denominator.  Otherwise, with x0 = p/q and y0 = r/s, the term
+        x^dx y^dy weighs p^dx q^(D - dx) r^dy s^(E - dy) over q^D s^E, D
+        and E the x- and y-degrees."""
+        if isinstance(x0, int) and isinstance(y0, int):
+            num = sum(a * x0**dx * y0**dy for (dx, dy), a in self._num.items())
+            return Fraction(num, self._den)
         (p, q), (r, s) = _ratio(x0), _ratio(y0)
         top_x, top_y = max(self.deg_x, 0), max(self.deg_y, 0)
         xs = [p**i * q ** (top_x - i) for i in range(top_x + 1)]

@@ -188,6 +188,14 @@ def test_list_extensions_of_a_chain_deeper_than_the_recursion_limit(tmp_path):
     assert out == " ".join(map(str, range(n))) + "\n"
 
 
+def test_over_nested_json_exits_two(tmp_path):
+    # json.load raises RecursionError, which the loader reports as bad input
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run_cli("poset-poly", "--mode", "strict", "--input", str(path))
+    assert (code, out, err) == (2, "", "error: input JSON is nested too deeply\n")
+
+
 def test_list_flats():
     code, out, _ = run_cli("list-flats", "--input", fixture("k3.json"))
     assert code == 0
@@ -875,6 +883,23 @@ def test_every_brute_count_refuses_before_any_table(monkeypatch, argv, maps):
             orderpoly.interpolate_brute(P, "weak", budget=10)
     else:
         assert run_cli(*argv, "--budget", "10") == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, maps",
+    [
+        (("poset-poly", "--input", fixture("skewdiamond.json"), "--mode", "strict"), 21),
+        (("poset-poly", "--input", fixture("skewdiamond.json"), "--mode", "weak"), 21),
+        (("graph-poly", "--input", fixture("k4.json")), 3**4),
+    ],
+    ids=["poset-poly-strict", "poset-poly-weak", "graph-poly"],
+)
+def test_poly_verbs_take_a_budget(argv, maps):
+    # the ideal-chain states (one level's 1 state times 21 slots) and the
+    # 3^n subset pairs are gated by --budget; a generous one changes nothing
+    message = f"error: enumeration of {maps} objects exceeds budget 10\n"
+    assert run_cli(*argv, "--budget", "10") == (2, "", message)
+    assert run_cli(*argv, "--budget", "1000") == run_cli(*argv)
 
 
 def test_graph_poly_over_budget_exits_two(tmp_path):

@@ -1145,8 +1145,8 @@ def test_reciprocity_failure_carries_the_oracle_witness(monkeypatch, P):
     # witness as the polynomial comparison of the same (faulty) polynomials
     order_coords = orderpoly._order_coords
 
-    def skewed(P, mode, labeling=None):
-        coords, silver, celeste = order_coords(P, mode, labeling)
+    def skewed(P, mode, labeling=None, budget=None):
+        coords, silver, celeste = order_coords(P, mode, labeling, budget)
         coords = dict(coords)
         if mode == "weak":
             coords[min(coords)] += 1

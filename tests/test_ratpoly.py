@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -356,6 +357,42 @@ def test_evaluate_matches_fraction_formula(p, x0, y0, fx, fy):
         got = p.evaluate(*point)
         assert type(got) is Fraction
         assert got == _fraction_evaluate(p, *point)
+
+
+def test_integer_point_evaluate_builds_one_fraction(monkeypatch):
+    # the int route sums the numerators in one pass and divides once,
+    # without reading either argument as a ratio
+    p = BiPoly({(0, 0): Fraction(-5, 6), (2, 1): Fraction(3, 4), (1, 3): Fraction(1, 10)})
+    want = {pt: _fraction_evaluate(p, *pt) for pt in ((-3, 2), (0, 0), (4, -5), (True, 7))}
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    def no_ratio(value):
+        raise AssertionError("an integer point was read as a ratio")
+
+    monkeypatch.setattr(ratpoly, "Fraction", Counted)
+    monkeypatch.setattr(ratpoly, "_ratio", no_ratio)
+    for pt, value in want.items():
+        built.clear()
+        assert p.evaluate(*pt) == value
+        assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(True, False), (np.int64(-3), np.int64(4)), (np.int64(2), 5),
+     (10**30, -(10**30) + 1), (-(10**30), Fraction(1, 3))],
+    ids=["bool", "int64", "int64-int", "huge", "huge-fraction"],
+)
+def test_evaluate_matches_fraction_formula_at_other_integers(point):
+    p = BiPoly({(0, 0): Fraction(-5, 6), (2, 1): Fraction(3, 4), (0, 3): 7, (1, 0): Fraction(1, 10)})
+    got = p.evaluate(*point)
+    assert type(got) is Fraction
+    assert got == _fraction_evaluate(p, *point)
 
 
 def test_evaluate_zero_and_constant_polys():
