@@ -31,6 +31,10 @@ paper's per-pair constructions, strict order polynomials for chrom_poly
 and count_compatible_colorings for the right side; and chrom_count,
 which enumerates colorings through orderpoly's brute counter (see
 _coloring_counter) and shares no code with any route.
+
+Every enumeration here refuses through poset's one budget gate (see
+poset._check_budget); no function takes a budget.  A polynomial
+chrom_poly has cached is returned without the gate: it enumerates nothing.
 """
 
 from __future__ import annotations
@@ -53,17 +57,17 @@ from .poset import _check_budget
 from .ratpoly import BiPoly, X, _falling_poly
 
 
-def _coloring_counter(G: Graph, x_max: int, budget: int | None) -> Callable:
+def _coloring_counter(G: Graph, x_max: int) -> Callable:
     """Admissible colorings counted by (x0, y0), from one enumeration of
     all colorings into 1..x_max: each edge is a low term, so a coloring is
     admissible when its least monochromatic color is above y0."""
-    return _counter(G.n, x_max, budget, (), operator.lt, G.sorted_edges(), 1)
+    return _counter(G.n, x_max, (), operator.lt, G.sorted_edges(), 1)
 
 
-def chrom_count(G: Graph, x0: int, y0: int, budget: int | None = None) -> int:
+def chrom_count(G: Graph, x0: int, y0: int) -> int:
     """Count admissible colorings by enumerating all x0^n of them."""
     _counts_ok(x0, y0)
-    return _coloring_counter(G, x0, budget)(x0, y0)
+    return _coloring_counter(G, x0)(x0, y0)
 
 
 def _partition_sums(n: int, weight: Sequence[int], near: Sequence[int]) -> list[list[int]]:
@@ -132,7 +136,7 @@ def _sums_poly(sums: list[list[int]]) -> BiPoly:
 
 
 @lru_cache(maxsize=4096)
-def chrom_poly(G: Graph, budget: int | None = None) -> BiPoly:
+def chrom_poly(G: Graph) -> BiPoly:
     """The counting polynomial sum over U of (x - y)^(n - |U|) chi(G[U]; y),
     built once in ints from the per-size sums of the subset dynamic
     program (see _chrom_sums): chi(G[U]; y) is the sum over t of B_t(U)
@@ -140,20 +144,14 @@ def chrom_poly(G: Graph, budget: int | None = None) -> BiPoly:
     reads the polynomial off the size-(n - j) sums of B_t.
 
     The work is a subset dynamic program over fewer than 3^n pairs of
-    vertex sets, so 3^n is checked against the budget (the default when
-    None) like brute maps (see poset._check_budget): by default from
-    15 vertices on it raises BudgetExceededError before any enumeration.
+    vertex sets, so 3^n is checked against the budget like brute maps
+    (see poset._check_budget): by default from 15 vertices on it raises
+    BudgetExceededError before any enumeration.  The cache is keyed on
+    the graph alone, and a cached polynomial is returned without passing
+    the gate again, as linear_extensions and flats return theirs.
     """
-    _check_budget(G.n, 3, budget, 0)
+    _check_budget(G.n, 3, 0)
     return _sums_poly(_chrom_sums(G))
-
-
-def _budgeted(cached: Callable, G: Graph, budget: int | None):
-    """cached(G, budget), written cached(G) under the default budget:
-    lru_cache keys cached(G) and cached(G, None) apart, so this keeps one
-    entry per graph for callers that pass no budget and callers that pass
-    None; chrom_poly is the one cache keyed on the budget."""
-    return cached(G) if budget is None else cached(G, budget)
 
 
 @lru_cache(maxsize=4096)
@@ -178,20 +176,14 @@ def classical_chrom_poly(G: Graph) -> BiPoly:
     return classical_chrom_poly(deleted) - classical_chrom_poly(contracted)
 
 
-def count_compatible_colorings(
-    flat: Flat,
-    orientation: AcyclicOrientation,
-    x0: int,
-    y0: int,
-    budget: int | None = None,
-) -> int:
+def count_compatible_colorings(flat: Flat, orientation: AcyclicOrientation, x0: int, y0: int) -> int:
     """Count colorings of the quotient vertices with 1..x0 that weakly
     increase along every directed edge and stay above y0 on contracted
     vertices.  Enumerated on the pair's closed poset, not evaluated from
     any polynomial; the signed sum of these counts over all pairs is the
     right side the reciprocity checks read from _reciprocity_poly."""
     P = orientation_to_poset(flat, orientation)
-    return brute_count(P, "weak", x0, y0 + 1, budget)
+    return brute_count(P, "weak", x0, y0 + 1)
 
 
 def _acyclic_counts(G: Graph) -> list[int]:
@@ -224,13 +216,13 @@ def _reciprocity_poly(G: Graph) -> BiPoly:
 
     Any subset of U holding its lowest vertex is a block (all-ones masks),
     about 3^n / 2 pairs.  The cache is keyed on the graph alone, so both
-    checks gate 3^n against their caller's budget before reading it.
+    checks gate 3^n against the budget before reading it.
     """
     sums = _partition_sums(G.n, _acyclic_counts(G), [-1] * G.n)
     return (-1) ** G.n * _sums_poly(sums)
 
 
-def check_reciprocity_graph(G: Graph, x0: int, y0: int, budget: int | None = None) -> CheckReport:
+def check_reciprocity_graph(G: Graph, x0: int, y0: int) -> CheckReport:
     """Verify chrom_poly(G)(-x0, -y0), on 0 <= y0 <= x0 (ValueError
     outside), against the signed count of compatible colorings over all
     flats and orientations, read from one cached polynomial per graph
@@ -238,8 +230,8 @@ def check_reciprocity_graph(G: Graph, x0: int, y0: int, budget: int | None = Non
     enumerated.  The budget bounds its 3^n subset pairs, whatever x0."""
     if not 0 <= y0 <= x0:
         raise ValueError("graph reciprocity is checked on 0 <= y0 <= x0")
-    _check_budget(G.n, 3, budget, 0)
-    lhs = _budgeted(chrom_poly, G, budget).evaluate(-x0, -y0)
+    _check_budget(G.n, 3, 0)
+    lhs = chrom_poly(G).evaluate(-x0, -y0)
     rhs = _reciprocity_poly(G).evaluate(x0, y0)
     if lhs == rhs:
         return CheckReport("graph-reciprocity", True)
@@ -247,14 +239,14 @@ def check_reciprocity_graph(G: Graph, x0: int, y0: int, budget: int | None = Non
     return CheckReport("graph-reciprocity", False, witness)
 
 
-def check_reciprocity_graph_poly(G: Graph, budget: int | None = None) -> CheckReport:
+def check_reciprocity_graph_poly(G: Graph) -> CheckReport:
     """Polynomial-level form: chrom_poly(-x, -y) equals the signed sum,
     over all (flat, acyclic orientation) pairs, of the weak order
     polynomials at y + 1, which is _reciprocity_poly(G).  The sides differ
     only in their block weights (see the module docstring).  The budget
     bounds both sides' 3^n subset pairs, as in check_reciprocity_graph."""
-    _check_budget(G.n, 3, budget, 0)
-    lhs = _budgeted(chrom_poly, G, budget).negate_args()
+    _check_budget(G.n, 3, 0)
+    lhs = chrom_poly(G).negate_args()
     rhs = _reciprocity_poly(G)
     if lhs == rhs:
         return CheckReport("graph-reciprocity-poly", True)

@@ -9,7 +9,9 @@ The argument parser is built once per process.  A verb returns its exit
 code and functions for its JSON payload and text lines; stdout is written
 once, after all of the verb's work, so an error leaves it empty.  Brute
 counts come from the library's budgeted counters, which refuse before
-any table is built.  One walker, _sweep, runs every check sweep over the
+any table is built.  --budget sets poset.DEFAULT_BUDGET, the library's
+one limit, for the verb and restores it after, so every gate the verb
+passes reads it.  One walker, _sweep, runs every check sweep over the
 valid points with x0 <= n, which fix a polynomial of total degree <= n.
 One oracle check serves posets and graphs: it fails a polynomial of
 total degree above n before its sweep, so the sweep is complete.
@@ -24,8 +26,8 @@ import json
 import sys
 from typing import IO, Callable
 
+from . import poset
 from .chrompoly import (
-    _budgeted,
     _coloring_counter,
     check_reciprocity_graph,
     check_reciprocity_graph_poly,
@@ -170,7 +172,7 @@ def _oracle_check(name: str, n: int, parts: list[tuple[str, dict, BiPoly, Callab
     return _sweep(name, n, cases)
 
 
-def _run_checks(obj: BicoloredPoset | Graph, kind: str, budget: int | None) -> list[CheckReport]:
+def _run_checks(obj: BicoloredPoset | Graph, kind: str) -> list[CheckReport]:
     is_poset = isinstance(obj, BicoloredPoset)
     if kind == "poset-reciprocity" and not is_poset:
         raise ValueError("poset-reciprocity needs a poset input")
@@ -180,18 +182,18 @@ def _run_checks(obj: BicoloredPoset | Graph, kind: str, budget: int | None) -> l
     if is_poset and kind in ("poset-reciprocity", "all"):
         reports.append(check_reciprocity_poset(obj))
     if not is_poset and kind in ("graph-reciprocity", "all"):
-        point = lambda x0, y0: check_reciprocity_graph(obj, x0, y0, budget).witness
+        point = lambda x0, y0: check_reciprocity_graph(obj, x0, y0).witness
         reports.append(_sweep("graph-reciprocity", obj.n, [("strict", point)]))
-        reports.append(check_reciprocity_graph_poly(obj, budget))
+        reports.append(check_reciprocity_graph_poly(obj))
     if kind in ("oracle", "all"):
         # the counters come first, so the budget refuses before any polynomial
         if is_poset:
-            counters = [_poset_counter(obj, mode, obj.n, budget) for mode in MODES]
+            counters = [_poset_counter(obj, mode, obj.n) for mode in MODES]
             polys = (order_poly_strict(obj), order_poly_weak(obj))
             parts = [(m, {"mode": m}, p, c) for m, p, c in zip(MODES, polys, counters)]
         else:
-            counter = _coloring_counter(obj, obj.n, budget)
-            parts = [("strict", {}, _budgeted(chrom_poly, obj, budget), counter)]
+            counter = _coloring_counter(obj, obj.n)
+            parts = [("strict", {}, chrom_poly(obj), counter)]
         name = "poset-oracle" if is_poset else "graph-oracle"
         reports.append(_oracle_check(name, obj.n, parts))
     return reports
@@ -205,16 +207,16 @@ def _dispatch(args: argparse.Namespace) -> tuple[Callable, Callable, int]:
     if verb == "poset-poly":
         P = _need_poset(obj)
         order_poly = order_poly_strict if args.mode == "strict" else order_poly_weak
-        poly = order_poly(P, budget=args.budget)
+        poly = order_poly(P)
         return poly.to_json, lambda: [poly.text()], 0
     if verb == "graph-poly":
-        poly = _budgeted(chrom_poly, _need_graph(obj), args.budget)
+        poly = chrom_poly(_need_graph(obj))
         return poly.to_json, lambda: [poly.text()], 0
     if verb in ("poset-count", "graph-count"):
         if verb == "poset-count":
-            count = brute_count(_need_poset(obj), args.mode, args.x, args.y, args.budget)
+            count = brute_count(_need_poset(obj), args.mode, args.x, args.y)
         else:
-            count = chrom_count(_need_graph(obj), args.x, args.y, args.budget)
+            count = chrom_count(_need_graph(obj), args.x, args.y)
         return lambda: {"count": count}, lambda: [str(count)], 0
     if verb == "list-extensions":
         exts = linear_extensions(_need_poset(obj))
@@ -250,7 +252,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[Callable, Callable, int]:
             lambda: (" ".join(f"{a}->{b}" for a, b in o.directed_edges) or "-" for o in orients),
             0,
         )
-    reports = _run_checks(obj, args.kind, args.budget)
+    reports = _run_checks(obj, args.kind)
     return (
         lambda: [r.to_json() for r in reports],
         lambda: (
@@ -272,12 +274,17 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
             args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    saved = poset.DEFAULT_BUDGET
+    if (budget := getattr(args, "budget", None)) is not None:
+        poset.DEFAULT_BUDGET = budget
     try:
         payload, lines, code = _dispatch(args)
     except (OSError, json.JSONDecodeError, ValueError, BudgetExceededError,
             MemoryError, OverflowError) as exc:  # the last two: an input too large to hold
         err.write(f"error: {str(exc) or 'out of memory'}\n")
         return 2
+    finally:
+        poset.DEFAULT_BUDGET = saved
     if args.format == "json":
         out.write(json.dumps(payload(), sort_keys=True) + "\n")
     else:

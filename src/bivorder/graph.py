@@ -113,9 +113,9 @@ def flats(G: Graph) -> tuple[Flat, ...]:
     unplaced vertices containing it, and the rest is partitioned alike.
     That order is not lexicographic ({0,3|1|2} precedes {0|1,2|3}), so
     the assignments are sorted.  Its first step alone tries the 2^(n - 1)
-    subsets that hold vertex 0, so 2^n is checked against the default
-    budget first."""
-    _check_budget(G.n, 2, None, 0)
+    subsets that hold vertex 0, so 2^n is checked against the budget
+    first."""
+    _check_budget(G.n, 2, 0)
     adj = _neighbor_masks(G)
 
     def connected(block: int) -> bool:

@@ -41,7 +41,9 @@ Counts and polynomials agree on the validity region (_valid_ys)
 the polynomial is still defined but no longer counts anything.
 
 The brute counters and the ideal-chain dynamic program refuse through
-the budget gate in poset (see poset._check_budget).
+the budget gate in poset (see poset._check_budget), whose one limit,
+poset.DEFAULT_BUDGET, is read at each call; no routine here takes a
+budget.
 """
 
 from __future__ import annotations
@@ -221,7 +223,7 @@ def word_decomposition(
 
 
 def _order_coords(
-    P: BicoloredPoset, mode: str, labeling: tuple | None = None, budget: int | None = None
+    P: BicoloredPoset, mode: str, labeling: tuple | None = None
 ) -> tuple[dict, int, int]:
     """The mode's order polynomial of the related elements R of P, those in
     some relation, as its nonzero integer coordinates c[t, s] on the basis
@@ -250,7 +252,7 @@ def _order_coords(
     total is read one s-row of T bits at a time, then slot by slot inside
     the row.  Each level counts its states as it stores them and refuses
     (see _check_budget) once its states times the (m + 1)(m + 2)/2 slots
-    pass the budget, the default when None, before the level is complete."""
+    pass the budget before the level is complete."""
     preds = _pred_masks(P)
     labels = _checked_labeling(P, labeling, mode, preds)
     celeste = sum(1 << c for c in P.celeste)
@@ -261,7 +263,7 @@ def _order_coords(
     S, T = width, width * (m + 1)
     free = (1 << T) - 1
     slots = (m + 1) * (m + 2) // 2
-    bound = (poset.DEFAULT_BUDGET if budget is None else budget) // slots
+    bound = poset.DEFAULT_BUDGET // slots
     # the empty prefix ends above every label, so the first element opens a step
     level: dict[int, dict[int, int]] = {0: {P.n + 1: 1}}
     for _ in range(m):
@@ -283,7 +285,7 @@ def _order_coords(
                 nxt.setdefault(ideal | 1 << v, {})[lab] = opened + c
                 count += 1
             if count > bound:
-                _check_budget(1, count * slots, budget, 0)  # the level's states so far
+                _check_budget(1, count * slots, 0)  # the level's states so far
         level = nxt
     total = sum(level[related].values())
     mask = (1 << width) - 1
@@ -306,23 +308,19 @@ def _order_poly(mode: str, coords: dict, silver: int, celeste: int) -> BiPoly:
     return _times_powers(_binomial_poly(coords, u, v), silver, v, celeste)
 
 
-def order_poly_strict(
-    P: BicoloredPoset, labeling: tuple[int, ...] | None = None, budget: int | None = None
-) -> BiPoly:
+def order_poly_strict(P: BicoloredPoset, labeling: tuple[int, ...] | None = None) -> BiPoly:
     """Polynomial counting strict order preserving maps of P into 1..x
     with every celeste element sent strictly above y.  Raises
-    BudgetExceededError when the ideal-chain states outgrow the budget,
-    the default when None (see _order_coords)."""
-    return _order_poly("strict", *_order_coords(P, "strict", labeling, budget))
+    BudgetExceededError when the ideal-chain states outgrow the budget
+    (see _order_coords)."""
+    return _order_poly("strict", *_order_coords(P, "strict", labeling))
 
 
-def order_poly_weak(
-    P: BicoloredPoset, labeling: tuple[int, ...] | None = None, budget: int | None = None
-) -> BiPoly:
+def order_poly_weak(P: BicoloredPoset, labeling: tuple[int, ...] | None = None) -> BiPoly:
     """Polynomial counting weak order preserving maps of P into 1..x with
     every celeste element sent to y or above.  Raises BudgetExceededError
     as order_poly_strict does."""
-    return _order_poly("weak", *_order_coords(P, "weak", labeling, budget))
+    return _order_poly("weak", *_order_coords(P, "weak", labeling))
 
 
 # brute-force enumeration -----------------------------------------------------
@@ -480,23 +478,23 @@ def _cum_table(n: int, x_max: int, relations: tuple, below: Callable, lows: tupl
 
 
 def _counter(
-    n: int, x_max: int, budget: int | None, relations: tuple, below: Callable, lows: tuple, shift: int
+    n: int, x_max: int, relations: tuple, below: Callable, lows: tuple, shift: int
 ) -> Callable[[int, int], int]:
     """The one route to a brute table: check the budget now, and return
     (x0, y0) -> the maps into 1..x0 <= x_max with low value >= y0 + shift.
     Each read fetches the cached table (see _cum_table), so it is built at
     the first read: a caller that takes its counters first refuses first."""
-    _check_budget(n, x_max, budget, (x_max + 1) * (x_max + 2))
+    _check_budget(n, x_max, (x_max + 1) * (x_max + 2))
     key = n, x_max, relations, below, lows
     return lambda x0, y0: int(_cum_table(*key)[x0, min(y0 + shift, x0 + 1)])
 
 
-def _poset_counter(P: BicoloredPoset, mode: str, x_max: int, budget: int | None) -> Callable:
+def _poset_counter(P: BicoloredPoset, mode: str, x_max: int) -> Callable:
     """The mode's maps of P counted by (x0, y0): covers kept strictly or
     weakly, and celeste elements above y0, or at y0 or above in weak mode."""
     below = operator.lt if mode == "strict" else operator.le
     lows = tuple((c, c) for c in sorted(P.celeste))
-    return _counter(P.n, x_max, budget, covers(P), below, lows, mode == "strict")
+    return _counter(P.n, x_max, covers(P), below, lows, mode == "strict")
 
 
 def _mode_ok(mode: str) -> None:
@@ -509,15 +507,13 @@ def _counts_ok(x0: int, y0: int) -> None:
         raise ValueError("x0 and y0 must be nonnegative integers")
 
 
-def brute_count(
-    P: BicoloredPoset, mode: str, x0: int, y0: int, budget: int | None = None
-) -> int:
+def brute_count(P: BicoloredPoset, mode: str, x0: int, y0: int) -> int:
     """Count the mode's maps of P into 1..x0 that send every celeste
     element above y0 (to y0 or above in weak mode) by enumerating all x0^n
     maps; raises BudgetExceededError past the budget (see _check_budget)."""
     _mode_ok(mode)
     _counts_ok(x0, y0)
-    return _poset_counter(P, mode, x0, budget)(x0, y0)
+    return _poset_counter(P, mode, x0)(x0, y0)
 
 
 # interpolation ----------------------------------------------------------------
@@ -568,13 +564,11 @@ def interpolate_poly(counter: Callable[[int, int], int], n: int, mode: str) -> B
     return _binomial_poly(_simplex_coords(counter, n, mode), *_MODE_BASIS[mode])
 
 
-def interpolate_brute(
-    P: BicoloredPoset, mode: str, budget: int | None = None
-) -> BiPoly:
+def interpolate_brute(P: BicoloredPoset, mode: str) -> BiPoly:
     """Interpolated brute-force polynomial; one enumeration of the P.n^P.n
     maps into 1..P.n serves every point of the simplex."""
     _mode_ok(mode)
-    return interpolate_poly(_poset_counter(P, mode, P.n, budget), P.n, mode)
+    return interpolate_poly(_poset_counter(P, mode, P.n), P.n, mode)
 
 
 # reciprocity ------------------------------------------------------------------

@@ -12,10 +12,12 @@ Linear extensions are enumerated in a fixed deterministic order, and a
 labeling plus an extension yields a word whose ascent and descent
 positions drive the closed-form counting polynomials.
 
-The one budget gate of every exponential enumeration, _check_budget
-against DEFAULT_BUDGET read at each call, lives here, below orderpoly,
-graph and chrompoly; linear_extensions passes it before listing anything,
-and a listing it has cached is returned without passing it again.
+The one budget gate of every exponential enumeration, _check_budget,
+lives here, below orderpoly, graph and chrompoly.  Its limit is
+DEFAULT_BUDGET, the only one, read at each call: no function takes a
+budget, and the command line's --budget sets it for one run.
+linear_extensions passes the gate before listing anything, and a listing
+it has cached is returned without passing it again.
 """
 
 from __future__ import annotations
@@ -32,21 +34,20 @@ class BudgetExceededError(RuntimeError):
     """Raised when an enumeration would visit more objects than allowed."""
 
 
-def _check_budget(n: int, base: int, budget: int | None, cells: int) -> None:
+def _check_budget(n: int, base: int, cells: int) -> None:
     """base^n objects and the cells of the table they fill (0 where none is
-    built; only orderpoly._counter builds one) must fit the budget, the
-    default when None.  A count of 20+ digits is written base^n, not
-    computed once its lower bound 2^bits exceeds 10^19 < 2^64, the limit
-    and the cells, so any n prints."""
-    limit = DEFAULT_BUDGET if budget is None else budget
+    built; only orderpoly._counter builds one) must fit DEFAULT_BUDGET,
+    read now.  A count of 20+ digits is written base^n, not computed once
+    its lower bound 2^bits exceeds 10^19 < 2^64, the limit and the cells,
+    so any n prints."""
     bits = n * (base.bit_length() - 1)
-    if bits >= 64 and bits >= limit.bit_length() and bits >= cells.bit_length():
+    if bits >= 64 and bits >= DEFAULT_BUDGET.bit_length() and bits >= cells.bit_length():
         shown = f"{base}^{n}"
-    elif max(objects := base**n, cells) > limit:
+    elif max(objects := base**n, cells) > DEFAULT_BUDGET:
         shown = f"{base}^{n}" if objects >= max(cells, 10**19) else max(objects, cells)
     else:
         return
-    raise BudgetExceededError(f"enumeration of {shown} objects exceeds budget {limit}")
+    raise BudgetExceededError(f"enumeration of {shown} objects exceeds budget {DEFAULT_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ def linear_extensions(P: BicoloredPoset) -> tuple[tuple[int, ...], ...]:
     ones in increasing index order, so the output order is deterministic
     (lexicographic by element sequence).
 
-    Refuses past the default budget before listing: level k counts by
+    Refuses past the budget before listing: level k counts by
     ideal the k-element prefixes the backtracking visits, no more than the
     extensions (level n), and refuses once its count does.  The count
     records each ideal's minimal elements, the backtracking's next choices.
@@ -155,7 +156,7 @@ def linear_extensions(P: BicoloredPoset) -> tuple[tuple[int, ...], ...]:
                         if not preds[u] & ~grown:
                             grew |= 1 << u
                     minimal[grown] = grew
-            _check_budget(1, count, None, 0)  # the level's prefixes so far
+            _check_budget(1, count, 0)  # the level's prefixes so far
         level = nxt
     out, placed, done = [], [], 0
     stack = [minimal[0]]  # per depth: the minimal elements not yet tried

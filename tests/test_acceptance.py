@@ -142,7 +142,7 @@ def test_criterion_4_decomposition_vs_interpolation():
                 ("strict", all_reverse_natural_labelings(P), order_poly_strict),
                 ("weak", all_natural_labelings(P), order_poly_weak),
             ):
-                counter = _poset_counter(P, mode, n, None)
+                counter = _poset_counter(P, mode, n)
                 assert interpolate_poly(counter, n, mode) == order_poly(P)
                 coords = _order_coords(P, mode)
                 assert all(_order_coords(P, mode, lab) == coords for lab in labelings)
@@ -188,7 +188,7 @@ def test_criterion_8_chromatic_interpolation():
     for n in range(5):
         for G in all_graphs(n):
             # one coloring table up to the simplex's largest x = n serves it
-            counter = chrompoly._coloring_counter(G, G.n, None)
+            counter = chrompoly._coloring_counter(G, G.n)
             assert _nonzero_simplex_coords(counter, G.n, "strict") == chrom_coords(G)
             poly = chrom_poly(G)
             assert poly.subs_y_for_x() == classical_chrom_poly(G)

@@ -147,7 +147,7 @@ def test_table_time_and_memory_at_budget_extremes(kind, n, x_max):
     # both shapes fit the default budget: 9 * 10^6 maps and cells at n = 2,
     # about 6 * 10^6 maps at n = 3
     cells = (x_max + 1) * (x_max + 2)
-    orderpoly._check_budget(n, x_max, None, cells)
+    orderpoly._check_budget(n, x_max, cells)
     build = _table_build(kind, n)
     orderpoly._inner_maps.cache_clear()
     tracemalloc.start()

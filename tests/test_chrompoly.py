@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bivorder import chrompoly, graph, orderpoly
+from bivorder import chrompoly, graph, orderpoly, poset
 from bivorder.chrompoly import (
     check_reciprocity_graph,
     check_reciprocity_graph_poly,
@@ -80,12 +80,12 @@ def test_coloring_tables_match_definition_at_every_block_size(monkeypatch, block
     graphs = [complete_graph(4), cycle_graph(4), Graph(0, frozenset())] + all_graphs(3)
     for G in graphs:
         for x_max in range(4):
-            count = chrompoly._coloring_counter(G, x_max, None)
+            count = chrompoly._coloring_counter(G, x_max)
             for x0 in range(x_max + 1):
                 for y0 in range(x0 + 2):
                     assert count(x0, y0) == dumb_count_colorings(G, x0, y0), (G, x0, y0)
 
-def test_chrom_count_budget():
+def test_chrom_count_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         chrom_count(edgeless_graph(8), 10, 0)
     with pytest.raises(ValueError):
@@ -93,9 +93,11 @@ def test_chrom_count_budget():
     # the table's (x0 + 1) * (x0 + 2) cells count against the budget too
     with pytest.raises(BudgetExceededError):
         chrom_count(edgeless_graph(1), 10_000_000, 0)
-    assert chrom_count(edgeless_graph(1), 4, 0, budget=30) == 4
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 30)
+    assert chrom_count(edgeless_graph(1), 4, 0) == 4
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 41)
     with pytest.raises(BudgetExceededError):
-        chrom_count(edgeless_graph(1), 5, 0, budget=41)
+        chrom_count(edgeless_graph(1), 5, 0)
 
 
 @pytest.mark.parametrize("x0", [0, 1])
@@ -424,9 +426,9 @@ def test_reciprocity_numeric_fixtures(G):
             assert check_reciprocity_graph(G, x0, y0).passed
 
 
-def _per_pair_rhs(G, x0, y0, budget=None):
+def _per_pair_rhs(G, x0, y0):
     return sum(
-        sign * count_compatible_colorings(F, sigma, x0, y0, budget)
+        sign * count_compatible_colorings(F, sigma, x0, y0)
         for sign, F, sigma in signed_pairs(G)
     )
 
@@ -513,8 +515,8 @@ def test_numeric_reciprocity_builds_no_poset(monkeypatch):
 
 
 def test_default_budget_keeps_one_cache_entry_per_graph():
-    # lru_cache keys f(G) and f(G, None) apart; under the default budget
-    # the checks call f(G), so chrom_poly and both checks compute once
+    # chrom_poly is cached on the graph alone, so chrom_poly and both
+    # checks compute once
     chrom_poly.cache_clear()
     chrompoly._reciprocity_poly.cache_clear()
     C5 = cycle_graph(5)
@@ -525,14 +527,15 @@ def test_default_budget_keeps_one_cache_entry_per_graph():
     assert chrompoly._reciprocity_poly.cache_info().misses == 1
 
 
-def test_reciprocity_side_is_computed_once_for_every_budget():
+def test_reciprocity_side_is_computed_once_for_every_budget(monkeypatch):
     # the budget only gates the work, so the right side is cached on the
     # graph alone: three budgets, one computation
     chrompoly._reciprocity_poly.cache_clear()
     C5 = cycle_graph(5)
-    for budget in (1000, 2000, None):
-        assert check_reciprocity_graph_poly(C5, budget).passed
-        assert check_reciprocity_graph(C5, 3, 2, budget).passed
+    for budget in (1000, 2000, poset.DEFAULT_BUDGET):
+        monkeypatch.setattr(poset, "DEFAULT_BUDGET", budget)
+        assert check_reciprocity_graph_poly(C5).passed
+        assert check_reciprocity_graph(C5, 3, 2).passed
     assert chrompoly._reciprocity_poly.cache_info().misses == 1
 
 
@@ -552,18 +555,22 @@ def test_reciprocity_witness_is_per_pair_sum(monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(1, 5))
-def test_reciprocity_budget_matches_per_pair_route(n):
+def test_reciprocity_budget_matches_per_pair_route(monkeypatch, n):
     # the gate counts the 3^n subset pairs of the one computation, checked
     # like chrom_poly's (no table, so no cells), not the x0^n colorings the
     # per-pair route enumerates; whatever x0, at the gate the check passes
-    # with the per-pair value and one below it refuses
-    gate = 3**n
+    # with the per-pair value (counted under the default budget) and one
+    # below it refuses
+    gate, default = 3**n, poset.DEFAULT_BUDGET
     for G in all_graphs(n):
         for x0 in range(1, 5):
             message = f"enumeration of {gate} objects exceeds budget {gate - 1}"
+            monkeypatch.setattr(poset, "DEFAULT_BUDGET", gate - 1)
             with pytest.raises(BudgetExceededError, match=message):
-                check_reciprocity_graph(G, x0, 1, gate - 1)
-            report = check_reciprocity_graph(G, x0, 1, gate)
+                check_reciprocity_graph(G, x0, 1)
+            monkeypatch.setattr(poset, "DEFAULT_BUDGET", gate)
+            report = check_reciprocity_graph(G, x0, 1)
+            monkeypatch.setattr(poset, "DEFAULT_BUDGET", default)
             assert report.passed and _per_pair_rhs(G, x0, 1) == chrom_poly(G).evaluate(-x0, -1)
 
 
@@ -581,20 +588,22 @@ def test_reciprocity_budget_boundary_names_largest_quotient(monkeypatch):
     K4 = complete_graph(4)
     message = "enumeration of 81 objects exceeds budget 80"
     checks = (
-        lambda budget: check_reciprocity_graph(K4, 4, 1, budget),
-        lambda budget: check_reciprocity_graph_poly(K4, budget),
+        lambda: check_reciprocity_graph(K4, 4, 1),
+        lambda: check_reciprocity_graph_poly(K4),
     )
     for check in checks:
-        assert check(81).passed
+        monkeypatch.setattr(poset, "DEFAULT_BUDGET", 81)
+        assert check().passed
         # the right side is cached on the graph alone; a hit skips no gate
+        monkeypatch.setattr(poset, "DEFAULT_BUDGET", 80)
         with pytest.raises(BudgetExceededError, match=message):
-            check(80)
+            check()
     # nothing is computed before the check
     monkeypatch.setattr(chrompoly, "chrom_poly", None)
     monkeypatch.setattr(chrompoly, "_reciprocity_poly", None)
     for check in checks:
         with pytest.raises(BudgetExceededError, match=message):
-            check(80)
+            check()
 
 
 @pytest.mark.parametrize("n", range(4))

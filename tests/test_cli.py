@@ -505,7 +505,7 @@ def test_oracle_finds_any_planted_top_coordinate(planted):
     exact = getattr(cli, name)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, name, lambda P: exact(P) + c * _basis_bump(t, d - t, mode))
-        [report] = cli._run_checks(obj, "oracle", None)
+        [report] = cli._run_checks(obj, "oracle")
     assert not report.passed
     witness = report.witness
     assert witness.get("mode", "strict") == mode
@@ -532,14 +532,14 @@ def test_oracle_reads_exactly_the_simplex(monkeypatch, n):
     poset_counter, coloring_counter = cli._poset_counter, cli._coloring_counter
     monkeypatch.setattr(
         cli, "_poset_counter",
-        lambda P, mode, x_max, budget: recorded(mode, x_max, poset_counter(P, mode, x_max, budget)),
+        lambda P, mode, x_max: recorded(mode, x_max, poset_counter(P, mode, x_max)),
     )
     monkeypatch.setattr(
         cli, "_coloring_counter",
-        lambda G, x_max, budget: recorded("graph", x_max, coloring_counter(G, x_max, budget)),
+        lambda G, x_max: recorded("graph", x_max, coloring_counter(G, x_max)),
     )
     for obj in (fence_poset(n), path_graph(n)):
-        assert all(r.passed for r in cli._run_checks(obj, "oracle", None))
+        assert all(r.passed for r in cli._run_checks(obj, "oracle"))
     assert tables == [n, n, n]
     for key, mode in (("strict", "strict"), ("weak", "weak"), ("graph", "strict")):
         simplex = set()
@@ -601,7 +601,7 @@ def test_graph_reciprocity_finds_any_planted_top_coordinate(planted):
     n = G.n
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chrompoly, "_reciprocity_poly", _planted_reciprocity(t, n - t, c))
-        report = cli._run_checks(G, "graph-reciprocity", None)[0]
+        report = cli._run_checks(G, "graph-reciprocity")[0]
     assert report.name == "graph-reciprocity" and not report.passed
     # binom(y, t) * binom(x - y, n - t) is zero below x0 = n and 1 at y0 = t there
     witness = report.witness
@@ -615,12 +615,12 @@ def test_graph_reciprocity_reads_the_oracle_simplex(monkeypatch, n):
     read = []
     exact = cli.check_reciprocity_graph
 
-    def recorded(G, x0, y0, budget):
+    def recorded(G, x0, y0):
         read.append((x0, y0))
-        return exact(G, x0, y0, budget)
+        return exact(G, x0, y0)
 
     monkeypatch.setattr(cli, "check_reciprocity_graph", recorded)
-    assert all(r.passed for r in cli._run_checks(path_graph(n), "graph-reciprocity", None))
+    assert all(r.passed for r in cli._run_checks(path_graph(n), "graph-reciprocity"))
     assert read == [(x0, y0) for x0 in range(n + 1) for y0 in range(x0 + 1)]
 
 def test_negative_budget_is_usage_error():
@@ -806,6 +806,34 @@ def test_graph_reciprocity_budget_lifts_the_default(monkeypatch, tmp_path):
     assert err == "error: enumeration of 243 objects exceeds budget 100\n"
 
 
+def test_check_budget_reaches_poset_reciprocity_and_the_oracle(monkeypatch):
+    # the skew diamond's ideal-chain program holds 42 states times slots,
+    # past a default of 30; --budget lifts the gate of every route check runs
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 30)
+    argv = ("check", "--input", fixture("skewdiamond.json"))
+    for kind, out in (
+        ("poset-reciprocity", "PASS poset-reciprocity\n"),
+        ("all", "PASS poset-reciprocity\nPASS poset-oracle\n"),
+    ):
+        assert run_cli(*argv, "--kind", kind, "--budget", "100000") == (0, out, "")
+    message = "error: enumeration of 42 objects exceeds budget 30\n"
+    assert run_cli(*argv, "--kind", "poset-reciprocity") == (2, "", message)
+
+
+def test_run_restores_the_default_budget(monkeypatch):
+    # the bench and the tests call run in-process, so a --budget that stayed
+    # set would gate every later call; passing, refusing and bad input alike
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 12345)
+    for argv, code in (
+        (("graph-poly", "--input", fixture("k3.json"), "--budget", "1000"), 0),
+        (("graph-count", "--input", fixture("k4.json"), "--x", "3", "--y", "1",
+          "--budget", "10"), 2),
+        (("graph-poly", "--input", fixture("skewdiamond.json"), "--budget", "1000"), 2),
+    ):
+        assert run_cli(*argv)[0] == code
+        assert poset.DEFAULT_BUDGET == 12345
+
+
 def test_budget_refuses_a_huge_graph_without_computing_the_power(tmp_path):
     # 3^(10^8) has 48 million digits; the bit lengths decide
     path = tmp_path / "huge.json"
@@ -879,8 +907,9 @@ def test_every_brute_count_refuses_before_any_table(monkeypatch, argv, maps):
     message = f"enumeration of {maps} objects exceeds budget 10"
     if argv is None:
         P = poset_from_json(json.loads(Path(fixture("skewdiamond.json")).read_text()))
+        monkeypatch.setattr(poset, "DEFAULT_BUDGET", 10)
         with pytest.raises(BudgetExceededError, match=message):
-            orderpoly.interpolate_brute(P, "weak", budget=10)
+            orderpoly.interpolate_brute(P, "weak")
     else:
         assert run_cli(*argv, "--budget", "10") == (2, "", f"error: {message}\n")
 
@@ -896,8 +925,10 @@ def test_every_brute_count_refuses_before_any_table(monkeypatch, argv, maps):
 )
 def test_poly_verbs_take_a_budget(argv, maps):
     # the ideal-chain states (one level's 1 state times 21 slots) and the
-    # 3^n subset pairs are gated by --budget; a generous one changes nothing
+    # 3^n subset pairs are gated by --budget; a generous one changes nothing.
+    # A cached chrom_poly answers without the gate, so the cache starts empty
     message = f"error: enumeration of {maps} objects exceeds budget 10\n"
+    chrom_poly.cache_clear()
     assert run_cli(*argv, "--budget", "10") == (2, "", message)
     assert run_cli(*argv, "--budget", "1000") == run_cli(*argv)
 

@@ -704,7 +704,7 @@ def test_brute_tables_match_definition_at_every_block_size(monkeypatch, block):
     for P in posets:
         for mode in ("strict", "weak"):
             for x_max in range(4):
-                count = orderpoly._poset_counter(P, mode, x_max, None)
+                count = orderpoly._poset_counter(P, mode, x_max)
                 for x0 in range(x_max + 1):
                     for y0 in range(x0 + 2):
                         assert count(x0, y0) == dumb_count_maps(P, mode, x0, y0), (P, mode, x0, y0)
@@ -717,21 +717,25 @@ def test_brute_rejects_bad_arguments():
         brute_count(P, "loose", 2, 0)
 
 
-def test_brute_budget_error():
+def test_brute_budget_error(monkeypatch):
     P = antichain_poset(4)
     with pytest.raises(BudgetExceededError):
         brute_count(P, "strict", 100, 0)
-    with pytest.raises(BudgetExceededError):
-        brute_count(P, "weak", 10, 0, budget=9999)
-    # the same call under a sufficient budget succeeds
-    assert brute_count(P, "weak", 10, 0, budget=10000) == 10000
-    # one element walks x0 maps but fills (x0 + 1) * (x0 + 2) table cells
     Q = chain_poset(1, (0,))
+    # one element walks x0 maps but fills (x0 + 1) * (x0 + 2) table cells
     with pytest.raises(BudgetExceededError):
         brute_count(Q, "strict", 10_000_000, 1)
-    assert brute_count(Q, "weak", 4, 2, budget=30) == 3
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 9999)
     with pytest.raises(BudgetExceededError):
-        brute_count(Q, "weak", 5, 2, budget=41)
+        brute_count(P, "weak", 10, 0)
+    # the same call under a sufficient budget succeeds
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 10000)
+    assert brute_count(P, "weak", 10, 0) == 10000
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 30)
+    assert brute_count(Q, "weak", 4, 2) == 3
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 41)
+    with pytest.raises(BudgetExceededError):
+        brute_count(Q, "weak", 5, 2)
 
 
 def _budget_message(n, x_max, limit, cells):
@@ -743,17 +747,18 @@ def _budget_message(n, x_max, limit, cells):
     return f"enumeration of {shown} objects exceeds budget {limit}"
 
 
-def test_budget_check_decides_from_bit_lengths_as_from_the_power():
+def test_budget_check_decides_from_bit_lengths_as_from_the_power(monkeypatch):
     # the bit-length shortcut must give every message of the full power, in
     # the brute form with a table's cells (at n <= 2 they outnumber the
     # maps) and in the cell-free form of the subset gates
     for n in [1, 2, *range(0, 90, 3)]:
         for x_max in (0, 1, 2, 3, 7, 8, 100, 255, 256, 3000, 2**32 + 5, 2**64):
             for limit in (0, 1, 10, 10**7, 2**63, 10**19, 2**64, 10**40):
+                monkeypatch.setattr(poset, "DEFAULT_BUDGET", limit)
                 cells = (x_max + 1) * (x_max + 2)
                 for counted in (cells, 0):
                     try:
-                        poset._check_budget(n, x_max, limit, counted)
+                        poset._check_budget(n, x_max, counted)
                         got = None
                     except BudgetExceededError as exc:
                         got = str(exc)
@@ -1007,16 +1012,18 @@ def test_interpolate_brute_enumerates_once(mode):
     assert orderpoly._cum_table.cache_info().misses == 1
 
 
-def test_interpolate_budget_error():
+def test_interpolate_budget_error(monkeypatch):
     # the simplex's largest x is n, so n elements walk n^n maps
     P = antichain_poset(7, (0,))
     assert interpolate_brute(P, "weak") == order_poly_weak(P)  # 7^7 = 823 543 maps
     with pytest.raises(BudgetExceededError):
         interpolate_brute(antichain_poset(8, (0,)), "weak")  # 8^8
     P = antichain_poset(5, (0,))
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 5**5 - 1)
     with pytest.raises(BudgetExceededError):
-        interpolate_brute(P, "weak", budget=5**5 - 1)
-    assert interpolate_brute(P, "weak", budget=5**5) == order_poly_weak(P)
+        interpolate_brute(P, "weak")
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 5**5)
+    assert interpolate_brute(P, "weak") == order_poly_weak(P)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -1048,14 +1055,14 @@ def test_interpolate_poly_asks_only_for_simplex_points(mode, n):
 def test_interpolate_poly_equals_product_grid_on_catalog(mode):
     for n in range(5):
         for P in catalog_posets(n):
-            counter = orderpoly._poset_counter(P, mode, 2 * n, None)
+            counter = orderpoly._poset_counter(P, mode, 2 * n)
             assert interpolate_poly(counter, n, mode) == product_interpolate_poly(counter, n, mode)
 
 
 def test_interpolate_poly_equals_product_grid_on_graphs():
     for n in range(5):
         for G in all_graphs(n):
-            counter = chrompoly._coloring_counter(G, 2 * n, None)
+            counter = chrompoly._coloring_counter(G, 2 * n)
             simplex = interpolate_poly(counter, n, "strict")
             assert simplex == product_interpolate_poly(counter, n, "strict")
 
@@ -1145,8 +1152,8 @@ def test_reciprocity_failure_carries_the_oracle_witness(monkeypatch, P):
     # witness as the polynomial comparison of the same (faulty) polynomials
     order_coords = orderpoly._order_coords
 
-    def skewed(P, mode, labeling=None, budget=None):
-        coords, silver, celeste = order_coords(P, mode, labeling, budget)
+    def skewed(P, mode, labeling=None):
+        coords, silver, celeste = order_coords(P, mode, labeling)
         coords = dict(coords)
         if mode == "weak":
             coords[min(coords)] += 1

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import re
 import time
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bivorder
+from bivorder import chrompoly, cli, orderpoly
 from bivorder.fixtures import (
     antichain_poset,
     chain_poset,
@@ -328,3 +330,19 @@ def test_package_exposes_no_copy_of_the_budget():
     # at import would gate nothing when assigned
     assert not hasattr(bivorder, "DEFAULT_BUDGET")
     assert "DEFAULT_BUDGET" not in bivorder.__all__
+
+
+def test_no_function_takes_a_budget():
+    # poset.DEFAULT_BUDGET is the one limit, so no caller can pass another
+    # or miss passing it
+    # BudgetExceededError, a builtin's subclass, has no signature to read
+    exported = [getattr(bivorder, name) for name in bivorder.__all__ if name != "BudgetExceededError"]
+    private = [
+        orderpoly._order_coords,
+        orderpoly._counter,
+        orderpoly._poset_counter,
+        chrompoly._coloring_counter,
+        cli._run_checks,
+    ]
+    for fn in filter(callable, exported + private):
+        assert "budget" not in inspect.signature(fn).parameters, fn
