@@ -29,8 +29,10 @@ The tests' oracles: either side's sums on the strict basis
 binom(y, t) * binom(x - y, s) through ratpoly._binomial_poly; the
 paper's per-pair constructions, strict order polynomials for chrom_poly
 and count_compatible_colorings for the right side; and chrom_count,
-which enumerates colorings through orderpoly's brute counter (see
-_coloring_counter) and shares no code with any route.
+which enumerates colorings through orderpoly's brute kernel (see
+_coloring_constraints) and shares no code with any route: reduced
+block by block to one number past one block, read from a cached table
+within one (see orderpoly._count).
 
 Every enumeration here refuses through poset's one budget gate (see
 poset._check_budget); no function takes a budget.  A polynomial
@@ -52,22 +54,30 @@ from .graph import (
     graph_to_json,
     orientation_to_poset,
 )
-from .orderpoly import _MODE_BASIS, CheckReport, _counter, _counts_ok, brute_count
+from .orderpoly import _MODE_BASIS, CheckReport, _count, _counter, _counts_ok, brute_count
 from .poset import _check_budget
 from .ratpoly import BiPoly, X, _falling_poly
 
 
+def _coloring_constraints(G: Graph) -> tuple:
+    """G's colorings as the brute kernel reads them, (relations, below,
+    lows, shift): no relation, and each edge a low term, so a coloring is
+    admissible when its least monochromatic color is above y0."""
+    return (), operator.lt, G.sorted_edges(), 1
+
+
 def _coloring_counter(G: Graph, x_max: int) -> Callable:
     """Admissible colorings counted by (x0, y0), from one enumeration of
-    all colorings into 1..x_max: each edge is a low term, so a coloring is
-    admissible when its least monochromatic color is above y0."""
-    return _counter(G.n, x_max, (), operator.lt, G.sorted_edges(), 1)
+    all colorings into 1..x_max (see _coloring_constraints)."""
+    return _counter(G.n, x_max, *_coloring_constraints(G))
 
 
 def chrom_count(G: Graph, x0: int, y0: int) -> int:
-    """Count admissible colorings by enumerating all x0^n of them."""
+    """Count admissible colorings by enumerating all x0^n of them.  Past
+    one block of colorings the count is reduced block by block and no
+    table is built or cached (see orderpoly._count)."""
     _counts_ok(x0, y0)
-    return _coloring_counter(G, x0)(x0, y0)
+    return _count(G.n, x0, y0, *_coloring_constraints(G))
 
 
 def _partition_sums(n: int, weight: Sequence[int], near: Sequence[int]) -> list[list[int]]:

@@ -22,8 +22,11 @@ other by the test suite:
   one integer product (see _order_poly),
 * brute-force enumeration of all x^n maps (exact, vectorized in
   cache-sized blocks of one-byte values, each constraint evaluated once
-  per table, per leading value or per block; see _cum_table), read for
-  posets and graphs alike through one budgeted counter (see _counter),
+  per enumeration, per leading value or per block; see _maps), for
+  posets and graphs alike: reads at many points go through one budgeted
+  counter, whose table is cached (see _counter), and a single count past
+  one block reduces each block to its number of maps and caches nothing
+  (see _count),
 * interpolation of the brute counts on the simplex x0 <= n, by integer
   forward differences in the mode's binomial basis.
 
@@ -353,28 +356,33 @@ def _inner_maps(k: int, x_max: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, top
 
 
-@lru_cache(maxsize=4096)
-def _cum_table(n: int, x_max: int, relations: tuple, below: Callable, lows: tuple) -> np.ndarray:
-    """T[x0, t]: the maps phi from n positions into 1..x_max that keep
-    every relation, below(phi(a), phi(b)) for (a, b) in relations, counted
-    by largest value <= x0 and low value >= t.  The low value is the
-    least phi(u) over the low terms (u, v) with phi(u) == phi(v), so (c, c)
-    is position c alone; column none = x_max + 1 holds the maps with no
-    low term.  Cached on this plain description, so posets and graphs
-    share one cache; _counter is the only caller.
+def _maps(
+    n: int, x_max: int, relations: tuple, below: Callable, lows: tuple, threshold: int | None
+) -> np.ndarray | int:
+    """Enumerate the maps phi from n positions into 1..x_max that keep
+    every relation, below(phi(a), phi(b)) for (a, b) in relations, and
+    reduce each block of them.  A map's low value is the least phi(u) over
+    the low terms (u, v) with phi(u) == phi(v), so (c, c) is position c
+    alone, and none = x_max + 1 when no low term holds.  With threshold
+    None a block's codes top * (x_max + 2) + low, top its largest value,
+    go into one histogram over the (x_max + 1) * (x_max + 2) cells, which
+    is returned (see _cum_table); with a threshold <= none the block adds
+    its number of maps whose low value is >= threshold, and the int total
+    is returned, with no cell allocated.
 
     Every map is enumerated: the last k positions (see _inner_count) vary
     inside a block, one block per value tuple of the leading ones, and
     each constraint is evaluated where it is cheapest.  Between two inner
-    positions it is evaluated once per table, and the inner maps that
-    break a relation are dropped before the first block; between a
+    positions it is evaluated once per enumeration, and the inner maps
+    that break a relation are dropped before the first block; between a
     leading and an inner position once per (position, value), cached when
     two or more leading positions let a value recur; between two leading
     positions on Python ints, and a block whose leading values break a
-    relation is skipped.  Each block's codes top * (x_max + 2) + low go
-    into the table by np.bincount when they number at least the table's
-    cells, else by np.add.at, so a block costs O(its maps) and a table
-    O(maps + cells), never O(blocks * cells).
+    relation is skipped, as is, under a threshold, a block whose leading
+    values alone put the low value below it.  Codes go into the histogram
+    by np.bincount when they number at least its cells, else by
+    np.add.at, so a block costs O(its maps) and a histogram O(maps +
+    cells), never O(blocks * cells); a count costs O(maps).
 
     A low term's array is built from one comparison, in the values' own
     type: an inner term (u, v) is max(phi(u), (phi(u) != phi(v)) * none),
@@ -382,7 +390,7 @@ def _cum_table(n: int, x_max: int, relations: tuple, below: Callable, lows: tupl
     so the maps where phi(u) != phi(v) read none.
 
     Values take one byte while the sentinel x_max + 1 < 256, two below
-    65536.  Memory beyond the int64 table's 8 * cells bytes stays under
+    65536.  Memory beyond the histogram's 8 * cells bytes stays under
     (3 * n * x_max + 128) * M bytes, M = max(_BLOCK_MAPS, x_max) the maps
     of a block: at most n * x_max cached (position, value) pairs hold a
     one-byte mask and a low array of one or two bytes per map, and the
@@ -441,9 +449,14 @@ def _cum_table(n: int, x_max: int, relations: tuple, below: Callable, lows: tupl
 
     if lead > 1:  # a value recurs only under two or more leading positions
         lead_terms = lru_cache(maxsize=None)(lead_terms)
-    prof = np.zeros(cells, dtype=np.int64)
+    prof = np.zeros(cells, dtype=np.int64) if threshold is None else None
+    total = 0
     for values in product(range(1, x_max + 1), repeat=lead):
         if any(not below(values[a], values[b]) for a, b in lead_rel):
+            continue
+        # the least low term among the leading values alone
+        scalar = min((values[u] for u, v in lead_low if values[u] == values[v]), default=none)
+        if threshold is not None and scalar < threshold:
             continue
         keep = None
         low_arrays = [] if inner_low is None else [inner_low]
@@ -453,8 +466,12 @@ def _cum_table(n: int, x_max: int, relations: tuple, below: Callable, lows: tupl
                 keep = mask if keep is None else keep & mask
             if low is not None:
                 low_arrays.append(low)
-        # the least low term among the leading values alone
-        scalar = min((values[u] for u, v in lead_low if values[u] == values[v]), default=none)
+        if threshold is not None:
+            if low_arrays:
+                high = reduce(np.minimum, low_arrays) >= threshold
+                keep = high if keep is None else keep & high
+            total += len(top) if keep is None else np.count_nonzero(keep)
+            continue
         # numpy's minimum and maximum run unvectorized against a scalar, so
         # the scalar is spread into a full array
         code = np.maximum(inner_code, np.full_like(inner_code, max(values, default=0) * width))
@@ -469,7 +486,18 @@ def _cum_table(n: int, x_max: int, relations: tuple, below: Callable, lows: tupl
             prof += np.bincount(code, minlength=cells)
         else:
             np.add.at(prof, code, 1)
-    table = prof.reshape(x_max + 1, width)
+    return prof if threshold is None else int(total)
+
+
+@lru_cache(maxsize=4096)
+def _cum_table(n: int, x_max: int, relations: tuple, below: Callable, lows: tuple) -> np.ndarray:
+    """T[x0, t]: the maps phi from n positions into 1..x_max that keep
+    every relation counted by largest value <= x0 and low value >= t (see
+    _maps); column none = x_max + 1 holds the maps with no low term.  The
+    enumeration's histogram, summed up the rows and down the columns.
+    Cached on this plain description, so posets and graphs share one
+    cache; _counter is the only caller."""
+    table = _maps(n, x_max, relations, below, lows, None).reshape(x_max + 1, x_max + 2)
     np.cumsum(table, axis=0, out=table)
     rev = table[:, ::-1]
     np.cumsum(rev, axis=1, out=rev)
@@ -483,18 +511,40 @@ def _counter(
     """The one route to a brute table: check the budget now, and return
     (x0, y0) -> the maps into 1..x0 <= x_max with low value >= y0 + shift.
     Each read fetches the cached table (see _cum_table), so it is built at
-    the first read: a caller that takes its counters first refuses first."""
+    the first read: a caller that takes its counters first refuses first.
+    A single count takes a counter for its gate alone, and reads it only
+    within one block (see _count)."""
     _check_budget(n, x_max, (x_max + 1) * (x_max + 2))
     key = n, x_max, relations, below, lows
     return lambda x0, y0: int(_cum_table(*key)[x0, min(y0 + shift, x0 + 1)])
 
 
-def _poset_counter(P: BicoloredPoset, mode: str, x_max: int) -> Callable:
-    """The mode's maps of P counted by (x0, y0): covers kept strictly or
-    weakly, and celeste elements above y0, or at y0 or above in weak mode."""
+def _count(
+    n: int, x0: int, y0: int, relations: tuple, below: Callable, lows: tuple, shift: int
+) -> int:
+    """One count, the maps into 1..x0 with low value >= y0 + shift, past
+    _counter's gate.  An enumeration of one block reads the counter's
+    cached table, which repeated counts at the same x0 share; a longer one
+    reduces each block to its number of maps (see _maps) and builds and
+    caches no table."""
+    read = _counter(n, x0, relations, below, lows, shift)
+    if _inner_count(n, x0) == n:
+        return read(x0, y0)
+    return _maps(n, x0, relations, below, lows, min(y0 + shift, x0 + 1))
+
+
+def _poset_constraints(P: BicoloredPoset, mode: str) -> tuple:
+    """The mode's maps of P as the brute kernel reads them, (relations,
+    below, lows, shift): covers kept strictly or weakly, and celeste
+    elements above y0, or at y0 or above in weak mode."""
     below = operator.lt if mode == "strict" else operator.le
     lows = tuple((c, c) for c in sorted(P.celeste))
-    return _counter(P.n, x_max, covers(P), below, lows, mode == "strict")
+    return covers(P), below, lows, mode == "strict"
+
+
+def _poset_counter(P: BicoloredPoset, mode: str, x_max: int) -> Callable:
+    """The mode's maps of P counted by (x0, y0) (see _poset_constraints)."""
+    return _counter(P.n, x_max, *_poset_constraints(P, mode))
 
 
 def _mode_ok(mode: str) -> None:
@@ -510,10 +560,12 @@ def _counts_ok(x0: int, y0: int) -> None:
 def brute_count(P: BicoloredPoset, mode: str, x0: int, y0: int) -> int:
     """Count the mode's maps of P into 1..x0 that send every celeste
     element above y0 (to y0 or above in weak mode) by enumerating all x0^n
-    maps; raises BudgetExceededError past the budget (see _check_budget)."""
+    maps; raises BudgetExceededError past the budget (see _check_budget).
+    Past one block of maps the count is reduced block by block and no
+    table is built or cached (see _count)."""
     _mode_ok(mode)
     _counts_ok(x0, y0)
-    return _poset_counter(P, mode, x0)(x0, y0)
+    return _count(P.n, x0, y0, *_poset_constraints(P, mode))
 
 
 # interpolation ----------------------------------------------------------------

@@ -22,9 +22,11 @@ it has cached is returned without passing it again.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 DEFAULT_BUDGET = 10_000_000
@@ -35,11 +37,12 @@ class BudgetExceededError(RuntimeError):
 
 
 def _check_budget(n: int, base: int, cells: int) -> None:
-    """base^n objects and the cells of the table they fill (0 where none is
-    built; only orderpoly._counter builds one) must fit DEFAULT_BUDGET,
-    read now.  A count of 20+ digits is written base^n, not computed once
-    its lower bound 2^bits exceeds 10^19 < 2^64, the limit and the cells,
-    so any n prints."""
+    """base^n objects and the cells of the table they fill must fit
+    DEFAULT_BUDGET, read now.  Cells are 0 where no table is sized; only
+    orderpoly's brute counts size one, and a single count past one block
+    passes the cells of the table it does not build.  A count of 20+
+    digits is written base^n, not computed once its lower bound 2^bits
+    exceeds 10^19 < 2^64, the limit and the cells, so any n prints."""
     bits = n * (base.bit_length() - 1)
     if bits >= 64 and bits >= DEFAULT_BUDGET.bit_length() and bits >= cells.bit_length():
         shown = f"{base}^{n}"
@@ -192,17 +195,29 @@ def _natural_labels(preds: Sequence[int]) -> tuple[int, ...]:
     The masks may hold any generating relation, not only the closure:
     an element whose generators are all placed has every element below
     it placed.  Both default labelings follow this extension.
+
+    A min-heap holds the indices not known to wait, all of them at first.
+    The least is placed unless its mask holds an unplaced element; then it
+    waits for the highest such element and returns to the heap once that
+    one is placed, so it is tried at most once per element of its mask,
+    plus once.  The bitmask of unplaced elements covers only those some
+    mask holds, so an antichain costs O(n log n), not n-bit operations per
+    element.
     """
-    rest = list(range(len(preds)))
+    pending = reduce(operator.or_, preds, 0)  # the unplaced elements some mask holds
     labels = [0] * len(preds)
-    done = 0
+    heap = list(range(len(preds)))  # sorted, so a heap
+    waiting: dict[int, list[int]] = {}
     for pos in range(1, len(preds) + 1):
-        for i, e in enumerate(rest):
-            if not preds[e] & ~done:
-                break
-        del rest[i]
+        e = heappop(heap)
+        while missing := preds[e] & pending:
+            waiting.setdefault(missing.bit_length() - 1, []).append(e)
+            e = heappop(heap)
         labels[e] = pos
-        done |= 1 << e
+        if pending >> e & 1:
+            pending ^= 1 << e
+            for b in waiting.pop(e, ()):
+                heappush(heap, b)
     return tuple(labels)
 
 

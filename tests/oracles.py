@@ -27,9 +27,11 @@ and builds its result by ratpoly._binomial_poly.  pairwise_validate,
 set_closure_less and pair_covers read the order by pair lookups and
 successor sets, as the poset module did before it read it only through
 predecessor bitmasks, and are the oracles of BicoloredPoset's checks,
-build_poset and covers; dumb_acyclic_orientations filters all 2^m
-direction vectors, as graph.acyclic_orientations did before it grew
-reachability masks.  whole_order_coords runs the ideal-chain program
+build_poset and covers; scan_natural_labels, the scan that
+poset._natural_labels ran before it kept a heap, is the oracle of the
+default labeling; dumb_acyclic_orientations filters all 2^m direction
+vectors, as graph.acyclic_orientations did before it grew reachability
+masks.  whole_order_coords runs the ideal-chain program
 over every element, as orderpoly._order_coords did before it left the
 isolated elements out; as a polynomial it is the oracle of
 order_poly_*, which multiply the isolated elements' linear factors
@@ -715,6 +717,24 @@ def pair_covers(P: BicoloredPoset) -> tuple[tuple[int, int], ...]:
         for a, b in sorted(P.less)
         if not any((a, m) in P.less and (m, b) in P.less for m in range(P.n))
     )
+
+
+def scan_natural_labels(preds: Sequence[int]) -> tuple[int, ...]:
+    """Labels along the lexicographically first linear extension of the
+    order the masks generate, by scanning the unplaced elements in index
+    order for the first whose mask is placed, as poset._natural_labels did
+    before it kept a heap: quadratic in n on an antichain."""
+    rest = list(range(len(preds)))
+    labels = [0] * len(preds)
+    done = 0
+    for pos in range(1, len(preds) + 1):
+        for i, e in enumerate(rest):
+            if not preds[e] & ~done:
+                break
+        del rest[i]
+        labels[e] = pos
+        done |= 1 << e
+    return tuple(labels)
 
 
 def dumb_acyclic_orientations(H: Graph) -> tuple[AcyclicOrientation, ...]:

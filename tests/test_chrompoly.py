@@ -26,6 +26,7 @@ from bivorder.graph import Graph, acyclic_orientations, flats, orientation_to_po
 from bivorder.orderpoly import (
     _negated_coords,
     brute_count,
+    interpolate_poly,
     order_poly_strict,
     order_poly_weak,
 )
@@ -75,7 +76,8 @@ def test_chrom_count_edge_cases():
 @pytest.mark.parametrize("block", [1, 3, 10, 1 << 15])
 def test_coloring_tables_match_definition_at_every_block_size(monkeypatch, block):
     monkeypatch.setattr(orderpoly, "_BLOCK_MAPS", block)
-    # uncached, so every table is built at this block size
+    # uncached, so every table is built at this block size; a single count
+    # past one block, x0^n colorings above the block, reduces each block instead
     monkeypatch.setattr(orderpoly, "_cum_table", orderpoly._cum_table.__wrapped__)
     graphs = [complete_graph(4), cycle_graph(4), Graph(0, frozenset())] + all_graphs(3)
     for G in graphs:
@@ -83,7 +85,29 @@ def test_coloring_tables_match_definition_at_every_block_size(monkeypatch, block
             count = chrompoly._coloring_counter(G, x_max)
             for x0 in range(x_max + 1):
                 for y0 in range(x0 + 2):
-                    assert count(x0, y0) == dumb_count_colorings(G, x0, y0), (G, x0, y0)
+                    expected = dumb_count_colorings(G, x0, y0)
+                    assert count(x0, y0) == expected, (G, x0, y0)
+                    assert chrom_count(G, x0, y0) == expected, (G, x0, y0)
+
+def test_a_single_coloring_count_past_one_block_caches_no_table():
+    # 11^6 colorings span 121 blocks: the count is reduced block by block
+    C6 = cycle_graph(6)
+    assert orderpoly._inner_count(6, 11) < 6
+    before = orderpoly._cum_table.cache_info()
+    count = chrom_count(C6, 11, 3)
+    assert (count, type(count)) == (chrom_poly(C6).evaluate(11, 3), int)
+    assert orderpoly._cum_table.cache_info() == before
+
+
+def test_interpolating_chrom_count_reads_one_table_per_x():
+    # at x0 <= 5 the 5^5 colorings of C5 fit one block, so each x0's table
+    # is built once and serves every y0 read at that x0
+    C5 = cycle_graph(5)
+    orderpoly._cum_table.cache_clear()
+    assert interpolate_poly(lambda a, b: chrom_count(C5, a, b), 5, "strict") == chrom_poly(C5)
+    info = orderpoly._cum_table.cache_info()
+    assert (info.misses, info.currsize) == (6, 6)
+
 
 def test_chrom_count_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):

@@ -302,6 +302,22 @@ def test_wrong_input_type_exits_two():
     assert "poset" in err
 
 
+def test_counts_past_one_block_build_no_table(tmp_path, monkeypatch):
+    # 8^7 maps and 11^6 colorings span many blocks; each block is reduced
+    # to its count, and no table is built
+    def no_table(*key):
+        raise AssertionError("a brute table was built for one count")
+
+    monkeypatch.setattr(orderpoly, "_cum_table", no_table)
+    chain = tmp_path / "chain7.json"
+    chain.write_text(json.dumps({"n": 7, "covers": [[i, i + 1] for i in range(6)], "celeste": []}))
+    argv = ("poset-count", "--input", str(chain), "--mode", "weak", "--x", "8", "--y", "3")
+    assert run_cli(*argv) == (0, "3432\n", "")
+    count = chrom_poly(cycle_graph(6)).evaluate(11, 3)
+    argv = ("graph-count", "--input", _graph_file(tmp_path, 6, cycle_graph(6).edges), "--x", "11", "--y", "3")
+    assert run_cli(*argv) == (0, f"{count}\n", "")
+
+
 def test_budget_error_exits_two(tmp_path):
     big = tmp_path / "big.json"
     big.write_text('{"n": 9, "covers": [], "celeste": []}')
@@ -843,6 +859,15 @@ def test_budget_refuses_a_huge_graph_without_computing_the_power(tmp_path):
     assert time.perf_counter() - start < 2
     assert (code, out) == (2, "")
     assert err == "error: enumeration of 3^100000000 objects exceeds budget 10000000\n"
+
+
+def test_poset_poly_of_a_million_element_antichain(tmp_path):
+    # its default labeling was quadratic in n and took minutes; the answer is x^n
+    path = tmp_path / "antichain.json"
+    path.write_text('{"n": 1000000, "covers": [], "celeste": []}')
+    start = time.perf_counter()
+    assert run_cli("poset-poly", "--input", str(path), "--mode", "strict") == (0, "x^1000000\n", "")
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.parametrize("mode", MODES)

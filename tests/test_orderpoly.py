@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -697,7 +698,8 @@ def test_brute_tables_match_definition_at_every_block_size(monkeypatch, block):
     # small blocks put the leading positions in the outer loop, where
     # their values are plain ints shared by a whole block
     monkeypatch.setattr(orderpoly, "_BLOCK_MAPS", block)
-    # uncached, so every table is built at this block size
+    # uncached, so every table is built at this block size; a single count
+    # past one block, x0^n maps above the block, reduces each block instead
     monkeypatch.setattr(orderpoly, "_cum_table", orderpoly._cum_table.__wrapped__)
     posets = [skew_diamond_poset(), fence_poset(4, (0, 3)), antichain_poset(3), build_poset(0)]
     posets += [P for P in catalog_posets(3) if len(P.celeste) == 1]
@@ -707,7 +709,43 @@ def test_brute_tables_match_definition_at_every_block_size(monkeypatch, block):
                 count = orderpoly._poset_counter(P, mode, x_max)
                 for x0 in range(x_max + 1):
                     for y0 in range(x0 + 2):
-                        assert count(x0, y0) == dumb_count_maps(P, mode, x0, y0), (P, mode, x0, y0)
+                        expected = dumb_count_maps(P, mode, x0, y0)
+                        assert count(x0, y0) == expected, (P, mode, x0, y0)
+                        assert brute_count(P, mode, x0, y0) == expected, (P, mode, x0, y0)
+
+def test_a_single_count_past_one_block_caches_no_table():
+    # 8^7 maps span 64 blocks: the count is reduced block by block
+    assert orderpoly._inner_count(7, 8) < 7
+    before = orderpoly._cum_table.cache_info()
+    count = brute_count(chain_poset(7), "weak", 8, 3)
+    assert (count, type(count)) == (math.comb(8 + 6, 7), int)
+    assert orderpoly._cum_table.cache_info() == before
+    # 5^5 maps fit one block: the count reads its table, which a second
+    # count at the same x0 reads again
+    orderpoly._cum_table.cache_clear()
+    P = chain_poset(5, (4,))
+    assert brute_count(P, "weak", 5, 3) == order_poly_weak(P).evaluate(5, 3)
+    info = orderpoly._cum_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
+    assert brute_count(P, "strict", 5, 2) == order_poly_strict(P).evaluate(5, 2)
+    assert orderpoly._cum_table.cache_info().misses == 2
+    assert brute_count(P, "weak", 5, 1) == order_poly_weak(P).evaluate(5, 1)
+    assert orderpoly._cum_table.cache_info().misses == 2
+
+
+def test_single_counts_of_a_two_chain_hold_no_table():
+    # six tables of about 3000^2 cells each held 399 MiB in the cache
+    orderpoly._cum_table.cache_clear()
+    tracemalloc.start()
+    try:
+        for x0 in range(2900, 3001, 20):
+            assert brute_count(chain_poset(2), "weak", x0, 1) == math.comb(x0 + 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert orderpoly._cum_table.cache_info().currsize == 0
+
 
 def test_brute_rejects_bad_arguments():
     P = chain_poset(2)
