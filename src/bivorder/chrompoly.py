@@ -30,9 +30,9 @@ binom(y, t) * binom(x - y, s) through ratpoly._binomial_poly; the
 paper's per-pair constructions, strict order polynomials for chrom_poly
 and count_compatible_colorings for the right side; and chrom_count,
 which enumerates colorings through orderpoly's brute kernel (see
-_coloring_constraints) and shares no code with any route: reduced
-block by block to one number past one block, read from a cached table
-within one (see orderpoly._count).
+_coloring_constraints) and shares no code with any route: read from a
+cached table within one block, else reduced block by block to one
+number, gated on the colorings alone (see orderpoly._count).
 
 Every enumeration here refuses through poset's one budget gate (see
 poset._check_budget); no function takes a budget.  A polynomial
@@ -74,8 +74,8 @@ def _coloring_counter(G: Graph, x_max: int) -> Callable:
 
 def chrom_count(G: Graph, x0: int, y0: int) -> int:
     """Count admissible colorings by enumerating all x0^n of them.  Past
-    one block of colorings the count is reduced block by block and no
-    table is built or cached (see orderpoly._count)."""
+    one block of colorings or cells no table is built or cached, and the
+    budget bounds the colorings alone (see orderpoly._count)."""
     _counts_ok(x0, y0)
     return _count(G.n, x0, y0, *_coloring_constraints(G))
 

@@ -9,14 +9,15 @@ The argument parser is built once per process.  A verb returns its exit
 code and functions for its JSON payload and text lines; stdout is written
 once, after all of the verb's work, so an error leaves it empty.  Brute
 counts come from the library, which refuses before any map is
-enumerated: poset-count and graph-count take one count, which builds no
-table past one block of maps, and the oracle checks read the counters'
-cached tables.  --budget sets poset.DEFAULT_BUDGET, the library's one
-limit, for the verb and restores it after, so every gate the verb
-passes reads it.  One walker, _sweep, runs every check sweep over the
-valid points with x0 <= n, which fix a polynomial of total degree <= n.
-One oracle check serves posets and graphs: it fails a polynomial of
-total degree above n before its sweep, so the sweep is complete.
+enumerated: poset-count and graph-count take one count, which past one
+block builds no table and is gated on its maps alone, and the oracle
+checks read the counters' cached tables.  --budget sets
+poset.DEFAULT_BUDGET, the library's one limit, for the verb and restores
+it after, so every gate the verb passes reads it.  One walker, _sweep,
+runs every check sweep over the valid points with x0 <= n, which fix a
+polynomial of total degree <= n.  One oracle check serves posets and
+graphs: it fails a polynomial of total degree above n before its sweep,
+so the sweep is complete.
 """
 
 from __future__ import annotations

@@ -15,18 +15,18 @@ other by the test suite:
   kept as the test oracle), computed without listing an extension: its
   integer coordinates on the chain sums' binomial basis count Stanley's
   chains of order ideals, and one dynamic program over the ideals of the
-  related elements places each step of a chain in increasing label order,
-  so an element joins the open step only at an ascent of the labels (the
-  word polynomials' ascent/descent rule); the isolated elements, in no
-  relation, multiply the finished polynomial by their linear factors in
-  one integer product (see _order_poly),
+  related elements, labeled by down-set rank, places each step of a chain
+  in increasing label order, so an element joins the open step only at an
+  ascent of the labels (the word polynomials' ascent/descent rule); the
+  isolated elements, in no relation, multiply the finished polynomial by
+  their linear factors in one integer product (see _order_poly),
 * brute-force enumeration of all x^n maps (exact, vectorized in
   cache-sized blocks of one-byte values, each constraint evaluated once
   per enumeration, per leading value or per block; see _maps), for
   posets and graphs alike: reads at many points go through one budgeted
   counter, whose table is cached (see _counter), and a single count past
-  one block reduces each block to its number of maps and caches nothing
-  (see _count),
+  one block reduces each block to its number of maps, caches nothing and
+  is gated on its maps alone (see _count),
 * interpolation of the brute counts on the simplex x0 <= n, by integer
   forward differences in the mode's binomial basis.
 
@@ -66,15 +66,15 @@ from .poset import (
     BicoloredPoset,
     Word,
     _check_budget,
-    _natural_labels,
-    _pred_masks,
     ascents,
     covers,
     descents,
     is_natural_labeling,
     is_reverse_natural_labeling,
     linear_extensions,
+    natural_labeling,
     poset_to_json,
+    reverse_natural_labeling,
     word_of,
 )
 from .ratpoly import X, Y, BiPoly, _binomial_poly, _times_powers
@@ -193,17 +193,13 @@ def word_poly_weak(w: Word) -> BiPoly:
 # decomposition over linear extensions ---------------------------------------
 
 
-def _checked_labeling(
-    P: BicoloredPoset, labeling: tuple[int, ...] | None, mode: str, preds: tuple | None = None
-) -> tuple[int, ...]:
+def _checked_labeling(P: BicoloredPoset, labeling: tuple | None, mode: str) -> tuple[int, ...]:
     """The mode's default labeling, the reverse natural one for strict words
-    and the natural one for weak words, read from P's predecessor masks
-    (built here unless given), or the given one once it is checked to be of
-    that kind."""
+    and the natural one for weak words, or the given one once it is checked
+    to be of that kind."""
     strict = mode == "strict"
     if labeling is None:
-        labels = _natural_labels(_pred_masks(P) if preds is None else preds)
-        return tuple(P.n + 1 - lab for lab in labels) if strict else labels
+        return reverse_natural_labeling(P) if strict else natural_labeling(P)
     valid = is_reverse_natural_labeling if strict else is_natural_labeling
     if not valid(P, tuple(labeling)):
         kind = "reverse natural" if strict else "natural"
@@ -225,9 +221,7 @@ def word_decomposition(
     return tuple((w, word_poly(w)) for w in words)
 
 
-def _order_coords(
-    P: BicoloredPoset, mode: str, labeling: tuple | None = None
-) -> tuple[dict, int, int]:
+def _order_coords(P: BicoloredPoset, mode: str) -> tuple[dict, int, int]:
     """The mode's order polynomial of the related elements R of P, those in
     some relation, as its nonzero integer coordinates c[t, s] on the basis
     binom(u, t) * binom(v, s), u = y - w, v = x - y + w, w = 0 strict and 1
@@ -244,7 +238,9 @@ def _order_coords(
     join the open step: the ascent rule of the strict words, the descent
     rule of the weak ones.  With a reverse natural labeling a joining
     element lies above no element of its step; with a natural one each
-    prefix of a step keeps an ideal.
+    prefix of a step keeps an ideal.  Any labeling of the kind counts the
+    same chains, so R ranked by down-set size (a < b has fewer below a) is
+    labeled 1..m in weak mode and m..1 in strict mode; nothing else is.
 
     A state (ideal, last label) holds one int over (t, s), slot (t, s) at
     bit t * S + s * T.  The slots (t, 0), below bit T, count the chains
@@ -256,11 +252,14 @@ def _order_coords(
     the row.  Each level counts its states as it stores them and refuses
     (see _check_budget) once its states times the (m + 1)(m + 2)/2 slots
     pass the budget before the level is complete."""
-    preds = _pred_masks(P)
-    labels = _checked_labeling(P, labeling, mode, preds)
+    preds = P.preds
     celeste = sum(1 << c for c in P.celeste)
-    related = reduce(operator.or_, (p | 1 << b for b, p in enumerate(preds) if p), 0)
-    elements = [v for v in range(P.n) if related >> v & 1]
+    elements = sorted({v for pair in P.less for v in pair})
+    ranked = sorted(elements, key=lambda v: preds[v].bit_count())
+    if mode == "strict":
+        ranked.reverse()
+    labels = {v: lab for lab, v in enumerate(ranked, 1)}
+    related = sum(1 << v for v in elements)
     m = len(elements)
     width = m * m.bit_length() + 1
     S, T = width, width * (m + 1)
@@ -268,7 +267,7 @@ def _order_coords(
     slots = (m + 1) * (m + 2) // 2
     bound = poset.DEFAULT_BUDGET // slots
     # the empty prefix ends above every label, so the first element opens a step
-    level: dict[int, dict[int, int]] = {0: {P.n + 1: 1}}
+    level: dict[int, dict[int, int]] = {0: {m + 1: 1}}
     for _ in range(m):
         nxt: dict[int, dict[int, int]] = {}
         count = 0
@@ -315,15 +314,19 @@ def order_poly_strict(P: BicoloredPoset, labeling: tuple[int, ...] | None = None
     """Polynomial counting strict order preserving maps of P into 1..x
     with every celeste element sent strictly above y.  Raises
     BudgetExceededError when the ideal-chain states outgrow the budget
-    (see _order_coords)."""
-    return _order_poly("strict", *_order_coords(P, "strict", labeling))
+    (see _order_coords).  A labeling is checked, not used: all agree."""
+    if labeling is not None:
+        _checked_labeling(P, labeling, "strict")
+    return _order_poly("strict", *_order_coords(P, "strict"))
 
 
 def order_poly_weak(P: BicoloredPoset, labeling: tuple[int, ...] | None = None) -> BiPoly:
     """Polynomial counting weak order preserving maps of P into 1..x with
     every celeste element sent to y or above.  Raises BudgetExceededError
-    as order_poly_strict does."""
-    return _order_poly("weak", *_order_coords(P, "weak", labeling))
+    as order_poly_strict does; a labeling is checked, not used."""
+    if labeling is not None:
+        _checked_labeling(P, labeling, "weak")
+    return _order_poly("weak", *_order_coords(P, "weak"))
 
 
 # brute-force enumeration -----------------------------------------------------
@@ -415,7 +418,7 @@ def _maps(
             cu, cv = cols[u - lead], cols[v - lead]
             term = cu if u == v else np.maximum(cu, (cu != cv) * dtype.type(none))
             inner_low = term if inner_low is None else np.minimum(inner_low, term)
-    inner_code = top.astype(code_type) * width
+    inner_code = top.astype(code_type) * width if threshold is None else None
     # per leading position: its relations and low terms with inner positions
     rel_in = [[] for _ in range(lead)]
     low_in = [[] for _ in range(lead)]
@@ -508,12 +511,11 @@ def _cum_table(n: int, x_max: int, relations: tuple, below: Callable, lows: tupl
 def _counter(
     n: int, x_max: int, relations: tuple, below: Callable, lows: tuple, shift: int
 ) -> Callable[[int, int], int]:
-    """The one route to a brute table: check the budget now, and return
-    (x0, y0) -> the maps into 1..x0 <= x_max with low value >= y0 + shift.
-    Each read fetches the cached table (see _cum_table), so it is built at
-    the first read: a caller that takes its counters first refuses first.
-    A single count takes a counter for its gate alone, and reads it only
-    within one block (see _count)."""
+    """The one route to a brute table: check the budget now, maps and
+    table cells, and return (x0, y0) -> the maps into 1..x0 <= x_max with
+    low value >= y0 + shift.  Each read fetches the cached table (see
+    _cum_table), so it is built at the first read: a caller that takes its
+    counters first refuses first."""
     _check_budget(n, x_max, (x_max + 1) * (x_max + 2))
     key = n, x_max, relations, below, lows
     return lambda x0, y0: int(_cum_table(*key)[x0, min(y0 + shift, x0 + 1)])
@@ -522,14 +524,14 @@ def _counter(
 def _count(
     n: int, x0: int, y0: int, relations: tuple, below: Callable, lows: tuple, shift: int
 ) -> int:
-    """One count, the maps into 1..x0 with low value >= y0 + shift, past
-    _counter's gate.  An enumeration of one block reads the counter's
-    cached table, which repeated counts at the same x0 share; a longer one
-    reduces each block to its number of maps (see _maps) and builds and
-    caches no table."""
-    read = _counter(n, x0, relations, below, lows, shift)
-    if _inner_count(n, x0) == n:
-        return read(x0, y0)
+    """One count, the maps into 1..x0 with low value >= y0 + shift.  When
+    the maps and the table's (x0 + 1)(x0 + 2) cells fit one block it reads
+    _counter's cached table, which counts at the same x0 share; else it
+    reduces each block to its number of maps (see _maps), builds no table
+    and is gated on the maps alone."""
+    if _inner_count(n, x0) == n and (x0 + 1) * (x0 + 2) <= _BLOCK_MAPS:
+        return _counter(n, x0, relations, below, lows, shift)(x0, y0)
+    _check_budget(n, x0, 0)
     return _maps(n, x0, relations, below, lows, min(y0 + shift, x0 + 1))
 
 
@@ -561,8 +563,8 @@ def brute_count(P: BicoloredPoset, mode: str, x0: int, y0: int) -> int:
     """Count the mode's maps of P into 1..x0 that send every celeste
     element above y0 (to y0 or above in weak mode) by enumerating all x0^n
     maps; raises BudgetExceededError past the budget (see _check_budget).
-    Past one block of maps the count is reduced block by block and no
-    table is built or cached (see _count)."""
+    Past one block of maps or cells no table is built or cached, and the
+    budget bounds the maps alone (see _count)."""
     _mode_ok(mode)
     _counts_ok(x0, y0)
     return _count(P.n, x0, y0, *_poset_constraints(P, mode))

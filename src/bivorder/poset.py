@@ -5,8 +5,8 @@ together with a celeste subset; the complement is silver.  Celeste
 elements are the ones a counting map must send above (or at least to)
 the threshold y.  The order relation is stored transitively closed.
 Every order question (validation, covers, linear extensions, labelings)
-is answered from _pred_masks, one bitmask of the elements below each
-element, so each costs O(|less|) mask operations, not pair lookups.
+is answered from P.preds, one bitmask of the elements below each element
+built as the poset is validated, so each costs O(|less|) mask operations.
 
 Linear extensions are enumerated in a fixed deterministic order, and a
 labeling plus an extension yields a word whose ascent and descent
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
@@ -38,11 +38,10 @@ class BudgetExceededError(RuntimeError):
 
 def _check_budget(n: int, base: int, cells: int) -> None:
     """base^n objects and the cells of the table they fill must fit
-    DEFAULT_BUDGET, read now.  Cells are 0 where no table is sized; only
-    orderpoly's brute counts size one, and a single count past one block
-    passes the cells of the table it does not build.  A count of 20+
-    digits is written base^n, not computed once its lower bound 2^bits
-    exceeds 10^19 < 2^64, the limit and the cells, so any n prints."""
+    DEFAULT_BUDGET, read now.  Cells are 0 where no table is built; only
+    orderpoly's brute tables are.  A count of 20+ digits is written
+    base^n, not computed once its lower bound 2^bits exceeds 10^19 < 2^64,
+    the limit and the cells, so any n prints."""
     bits = n * (base.bit_length() - 1)
     if bits >= 64 and bits >= DEFAULT_BUDGET.bit_length() and bits >= cells.bit_length():
         shown = f"{base}^{n}"
@@ -58,14 +57,17 @@ class BicoloredPoset:
     n: int
     less: frozenset[tuple[int, int]]
     celeste: frozenset[int]
+    # preds[b]: bitmask of the a < b; derived, so not in ==, hash or repr
+    preds: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("poset size must be nonnegative")
+        preds = [0] * self.n
         for a, b in self.less:
             if not (0 <= a < self.n and 0 <= b < self.n):
                 raise ValueError(f"relation ({a}, {b}) out of range for n={self.n}")
-        preds = _pred_masks(self)
+            preds[b] |= 1 << a
         for a, b in self.less:
             if a == b:
                 raise ValueError(f"relation ({a}, {a}) violates irreflexivity")
@@ -78,6 +80,7 @@ class BicoloredPoset:
         for c in self.celeste:
             if not (0 <= c < self.n):
                 raise ValueError(f"celeste element {c} out of range for n={self.n}")
+        object.__setattr__(self, "preds", tuple(preds))
 
 
 def build_poset(
@@ -117,10 +120,9 @@ def build_poset(
 @lru_cache(maxsize=4096)
 def covers(P: BicoloredPoset) -> tuple[tuple[int, int], ...]:
     """Cover relations: a < b with nothing strictly between."""
-    preds = _pred_masks(P)
     inner = [0] * P.n
     for a, b in P.less:
-        inner[b] |= preds[a]
+        inner[b] |= P.preds[a]
     return tuple((a, b) for a, b in sorted(P.less) if not inner[b] >> a & 1)
 
 
@@ -138,7 +140,7 @@ def linear_extensions(P: BicoloredPoset) -> tuple[tuple[int, ...], ...]:
     extensions (level n), and refuses once its count does.  The count
     records each ideal's minimal elements, the backtracking's next choices.
     """
-    preds, n = _pred_masks(P), P.n
+    preds, n = P.preds, P.n
     above: list[list[int]] = [[] for _ in range(n)]
     for a, b in P.less:
         above[a].append(b)
@@ -177,14 +179,6 @@ def linear_extensions(P: BicoloredPoset) -> tuple[tuple[int, ...], ...]:
             out.append(tuple(placed))
         stack.append(minimal[done])
     return tuple(out) if n else ((),)
-
-
-def _pred_masks(P: BicoloredPoset) -> tuple[int, ...]:
-    """Bitmask of the elements strictly below each element."""
-    preds = [0] * P.n
-    for a, b in P.less:
-        preds[b] |= 1 << a
-    return tuple(preds)
 
 
 def _natural_labels(preds: Sequence[int]) -> tuple[int, ...]:
@@ -227,7 +221,7 @@ def natural_labeling(P: BicoloredPoset) -> tuple[int, ...]:
     Deterministic choice: labels follow the lexicographically first linear
     extension (smallest available element index first).
     """
-    return _natural_labels(_pred_masks(P))
+    return _natural_labels(P.preds)
 
 
 def reverse_natural_labeling(P: BicoloredPoset) -> tuple[int, ...]:

@@ -11,7 +11,10 @@ compared as polynomials.  Apart from those, which read the library's
 flats, orientations, order polynomials, labelings and chain sums,
 nothing imports the library's counting kernels, closed forms, or
 interpolation; only the data types, covers, poset_to_json and binom_poly
-come from the package.  product_binomial_poly, binom_poly products
+come from the package.  The predecessor masks the dynamic programs here
+read are derived from the order's pairs by pred_masks, not taken from
+BicoloredPoset.preds, so a fault in the library's masks cannot hide in
+its oracles.  product_binomial_poly, binom_poly products
 summed term by term, was the library's coordinate-to-polynomial builder
 and is the oracle of ratpoly._binomial_poly.  The per-block tally route
 (map_blocks, tally_cum_table, tally_map_table, tally_coloring_table),
@@ -75,8 +78,16 @@ from bivorder.orderpoly import (
     order_poly_strict,
     order_poly_weak,
 )
-from bivorder.poset import BicoloredPoset, _natural_labels, _pred_masks, covers, poset_to_json
+from bivorder.poset import BicoloredPoset, _natural_labels, covers, poset_to_json
 from bivorder.ratpoly import X, Y, BiPoly, _binomial_poly, binom_poly
+
+
+def pred_masks(n: int, pairs) -> list[int]:
+    """preds[b]: the bitmask of the a with (a, b) among the pairs."""
+    preds = [0] * n
+    for a, b in pairs:
+        preds[b] |= 1 << a
+    return preds
 
 
 def _default_labeling(preds: Sequence[int], mode: str) -> tuple[int, ...]:
@@ -338,7 +349,7 @@ def word_key_counts(
     mode's default labeling or the given one once it is checked."""
     labeling = _checked_labeling(P, labeling, mode)
     celeste = sum(1 << c for c in P.celeste)
-    return key_counts(_pred_masks(P), celeste, labeling, mode)
+    return key_counts(pred_masks(P.n, P.less), celeste, labeling, mode)
 
 
 def key_coords(keys: dict[tuple[int, int, int, int], int], mode: str) -> dict:
@@ -383,7 +394,7 @@ def whole_order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = No
     (t + s)^n <= n^n, so it fits in width bits and no slot carries into
     the next.
     """
-    preds = _pred_masks(P)
+    preds = pred_masks(P.n, P.less)
     if labeling is None:
         labels = _default_labeling(preds, mode)
     else:
@@ -486,9 +497,7 @@ def pair_key_counts(F: Flat, sigma: AcyclicOrientation, mode: str) -> Counter:
     """Word-key counts of the pair's poset under the mode's default
     labeling, read straight from the orientation's directed edges with
     the contracted blocks celeste; the poset is never built or closed."""
-    preds = [0] * F.quotient.n
-    for a, b in sigma.directed_edges:
-        preds[b] |= 1 << a
+    preds = pred_masks(F.quotient.n, sigma.directed_edges)
     celeste = sum(1 << c for c in F.contracted)
     return key_counts(preds, celeste, _default_labeling(preds, mode), mode)
 

@@ -25,7 +25,7 @@ from bivorder.chrompoly import (
 from bivorder.fixtures import complete_graph, skew_diamond_poset
 from bivorder.graph import acyclic_orientations, flats
 from bivorder.orderpoly import (
-    _order_coords,
+    _MODE_BASIS,
     _poset_counter,
     _simplex_coords,
     chain_poly,
@@ -40,7 +40,7 @@ from bivorder.poset import (
     all_reverse_natural_labelings,
 )
 from bivorder.orderpoly import word_poly_strict, word_poly_weak
-from bivorder.ratpoly import X, Y
+from bivorder.ratpoly import X, Y, _binomial_poly
 from bivorder.fixtures import two_chain_celeste_top
 from oracles import (
     all_graphs,
@@ -51,6 +51,7 @@ from oracles import (
     dumb_count_word,
     dumb_word_profile,
     eval_int_grid,
+    whole_order_coords,
 )
 
 _DURATIONS: dict[int, float] = {}
@@ -136,16 +137,19 @@ def _nonzero_simplex_coords(counter, n: int, mode: str) -> dict:
 def test_criterion_4_decomposition_vs_interpolation():
     for n in range(5):
         for P in catalog_posets(n):
-            # the polynomial, isolated elements' factors included, and every
-            # labeling's sum over the related elements as integer coordinates
+            # the polynomial, isolated elements' factors included, and the
+            # ideal-chain program over all of P under every labeling of the
+            # mode's kind, which the library's takes none of
             for mode, labelings, order_poly in (
                 ("strict", all_reverse_natural_labelings(P), order_poly_strict),
                 ("weak", all_natural_labelings(P), order_poly_weak),
             ):
                 counter = _poset_counter(P, mode, n)
-                assert interpolate_poly(counter, n, mode) == order_poly(P)
-                coords = _order_coords(P, mode)
-                assert all(_order_coords(P, mode, lab) == coords for lab in labelings)
+                poly = order_poly(P)
+                assert interpolate_poly(counter, n, mode) == poly
+                basis = _MODE_BASIS[mode]
+                for lab in labelings:
+                    assert _binomial_poly(whole_order_coords(P, mode, lab), *basis) == poly
 
 
 @criterion(5, "poset reciprocity over the full catalog plus fixture")

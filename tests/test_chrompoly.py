@@ -114,9 +114,10 @@ def test_chrom_count_budget(monkeypatch):
         chrom_count(edgeless_graph(8), 10, 0)
     with pytest.raises(ValueError):
         chrom_count(complete_graph(2), -1, 0)
-    # the table's (x0 + 1) * (x0 + 2) cells count against the budget too
+    # past one block the x0 colorings alone count against the budget; a
+    # table's (x0 + 1) * (x0 + 2) cells count only when it is built
     with pytest.raises(BudgetExceededError):
-        chrom_count(edgeless_graph(1), 10_000_000, 0)
+        chrom_count(edgeless_graph(1), 10_000_001, 0)
     monkeypatch.setattr(poset, "DEFAULT_BUDGET", 30)
     assert chrom_count(edgeless_graph(1), 4, 0) == 4
     monkeypatch.setattr(poset, "DEFAULT_BUDGET", 41)

@@ -327,12 +327,13 @@ def test_budget_error_exits_two(tmp_path):
     )
     assert code == 2
     assert "budget" in err
-    # 10^7 maps fit the default budget, the table's 10^14 cells do not
+    # a single count past one block is gated on its maps alone: 10^7 + 1
+    # of them pass the default budget
     one = tmp_path / "one.json"
     one.write_text('{"n": 1, "covers": [], "celeste": []}')
     code, out, err = run_cli(
         "poset-count", "--input", str(one), "--mode", "strict",
-        "--x", "10000000", "--y", "1",
+        "--x", "10000001", "--y", "1",
     )
     assert (code, out) == (2, "")
     assert "budget" in err

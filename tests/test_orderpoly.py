@@ -24,6 +24,7 @@ from bivorder.fixtures import (
     chain_poset,
     cycle_graph,
     fence_poset,
+    fixture_posets,
     skew_diamond_poset,
     two_chain_celeste_top,
 )
@@ -56,7 +57,6 @@ from bivorder.poset import (
     BudgetExceededError,
     Word,
     _natural_labels,
-    _pred_masks,
     all_natural_labelings,
     all_reverse_natural_labelings,
     ascents,
@@ -363,7 +363,7 @@ def test_order_polys_equal_per_extension_sums_random(P, pick):
 def _assert_key_counts_equal_per_extension_tally(P, strict_labelings, weak_labelings):
     exts = linear_extensions(P)
     first = tuple(exts[0].index(e) + 1 for e in range(P.n))
-    assert _natural_labels(_pred_masks(P)) == first
+    assert _natural_labels(P.preds) == first
     assert natural_labeling(P) == first
     for mode, stat, labelings in (
         ("strict", ascents, [None, *strict_labelings]),
@@ -401,7 +401,7 @@ def _random_extension(P, rng):
     """A linear extension of P, each next element drawn among the minimal
     ones left; its positions are a natural labeling, reversed a reverse
     natural one, without listing all labelings."""
-    preds, placed, order = _pred_masks(P), 0, []
+    preds, placed, order = P.preds, 0, []
     while len(order) < P.n:
         v = rng.choice([v for v in range(P.n) if not (placed >> v & 1 or preds[v] & ~placed)])
         order.append(v)
@@ -470,18 +470,18 @@ def posets_with_isolated_elements(draw) -> tuple:
 @given(posets_with_isolated_elements(), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_order_coords_equal_whole_program_with_isolated_elements(case, rng):
-    # multiplying the isolated elements in gives the polynomial of the
-    # program run over every element, under the default labeling and one
-    # random valid one
+    # the related elements ranked by down-set size, the isolated elements
+    # multiplied in, give the polynomial of the program run over every
+    # element under the default labeling and under one random valid one
     _, _, P = case
     for mode in MODES:
         position = {v: i for i, v in enumerate(_random_extension(P, rng))}
         lab = tuple(
             position[v] + 1 if mode == "weak" else P.n - position[v] for v in range(P.n)
         )
-        order_poly = ORDER_POLY[mode]
-        assert order_poly(P) == _coords_poly(whole_order_coords(P, mode), mode)
-        assert order_poly(P, lab) == _coords_poly(whole_order_coords(P, mode, lab), mode)
+        poly = ORDER_POLY[mode](P)
+        assert poly == _coords_poly(whole_order_coords(P, mode), mode)
+        assert poly == _coords_poly(whole_order_coords(P, mode, lab), mode)
 
 
 @given(posets_with_isolated_elements())
@@ -524,22 +524,20 @@ def test_sixteen_element_antichains_take_no_ideal_chains():
     assert polys == [X**16, X**16, X**12 * (X - Y) ** 4, X**12 * (X - Y + 1) ** 4]
 
 
-def test_order_coords_builds_pred_masks_once(monkeypatch):
-    # the default labeling and the dynamic program share one set of masks,
-    # whichever module would build them
-    calls = []
+def test_order_polys_without_a_labeling_build_none(monkeypatch):
+    # the dynamic program ranks the related elements by down-set size, so
+    # without a labeling none is built, checked or reversed
+    def forbidden(*args):
+        raise AssertionError("a labeling was built")
 
-    def counted(P):
-        calls.append(P)
-        return _pred_masks(P)
-
-    for module in (orderpoly, poset):
-        monkeypatch.setattr(module, "_pred_masks", counted)
-    for P in (skew_diamond_poset(), fence_poset(5), antichain_poset(3, (1,))):
+    monkeypatch.setattr(poset, "_natural_labels", forbidden)
+    monkeypatch.setattr(orderpoly, "_checked_labeling", forbidden)
+    posets = [*fixture_posets().values(), fence_poset(5, (2,)), antichain_poset(3, (1,))]
+    posets.append(build_poset(6, [(5, 0), (4, 0), (3, 5)], (0, 1)))
+    for P in posets:
         for mode in MODES:
-            calls.clear()
-            _order_coords(P, mode)
-            assert len(calls) == 1, (P, mode)
+            assert ORDER_POLY[mode](P) == _coords_poly(whole_order_coords(P, mode), mode)
+        assert check_reciprocity_poset(P).passed
 
 
 def test_order_polys_do_not_list_extensions():
@@ -747,6 +745,23 @@ def test_single_counts_of_a_two_chain_hold_no_table():
     assert orderpoly._cum_table.cache_info().currsize == 0
 
 
+def test_single_counts_past_one_block_are_gated_on_their_maps(monkeypatch):
+    # a 2-chain or K2 at x0 = 3161 walks 9 991 921 maps, inside the budget,
+    # though a table would hold 10 001 406 cells; one element at x0 = 5000
+    # walks 5000 maps for 25 015 002 cells.  No table is built
+    def no_table(*key):
+        raise AssertionError("a single count past one block built a table")
+
+    monkeypatch.setattr(orderpoly, "_cum_table", no_table)
+    assert brute_count(chain_poset(2), "weak", 3161, 1) == math.comb(3162, 2) == 4997541
+    K2 = build_graph(2, [(0, 1)])
+    assert chrom_count(K2, 3161, 5) == chrom_poly(K2).evaluate(3161, 5)
+    assert brute_count(antichain_poset(1), "weak", 5000, 1) == 5000
+    with pytest.raises(BudgetExceededError) as info:
+        brute_count(chain_poset(2), "weak", 3163, 1)
+    assert str(info.value) == "enumeration of 10004569 objects exceeds budget 10000000"
+
+
 def test_brute_rejects_bad_arguments():
     P = chain_poset(2)
     with pytest.raises(ValueError):
@@ -760,9 +775,10 @@ def test_brute_budget_error(monkeypatch):
     with pytest.raises(BudgetExceededError):
         brute_count(P, "strict", 100, 0)
     Q = chain_poset(1, (0,))
-    # one element walks x0 maps but fills (x0 + 1) * (x0 + 2) table cells
+    # past one block one element is gated on its x0 maps alone, not on the
+    # (x0 + 1) * (x0 + 2) cells of a table it does not build
     with pytest.raises(BudgetExceededError):
-        brute_count(Q, "strict", 10_000_000, 1)
+        brute_count(Q, "strict", 10_000_001, 1)
     monkeypatch.setattr(poset, "DEFAULT_BUDGET", 9999)
     with pytest.raises(BudgetExceededError):
         brute_count(P, "weak", 10, 0)
@@ -1190,8 +1206,8 @@ def test_reciprocity_failure_carries_the_oracle_witness(monkeypatch, P):
     # witness as the polynomial comparison of the same (faulty) polynomials
     order_coords = orderpoly._order_coords
 
-    def skewed(P, mode, labeling=None):
-        coords, silver, celeste = order_coords(P, mode, labeling)
+    def skewed(P, mode):
+        coords, silver, celeste = order_coords(P, mode)
         coords = dict(coords)
         if mode == "weak":
             coords[min(coords)] += 1

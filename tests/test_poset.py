@@ -21,7 +21,6 @@ from bivorder.poset import (
     BicoloredPoset,
     Word,
     _natural_labels,
-    _pred_masks,
     all_natural_labelings,
     all_reverse_natural_labelings,
     ascents,
@@ -44,6 +43,7 @@ from oracles import (
     dumb_linear_extensions,
     pair_covers,
     pairwise_validate,
+    pred_masks,
     scan_natural_labels,
     set_closure_less,
 )
@@ -214,8 +214,38 @@ def test_natural_labels_equal_the_scan_on_random_posets():
         generating = [0] * n
         for a, b in relations:
             generating[b] |= 1 << a
-        for preds in (_pred_masks(build_poset(n, relations)), tuple(generating)):
+        for preds in (build_poset(n, relations).preds, tuple(generating)):
             assert _natural_labels(preds) == scan_natural_labels(preds), preds
+
+
+def test_poset_holds_the_masks_of_its_order():
+    # built as the poset is validated, whether build_poset closes the
+    # relations or the caller passes them closed
+    rng = random.Random(11)
+    for _ in range(500):
+        n = rng.randint(0, 9)
+        perm = rng.sample(range(n), n)
+        p = rng.random()
+        relations = [(perm[a], perm[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        P = build_poset(n, relations, rng.sample(range(n), rng.randint(0, n)))
+        assert P.preds == tuple(pred_masks(n, P.less))
+        Q = BicoloredPoset(n, P.less, P.celeste)
+        assert Q.preds == P.preds
+    for n in range(5):
+        for rel in all_strict_orders(n):
+            assert BicoloredPoset(n, rel, frozenset()).preds == tuple(pred_masks(n, rel))
+
+
+def test_poset_masks_stay_out_of_equality_hash_and_repr():
+    by_covers = build_poset(4, [(0, 1), (1, 2), (2, 3)], [3])
+    closed = frozenset((a, b) for a in range(4) for b in range(a + 1, 4))
+    by_closure = build_poset(4, closed, [3])
+    direct = BicoloredPoset(4, closed, frozenset({3}))
+    assert by_covers == by_closure == direct
+    assert hash(by_covers) == hash(by_closure) == hash(direct)
+    assert repr(two_chain_celeste_top()) == (
+        "BicoloredPoset(n=2, less=frozenset({(0, 1)}), celeste=frozenset({1}))"
+    )
 
 
 def test_natural_labeling_of_a_wide_antichain_is_not_quadratic():
