@@ -282,7 +282,7 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
         poset.DEFAULT_BUDGET = budget
     try:
         payload, lines, code = _dispatch(args)
-    except (OSError, json.JSONDecodeError, ValueError, BudgetExceededError,
+    except (OSError, ValueError, BudgetExceededError,
             MemoryError, OverflowError) as exc:  # the last two: an input too large to hold
         err.write(f"error: {str(exc) or 'out of memory'}\n")
         return 2

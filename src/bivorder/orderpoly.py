@@ -350,7 +350,8 @@ def _inner_count(n: int, x_max: int) -> int:
 def _inner_maps(k: int, x_max: int) -> tuple[np.ndarray, np.ndarray]:
     """All maps from k positions into 1..x_max, one column per map, and
     each map's largest value, in the smallest unsigned type that also
-    holds the sentinel x_max + 1."""
+    holds the sentinel x_max + 1.  _maps caches only blocks within
+    _BLOCK_MAPS maps; a wider one is built uncached and dropped."""
     dtype = np.min_scalar_type(x_max + 1)
     cols = np.indices((x_max,) * k, dtype=dtype).reshape(k, x_max**k) + dtype.type(1)
     top = cols.max(axis=0, initial=0)
@@ -374,18 +375,19 @@ def _maps(
     is returned, with no cell allocated.
 
     Every map is enumerated: the last k positions (see _inner_count) vary
-    inside a block, one block per value tuple of the leading ones, and
-    each constraint is evaluated where it is cheapest.  Between two inner
-    positions it is evaluated once per enumeration, and the inner maps
-    that break a relation are dropped before the first block; between a
-    leading and an inner position once per (position, value), cached when
-    two or more leading positions let a value recur; between two leading
-    positions on Python ints, and a block whose leading values break a
-    relation is skipped, as is, under a threshold, a block whose leading
-    values alone put the low value below it.  Codes go into the histogram
-    by np.bincount when they number at least its cells, else by
-    np.add.at, so a block costs O(its maps) and a histogram O(maps +
-    cells), never O(blocks * cells); a count costs O(maps).
+    inside a block, one block per value tuple of the leading ones.  One
+    pass places each relation and low term, its ends in either order, by
+    where they lie.  Between two inner positions it is evaluated once per
+    enumeration, and the inner maps that break a relation are dropped
+    before the first block; between a leading and an inner position once
+    per (position, value), cached when two or more leading positions let
+    a value recur; between two leading positions on Python ints, and a
+    block whose leading values break a relation is skipped, as is, under
+    a threshold, a block whose leading values alone put the low value
+    below it.  Codes go into the histogram by np.bincount when they number
+    at least its cells, else by np.add.at, so a block costs O(its maps)
+    and a histogram O(maps + cells), never O(blocks * cells); a count
+    costs O(maps).
 
     A low term's array is built from one comparison, in the values' own
     type: an inner term (u, v) is max(phi(u), (phi(u) != phi(v)) * none),
@@ -406,38 +408,33 @@ def _maps(
     code_type = np.min_scalar_type(cells - 1)
     k = _inner_count(n, x_max)
     lead = n - k
-    cols, top = _inner_maps(k, x_max)
+    cols, top = (_inner_maps if x_max <= _BLOCK_MAPS else _inner_maps.__wrapped__)(k, x_max)
     inner_rel = [(a - lead, b - lead) for a, b in relations if min(a, b) >= lead]
     if inner_rel:
         keep = reduce(operator.and_, (below(cols[a], cols[b]) for a, b in inner_rel))
         cols, top = cols[:, keep], top[keep]
     dtype = cols.dtype
-    inner_low = None
-    for u, v in lows:
-        if min(u, v) >= lead:
-            cu, cv = cols[u - lead], cols[v - lead]
-            term = cu if u == v else np.maximum(cu, (cu != cv) * dtype.type(none))
-            inner_low = term if inner_low is None else np.minimum(inner_low, term)
-    inner_code = top.astype(code_type) * width if threshold is None else None
-    # per leading position: its relations and low terms with inner positions
+    # each pair by where its ends lie: both inner (relations are applied
+    # above), both leading, or leading end p against the inner end's column
+    inner_low = []  # at most one array, the least inner low term
     rel_in = [[] for _ in range(lead)]
     low_in = [[] for _ in range(lead)]
     lead_rel, lead_low = [], []
-    for a, b in relations:
-        if max(a, b) < lead:
-            lead_rel.append((a, b))
-        elif a < lead:
-            rel_in[a].append((cols[b - lead], True))
-        elif b < lead:
-            rel_in[b].append((cols[a - lead], False))
-    for u, v in lows:
-        if max(u, v) < lead:
-            lead_low.append((u, v))
-        elif u < lead:
-            low_in[u].append(cols[v - lead])
-        elif v < lead:
-            low_in[v].append(cols[u - lead])
+    for pair, is_low in [(r, False) for r in relations] + [(t, True) for t in lows]:
+        p, q = sorted(pair)
+        if p >= lead:
+            if is_low:
+                cp, cq = cols[p - lead], cols[q - lead]
+                term = cp if p == q else np.maximum(cp, (cp != cq) * dtype.type(none))
+                inner_low = [np.minimum(inner_low[0], term) if inner_low else term]
+        elif q < lead:
+            (lead_low if is_low else lead_rel).append(pair)
+        elif is_low:
+            low_in[p].append(cols[q - lead])
+        else:
+            rel_in[p].append((cols[q - lead], pair[0] == p))
     active = [p for p in range(lead) if rel_in[p] or low_in[p]]
+    inner_code = top.astype(code_type) * width if threshold is None else None
 
     def lead_terms(p: int, value: int) -> tuple:
         mask = low = None
@@ -452,44 +449,41 @@ def _maps(
 
     if lead > 1:  # a value recurs only under two or more leading positions
         lead_terms = lru_cache(maxsize=None)(lead_terms)
-    prof = np.zeros(cells, dtype=np.int64) if threshold is None else None
-    total = 0
+    total = np.zeros(cells, dtype=np.int64) if threshold is None else 0
     for values in product(range(1, x_max + 1), repeat=lead):
         if any(not below(values[a], values[b]) for a, b in lead_rel):
             continue
         # the least low term among the leading values alone
-        scalar = min((values[u] for u, v in lead_low if values[u] == values[v]), default=none)
-        if threshold is not None and scalar < threshold:
+        low = min((values[u] for u, v in lead_low if values[u] == values[v]), default=none)
+        if threshold is not None and low < threshold:
             continue
-        keep = None
-        low_arrays = [] if inner_low is None else [inner_low]
+        keep, low_arrays = None, inner_low[:]
         for p in active:
-            mask, low = lead_terms(p, values[p])
+            mask, term = lead_terms(p, values[p])
             if mask is not None:
                 keep = mask if keep is None else keep & mask
-            if low is not None:
-                low_arrays.append(low)
+            if term is not None:
+                low_arrays.append(term)
+        if low_arrays:
+            # numpy's minimum and maximum run unvectorized against a scalar, so
+            # one is spread into a full array; a threshold was passed already
+            if threshold is None and low < none:
+                low_arrays.append(np.full_like(low_arrays[0], low))
+            low = reduce(np.minimum, low_arrays)
         if threshold is not None:
             if low_arrays:
-                high = reduce(np.minimum, low_arrays) >= threshold
-                keep = high if keep is None else keep & high
+                keep = low >= threshold if keep is None else keep & (low >= threshold)
             total += len(top) if keep is None else np.count_nonzero(keep)
             continue
-        # numpy's minimum and maximum run unvectorized against a scalar, so
-        # the scalar is spread into a full array
         code = np.maximum(inner_code, np.full_like(inner_code, max(values, default=0) * width))
-        if low_arrays:
-            low = reduce(np.minimum, low_arrays)
-            code += np.minimum(low, np.full_like(low, scalar)) if scalar < none else low
-        else:
-            code += scalar
+        code += low
         if keep is not None:
             code = code[keep]
         if len(code) >= cells:
-            prof += np.bincount(code, minlength=cells)
+            total += np.bincount(code, minlength=cells)
         else:
-            np.add.at(prof, code, 1)
-    return prof if threshold is None else int(total)
+            np.add.at(total, code, 1)
+    return total if threshold is None else int(total)
 
 
 @lru_cache(maxsize=4096)

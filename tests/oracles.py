@@ -32,9 +32,10 @@ successor sets, as the poset module did before it read it only through
 predecessor bitmasks, and are the oracles of BicoloredPoset's checks,
 build_poset and covers; scan_natural_labels, the scan that
 poset._natural_labels ran before it kept a heap, is the oracle of the
-default labeling; dumb_acyclic_orientations filters all 2^m direction
-vectors, as graph.acyclic_orientations did before it grew reachability
-masks.  whole_order_coords runs the ideal-chain program
+default labeling and gives the oracles' own default labels, so no oracle
+labels through the library; dumb_acyclic_orientations filters all 2^m
+direction vectors, as graph.acyclic_orientations did before it grew
+reachability masks.  whole_order_coords runs the ideal-chain program
 over every element, as orderpoly._order_coords did before it left the
 isolated elements out; as a polynomial it is the oracle of
 order_poly_*, which multiply the isolated elements' linear factors
@@ -78,7 +79,7 @@ from bivorder.orderpoly import (
     order_poly_strict,
     order_poly_weak,
 )
-from bivorder.poset import BicoloredPoset, _natural_labels, covers, poset_to_json
+from bivorder.poset import BicoloredPoset, covers, poset_to_json
 from bivorder.ratpoly import X, Y, BiPoly, _binomial_poly, binom_poly
 
 
@@ -93,7 +94,7 @@ def pred_masks(n: int, pairs) -> list[int]:
 def _default_labeling(preds: Sequence[int], mode: str) -> tuple[int, ...]:
     """The mode's default labeling of the order the masks generate: the
     natural one along the first extension, reversed for strict words."""
-    labels = _natural_labels(preds)
+    labels = scan_natural_labels(preds)
     return tuple(len(preds) + 1 - lab for lab in labels) if mode == "strict" else labels
 
 
@@ -315,7 +316,7 @@ def key_counts(
     in weak mode, so the statistic is always the ascents of the ranks.
     The mark is None until the first celeste element is placed, then
     (k, prefix): the letters before it and the statistic up to it.
-    preds may hold any generating relation (see poset._natural_labels).
+    preds may hold any generating relation (see scan_natural_labels).
     """
     n = len(preds)
     rank = list(labels) if mode == "strict" else [-lab for lab in labels]

@@ -86,6 +86,26 @@ def test_coloring_tables_equal_tally_route_at_every_block_size(monkeypatch, bloc
             assert_coloring_tables_equal(G, x_max)
 
 
+@pytest.mark.parametrize("block", [1, 3, 10, 1 << 15])
+def test_low_terms_count_alike_in_either_order(monkeypatch, block):
+    # callers list a low term's lower position first; flipping pairs to
+    # (v, u) moves each end across the leading/inner split at some block
+    # size, and the table and every threshold count stay the same
+    monkeypatch.setattr(orderpoly, "_BLOCK_MAPS", block)
+    rng = random.Random(block)
+    for _ in range(12):
+        G = random_graph(rng, rng.randint(2, 6))
+        edges = G.sorted_edges()
+        flipped = tuple((v, u) if rng.random() < 0.5 else (u, v) for u, v in edges)
+        for x_max in (1, 2, 4):
+            ordered = (G.n, x_max, (), operator.lt, edges)
+            reversed_ = (G.n, x_max, (), operator.lt, flipped)
+            assert np.array_equal(kernel(*reversed_), kernel(*ordered)), (G, flipped, x_max)
+            for threshold in range(x_max + 2):
+                count = orderpoly._maps(*reversed_, threshold)
+                assert count == orderpoly._maps(*ordered, threshold), (G, flipped, threshold)
+
+
 @pytest.mark.parametrize("x_max", [253, 254, 255, 256])
 def test_tables_across_the_one_byte_limit(x_max):
     # values take one byte while the sentinel x_max + 1 fits in one

@@ -745,6 +745,23 @@ def test_single_counts_of_a_two_chain_hold_no_table():
     assert orderpoly._cum_table.cache_info().currsize == 0
 
 
+def test_a_count_past_one_block_of_values_keeps_no_inner_maps():
+    # one element at x0 = 10^7 makes a block of 10^7 maps, about 76 MiB,
+    # which the inner maps' cache held after the count returned
+    orderpoly._inner_maps.cache_clear()
+    tracemalloc.start()
+    try:
+        assert brute_count(antichain_poset(1), "weak", 10**7, 1) == 10**7
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * 2**20
+    assert orderpoly._inner_maps.cache_info().currsize == 0
+    # a block within _BLOCK_MAPS maps is still cached for the next count
+    assert brute_count(chain_poset(7), "weak", 8, 3) == 3432
+    assert orderpoly._inner_maps.cache_info().currsize == 1
+
+
 def test_single_counts_past_one_block_are_gated_on_their_maps(monkeypatch):
     # a 2-chain or K2 at x0 = 3161 walks 9 991 921 maps, inside the budget,
     # though a table would hold 10 001 406 cells; one element at x0 = 5000
