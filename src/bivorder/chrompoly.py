@@ -29,10 +29,12 @@ The tests' oracles: either side's sums on the strict basis
 binom(y, t) * binom(x - y, s) through ratpoly._binomial_poly; the
 paper's per-pair constructions, strict order polynomials for chrom_poly
 and count_compatible_colorings for the right side; and chrom_count,
-which enumerates colorings through orderpoly's brute kernel (see
+which counts colorings through orderpoly's brute counters (see
 _coloring_constraints) and shares no code with any route: read from a
-cached table within one block, else reduced block by block to one
-number, gated on the colorings alone (see orderpoly._count).
+cached table within one block, else gated on the x^n colorings alone
+and either summed one vertex at a time, one factor per edge, when x >= 2
+and the elimination order says that is cheaper, or reduced block by
+block to one number (see orderpoly._count).
 
 Every enumeration here refuses through poset's one budget gate (see
 poset._check_budget); no function takes a budget.  A polynomial
@@ -73,9 +75,10 @@ def _coloring_counter(G: Graph, x_max: int) -> Callable:
 
 
 def chrom_count(G: Graph, x0: int, y0: int) -> int:
-    """Count admissible colorings by enumerating all x0^n of them.  Past
-    one block of colorings or cells no table is built or cached, and the
-    budget bounds the colorings alone (see orderpoly._count)."""
+    """Count admissible colorings; the budget bounds all x0^n of them,
+    whichever route counts them.  Past one block of colorings or cells no
+    table is built or cached, and a sparse graph is summed one vertex at a
+    time instead of enumerated (see orderpoly._count)."""
     _counts_ok(x0, y0)
     return _count(G.n, x0, y0, *_coloring_constraints(G))
 

@@ -8,10 +8,11 @@ usage or bad input.  Output for identical inputs is byte-identical.
 The argument parser is built once per process.  A verb returns its exit
 code and functions for its JSON payload and text lines; stdout is written
 once, after all of the verb's work, so an error leaves it empty.  Brute
-counts come from the library, which refuses before any map is
-enumerated: poset-count and graph-count take one count, which past one
-block builds no table and is gated on its maps alone, and the oracle
-checks read the counters' cached tables.  --budget sets
+counts come from the library, which refuses before any map is counted:
+poset-count and graph-count take one count, which past one block builds
+no table, is gated on its x^n maps alone and sums a sparse input one
+position at a time instead of enumerating it, and the oracle checks
+read the counters' cached tables.  --budget sets
 poset.DEFAULT_BUDGET, the library's one limit, for the verb and restores
 it after, so every gate the verb passes reads it.  One walker, _sweep,
 runs every check sweep over the valid points with x0 <= n, which fix a

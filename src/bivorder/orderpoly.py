@@ -24,9 +24,12 @@ other by the test suite:
   cache-sized blocks of one-byte values, each constraint evaluated once
   per enumeration, per leading value or per block; see _maps), for
   posets and graphs alike: reads at many points go through one budgeted
-  counter, whose table is cached (see _counter), and a single count past
-  one block reduces each block to its number of maps, caches nothing and
-  is gated on its maps alone (see _count),
+  counter, whose table is cached (see _counter); a single count past one
+  block caches nothing and is gated on its x^n maps alone, then at x >= 2
+  sums the positions out one at a time (bucket elimination, see
+  _eliminate) when its elimination order is within a block per step and
+  cheaper than the maps, and else reduces each block to its number of
+  maps (see _count),
 * interpolation of the brute counts on the simplex x0 <= n, by integer
   forward differences in the mode's binomial basis.
 
@@ -515,18 +518,87 @@ def _counter(
     return lambda x0, y0: int(_cum_table(*key)[x0, min(y0 + shift, x0 + 1)])
 
 
+def _elimination_order(n: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """A min-degree order for summing out n positions whose factors join
+    the given pairs, as (v, w) per step: v the position summed out, w the
+    positions its bucket's product spans, v and those it shares a factor
+    with by then, which its sum joins.  Ties go to the lowest position."""
+    near: list[set[int]] = [set() for _ in range(n)]
+    for a, b in pairs:
+        if a != b:
+            near[a].add(b)
+            near[b].add(a)
+    left = set(range(n))
+    order = []
+    while left:
+        v = min(left, key=lambda u: (len(near[u]), u))
+        left.remove(v)
+        for u in near[v]:
+            near[u] |= near[v] - {u}
+            near[u].discard(v)
+        order.append((v, len(near[v]) + 1))
+    return order
+
+
+def _eliminate(
+    x0: int, order: list[tuple[int, int]], relations: tuple, below: Callable, lows: tuple,
+    threshold: int,
+) -> int:
+    """The maps into 1..x0 that keep every relation and whose low value
+    (see _maps) is >= threshold, as a sum over the positions of a product
+    of 0/1 factors, summed out one position at a time in the given order
+    (bucket elimination; Dechter, AI 1999).  A relation (a, b) is the
+    x0 x x0 matrix below(i, j), a low term (c, c) the vector i >= threshold
+    and a low term (u, v) the matrix i != j or i >= threshold; each matrix
+    is built only when some factor reads it.  A factor keeps its axes in
+    the order of its positions, so a step spreads each factor of its
+    bucket over the bucket's sorted positions by a reshape, multiplies
+    them, sums its position's axis out and leaves the result on the
+    others; a position in no factor leaves x0.  A product holds x0^w
+    cells, w as the order gives it.  Every entry counts partial maps, at
+    most x0^n, so int64 is exact below 2^63 and Python ints past it."""
+    dtype = np.int64 if x0 ** len(order) < 1 << 63 else object
+    values = np.arange(1, x0 + 1)
+    high = values >= threshold
+    factors = [((u,), high.astype(dtype)) for u, v in lows if u == v]
+    if relations:
+        rel = below(values[:, None], values).astype(dtype)
+        factors += [((a, b), rel) if a < b else ((b, a), rel.T) for a, b in relations]
+    if any(u != v for u, v in lows):
+        apart = ((values[:, None] != values) | high[:, None]).astype(dtype)
+        factors += [(tuple(sorted((u, v))), apart) for u, v in lows if u != v]
+    for v, _ in order:
+        bucket = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        axes = sorted({u for s, _ in bucket for u in s})
+        spread = (f.reshape([x0 if u in s else 1 for u in axes]) for s, f in bucket)
+        total = reduce(operator.mul, spread).sum(axis=axes.index(v)) if bucket else x0
+        factors.append((tuple(u for u in axes if u != v), np.asarray(total, dtype)))
+    return math.prod(int(f) for _, f in factors)
+
+
 def _count(
     n: int, x0: int, y0: int, relations: tuple, below: Callable, lows: tuple, shift: int
 ) -> int:
     """One count, the maps into 1..x0 with low value >= y0 + shift.  When
     the maps and the table's (x0 + 1)(x0 + 2) cells fit one block it reads
-    _counter's cached table, which counts at the same x0 share; else it
-    reduces each block to its number of maps (see _maps), builds no table
-    and is gated on the maps alone."""
+    _counter's cached table, which counts at the same x0 share.  Else it is
+    gated on the x0^n maps alone and builds no table: at x0 >= 2 it sums
+    the positions out one at a time (see _eliminate) when the elimination
+    order says so before any product, its widest bucket within _BLOCK_MAPS
+    cells and its cells in all below x0^n, and otherwise, and at any
+    x0 <= 1 without building an order, reduces each block of maps to its
+    number (see _maps)."""
     if _inner_count(n, x0) == n and (x0 + 1) * (x0 + 2) <= _BLOCK_MAPS:
         return _counter(n, x0, relations, below, lows, shift)(x0, y0)
     _check_budget(n, x0, 0)
-    return _maps(n, x0, relations, below, lows, min(y0 + shift, x0 + 1))
+    threshold = min(y0 + shift, x0 + 1)
+    if x0 >= 2:  # so the gate bounds n by log2 of the budget, and the order costs little
+        order = _elimination_order(n, relations + lows)
+        cells = [x0**w for _, w in order]
+        if max(cells, default=0) <= _BLOCK_MAPS and sum(cells) < x0**n:
+            return _eliminate(x0, order, relations, below, lows, threshold)
+    return _maps(n, x0, relations, below, lows, threshold)
 
 
 def _poset_constraints(P: BicoloredPoset, mode: str) -> tuple:
@@ -555,10 +627,12 @@ def _counts_ok(x0: int, y0: int) -> None:
 
 def brute_count(P: BicoloredPoset, mode: str, x0: int, y0: int) -> int:
     """Count the mode's maps of P into 1..x0 that send every celeste
-    element above y0 (to y0 or above in weak mode) by enumerating all x0^n
-    maps; raises BudgetExceededError past the budget (see _check_budget).
-    Past one block of maps or cells no table is built or cached, and the
-    budget bounds the maps alone (see _count)."""
+    element above y0 (to y0 or above in weak mode); raises
+    BudgetExceededError when the x0^n maps pass the budget (see
+    _check_budget), whichever route counts them.  Past one block of maps
+    or cells no table is built or cached, the budget bounds the maps
+    alone, and a sparse poset is summed one element at a time instead of
+    enumerated (see _count)."""
     _mode_ok(mode)
     _counts_ok(x0, y0)
     return _count(P.n, x0, y0, *_poset_constraints(P, mode))

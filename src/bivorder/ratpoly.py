@@ -141,6 +141,9 @@ class BiPoly:
         return NotImplemented if rhs is None else self._den == rhs._den and self._num == rhs._num
 
     def __hash__(self) -> int:
+        # a constant equals its int or Fraction (see _coerced), so hashes alike
+        if self._num.keys() <= {(0, 0)}:
+            return hash(Fraction(self._num.get((0, 0), 0), self._den))
         return hash((frozenset(self._num.items()), self._den))
 
     def _coerced(self, other: object) -> BiPoly | None:

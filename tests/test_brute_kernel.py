@@ -3,7 +3,11 @@ route it replaced (tests/oracles.py), for posets in both modes and for
 graphs, at every block shape, and its time and memory at the budget's
 extreme shapes.  The kernel runs uncached, on the constraint
 descriptions that orderpoly._poset_counter and
-chrompoly._coloring_counter give it."""
+chrompoly._coloring_counter give it.  A single count past one block may
+sum its positions out instead (orderpoly._eliminate): that route against
+the definition and the kernel's threshold counts, which inputs take it,
+its exactness past 2^63 and on long chains and wide stars, and its time
+and memory where it is not taken or has no pairs."""
 
 import math
 import operator
@@ -14,7 +18,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bivorder import orderpoly
+from bivorder import orderpoly, poset
+from bivorder.chrompoly import _coloring_constraints, chrom_count, chrom_poly
 from bivorder.fixtures import (
     antichain_poset,
     chain_poset,
@@ -22,11 +27,26 @@ from bivorder.fixtures import (
     cycle_graph,
     edgeless_graph,
     fence_poset,
+    path_graph,
     skew_diamond_poset,
 )
 from bivorder.graph import Graph
+from bivorder.orderpoly import (
+    _poset_constraints,
+    _valid_ys,
+    brute_count,
+    order_poly_strict,
+    order_poly_weak,
+)
 from bivorder.poset import build_poset, covers
-from oracles import all_graphs, catalog_posets, tally_coloring_table, tally_map_table
+from oracles import (
+    all_graphs,
+    catalog_posets,
+    dumb_count_colorings,
+    dumb_count_maps,
+    tally_coloring_table,
+    tally_map_table,
+)
 
 MODES = ("strict", "weak")
 kernel = orderpoly._cum_table.__wrapped__
@@ -193,3 +213,146 @@ def test_table_time_and_memory_at_budget_extremes(kind, n, x_max):
             assert table[x0, 1] == math.comb(x0 + n - 1, n)
         else:
             assert table[x0, x_max + 1] == math.perm(x0, n)
+
+
+# elimination ------------------------------------------------------------------
+
+
+def eliminated(n, x0, y0, relations, below, lows, shift):
+    """The elimination route's count, whatever the gate in _count says,
+    and the kernel's threshold count of the same maps."""
+    threshold = min(y0 + shift, x0 + 1)
+    order = orderpoly._elimination_order(n, relations + lows)
+    count = orderpoly._eliminate(x0, order, relations, below, lows, threshold)
+    return count, orderpoly._maps(n, x0, relations, below, lows, threshold)
+
+
+@pytest.mark.parametrize("block", [3, 64])
+def test_elimination_equals_definition_and_blocks_past_one_block(monkeypatch, block):
+    # at these block sizes 3^4 .. 4^6 maps pass one block, so brute_count
+    # and chrom_count take elimination or the blocks by the gate
+    monkeypatch.setattr(orderpoly, "_BLOCK_MAPS", block)
+    rng = random.Random(block)
+    for _ in range(10):
+        P = random_poset(rng, rng.randint(4, 6))
+        x0 = rng.choice((3, 4))
+        for mode in MODES:
+            constraints = _poset_constraints(P, mode)
+            for y0 in _valid_ys(mode, x0):
+                expected = dumb_count_maps(P, mode, x0, y0)
+                assert eliminated(P.n, x0, y0, *constraints) == (expected, expected), (P, mode, y0)
+                assert brute_count(P, mode, x0, y0) == expected, (P, mode, x0, y0)
+    for _ in range(10):
+        G = random_graph(rng, rng.randint(4, 6))
+        x0 = rng.choice((3, 4))
+        for y0 in range(x0 + 2):
+            expected = dumb_count_colorings(G, x0, y0)
+            assert eliminated(G.n, x0, y0, *_coloring_constraints(G)) == (expected, expected), (G, y0)
+            assert chrom_count(G, x0, y0) == expected, (G, x0, y0)
+
+
+def no_maps(*args):
+    raise AssertionError("the count enumerated maps")
+
+
+def test_sparse_counts_past_one_block_enumerate_no_map(monkeypatch):
+    # 8^7 and 11^6 maps pass one block; a chain's buckets hold 8^2 cells
+    monkeypatch.setattr(orderpoly, "_maps", no_maps)
+    for mode, w in (("strict", 0), ("weak", 1)):
+        for P in (chain_poset(7), chain_poset(7, (4,)), fence_poset(7, (0, 6))):
+            poly = (order_poly_weak if mode == "weak" else order_poly_strict)(P)
+            for y0 in _valid_ys(mode, 8):
+                assert brute_count(P, mode, 8, y0) == poly.evaluate(8, y0), (P, mode, y0)
+        assert brute_count(chain_poset(7), mode, 8, w) == math.comb(8 + 6 * w, 7)
+    for G in (cycle_graph(6), path_graph(6)):
+        poly = chrom_poly(G)
+        for y0 in range(12):
+            assert chrom_count(G, 11, y0) == poly.evaluate(11, y0), (G, y0)
+
+
+def test_dense_counts_and_x0_at_most_one_stay_on_the_blocks(monkeypatch):
+    # K6's and K7's first bucket holds every vertex, 11^6 and 9^7 cells;
+    # at x0 <= 1 no sum of cells is below x0^n
+    calls = []
+
+    def maps(*args):
+        calls.append(args[:2])
+        return kernel_maps(*args)
+
+    kernel_maps = orderpoly._maps
+    monkeypatch.setattr(orderpoly, "_maps", maps)
+    K6, K7 = complete_graph(6), complete_graph(7)
+    assert chrom_count(K6, 11, 4) == chrom_poly(K6).evaluate(11, 4)
+    assert chrom_count(K7, 9, 2) == chrom_poly(K7).evaluate(9, 2)
+    P = chain_poset(16, (15,))
+    assert orderpoly._inner_count(16, 1) < 16
+    assert brute_count(P, "weak", 1, 1) == 1
+    assert brute_count(P, "weak", 0, 1) == 0
+    assert brute_count(P, "strict", 1, 0) == 0
+    assert calls == [(6, 11), (7, 9), (16, 1), (16, 0), (16, 1)]
+
+
+def path_colorings(n, x0, y0):
+    """P_n's admissible colorings by a transfer matrix in Python ints: a
+    vertex's color follows the last one's when they differ or lie above y0."""
+    counts = [1] * x0
+    for _ in range(n - 1):
+        total = sum(counts)
+        counts = [total - (c if i <= y0 else 0) for i, c in enumerate(counts, 1)]
+    return sum(counts) if n else 1
+
+
+def test_elimination_is_exact_past_int64_and_past_52_positions(monkeypatch):
+    # 10^20 and 5^30 exceed 2^63, so these sum Python ints, as do chains
+    # and paths of 60 positions at x0 = 2
+    for n in range(5):
+        for y0 in range(5):
+            assert path_colorings(n, 3, y0) == dumb_count_colorings(path_graph(n), 3, y0)
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 10**21)
+    monkeypatch.setattr(orderpoly, "_maps", no_maps)
+    assert brute_count(chain_poset(20), "weak", 10, 1) == math.comb(29, 20)
+    # less the 21 weak 20-chains into 1..2, whose top is below 3
+    assert brute_count(chain_poset(20, (19,)), "weak", 10, 3) == math.comb(29, 20) - 21
+    assert brute_count(chain_poset(60), "weak", 2, 1) == 61
+    assert brute_count(chain_poset(60, (59,)), "weak", 2, 2) == 60
+    for n, x0 in ((20, 7), (30, 5), (60, 2)):
+        for y0 in range(x0 + 2):
+            assert chrom_count(path_graph(n), x0, y0) == path_colorings(n, x0, y0), (n, x0, y0)
+
+
+def test_a_wide_star_sums_its_leaves_into_one_bucket(monkeypatch):
+    # the centre is summed out last, with one factor left by each of 70
+    # leaves: more than the operands np.einsum takes
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 10**22)
+    monkeypatch.setattr(orderpoly, "_maps", no_maps)
+    star = Graph(71, frozenset((0, leaf) for leaf in range(1, 71)))
+    for y0 in range(4):
+        # the centre's color c, each leaf the other color or, above y0, c too
+        assert chrom_count(star, 2, y0) == sum(1 if c <= y0 else 2**70 for c in (1, 2))
+    up = build_poset(71, [(0, leaf) for leaf in range(1, 71)])
+    assert brute_count(up, "weak", 2, 0) == 2**70 + 1
+    assert brute_count(up, "strict", 2, 0) == 1
+
+
+def test_x0_at_most_one_counts_wide_inputs_without_an_order():
+    # an elimination order of 10^5 positions takes minutes to build
+    start = time.perf_counter()
+    assert brute_count(antichain_poset(10**5, (0,)), "weak", 1, 1) == 1
+    assert brute_count(antichain_poset(10**5, (0,)), "strict", 1, 1) == 0
+    assert chrom_count(edgeless_graph(10**5), 1, 0) == 1
+    assert chrom_count(edgeless_graph(10**5), 0, 0) == 0
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("x0", [2990, 3000])
+def test_counts_without_pairs_hold_no_matrix(x0):
+    # width-1 buckets admit x0 up to _BLOCK_MAPS; a 3000^2 int64 matrix
+    # takes 69 MiB
+    tracemalloc.start()
+    try:
+        assert brute_count(antichain_poset(2, (1,)), "weak", x0, 3) == x0 * (x0 - 2)
+        assert chrom_count(edgeless_graph(2), x0, 3) == x0**2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

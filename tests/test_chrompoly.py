@@ -90,7 +90,7 @@ def test_coloring_tables_match_definition_at_every_block_size(monkeypatch, block
                     assert chrom_count(G, x0, y0) == expected, (G, x0, y0)
 
 def test_a_single_coloring_count_past_one_block_caches_no_table():
-    # 11^6 colorings span 121 blocks: the count is reduced block by block
+    # 11^6 colorings span 121 blocks: the count builds no table
     C6 = cycle_graph(6)
     assert orderpoly._inner_count(6, 11) < 6
     before = orderpoly._cum_table.cache_info()

@@ -22,6 +22,7 @@ from bivorder.graph import build_graph
 from bivorder.fixtures import (
     antichain_poset,
     chain_poset,
+    complete_graph,
     cycle_graph,
     fence_poset,
     fixture_posets,
@@ -712,7 +713,7 @@ def test_brute_tables_match_definition_at_every_block_size(monkeypatch, block):
                         assert brute_count(P, mode, x0, y0) == expected, (P, mode, x0, y0)
 
 def test_a_single_count_past_one_block_caches_no_table():
-    # 8^7 maps span 64 blocks: the count is reduced block by block
+    # 8^7 maps span 64 blocks: the count builds no table
     assert orderpoly._inner_count(7, 8) < 7
     before = orderpoly._cum_table.cache_info()
     count = brute_count(chain_poset(7), "weak", 8, 3)
@@ -757,8 +758,10 @@ def test_a_count_past_one_block_of_values_keeps_no_inner_maps():
         tracemalloc.stop()
     assert held < 8 * 2**20
     assert orderpoly._inner_maps.cache_info().currsize == 0
-    # a block within _BLOCK_MAPS maps is still cached for the next count
-    assert brute_count(chain_poset(7), "weak", 8, 3) == 3432
+    # a block within _BLOCK_MAPS maps is still cached for the next count;
+    # K7 at x0 = 8 stays on the blocks, its first bucket holding 8^7 cells
+    K7 = complete_graph(7)
+    assert chrom_count(K7, 8, 3) == chrom_poly(K7).evaluate(8, 3)
     assert orderpoly._inner_maps.cache_info().currsize == 1
 
 

@@ -93,6 +93,13 @@ def test_evaluate():
     assert BiPoly.const(Fraction(1, 2)).evaluate(9, 9) == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("c", [0, 1, -7, 2**70, Fraction(1, 2), Fraction(-3, 4)])
+def test_a_constant_hashes_as_the_number_it_equals(c):
+    p = BiPoly.const(c)
+    assert p == c and hash(p) == hash(c)
+    assert len({p, c}) == 1
+
+
 def test_negate_args():
     assert (X**2 + Y).negate_args() == X**2 - Y
     assert (X * Y).negate_args() == X * Y
