@@ -16,19 +16,17 @@ y(y - 1)...(y - t + 1) by that count, so the sums are the integer rows
 ratpoly._falling_poly expands into monomials (see _sums_poly).  No flat,
 orientation or order ideal is enumerated.
 
-Both reciprocity checks read the theorem's right side, the signed count
-of (flat, acyclic orientation, compatible coloring) triples, from one
-polynomial per graph (see _reciprocity_poly).  Summed over the flats
-one color class S at a time, a class at or below the threshold weighs
-(-1)^|S| a(G[S]), a(H) the acyclic orientations of H, and a class above
-it (-1)^|S|; so the right side is the same dynamic program with each
-block weighing a(block), read by the same builder.  The sides share
-code, not weights.
+_reciprocity_poly builds the right side of graph reciprocity, which
+verify checks.  Summed over the flats one color class S at a time, a
+class at or below the threshold weighs (-1)^|S| a(G[S]), a(H) the
+acyclic orientations of H, and a class above it (-1)^|S|; so the right
+side is the same dynamic program with each block weighing a(block),
+read by the same builder.  The sides share code, not weights.
 
 The tests' oracles: either side's sums on the strict basis
 binom(y, t) * binom(x - y, s) through ratpoly._binomial_poly; the
 paper's per-pair constructions, strict order polynomials for chrom_poly
-and count_compatible_colorings for the right side; and chrom_count,
+and verify.count_compatible_colorings for the right side; and chrom_count,
 which counts colorings through orderpoly's brute counters (see
 _coloring_constraints) and shares no code with any route: read from a
 cached table within one block, else gated on the x^n colorings alone
@@ -48,15 +46,8 @@ import operator
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .graph import (
-    AcyclicOrientation,
-    Flat,
-    Graph,
-    _subset_masks,
-    graph_to_json,
-    orientation_to_poset,
-)
-from .orderpoly import _MODE_BASIS, CheckReport, _count, _counter, _counts_ok, brute_count
+from .graph import Graph, _subset_masks
+from .orderpoly import _MODE_BASIS, _count, _counter, _counts_ok
 from .poset import _check_budget
 from .ratpoly import BiPoly, X, _falling_poly
 
@@ -189,16 +180,6 @@ def classical_chrom_poly(G: Graph) -> BiPoly:
     return classical_chrom_poly(deleted) - classical_chrom_poly(contracted)
 
 
-def count_compatible_colorings(flat: Flat, orientation: AcyclicOrientation, x0: int, y0: int) -> int:
-    """Count colorings of the quotient vertices with 1..x0 that weakly
-    increase along every directed edge and stay above y0 on contracted
-    vertices.  Enumerated on the pair's closed poset, not evaluated from
-    any polynomial; the signed sum of these counts over all pairs is the
-    right side the reciprocity checks read from _reciprocity_poly."""
-    P = orientation_to_poset(flat, orientation)
-    return brute_count(P, "weak", x0, y0 + 1)
-
-
 def _acyclic_counts(G: Graph) -> list[int]:
     """a(S), the acyclic orientations of G[S], for every vertex subset S.
     Removing a nonempty independent set I of sources leaves one of
@@ -229,39 +210,7 @@ def _reciprocity_poly(G: Graph) -> BiPoly:
 
     Any subset of U holding its lowest vertex is a block (all-ones masks),
     about 3^n / 2 pairs.  The cache is keyed on the graph alone, so both
-    checks gate 3^n against the budget before reading it.
+    graph checks (see verify) gate 3^n against the budget before reading it.
     """
     sums = _partition_sums(G.n, _acyclic_counts(G), [-1] * G.n)
     return (-1) ** G.n * _sums_poly(sums)
-
-
-def check_reciprocity_graph(G: Graph, x0: int, y0: int) -> CheckReport:
-    """Verify chrom_poly(G)(-x0, -y0), on 0 <= y0 <= x0 (ValueError
-    outside), against the signed count of compatible colorings over all
-    flats and orientations, read from one cached polynomial per graph
-    (see _reciprocity_poly); no flat, orientation or poset is
-    enumerated.  The budget bounds its 3^n subset pairs, whatever x0."""
-    if not 0 <= y0 <= x0:
-        raise ValueError("graph reciprocity is checked on 0 <= y0 <= x0")
-    _check_budget(G.n, 3, 0)
-    lhs = chrom_poly(G).evaluate(-x0, -y0)
-    rhs = _reciprocity_poly(G).evaluate(x0, y0)
-    if lhs == rhs:
-        return CheckReport("graph-reciprocity", True)
-    witness = {"graph": graph_to_json(G), "x": x0, "y": y0, "lhs": str(lhs), "rhs": str(rhs)}
-    return CheckReport("graph-reciprocity", False, witness)
-
-
-def check_reciprocity_graph_poly(G: Graph) -> CheckReport:
-    """Polynomial-level form: chrom_poly(-x, -y) equals the signed sum,
-    over all (flat, acyclic orientation) pairs, of the weak order
-    polynomials at y + 1, which is _reciprocity_poly(G).  The sides differ
-    only in their block weights (see the module docstring).  The budget
-    bounds both sides' 3^n subset pairs, as in check_reciprocity_graph."""
-    _check_budget(G.n, 3, 0)
-    lhs = chrom_poly(G).negate_args()
-    rhs = _reciprocity_poly(G)
-    if lhs == rhs:
-        return CheckReport("graph-reciprocity-poly", True)
-    witness = {"graph": graph_to_json(G), "lhs": lhs.text(), "rhs": rhs.text()}
-    return CheckReport("graph-reciprocity-poly", False, witness)

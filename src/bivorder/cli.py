@@ -11,14 +11,10 @@ once, after all of the verb's work, so an error leaves it empty.  Brute
 counts come from the library, which refuses before any map is counted:
 poset-count and graph-count take one count, which past one block builds
 no table, is gated on its x^n maps alone and sums a sparse input one
-position at a time instead of enumerating it, and the oracle checks
-read the counters' cached tables.  --budget sets
+position at a time instead of enumerating it.  check prints the reports
+of verify.run_checks, which runs every check.  --budget sets
 poset.DEFAULT_BUDGET, the library's one limit, for the verb and restores
-it after, so every gate the verb passes reads it.  One walker, _sweep,
-runs every check sweep over the valid points with x0 <= n, which fix a
-polynomial of total degree <= n.  One oracle check serves posets and
-graphs: it fails a polynomial of total degree above n before its sweep,
-so the sweep is complete.
+it after, so every gate the verb passes reads it.
 """
 
 from __future__ import annotations
@@ -30,27 +26,11 @@ import json
 import sys
 from typing import IO, Callable
 
-from . import poset
-from .chrompoly import (
-    _coloring_counter,
-    check_reciprocity_graph,
-    check_reciprocity_graph_poly,
-    chrom_count,
-    chrom_poly,
-)
+from . import poset, verify
+from .chrompoly import chrom_count, chrom_poly
 from .graph import Graph, acyclic_orientations, flats, graph_from_json, graph_to_json
-from .orderpoly import (
-    MODES,
-    CheckReport,
-    _poset_counter,
-    _valid_ys,
-    brute_count,
-    check_reciprocity_poset,
-    order_poly_strict,
-    order_poly_weak,
-)
+from .orderpoly import MODES, brute_count, order_poly_strict, order_poly_weak
 from .poset import BicoloredPoset, BudgetExceededError, linear_extensions, poset_from_json
-from .ratpoly import BiPoly
 
 
 def _budget(text: str) -> int:
@@ -132,75 +112,7 @@ def _load_input(path: str) -> BicoloredPoset | Graph:
     raise ValueError("input has neither poset nor graph fields")
 
 
-def _need_poset(obj: BicoloredPoset | Graph) -> BicoloredPoset:
-    if not isinstance(obj, BicoloredPoset):
-        raise ValueError("this verb needs a poset input")
-    return obj
-
-
-def _need_graph(obj: BicoloredPoset | Graph) -> Graph:
-    if not isinstance(obj, Graph):
-        raise ValueError("this verb needs a graph input")
-    return obj
-
-
-def _sweep(name: str, n: int, cases: list[tuple[str, Callable]]) -> CheckReport:
-    """The one loop of every check sweep: at each x0 <= n, every case (mode,
-    point check) in order over the mode's valid thresholds.  A point check
-    returns a witness or None; the first witness fails the report."""
-    for x0 in range(n + 1):
-        for mode, check in cases:
-            for y0 in _valid_ys(mode, x0):
-                if (witness := check(x0, y0)) is not None:
-                    return CheckReport(name, False, witness)
-    return CheckReport(name, True)
-
-
-def _oracle_point(extras: dict, poly: BiPoly, counter: Callable, x0: int, y0: int) -> dict | None:
-    """The oracle's point check: the brute count against the polynomial."""
-    got, want = counter(x0, y0), poly.evaluate(x0, y0)
-    return None if got == want else {**extras, "x": x0, "y": y0, "poly": str(want), "brute": got}
-
-
-def _oracle_check(name: str, n: int, parts: list[tuple[str, dict, BiPoly, Callable]]) -> CheckReport:
-    """Brute counts against each part (mode, witness extras, polynomial,
-    counter) at every valid point with x0 <= n, strict before weak at each
-    x0, each mode read from one brute table.  These points fix a polynomial
-    of total degree <= n (see _simplex_coords), and every counting
-    polynomial of n elements has total degree n, so a polynomial above it
-    fails first, its witness the degree, and no wrong coordinate can pass."""
-    for _, extras, poly, _ in parts:
-        if (degree := poly.total_degree) > n:
-            return CheckReport(name, False, {**extras, "degree": degree, "n": n})
-    cases = [(m, functools.partial(_oracle_point, e, p, c)) for m, e, p, c in parts]
-    return _sweep(name, n, cases)
-
-
-def _run_checks(obj: BicoloredPoset | Graph, kind: str) -> list[CheckReport]:
-    is_poset = isinstance(obj, BicoloredPoset)
-    if kind == "poset-reciprocity" and not is_poset:
-        raise ValueError("poset-reciprocity needs a poset input")
-    if kind == "graph-reciprocity" and is_poset:
-        raise ValueError("graph-reciprocity needs a graph input")
-    reports: list[CheckReport] = []
-    if is_poset and kind in ("poset-reciprocity", "all"):
-        reports.append(check_reciprocity_poset(obj))
-    if not is_poset and kind in ("graph-reciprocity", "all"):
-        point = lambda x0, y0: check_reciprocity_graph(obj, x0, y0).witness
-        reports.append(_sweep("graph-reciprocity", obj.n, [("strict", point)]))
-        reports.append(check_reciprocity_graph_poly(obj))
-    if kind in ("oracle", "all"):
-        # the counters come first, so the budget refuses before any polynomial
-        if is_poset:
-            counters = [_poset_counter(obj, mode, obj.n) for mode in MODES]
-            polys = (order_poly_strict(obj), order_poly_weak(obj))
-            parts = [(m, {"mode": m}, p, c) for m, p, c in zip(MODES, polys, counters)]
-        else:
-            counter = _coloring_counter(obj, obj.n)
-            parts = [("strict", {}, chrom_poly(obj), counter)]
-        name = "poset-oracle" if is_poset else "graph-oracle"
-        reports.append(_oracle_check(name, obj.n, parts))
-    return reports
+_GRAPH_VERBS = ("graph-poly", "graph-count", "list-flats", "list-orientations")
 
 
 def _dispatch(args: argparse.Namespace) -> tuple[Callable, Callable, int]:
@@ -208,29 +120,32 @@ def _dispatch(args: argparse.Namespace) -> tuple[Callable, Callable, int]:
     functions so only the form asked for is built, and its exit code."""
     obj = _load_input(args.input)
     verb = args.verb
+    if verb != "check":  # which takes either input
+        need = "graph" if verb in _GRAPH_VERBS else "poset"
+        if isinstance(obj, Graph) != (need == "graph"):
+            raise ValueError(f"this verb needs a {need} input")
     if verb == "poset-poly":
-        P = _need_poset(obj)
         order_poly = order_poly_strict if args.mode == "strict" else order_poly_weak
-        poly = order_poly(P)
+        poly = order_poly(obj)
         return poly.to_json, lambda: [poly.text()], 0
     if verb == "graph-poly":
-        poly = chrom_poly(_need_graph(obj))
+        poly = chrom_poly(obj)
         return poly.to_json, lambda: [poly.text()], 0
     if verb in ("poset-count", "graph-count"):
         if verb == "poset-count":
-            count = brute_count(_need_poset(obj), args.mode, args.x, args.y)
+            count = brute_count(obj, args.mode, args.x, args.y)
         else:
-            count = chrom_count(_need_graph(obj), args.x, args.y)
+            count = chrom_count(obj, args.x, args.y)
         return lambda: {"count": count}, lambda: [str(count)], 0
     if verb == "list-extensions":
-        exts = linear_extensions(_need_poset(obj))
+        exts = linear_extensions(obj)
         return (
             lambda: {"extensions": [list(e) for e in exts]},
             lambda: (" ".join(map(str, e)) for e in exts),
             0,
         )
     if verb == "list-flats":
-        all_flats = flats(_need_graph(obj))
+        all_flats = flats(obj)
         return (
             lambda: {"flats": [
                 {
@@ -250,13 +165,13 @@ def _dispatch(args: argparse.Namespace) -> tuple[Callable, Callable, int]:
             0,
         )
     if verb == "list-orientations":
-        orients = acyclic_orientations(_need_graph(obj))
+        orients = acyclic_orientations(obj)
         return (
             lambda: {"orientations": [[list(e) for e in o.directed_edges] for o in orients]},
             lambda: (" ".join(f"{a}->{b}" for a, b in o.directed_edges) or "-" for o in orients),
             0,
         )
-    reports = _run_checks(obj, args.kind)
+    reports = verify.run_checks(obj, args.kind)
     return (
         lambda: [r.to_json() for r in reports],
         lambda: (

@@ -37,10 +37,8 @@ Strict and weak are one construction in two modes, taken as an argument
 by each routine below (chain_poly, word_decomposition, brute_count,
 interpolate_brute); only order_poly_* and word_poly_* keep one name per
 mode, as the command line and the bench harness import them by those
-names.  The chain sums differ only in their shifts, and reciprocity checks
-the two modes against each other by negating the strict integer
-coordinates of the related elements (see _negated_coords and
-check_reciprocity_poset).
+names.  The chain sums differ only in their shifts, and verify plays the
+two modes against each other by reciprocity.
 
 Counts and polynomials agree on the validity region (_valid_ys)
 0 <= y <= x in strict mode and 1 <= y <= x + 1 in weak mode; outside it
@@ -57,7 +55,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 from typing import Callable, Iterable
@@ -76,7 +73,6 @@ from .poset import (
     is_reverse_natural_labeling,
     linear_extensions,
     natural_labeling,
-    poset_to_json,
     reverse_natural_labeling,
     word_of,
 )
@@ -91,22 +87,6 @@ def _valid_ys(mode: str, x0: int) -> range:
     1..x0: 0 <= y <= x0 in strict mode, 1 <= y <= x0 + 1 in weak mode."""
     weak = mode == "weak"
     return range(weak, x0 + 1 + weak)
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one verification; a failure always carries a witness."""
-
-    name: str
-    passed: bool
-    witness: dict | None = None
-
-    def __post_init__(self) -> None:
-        if not self.passed and self.witness is None:
-            raise ValueError("failed check must carry a witness")
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "witness": self.witness}
 
 
 # closed forms ---------------------------------------------------------------
@@ -313,22 +293,18 @@ def _order_poly(mode: str, coords: dict, silver: int, celeste: int) -> BiPoly:
     return _times_powers(_binomial_poly(coords, u, v), silver, v, celeste)
 
 
-def order_poly_strict(P: BicoloredPoset, labeling: tuple[int, ...] | None = None) -> BiPoly:
+def order_poly_strict(P: BicoloredPoset) -> BiPoly:
     """Polynomial counting strict order preserving maps of P into 1..x
     with every celeste element sent strictly above y.  Raises
     BudgetExceededError when the ideal-chain states outgrow the budget
-    (see _order_coords).  A labeling is checked, not used: all agree."""
-    if labeling is not None:
-        _checked_labeling(P, labeling, "strict")
+    (see _order_coords).  It takes no labeling: all agree."""
     return _order_poly("strict", *_order_coords(P, "strict"))
 
 
-def order_poly_weak(P: BicoloredPoset, labeling: tuple[int, ...] | None = None) -> BiPoly:
+def order_poly_weak(P: BicoloredPoset) -> BiPoly:
     """Polynomial counting weak order preserving maps of P into 1..x with
     every celeste element sent to y or above.  Raises BudgetExceededError
-    as order_poly_strict does; a labeling is checked, not used."""
-    if labeling is not None:
-        _checked_labeling(P, labeling, "weak")
+    as order_poly_strict does."""
     return _order_poly("weak", *_order_coords(P, "weak"))
 
 
@@ -691,64 +667,3 @@ def interpolate_brute(P: BicoloredPoset, mode: str) -> BiPoly:
     maps into 1..P.n serves every point of the simplex."""
     _mode_ok(mode)
     return interpolate_poly(_poset_counter(P, mode, P.n), P.n, mode)
-
-
-# reciprocity ------------------------------------------------------------------
-
-
-def _negated_coords(coords: dict) -> dict:
-    """The nonzero coordinates of p(-x, -y) on the strict basis B[t, s] =
-    binom(y, t) * binom(x - y, s), given p's.  By Vandermonde, binom(-u, a) =
-    sum_j L[a][j] binom(u, j), L[a][j] = (-1)^a binom(a - 1, a - j) (zero at
-    j = 0 < a), so B[t, s](-x, -y) = sum_{j, k} L[t][j] L[s][k] B[j, k]: one
-    pass along s, a second along t.  This holds only on a basis whose
-    arguments u = y, v = x - y are linear, not affine."""
-    L = [[(0, 1)]] + [[(j, (-1) ** a * math.comb(a - 1, a - j)) for j in range(1, a + 1)]
-                      for a in range(1, max(map(max, coords), default=0) + 1)]
-    half: dict[tuple[int, int], int] = {}
-    for (t, s), c in coords.items():
-        for k, b in L[s]:
-            half[t, k] = half.get((t, k), 0) + b * c
-    out: dict[tuple[int, int], int] = {}
-    for (t, k), c in half.items():
-        for j, b in L[t]:
-            out[j, k] = out.get((j, k), 0) + b * c
-    return {jk: c for jk, c in out.items() if c}
-
-
-def check_reciprocity_poset(P: BicoloredPoset) -> CheckReport:
-    """Verify (-1)^n p_strict(-x, -y) == p_weak(x, y + 1) on the coordinates
-    of the related elements R (see _order_coords): the weak basis at y + 1
-    is the strict basis, so R's identity is (-1)^|R| _negated_coords(strict)
-    == weak.  Each isolated element's factor satisfies the identity alone,
-    (-1) * (-x) = x and (-1) * (-x + y) = x - (y + 1) + 1, and the factors
-    are nonzero, so P's identity holds exactly when R's does.  Only a
-    failure builds polynomials, P's whole ones, for the witness."""
-    (strict, silver, celeste), (weak, _, _) = (_order_coords(P, mode) for mode in MODES)
-    sign = (-1) ** (P.n - silver - celeste)
-    if _negated_coords(strict) == {ts: sign * c for ts, c in weak.items()}:
-        return CheckReport("poset-reciprocity", True)
-    lhs = _order_poly("strict", strict, silver, celeste).negate_args() * (-1) ** P.n
-    rhs = _order_poly("weak", weak, silver, celeste).shift_y(1)
-    witness = {"poset": poset_to_json(P), "lhs": lhs.text(), "rhs": rhs.text()}
-    return CheckReport("poset-reciprocity", False, witness)
-
-
-def check_reciprocity_word(w: Word) -> CheckReport:
-    """Word-level reciprocity: negating both arguments of the strict word
-    polynomial matches a weak chain sum driven by the reversed word.
-
-    The reversed word's descent count equals the original's ascent count,
-    and the prefix statistic stays with the original mark, so the right
-    side is the weak sum with those shifts, taken at y + 1.  The report
-    always records both sides.
-    """
-    lhs = word_poly_strict(w).negate_args() * (-1) ** len(w)
-    rhs = _chain_poly("weak", _word_key(w, ascents)).shift_y(1)
-    witness = {
-        "word": list(w.letters),
-        "celeste_pos": w.celeste_pos,
-        "lhs": lhs.text(),
-        "rhs": rhs.text(),
-    }
-    return CheckReport("word-reciprocity", lhs == rhs, witness)

@@ -91,7 +91,8 @@ def build_poset(
     """Build a bicolored poset from any generating set of strict relations.
 
     The transitive closure is computed here, so covers are enough.  Raises
-    ValueError on a cycle, an out-of-range index, or a duplicate pair.
+    ValueError on a cycle, an out-of-range index, a duplicate pair or a
+    duplicate celeste element.
     """
     if n < 0:
         raise ValueError("poset size must be nonnegative")
@@ -104,6 +105,9 @@ def build_poset(
         if a == b:
             raise ValueError(f"cycle detected: relation ({a}, {a})")
         preds[b] |= 1 << a
+    marked = Counter(celeste)
+    if twice := [c for c, k in marked.items() if k > 1]:
+        raise ValueError(f"duplicate celeste element {twice[0]}")
     # Warshall closure; an element above nothing neither gains nor passes on relations
     related = [b for b in range(n) if preds[b]]
     for k in related:
@@ -114,7 +118,7 @@ def build_poset(
         if preds[a] >> a & 1:
             raise ValueError(f"cycle detected through element {a}")
     less = frozenset((a, b) for b in related for a in range(n) if preds[b] >> a & 1)
-    return BicoloredPoset(n, less, frozenset(celeste))
+    return BicoloredPoset(n, less, frozenset(marked))
 
 
 @lru_cache(maxsize=4096)

@@ -70,7 +70,6 @@ from bivorder.graph import (
     orientation_to_poset,
 )
 from bivorder.orderpoly import (
-    CheckReport,
     _chain_coords,
     _checked_labeling,
     _integer,
@@ -81,6 +80,7 @@ from bivorder.orderpoly import (
 )
 from bivorder.poset import BicoloredPoset, covers, poset_to_json
 from bivorder.ratpoly import X, Y, BiPoly, _binomial_poly, binom_poly
+from bivorder.verify import CheckReport
 
 
 def pred_masks(n: int, pairs) -> list[int]:

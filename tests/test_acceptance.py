@@ -15,13 +15,7 @@ import time
 from fractions import Fraction
 
 from bivorder import chrompoly
-from bivorder.chrompoly import (
-    check_reciprocity_graph,
-    check_reciprocity_graph_poly,
-    chrom_count,
-    chrom_poly,
-    classical_chrom_poly,
-)
+from bivorder.chrompoly import chrom_count, chrom_poly, classical_chrom_poly
 from bivorder.fixtures import complete_graph, skew_diamond_poset
 from bivorder.graph import acyclic_orientations, flats
 from bivorder.orderpoly import (
@@ -29,7 +23,6 @@ from bivorder.orderpoly import (
     _poset_counter,
     _simplex_coords,
     chain_poly,
-    check_reciprocity_poset,
     interpolate_poly,
     order_poly_strict,
     order_poly_weak,
@@ -42,6 +35,11 @@ from bivorder.poset import (
 from bivorder.orderpoly import word_poly_strict, word_poly_weak
 from bivorder.ratpoly import X, Y, _binomial_poly
 from bivorder.fixtures import two_chain_celeste_top
+from bivorder.verify import (
+    check_reciprocity_graph,
+    check_reciprocity_graph_poly,
+    check_reciprocity_poset,
+)
 from oracles import (
     all_graphs,
     catalog_posets,

@@ -7,15 +7,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bivorder import chrompoly, graph, orderpoly, poset
-from bivorder.chrompoly import (
-    check_reciprocity_graph,
-    check_reciprocity_graph_poly,
-    chrom_count,
-    chrom_poly,
-    classical_chrom_poly,
-    count_compatible_colorings,
-)
+from bivorder import chrompoly, graph, orderpoly, poset, verify
+from bivorder.chrompoly import chrom_count, chrom_poly, classical_chrom_poly
 from bivorder.fixtures import (
     complete_graph,
     cycle_graph,
@@ -24,7 +17,6 @@ from bivorder.fixtures import (
 )
 from bivorder.graph import Graph, acyclic_orientations, flats, orientation_to_poset, trivial_flat
 from bivorder.orderpoly import (
-    _negated_coords,
     brute_count,
     interpolate_poly,
     order_poly_strict,
@@ -32,6 +24,12 @@ from bivorder.orderpoly import (
 )
 from bivorder.poset import BudgetExceededError
 from bivorder.ratpoly import ONE, X, Y, BiPoly, _binomial_poly
+from bivorder.verify import (
+    _negated_coords,
+    check_reciprocity_graph,
+    check_reciprocity_graph_poly,
+    count_compatible_colorings,
+)
 from oracles import (
     all_graphs,
     chrom_coords,
@@ -524,10 +522,10 @@ def test_numeric_reciprocity_builds_no_poset(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a flat, orientation or poset was enumerated")
 
-    monkeypatch.setattr(chrompoly, "orientation_to_poset", forbidden)
+    monkeypatch.setattr(verify, "orientation_to_poset", forbidden)
     monkeypatch.setattr(graph, "build_poset", forbidden)
     for name in ("flats", "acyclic_orientations"):
-        for module in (graph, chrompoly):
+        for module in (graph, chrompoly, verify):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     chrompoly._reciprocity_poly.cache_clear()
     before = orderpoly._cum_table.cache_info()
@@ -567,7 +565,7 @@ def test_reciprocity_side_is_computed_once_for_every_budget(monkeypatch):
 def test_reciprocity_witness_is_per_pair_sum(monkeypatch):
     G = cycle_graph(4)
     rhs = _per_pair_rhs(G, 3, 2)
-    monkeypatch.setattr(chrompoly, "chrom_poly", lambda H: BiPoly.zero())
+    monkeypatch.setattr(verify, "chrom_poly", lambda H: BiPoly.zero())
     report = check_reciprocity_graph(G, 3, 2)
     assert not report.passed
     assert report.witness == {
@@ -624,8 +622,8 @@ def test_reciprocity_budget_boundary_names_largest_quotient(monkeypatch):
         with pytest.raises(BudgetExceededError, match=message):
             check()
     # nothing is computed before the check
-    monkeypatch.setattr(chrompoly, "chrom_poly", None)
-    monkeypatch.setattr(chrompoly, "_reciprocity_poly", None)
+    monkeypatch.setattr(verify, "chrom_poly", None)
+    monkeypatch.setattr(verify, "_reciprocity_poly", None)
     for check in checks:
         with pytest.raises(BudgetExceededError, match=message):
             check()
@@ -648,7 +646,7 @@ def test_reciprocity_poly_witness_is_per_pair_sum(monkeypatch):
         sign = (-1) ** F.quotient.n
         for sigma in acyclic_orientations(F.quotient):
             rhs = rhs + sign * order_poly_weak(orientation_to_poset(F, sigma)).shift_y(1)
-    monkeypatch.setattr(chrompoly, "chrom_poly", lambda H: BiPoly.zero())
+    monkeypatch.setattr(verify, "chrom_poly", lambda H: BiPoly.zero())
     report = check_reciprocity_graph_poly(G)
     assert not report.passed
     assert report.witness["lhs"] == "0"

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bivorder.cli as cli
-from bivorder import chrompoly, orderpoly, poset
+from bivorder import chrompoly, orderpoly, poset, verify
 from bivorder.chrompoly import chrom_count, chrom_poly
 from bivorder.fixtures import (
     complete_graph,
@@ -24,9 +24,10 @@ from bivorder.fixtures import (
     path_graph,
 )
 from bivorder.graph import Graph, graph_from_json, graph_to_json
-from bivorder.orderpoly import MODES, CheckReport, brute_count
+from bivorder.orderpoly import MODES, brute_count
 from bivorder.poset import BudgetExceededError, build_poset, poset_from_json, poset_to_json
 from bivorder.ratpoly import BiPoly, X, Y, _binomial_poly, binom_poly
+from bivorder.verify import CheckReport
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -178,6 +179,14 @@ def test_malformed_input_names_its_fault(tmp_path, data, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_duplicate_celeste_entry_exits_two(tmp_path):
+    # as a duplicate cover or edge does, before any polynomial is printed
+    path = tmp_path / "twice.json"
+    path.write_text('{"n": 3, "covers": [[0, 1]], "celeste": [0, 0]}')
+    code, out, err = run_cli("poset-poly", "--input", str(path), "--mode", "strict")
+    assert (code, out, err) == (2, "", "error: duplicate celeste element 0\n")
+
+
 def test_list_extensions_of_a_chain_deeper_than_the_recursion_limit(tmp_path):
     # one extension placed element by element, past the interpreter's depth
     n = sys.getrecursionlimit() + 10
@@ -260,7 +269,7 @@ def test_failed_check_exits_one_and_prints_witness(monkeypatch):
     failing = CheckReport(
         "graph-reciprocity", False, {"x": 1, "y": 1, "lhs": "0", "rhs": "1"}
     )
-    monkeypatch.setattr(cli, "check_reciprocity_graph", lambda *a, **k: failing)
+    monkeypatch.setattr(verify, "check_reciprocity_graph", lambda *a, **k: failing)
     code, out, _ = run_cli(
         "check", "--input", fixture("k3.json"), "--kind", "graph-reciprocity"
     )
@@ -380,8 +389,8 @@ def test_count_beyond_numpy_dimension_limit(tmp_path):
 )
 def test_poset_oracle_witness_in_both_modes(monkeypatch, errors, mode, x, y):
     for m, error in errors.items():
-        exact = getattr(cli, f"order_poly_{m}")
-        monkeypatch.setattr(cli, f"order_poly_{m}", lambda P, f=exact, e=error: f(P) + e)
+        exact = getattr(verify, f"order_poly_{m}")
+        monkeypatch.setattr(verify, f"order_poly_{m}", lambda P, f=exact, e=error: f(P) + e)
     code, out, _ = run_cli(
         "check", "--input", fixture("skewdiamond.json"), "--kind", "oracle",
         "--format", "json",
@@ -408,8 +417,8 @@ def test_poset_oracle_witness_in_both_modes(monkeypatch, errors, mode, x, y):
 def test_oracle_refuses_a_polynomial_above_degree_n(monkeypatch, name, attr, mode, t, out):
     # binom(y - w, n + 1) is zero at every swept point, where y0 - w <= x0 <= n,
     # so the sweep alone passes it; the degree guard fails it first
-    exact = getattr(cli, attr)
-    monkeypatch.setattr(cli, attr, lambda P: exact(P) + _basis_bump(t, 0, mode))
+    exact = getattr(verify, attr)
+    monkeypatch.setattr(verify, attr, lambda P: exact(P) + _basis_bump(t, 0, mode))
     code, got, err = run_cli(
         "check", "--input", fixture(name), "--kind", "oracle", "--format", "json"
     )
@@ -435,7 +444,7 @@ def test_graph_oracle_identity_witnesses(monkeypatch, error, identity, witness):
     assert ([wrong.evaluate(x0, 0) for x0 in range(5)] == [x0**3 for x0 in range(5)]) == (
         identity == "y=x"
     )
-    monkeypatch.setattr(cli, "chrom_poly", lambda P, **kw: wrong)
+    monkeypatch.setattr(verify, "chrom_poly", lambda P, **kw: wrong)
     code, out, err = run_cli(
         "check", "--input", fixture("k3.json"), "--kind", "oracle", "--format", "json"
     )
@@ -482,8 +491,8 @@ def test_oracle_fails_on_a_planted_top_coordinate(monkeypatch, tmp_path, kind):
         obj, name, bump = fence_poset(7), "order_poly_strict", _basis_bump(3, 4, "strict")
         brute, extras = brute_count(obj, "strict", 7, 3), {"mode": "strict"}
         data = poset_to_json(obj)
-    exact = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda P: exact(P) + bump)
+    exact = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda P: exact(P) + bump)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
     code, out, err = run_cli("check", "--input", str(path), "--kind", "oracle", "--format", "json")
@@ -519,10 +528,10 @@ def test_oracle_finds_any_planted_top_coordinate(planted):
     obj, mode, d, t, c = planted
     n = obj.n
     name = "chrom_poly" if isinstance(obj, Graph) else f"order_poly_{mode}"
-    exact = getattr(cli, name)
+    exact = getattr(verify, name)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, name, lambda P: exact(P) + c * _basis_bump(t, d - t, mode))
-        [report] = cli._run_checks(obj, "oracle")
+        mp.setattr(verify, name, lambda P: exact(P) + c * _basis_bump(t, d - t, mode))
+        [report] = verify.run_checks(obj, "oracle")
     assert not report.passed
     witness = report.witness
     assert witness.get("mode", "strict") == mode
@@ -546,17 +555,17 @@ def test_oracle_reads_exactly_the_simplex(monkeypatch, n):
         read[key] = set()
         return lambda x0, y0: read[key].add((x0, y0)) or counter(x0, y0)
 
-    poset_counter, coloring_counter = cli._poset_counter, cli._coloring_counter
+    poset_counter, coloring_counter = verify._poset_counter, verify._coloring_counter
     monkeypatch.setattr(
-        cli, "_poset_counter",
+        verify, "_poset_counter",
         lambda P, mode, x_max: recorded(mode, x_max, poset_counter(P, mode, x_max)),
     )
     monkeypatch.setattr(
-        cli, "_coloring_counter",
+        verify, "_coloring_counter",
         lambda G, x_max: recorded("graph", x_max, coloring_counter(G, x_max)),
     )
     for obj in (fence_poset(n), path_graph(n)):
-        assert all(r.passed for r in cli._run_checks(obj, "oracle"))
+        assert all(r.passed for r in verify.run_checks(obj, "oracle"))
     assert tables == [n, n, n]
     for key, mode in (("strict", "strict"), ("weak", "weak"), ("graph", "strict")):
         simplex = set()
@@ -577,7 +586,7 @@ def _planted_reciprocity(t, s, c):
 def test_graph_reciprocity_fails_on_a_planted_top_coordinate(monkeypatch, tmp_path):
     # binom(y, 3) * binom(x - y, 3) is zero at every point with x0 < 6, so a
     # sweep that stops below x0 = n passes it
-    monkeypatch.setattr(chrompoly, "_reciprocity_poly", _planted_reciprocity(3, 3, 1))
+    monkeypatch.setattr(verify, "_reciprocity_poly", _planted_reciprocity(3, 3, 1))
     C6 = cycle_graph(6)
     path = tmp_path / "c6.json"
     path.write_text(json.dumps(graph_to_json(C6)))
@@ -617,8 +626,8 @@ def test_graph_reciprocity_finds_any_planted_top_coordinate(planted):
     G, t, c = planted
     n = G.n
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chrompoly, "_reciprocity_poly", _planted_reciprocity(t, n - t, c))
-        report = cli._run_checks(G, "graph-reciprocity")[0]
+        mp.setattr(verify, "_reciprocity_poly", _planted_reciprocity(t, n - t, c))
+        report = verify.run_checks(G, "graph-reciprocity")[0]
     assert report.name == "graph-reciprocity" and not report.passed
     # binom(y, t) * binom(x - y, n - t) is zero below x0 = n and 1 at y0 = t there
     witness = report.witness
@@ -630,14 +639,14 @@ def test_graph_reciprocity_finds_any_planted_top_coordinate(planted):
 def test_graph_reciprocity_reads_the_oracle_simplex(monkeypatch, n):
     # the points the graph oracle reads, 0 <= y0 <= x0 <= n, x0 by x0
     read = []
-    exact = cli.check_reciprocity_graph
+    exact = verify.check_reciprocity_graph
 
     def recorded(G, x0, y0):
         read.append((x0, y0))
         return exact(G, x0, y0)
 
-    monkeypatch.setattr(cli, "check_reciprocity_graph", recorded)
-    assert all(r.passed for r in cli._run_checks(path_graph(n), "graph-reciprocity"))
+    monkeypatch.setattr(verify, "check_reciprocity_graph", recorded)
+    assert all(r.passed for r in verify.run_checks(path_graph(n), "graph-reciprocity"))
     assert read == [(x0, y0) for x0 in range(n + 1) for y0 in range(x0 + 1)]
 
 def test_negative_budget_is_usage_error():

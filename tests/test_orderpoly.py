@@ -5,7 +5,6 @@ import re
 import resource
 import subprocess
 import sys
-import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -29,22 +28,18 @@ from bivorder.fixtures import (
     skew_diamond_poset,
     two_chain_celeste_top,
 )
-from bivorder import orderpoly, poset, ratpoly
+from bivorder import orderpoly, poset, ratpoly, verify
 from bivorder.orderpoly import (
     MODES,
     _MODE_BASIS,
-    CheckReport,
     _chain_coords,
     _chain_poly,
     _checked_labeling,
-    _negated_coords,
     _order_coords,
     _valid_ys,
     _word_key,
     brute_count,
     chain_poly,
-    check_reciprocity_poset,
-    check_reciprocity_word,
     interpolate_brute,
     interpolate_poly,
     order_poly_strict,
@@ -68,6 +63,12 @@ from bivorder.poset import (
     word_of,
 )
 from bivorder.ratpoly import ONE, X, Y, BiPoly, _binomial_poly, binom_poly
+from bivorder.verify import (
+    CheckReport,
+    _negated_coords,
+    check_reciprocity_poset,
+    check_reciprocity_word,
+)
 from oracles import (
     all_graphs,
     bipoly_poset_reciprocity,
@@ -273,21 +274,19 @@ def test_decomposition_rejects_wrong_labeling_kind():
         word_decomposition(P, "strict", (1, 2))
     with pytest.raises(ValueError, match="natural"):
         word_decomposition(P, "weak", (2, 1))
-    with pytest.raises(ValueError):
-        order_poly_strict(P, (1, 2))
-    with pytest.raises(ValueError):
-        order_poly_weak(P, (2, 1))
 
 
 @pytest.mark.parametrize("n", range(4))
 def test_labeling_independence_small_catalog(n):
+    # every labeling of the mode's kind sums the words to the one polynomial
     for P in catalog_posets(n):
-        ps = order_poly_strict(P)
-        pw = order_poly_weak(P)
-        for lab in all_reverse_natural_labelings(P):
-            assert order_poly_strict(P, lab) == ps
-        for lab in all_natural_labelings(P):
-            assert order_poly_weak(P, lab) == pw
+        for mode, labelings in (
+            ("strict", all_reverse_natural_labelings(P)),
+            ("weak", all_natural_labelings(P)),
+        ):
+            poly = ORDER_POLY[mode](P)
+            for lab in labelings:
+                assert _per_extension_sum(word_decomposition(P, mode, lab)) == poly
 
 
 def _per_extension_sum(decomposition) -> BiPoly:
@@ -317,10 +316,10 @@ def _assert_equal_per_extension_sums(P, strict_labelings, weak_labelings):
         ("weak", weak_labelings, order_poly_weak),
     ):
         for lab in (None, *labelings):
-            assert order_poly(P, lab) == _coords_poly(_per_extension_coords(P, mode, lab), mode)
+            assert order_poly(P) == _coords_poly(_per_extension_coords(P, mode, lab), mode)
             # the public per-word polynomials, on the posets small enough to be cheap
             if P.n <= 2:
-                assert order_poly(P, lab) == _per_extension_sum(word_decomposition(P, mode, lab))
+                assert order_poly(P) == _per_extension_sum(word_decomposition(P, mode, lab))
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -420,7 +419,7 @@ def test_order_coords_equal_word_key_oracle_random(P, rng):
         lab = tuple(
             position[v] + 1 if mode == "weak" else P.n - position[v] for v in range(P.n)
         )
-        assert ORDER_POLY[mode](P, lab) == _coords_poly(
+        assert ORDER_POLY[mode](P) == _coords_poly(
             key_coords(word_key_counts(P, mode, lab), mode), mode
         )
 
@@ -499,29 +498,48 @@ def test_isolated_elements_multiply_the_polynomial(case):
     assert check_reciprocity_poset(union) == bipoly_poset_reciprocity(union)
 
 
+def _record_basis_changes(monkeypatch) -> list[int]:
+    """The total degree of every change of basis orderpoly makes from now
+    on, the largest t + s among the coordinates _binomial_poly is given."""
+    degrees = []
+
+    def recorded(coords, u, v):
+        degrees.append(max((t + s for t, s in coords), default=0))
+        return _binomial_poly(coords, u, v)
+
+    monkeypatch.setattr(orderpoly, "_binomial_poly", recorded)
+    return degrees
+
+
 @pytest.mark.parametrize("celeste", [(), tuple(range(0, 200, 3))], ids=["silver", "third"])
-def test_two_hundred_element_antichains_run_no_dynamic_program(celeste):
+def test_two_hundred_element_antichains_run_no_dynamic_program(monkeypatch, celeste):
     # 200 isolated elements: the finished polynomial is one product of
     # linear factors, with no ideal, no coordinate and no basis change of
     # degree 200
+    degrees = _record_basis_changes(monkeypatch)
     P = antichain_poset(200, celeste)
-    start = time.perf_counter()
+    a = len(celeste)
+    for mode in MODES:
+        assert _order_coords(P, mode) == ({(0, 0): 1}, 200 - a, a)
     polys = [ORDER_POLY[mode](P) for mode in MODES]
     report = check_reciprocity_poset(P)
-    assert time.perf_counter() - start < 0.1
-    a = len(celeste)
+    assert set(degrees) == {0}
     assert polys == [X ** (200 - a) * (X - Y + w) ** a for w in (0, 1)]
     assert report.passed
 
 
-def test_sixteen_element_antichains_take_no_ideal_chains():
+def test_sixteen_element_antichains_take_no_ideal_chains(monkeypatch):
     # every element is isolated, so no dynamic program runs: the product
     # of 16 linear factors, which the program over all 2^16 ideals took
     # seconds and hundreds of MiB to reach in weak mode
+    degrees = _record_basis_changes(monkeypatch)
     posets = [antichain_poset(16), antichain_poset(16, (0, 5, 11, 15))]
-    start = time.perf_counter()
+    for P in posets:
+        a = len(P.celeste)
+        for mode in MODES:
+            assert _order_coords(P, mode) == ({(0, 0): 1}, 16 - a, a)
     polys = [ORDER_POLY[mode](P) for P in posets for mode in MODES]
-    assert time.perf_counter() - start < 0.1
+    assert set(degrees) == {0}
     assert polys == [X**16, X**16, X**12 * (X - Y) ** 4, X**12 * (X - Y + 1) ** 4]
 
 
@@ -552,8 +570,6 @@ def test_order_polys_do_not_list_extensions():
     assert order_poly_weak(big) == X**9 * (X - Y + 1) ** 3
     assert order_poly_strict(P) == X**6 * (X - Y) ** 3
     assert order_poly_weak(P) == X**6 * (X - Y + 1) ** 3
-    assert order_poly_strict(P, tuple(range(9, 0, -1))) == X**6 * (X - Y) ** 3
-    assert order_poly_weak(P, tuple(range(1, 10))) == X**6 * (X - Y + 1) ** 3
     assert chrom_poly.__wrapped__(G).subs_y_for_x() == classical_chrom_poly(G)
     assert linear_extensions.cache_info() == before
 
@@ -1233,7 +1249,8 @@ def test_reciprocity_failure_carries_the_oracle_witness(monkeypatch, P):
             coords[min(coords)] += 1
         return coords, silver, celeste
 
-    monkeypatch.setattr(orderpoly, "_order_coords", skewed)
+    for module in (orderpoly, verify):
+        monkeypatch.setattr(module, "_order_coords", skewed)
     report = check_reciprocity_poset(P)
     assert not report.passed
     assert set(report.witness) == {"poset", "lhs", "rhs"}

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import itertools
 import random
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bivorder
-from bivorder import chrompoly, cli, orderpoly
+from bivorder import chrompoly, cli, orderpoly, verify
 from bivorder.fixtures import (
     antichain_poset,
     chain_poset,
@@ -72,6 +73,15 @@ def test_build_rejects_bad_input():
         build_poset(3, [(0, 1), (0, 1)])
     with pytest.raises(ValueError, match="range"):
         build_poset(2, [], celeste=[5])
+
+
+def test_build_rejects_a_duplicate_celeste_element():
+    # as it does a duplicate relation; any iterable of distinct elements passes
+    with pytest.raises(ValueError, match="duplicate celeste element 1"):
+        build_poset(3, [(0, 1)], celeste=[1, 2, 1])
+    with pytest.raises(ValueError, match="duplicate celeste element 0"):
+        poset_from_json({"n": 3, "covers": [[0, 1]], "celeste": [0, 0]})
+    assert build_poset(3, [(0, 1)], celeste=iter([2, 0])).celeste == {0, 2}
 
 
 def test_direct_construction_validates():
@@ -406,7 +416,34 @@ def test_no_function_takes_a_budget():
         orderpoly._counter,
         orderpoly._poset_counter,
         chrompoly._coloring_counter,
-        cli._run_checks,
+        verify.run_checks,
     ]
     for fn in filter(callable, exported + private):
         assert "budget" not in inspect.signature(fn).parameters, fn
+
+
+def test_checks_live_in_verify_alone():
+    # one home: every moved name is verify's and none is left behind; the
+    # polynomial modules do not import verify, and cli imports no private
+    # name of theirs
+    public = [
+        "CheckReport", "check_reciprocity_poset", "check_reciprocity_word",
+        "check_reciprocity_graph", "check_reciprocity_graph_poly",
+        "count_compatible_colorings", "run_checks",
+    ]
+    private = ["_negated_coords", "_sweep", "_oracle_point", "_oracle_check", "_run_checks"]
+    for name in public:
+        assert getattr(verify, name).__module__ == "bivorder.verify"
+    for module in (orderpoly, chrompoly, cli):
+        assert not [name for name in public + private if hasattr(module, name)], module
+
+    def imports(module):
+        tree = ast.parse(inspect.getsource(module))
+        return [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+
+    for module in (orderpoly, chrompoly):
+        for node in imports(module):
+            assert node.module != "verify" and "verify" not in [a.name for a in node.names]
+    for node in imports(cli):
+        if node.module in ("orderpoly", "chrompoly"):
+            assert not [a.name for a in node.names if a.name.startswith("_")], node.module
