@@ -26,13 +26,8 @@ read by the same builder.  The sides share code, not weights.
 The tests' oracles: either side's sums on the strict basis
 binom(y, t) * binom(x - y, s) through ratpoly._binomial_poly; the
 paper's per-pair constructions, strict order polynomials for chrom_poly
-and verify.count_compatible_colorings for the right side; and chrom_count,
-which counts colorings through orderpoly's brute counters (see
-_coloring_constraints) and shares no code with any route: read from a
-cached table within one block, else gated on the x^n colorings alone
-and either summed one vertex at a time, one factor per edge, when x >= 2
-and the elimination order says that is cheaper, or reduced block by
-block to one number (see orderpoly._count).
+and verify.count_compatible_colorings for the right side; and the brute
+count brute.chrom_count, which shares no code with any route.
 
 Every enumeration here refuses through poset's one budget gate (see
 poset._check_budget); no function takes a budget.  A polynomial
@@ -42,36 +37,12 @@ chrom_poly has cached is returned without the gate: it enumerates nothing.
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .graph import Graph, _subset_masks
-from .orderpoly import _MODE_BASIS, _count, _counter, _counts_ok
 from .poset import _check_budget
-from .ratpoly import BiPoly, X, _falling_poly
-
-
-def _coloring_constraints(G: Graph) -> tuple:
-    """G's colorings as the brute kernel reads them, (relations, below,
-    lows, shift): no relation, and each edge a low term, so a coloring is
-    admissible when its least monochromatic color is above y0."""
-    return (), operator.lt, G.sorted_edges(), 1
-
-
-def _coloring_counter(G: Graph, x_max: int) -> Callable:
-    """Admissible colorings counted by (x0, y0), from one enumeration of
-    all colorings into 1..x_max (see _coloring_constraints)."""
-    return _counter(G.n, x_max, *_coloring_constraints(G))
-
-
-def chrom_count(G: Graph, x0: int, y0: int) -> int:
-    """Count admissible colorings; the budget bounds all x0^n of them,
-    whichever route counts them.  Past one block of colorings or cells no
-    table is built or cached, and a sparse graph is summed one vertex at a
-    time instead of enumerated (see orderpoly._count)."""
-    _counts_ok(x0, y0)
-    return _count(G.n, x0, y0, *_coloring_constraints(G))
+from .ratpoly import _MODE_BASIS, BiPoly, X, _falling_poly
 
 
 def _partition_sums(n: int, weight: Sequence[int], near: Sequence[int]) -> list[list[int]]:

@@ -7,12 +7,10 @@ usage or bad input.  Output for identical inputs is byte-identical.
 
 The argument parser is built once per process.  A verb returns its exit
 code and functions for its JSON payload and text lines; stdout is written
-once, after all of the verb's work, so an error leaves it empty.  Brute
-counts come from the library, which refuses before any map is counted:
-poset-count and graph-count take one count, which past one block builds
-no table, is gated on its x^n maps alone and sums a sparse input one
-position at a time instead of enumerating it.  check prints the reports
-of verify.run_checks, which runs every check.  --budget sets
+once, after all of the verb's work, so an error leaves it empty.
+poset-count and graph-count take one count from brute, which refuses
+before any map is counted.  check prints the reports of
+verify.run_checks, which runs every check.  --budget sets
 poset.DEFAULT_BUDGET, the library's one limit, for the verb and restores
 it after, so every gate the verb passes reads it.
 """
@@ -26,11 +24,12 @@ import json
 import sys
 from typing import IO, Callable
 
-from . import poset, verify
-from .chrompoly import chrom_count, chrom_poly
+from . import brute, poset, verify
+from .chrompoly import chrom_poly
 from .graph import Graph, acyclic_orientations, flats, graph_from_json, graph_to_json
-from .orderpoly import MODES, brute_count, order_poly_strict, order_poly_weak
+from .orderpoly import order_poly_strict, order_poly_weak
 from .poset import BicoloredPoset, BudgetExceededError, linear_extensions, poset_from_json
+from .ratpoly import MODES
 
 
 def _budget(text: str) -> int:
@@ -133,9 +132,9 @@ def _dispatch(args: argparse.Namespace) -> tuple[Callable, Callable, int]:
         return poly.to_json, lambda: [poly.text()], 0
     if verb in ("poset-count", "graph-count"):
         if verb == "poset-count":
-            count = brute_count(obj, args.mode, args.x, args.y)
+            count = brute.brute_count(obj, args.mode, args.x, args.y)
         else:
-            count = chrom_count(obj, args.x, args.y)
+            count = brute.chrom_count(obj, args.x, args.y)
         return lambda: {"count": count}, lambda: [str(count)], 0
     if verb == "list-extensions":
         exts = linear_extensions(obj)

@@ -39,7 +39,7 @@ class BudgetExceededError(RuntimeError):
 def _check_budget(n: int, base: int, cells: int) -> None:
     """base^n objects and the cells of the table they fill must fit
     DEFAULT_BUDGET, read now.  Cells are 0 where no table is built; only
-    orderpoly's brute tables are.  A count of 20+ digits is written
+    brute's tables are.  A count of 20+ digits is written
     base^n, not computed once its lower bound 2^bits exceeds 10^19 < 2^64,
     the limit and the cells, so any n prints."""
     bits = n * (base.bit_length() - 1)

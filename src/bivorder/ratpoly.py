@@ -343,6 +343,15 @@ def binom_poly(arg: BiPoly, m: int) -> BiPoly:
     return BiPoly._trusted(out._num, out._den * math.factorial(m))
 
 
+MODES = ("strict", "weak")
+_MODE_BASIS = {"strict": (Y, X - Y), "weak": (Y - 1, X - Y + 1)}  # see orderpoly._order_coords
+
+
+def _mode_ok(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+
+
 def _falling_rows(c: int, top: int) -> list[list[int]]:
     """Row t, t <= top: the coefficients of t! * binom(l + c, t), the falling
     factorial (l + c)(l + c - 1)...(l + c - t + 1), in powers of l; row

@@ -8,7 +8,7 @@ chrom_poly(G)(-x, -y) with the signed count of (flat, acyclic
 orientation, compatible coloring) triples; count_compatible_colorings
 counts one pair's share.
 
-The oracle checks brute counts against the polynomials.  One walker,
+The oracle checks brute's counts against the polynomials.  One walker,
 _sweep, runs every check sweep over the valid points with x0 <= n, which
 fix a polynomial of total degree <= n.  One oracle check serves posets
 and graphs: it fails a polynomial of total degree above n before its
@@ -17,8 +17,8 @@ polynomial is built, so the budget refuses first, and each reads one
 cached brute table.
 
 No check takes a budget; each refuses through poset's one gate.  The
-layering runs one way: orderpoly and chrompoly build the polynomials and
-do not import this module.
+layering runs one way: orderpoly and chrompoly build the polynomials,
+brute counts, and none of them imports this module.
 """
 
 from __future__ import annotations
@@ -29,14 +29,15 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable
 
-from .chrompoly import _coloring_counter, _reciprocity_poly, chrom_poly
+from .brute import _coloring_counter, _poset_counter, _valid_ys, brute_count
+from .chrompoly import _reciprocity_poly, chrom_poly
 from .graph import AcyclicOrientation, Flat, Graph, graph_to_json, orientation_to_poset
 from .orderpoly import (
-    MODES, _chain_poly, _order_coords, _order_poly, _poset_counter, _valid_ys, _word_key,
-    brute_count, order_poly_strict, order_poly_weak, word_poly_strict,
+    _chain_poly, _order_coords, _order_poly, _word_key, order_poly_strict, order_poly_weak,
+    word_poly_strict,
 )
 from .poset import BicoloredPoset, Word, _check_budget, ascents, poset_to_json
-from .ratpoly import BiPoly
+from .ratpoly import MODES, BiPoly
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ def _oracle_check(name: str, n: int, parts: list[tuple[str, dict, BiPoly, Callab
     """Brute counts against each part (mode, witness extras, polynomial,
     counter) at every valid point with x0 <= n, strict before weak at each
     x0, each mode read from one brute table.  These points fix a polynomial
-    of total degree <= n (see orderpoly._simplex_coords), and every counting
+    of total degree <= n (see brute._simplex_coords), and every counting
     polynomial of n elements has total degree n, so a polynomial above it
     fails first, its witness the degree, and no wrong coordinate can pass."""
     degrees = ({**e, "degree": p.total_degree, "n": n} for _, e, p, _ in parts

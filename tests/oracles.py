@@ -18,9 +18,9 @@ its oracles.  product_binomial_poly, binom_poly products
 summed term by term, was the library's coordinate-to-polynomial builder
 and is the oracle of ratpoly._binomial_poly.  The per-block tally route
 (map_blocks, tally_cum_table, tally_map_table, tally_coloring_table),
-once the library's brute kernel, is the oracle of orderpoly._cum_table,
+once the library's brute kernel, is the oracle of brute._cum_table,
 which replaced it, on the constraint descriptions that
-orderpoly._poset_counter and chrompoly._coloring_counter give it.  The
+brute._poset_counter and brute._coloring_counter give it.  The
 dict_* functions, polynomials as plain dicts of Fraction coefficients,
 are the oracle of BiPoly's integer arithmetic.  product_interpolate_poly,
 Newton interpolation through a product grid of degree n in each variable
@@ -59,6 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
+from bivorder.brute import _integer, _valid_ys
 from bivorder.chrompoly import _acyclic_counts, _chrom_sums, _partition_sums
 from bivorder.graph import (
     AcyclicOrientation,
@@ -72,14 +73,11 @@ from bivorder.graph import (
 from bivorder.orderpoly import (
     _chain_coords,
     _checked_labeling,
-    _integer,
-    _mode_ok,
-    _valid_ys,
     order_poly_strict,
     order_poly_weak,
 )
 from bivorder.poset import BicoloredPoset, covers, poset_to_json
-from bivorder.ratpoly import X, Y, BiPoly, _binomial_poly, binom_poly
+from bivorder.ratpoly import X, Y, BiPoly, _binomial_poly, _mode_ok, binom_poly
 from bivorder.verify import CheckReport
 
 
@@ -220,7 +218,7 @@ def product_interpolate_poly(counter, n: int, mode: str) -> BiPoly:
     through the counter's integer values on the mode's grid of consecutive
     integers, in Newton's form: the sum of the forward differences Δ^{i,j}
     at (xs[0], ys[0]) times binom(x - xs[0], i) * binom(y - ys[0], j).
-    Once orderpoly.interpolate_poly, now the oracle of its simplex reader."""
+    Once brute.interpolate_poly, now the oracle of its simplex reader."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     _mode_ok(mode)
@@ -584,7 +582,7 @@ def reciprocity_coords(G: Graph) -> dict[tuple[int, int], int]:
 
 
 # the per-block tally route -----------------------------------------------
-# Once the library's brute kernel, now the oracle of orderpoly._cum_table:
+# Once the library's brute kernel, now the oracle of brute._cum_table:
 # every constraint is evaluated on every block, in int64.
 
 TALLY_BLOCK_MAPS = 1 << 15
@@ -627,7 +625,7 @@ def tally_cum_table(n: int, x_max: int, tally) -> np.ndarray:
 
 
 def tally_map_table(P: BicoloredPoset, mode: str, x_max: int) -> np.ndarray:
-    """The mode's map table of P (see orderpoly._poset_counter) by the
+    """The mode's map table of P (see brute._poset_counter) by the
     per-block tally route."""
     below = operator.lt if mode == "strict" else operator.le
     relations = covers(P)
@@ -642,7 +640,7 @@ def tally_map_table(P: BicoloredPoset, mode: str, x_max: int) -> np.ndarray:
 
 
 def tally_coloring_table(G: Graph, x_max: int) -> np.ndarray:
-    """G's coloring table (see chrompoly._coloring_counter) by the
+    """G's coloring table (see brute._coloring_counter) by the
     per-block tally route."""
 
     def tally(values, none):

@@ -14,16 +14,13 @@ import itertools
 import time
 from fractions import Fraction
 
-from bivorder import chrompoly
-from bivorder.chrompoly import chrom_count, chrom_poly, classical_chrom_poly
+from bivorder import brute, chrompoly
+from bivorder.brute import _poset_counter, _simplex_coords, chrom_count, interpolate_poly
+from bivorder.chrompoly import chrom_poly, classical_chrom_poly
 from bivorder.fixtures import complete_graph, skew_diamond_poset
 from bivorder.graph import acyclic_orientations, flats
 from bivorder.orderpoly import (
-    _MODE_BASIS,
-    _poset_counter,
-    _simplex_coords,
     chain_poly,
-    interpolate_poly,
     order_poly_strict,
     order_poly_weak,
 )
@@ -33,7 +30,7 @@ from bivorder.poset import (
     all_reverse_natural_labelings,
 )
 from bivorder.orderpoly import word_poly_strict, word_poly_weak
-from bivorder.ratpoly import X, Y, _binomial_poly
+from bivorder.ratpoly import _MODE_BASIS, X, Y, _binomial_poly
 from bivorder.fixtures import two_chain_celeste_top
 from bivorder.verify import (
     check_reciprocity_graph,
@@ -190,7 +187,7 @@ def test_criterion_8_chromatic_interpolation():
     for n in range(5):
         for G in all_graphs(n):
             # one coloring table up to the simplex's largest x = n serves it
-            counter = chrompoly._coloring_counter(G, G.n)
+            counter = brute._coloring_counter(G, G.n)
             assert _nonzero_simplex_coords(counter, G.n, "strict") == chrom_coords(G)
             poly = chrom_poly(G)
             assert poly.subs_y_for_x() == classical_chrom_poly(G)

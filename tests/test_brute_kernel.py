@@ -1,10 +1,10 @@
-"""The brute kernel orderpoly._cum_table against the per-block tally
+"""The brute kernel brute._cum_table against the per-block tally
 route it replaced (tests/oracles.py), for posets in both modes and for
 graphs, at every block shape, and its time and memory at the budget's
 extreme shapes.  The kernel runs uncached, on the constraint
-descriptions that orderpoly._poset_counter and
-chrompoly._coloring_counter give it.  A single count past one block may
-sum its positions out instead (orderpoly._eliminate): that route against
+descriptions that brute._poset_counter and
+brute._coloring_counter give it.  A single count past one block may
+sum its positions out instead (brute._eliminate): that route against
 the definition and the kernel's threshold counts, which inputs take it,
 its exactness past 2^63 and on long chains and wide stars, and its time
 and memory where it is not taken or has no pairs."""
@@ -18,8 +18,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bivorder import orderpoly, poset
-from bivorder.chrompoly import _coloring_constraints, chrom_count, chrom_poly
+from bivorder import brute, poset
+from bivorder.brute import (
+    _coloring_constraints,
+    _poset_constraints,
+    _valid_ys,
+    brute_count,
+    chrom_count,
+)
+from bivorder.chrompoly import chrom_poly
 from bivorder.fixtures import (
     antichain_poset,
     chain_poset,
@@ -31,13 +38,7 @@ from bivorder.fixtures import (
     skew_diamond_poset,
 )
 from bivorder.graph import Graph
-from bivorder.orderpoly import (
-    _poset_constraints,
-    _valid_ys,
-    brute_count,
-    order_poly_strict,
-    order_poly_weak,
-)
+from bivorder.orderpoly import order_poly_strict, order_poly_weak
 from bivorder.poset import build_poset, covers
 from oracles import (
     all_graphs,
@@ -49,7 +50,7 @@ from oracles import (
 )
 
 MODES = ("strict", "weak")
-kernel = orderpoly._cum_table.__wrapped__
+kernel = brute._cum_table.__wrapped__
 
 
 def map_table(P, mode, x_max):
@@ -87,7 +88,7 @@ def assert_coloring_tables_equal(G, x_max):
 def test_map_tables_equal_tally_route_at_every_block_size(monkeypatch, block):
     # small blocks move positions from the inner arrays to the leading
     # values, so every constraint meets every pair of levels
-    monkeypatch.setattr(orderpoly, "_BLOCK_MAPS", block)
+    monkeypatch.setattr(brute, "_BLOCK_MAPS", block)
     rng = random.Random(block)
     posets = [skew_diamond_poset(), fence_poset(5, (1, 4)), chain_poset(4, (2,))]
     posets += catalog_posets(3) + [random_poset(rng, rng.randint(4, 6)) for _ in range(12)]
@@ -98,7 +99,7 @@ def test_map_tables_equal_tally_route_at_every_block_size(monkeypatch, block):
 
 @pytest.mark.parametrize("block", [1, 3, 10, 1 << 15])
 def test_coloring_tables_equal_tally_route_at_every_block_size(monkeypatch, block):
-    monkeypatch.setattr(orderpoly, "_BLOCK_MAPS", block)
+    monkeypatch.setattr(brute, "_BLOCK_MAPS", block)
     rng = random.Random(block)
     graphs = all_graphs(3) + [cycle_graph(5)] + [random_graph(rng, rng.randint(4, 6)) for _ in range(12)]
     for G in graphs:
@@ -111,7 +112,7 @@ def test_low_terms_count_alike_in_either_order(monkeypatch, block):
     # callers list a low term's lower position first; flipping pairs to
     # (v, u) moves each end across the leading/inner split at some block
     # size, and the table and every threshold count stay the same
-    monkeypatch.setattr(orderpoly, "_BLOCK_MAPS", block)
+    monkeypatch.setattr(brute, "_BLOCK_MAPS", block)
     rng = random.Random(block)
     for _ in range(12):
         G = random_graph(rng, rng.randint(2, 6))
@@ -122,14 +123,14 @@ def test_low_terms_count_alike_in_either_order(monkeypatch, block):
             reversed_ = (G.n, x_max, (), operator.lt, flipped)
             assert np.array_equal(kernel(*reversed_), kernel(*ordered)), (G, flipped, x_max)
             for threshold in range(x_max + 2):
-                count = orderpoly._maps(*reversed_, threshold)
-                assert count == orderpoly._maps(*ordered, threshold), (G, flipped, threshold)
+                count = brute._maps(*reversed_, threshold)
+                assert count == brute._maps(*ordered, threshold), (G, flipped, threshold)
 
 
 @pytest.mark.parametrize("x_max", [253, 254, 255, 256])
 def test_tables_across_the_one_byte_limit(x_max):
     # values take one byte while the sentinel x_max + 1 fits in one
-    dtype = orderpoly._inner_maps(1, x_max)[0].dtype
+    dtype = brute._inner_maps(1, x_max)[0].dtype
     assert dtype == (np.uint8 if x_max + 1 < 256 else np.uint16)
     for P in (chain_poset(2, (0,)), chain_poset(2, (1,)), antichain_poset(2, (0, 1))):
         assert_map_tables_equal(P, x_max)
@@ -151,7 +152,7 @@ def test_tables_at_zero_and_one_position(n):
 def test_relations_only_between_leading_positions(monkeypatch, block):
     # blocks this small leave one inner position, the last: every relation
     # and celeste element below lies among the leading positions
-    monkeypatch.setattr(orderpoly, "_BLOCK_MAPS", block)
+    monkeypatch.setattr(brute, "_BLOCK_MAPS", block)
     posets = [
         build_poset(3, [(0, 1)], [1]),
         build_poset(4, [(0, 1), (0, 2)], [0, 2]),
@@ -159,7 +160,7 @@ def test_relations_only_between_leading_positions(monkeypatch, block):
     ]
     for P in posets:
         for x_max in (1, 2, 3):
-            assert orderpoly._inner_count(P.n, x_max) == 1
+            assert brute._inner_count(P.n, x_max) == 1
             assert all(max(a, b) < P.n - 1 for a, b in covers(P))
             assert_map_tables_equal(P, x_max)
 
@@ -187,9 +188,9 @@ def test_table_time_and_memory_at_budget_extremes(kind, n, x_max):
     # both shapes fit the default budget: 9 * 10^6 maps and cells at n = 2,
     # about 6 * 10^6 maps at n = 3
     cells = (x_max + 1) * (x_max + 2)
-    orderpoly._check_budget(n, x_max, cells)
+    poset._check_budget(n, x_max, cells)
     build = _table_build(kind, n)
-    orderpoly._inner_maps.cache_clear()
+    brute._inner_maps.cache_clear()
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -201,7 +202,7 @@ def test_table_time_and_memory_at_budget_extremes(kind, n, x_max):
     # the per-block bincounts took about 40 s at n = 2
     assert seconds < 5
     # the docstring's bound on _cum_table
-    block = max(orderpoly._BLOCK_MAPS, x_max)
+    block = max(brute._BLOCK_MAPS, x_max)
     assert peak <= 8 * cells + (3 * n * x_max + 128) * block
     # the tally route ends holding three int64 tables of all cells
     assert peak <= 3 * 8 * cells
@@ -222,16 +223,16 @@ def eliminated(n, x0, y0, relations, below, lows, shift):
     """The elimination route's count, whatever the gate in _count says,
     and the kernel's threshold count of the same maps."""
     threshold = min(y0 + shift, x0 + 1)
-    order = orderpoly._elimination_order(n, relations + lows)
-    count = orderpoly._eliminate(x0, order, relations, below, lows, threshold)
-    return count, orderpoly._maps(n, x0, relations, below, lows, threshold)
+    order = brute._elimination_order(n, relations + lows)
+    count = brute._eliminate(x0, order, relations, below, lows, threshold)
+    return count, brute._maps(n, x0, relations, below, lows, threshold)
 
 
 @pytest.mark.parametrize("block", [3, 64])
 def test_elimination_equals_definition_and_blocks_past_one_block(monkeypatch, block):
     # at these block sizes 3^4 .. 4^6 maps pass one block, so brute_count
     # and chrom_count take elimination or the blocks by the gate
-    monkeypatch.setattr(orderpoly, "_BLOCK_MAPS", block)
+    monkeypatch.setattr(brute, "_BLOCK_MAPS", block)
     rng = random.Random(block)
     for _ in range(10):
         P = random_poset(rng, rng.randint(4, 6))
@@ -257,7 +258,7 @@ def no_maps(*args):
 
 def test_sparse_counts_past_one_block_enumerate_no_map(monkeypatch):
     # 8^7 and 11^6 maps pass one block; a chain's buckets hold 8^2 cells
-    monkeypatch.setattr(orderpoly, "_maps", no_maps)
+    monkeypatch.setattr(brute, "_maps", no_maps)
     for mode, w in (("strict", 0), ("weak", 1)):
         for P in (chain_poset(7), chain_poset(7, (4,)), fence_poset(7, (0, 6))):
             poly = (order_poly_weak if mode == "weak" else order_poly_strict)(P)
@@ -279,13 +280,13 @@ def test_dense_counts_and_x0_at_most_one_stay_on_the_blocks(monkeypatch):
         calls.append(args[:2])
         return kernel_maps(*args)
 
-    kernel_maps = orderpoly._maps
-    monkeypatch.setattr(orderpoly, "_maps", maps)
+    kernel_maps = brute._maps
+    monkeypatch.setattr(brute, "_maps", maps)
     K6, K7 = complete_graph(6), complete_graph(7)
     assert chrom_count(K6, 11, 4) == chrom_poly(K6).evaluate(11, 4)
     assert chrom_count(K7, 9, 2) == chrom_poly(K7).evaluate(9, 2)
     P = chain_poset(16, (15,))
-    assert orderpoly._inner_count(16, 1) < 16
+    assert brute._inner_count(16, 1) < 16
     assert brute_count(P, "weak", 1, 1) == 1
     assert brute_count(P, "weak", 0, 1) == 0
     assert brute_count(P, "strict", 1, 0) == 0
@@ -309,7 +310,7 @@ def test_elimination_is_exact_past_int64_and_past_52_positions(monkeypatch):
         for y0 in range(5):
             assert path_colorings(n, 3, y0) == dumb_count_colorings(path_graph(n), 3, y0)
     monkeypatch.setattr(poset, "DEFAULT_BUDGET", 10**21)
-    monkeypatch.setattr(orderpoly, "_maps", no_maps)
+    monkeypatch.setattr(brute, "_maps", no_maps)
     assert brute_count(chain_poset(20), "weak", 10, 1) == math.comb(29, 20)
     # less the 21 weak 20-chains into 1..2, whose top is below 3
     assert brute_count(chain_poset(20, (19,)), "weak", 10, 3) == math.comb(29, 20) - 21
@@ -324,7 +325,7 @@ def test_a_wide_star_sums_its_leaves_into_one_bucket(monkeypatch):
     # the centre is summed out last, with one factor left by each of 70
     # leaves: more than the operands np.einsum takes
     monkeypatch.setattr(poset, "DEFAULT_BUDGET", 10**22)
-    monkeypatch.setattr(orderpoly, "_maps", no_maps)
+    monkeypatch.setattr(brute, "_maps", no_maps)
     star = Graph(71, frozenset((0, leaf) for leaf in range(1, 71)))
     for y0 in range(4):
         # the centre's color c, each leaf the other color or, above y0, c too

@@ -7,8 +7,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bivorder import chrompoly, graph, orderpoly, poset, verify
-from bivorder.chrompoly import chrom_count, chrom_poly, classical_chrom_poly
+from bivorder import brute, chrompoly, graph, orderpoly, poset, verify
+from bivorder.brute import brute_count, chrom_count, interpolate_poly
+from bivorder.chrompoly import chrom_poly, classical_chrom_poly
 from bivorder.fixtures import (
     complete_graph,
     cycle_graph,
@@ -16,12 +17,7 @@ from bivorder.fixtures import (
     path_graph,
 )
 from bivorder.graph import Graph, acyclic_orientations, flats, orientation_to_poset, trivial_flat
-from bivorder.orderpoly import (
-    brute_count,
-    interpolate_poly,
-    order_poly_strict,
-    order_poly_weak,
-)
+from bivorder.orderpoly import order_poly_strict, order_poly_weak
 from bivorder.poset import BudgetExceededError
 from bivorder.ratpoly import ONE, X, Y, BiPoly, _binomial_poly
 from bivorder.verify import (
@@ -73,14 +69,14 @@ def test_chrom_count_edge_cases():
 
 @pytest.mark.parametrize("block", [1, 3, 10, 1 << 15])
 def test_coloring_tables_match_definition_at_every_block_size(monkeypatch, block):
-    monkeypatch.setattr(orderpoly, "_BLOCK_MAPS", block)
+    monkeypatch.setattr(brute, "_BLOCK_MAPS", block)
     # uncached, so every table is built at this block size; a single count
     # past one block, x0^n colorings above the block, reduces each block instead
-    monkeypatch.setattr(orderpoly, "_cum_table", orderpoly._cum_table.__wrapped__)
+    monkeypatch.setattr(brute, "_cum_table", brute._cum_table.__wrapped__)
     graphs = [complete_graph(4), cycle_graph(4), Graph(0, frozenset())] + all_graphs(3)
     for G in graphs:
         for x_max in range(4):
-            count = chrompoly._coloring_counter(G, x_max)
+            count = brute._coloring_counter(G, x_max)
             for x0 in range(x_max + 1):
                 for y0 in range(x0 + 2):
                     expected = dumb_count_colorings(G, x0, y0)
@@ -90,20 +86,20 @@ def test_coloring_tables_match_definition_at_every_block_size(monkeypatch, block
 def test_a_single_coloring_count_past_one_block_caches_no_table():
     # 11^6 colorings span 121 blocks: the count builds no table
     C6 = cycle_graph(6)
-    assert orderpoly._inner_count(6, 11) < 6
-    before = orderpoly._cum_table.cache_info()
+    assert brute._inner_count(6, 11) < 6
+    before = brute._cum_table.cache_info()
     count = chrom_count(C6, 11, 3)
     assert (count, type(count)) == (chrom_poly(C6).evaluate(11, 3), int)
-    assert orderpoly._cum_table.cache_info() == before
+    assert brute._cum_table.cache_info() == before
 
 
 def test_interpolating_chrom_count_reads_one_table_per_x():
     # at x0 <= 5 the 5^5 colorings of C5 fit one block, so each x0's table
     # is built once and serves every y0 read at that x0
     C5 = cycle_graph(5)
-    orderpoly._cum_table.cache_clear()
+    brute._cum_table.cache_clear()
     assert interpolate_poly(lambda a, b: chrom_count(C5, a, b), 5, "strict") == chrom_poly(C5)
-    info = orderpoly._cum_table.cache_info()
+    info = brute._cum_table.cache_info()
     assert (info.misses, info.currsize) == (6, 6)
 
 
@@ -268,7 +264,7 @@ def test_chrom_poly_reads_no_flats_or_orientations(monkeypatch):
         raise AssertionError("chrom_poly ran the order-ideal dynamic program")
 
     monkeypatch.setattr(orderpoly, "_order_coords", forbidden)
-    cached = (graph.flats, graph.acyclic_orientations, orderpoly._cum_table)
+    cached = (graph.flats, graph.acyclic_orientations, brute._cum_table)
     before = [fn.cache_info() for fn in cached]
     poly = chrom_poly.__wrapped__(cycle_graph(7))
     assert [fn.cache_info() for fn in cached] == before
@@ -310,7 +306,7 @@ def test_chrom_poly_budget_stops_before_work(monkeypatch):
 
 def test_chrompoly_budget_messages_print_past_the_digit_limit(monkeypatch):
     # 10^5000 colorings and 3^10000 subset pairs are too long to print in full
-    monkeypatch.setattr(orderpoly, "_cum_table", None)
+    monkeypatch.setattr(brute, "_cum_table", None)
     monkeypatch.setattr(chrompoly, "_chrom_sums", None)
     with pytest.raises(BudgetExceededError, match="budget") as err:
         chrom_count(Graph(5000, frozenset()), 10, 0)
@@ -528,11 +524,11 @@ def test_numeric_reciprocity_builds_no_poset(monkeypatch):
         for module in (graph, chrompoly, verify):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     chrompoly._reciprocity_poly.cache_clear()
-    before = orderpoly._cum_table.cache_info()
+    before = brute._cum_table.cache_info()
     C5 = cycle_graph(5)
     for x0 in range(1, 6):
         assert all(check_reciprocity_graph(C5, x0, y0).passed for y0 in range(x0 + 1))
-    assert orderpoly._cum_table.cache_info() == before
+    assert brute._cum_table.cache_info() == before
     # one computation per graph serves every (x0, y0)
     assert chrompoly._reciprocity_poly.cache_info().misses == 1
 

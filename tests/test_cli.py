@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bivorder.cli as cli
-from bivorder import chrompoly, orderpoly, poset, verify
-from bivorder.chrompoly import chrom_count, chrom_poly
+from bivorder import brute, chrompoly, orderpoly, poset, ratpoly, verify
+from bivorder.brute import brute_count, chrom_count
+from bivorder.chrompoly import chrom_poly
 from bivorder.fixtures import (
     complete_graph,
     cycle_graph,
@@ -24,9 +25,8 @@ from bivorder.fixtures import (
     path_graph,
 )
 from bivorder.graph import Graph, graph_from_json, graph_to_json
-from bivorder.orderpoly import MODES, brute_count
 from bivorder.poset import BudgetExceededError, build_poset, poset_from_json, poset_to_json
-from bivorder.ratpoly import BiPoly, X, Y, _binomial_poly, binom_poly
+from bivorder.ratpoly import MODES, BiPoly, X, Y, _binomial_poly, binom_poly
 from bivorder.verify import CheckReport
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -317,7 +317,7 @@ def test_counts_past_one_block_build_no_table(tmp_path, monkeypatch):
     def no_table(*key):
         raise AssertionError("a brute table was built for one count")
 
-    monkeypatch.setattr(orderpoly, "_cum_table", no_table)
+    monkeypatch.setattr(brute, "_cum_table", no_table)
     chain = tmp_path / "chain7.json"
     chain.write_text(json.dumps({"n": 7, "covers": [[i, i + 1] for i in range(6)], "celeste": []}))
     argv = ("poset-count", "--input", str(chain), "--mode", "weak", "--x", "8", "--y", "3")
@@ -454,10 +454,10 @@ def test_graph_oracle_identity_witnesses(monkeypatch, error, identity, witness):
 
 def test_oracle_checks_build_one_brute_table_per_mode():
     # posets and graphs share one table cache: two poset modes, one graph
-    orderpoly._cum_table.cache_clear()
+    brute._cum_table.cache_clear()
     for name in ("skewdiamond.json", "k4.json"):
         assert run_cli("check", "--input", fixture(name), "--kind", "oracle")[0] == 0
-    assert orderpoly._cum_table.cache_info().misses == 3
+    assert brute._cum_table.cache_info().misses == 3
 
 
 @pytest.mark.parametrize(
@@ -477,7 +477,7 @@ def test_oracle_check_budget_names_the_largest_x(name, budget, maps):
 def _basis_bump(t, s, mode):
     """binom(y - w, t) * binom(x - y + w, s): zero at every valid point with
     x0 < t + s, so only a sweep that reaches x0 = t + s sees it."""
-    return _binomial_poly({(t, s): 1}, *orderpoly._MODE_BASIS[mode])
+    return _binomial_poly({(t, s): 1}, *ratpoly._MODE_BASIS[mode])
 
 
 @pytest.mark.parametrize("kind", ["graph", "poset"])
@@ -569,7 +569,7 @@ def test_oracle_reads_exactly_the_simplex(monkeypatch, n):
     assert tables == [n, n, n]
     for key, mode in (("strict", "strict"), ("weak", "weak"), ("graph", "strict")):
         simplex = set()
-        orderpoly._simplex_coords(lambda x0, y0: simplex.add((x0, y0)) or 0, n, mode)
+        brute._simplex_coords(lambda x0, y0: simplex.add((x0, y0)) or 0, n, mode)
         assert read[key] == simplex
 
 
@@ -938,13 +938,13 @@ def test_every_brute_count_refuses_before_any_table(monkeypatch, argv, maps):
     def no_table(*key):
         raise AssertionError("a brute table was built past the budget")
 
-    monkeypatch.setattr(orderpoly, "_cum_table", no_table)
+    monkeypatch.setattr(brute, "_cum_table", no_table)
     message = f"enumeration of {maps} objects exceeds budget 10"
     if argv is None:
         P = poset_from_json(json.loads(Path(fixture("skewdiamond.json")).read_text()))
         monkeypatch.setattr(poset, "DEFAULT_BUDGET", 10)
         with pytest.raises(BudgetExceededError, match=message):
-            orderpoly.interpolate_brute(P, "weak")
+            brute.interpolate_brute(P, "weak")
     else:
         assert run_cli(*argv, "--budget", "10") == (2, "", f"error: {message}\n")
 
@@ -976,7 +976,7 @@ def test_graph_poly_over_budget_exits_two(tmp_path):
 
 def test_budget_message_stays_short_past_the_digit_limit(tmp_path, monkeypatch):
     # 10^5000 colorings: the count is written as a power, and none is enumerated
-    monkeypatch.setattr(orderpoly, "_cum_table", None)
+    monkeypatch.setattr(brute, "_cum_table", None)
     code, out, err = run_cli(
         "graph-count", "--input", _graph_file(tmp_path, 5000, []), "--x", "10", "--y", "0"
     )

@@ -15,8 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bivorder import chrompoly
-from bivorder.chrompoly import chrom_count, chrom_poly, classical_chrom_poly
+from bivorder.chrompoly import chrom_poly, classical_chrom_poly
 from bivorder.graph import build_graph
 from bivorder.fixtures import (
     antichain_poset,
@@ -28,20 +27,21 @@ from bivorder.fixtures import (
     skew_diamond_poset,
     two_chain_celeste_top,
 )
-from bivorder import orderpoly, poset, ratpoly, verify
+from bivorder import brute, orderpoly, poset, ratpoly, verify
+from bivorder.brute import (
+    _valid_ys,
+    brute_count,
+    chrom_count,
+    interpolate_brute,
+    interpolate_poly,
+)
 from bivorder.orderpoly import (
-    MODES,
-    _MODE_BASIS,
     _chain_coords,
     _chain_poly,
     _checked_labeling,
     _order_coords,
-    _valid_ys,
     _word_key,
-    brute_count,
     chain_poly,
-    interpolate_brute,
-    interpolate_poly,
     order_poly_strict,
     order_poly_weak,
     word_decomposition,
@@ -62,7 +62,7 @@ from bivorder.poset import (
     natural_labeling,
     word_of,
 )
-from bivorder.ratpoly import ONE, X, Y, BiPoly, _binomial_poly, binom_poly
+from bivorder.ratpoly import MODES, _MODE_BASIS, ONE, X, Y, BiPoly, _binomial_poly, binom_poly
 from bivorder.verify import (
     CheckReport,
     _negated_coords,
@@ -596,10 +596,11 @@ def test_order_poly_coords_nonnegative_random(P):
 
 def test_orderpoly_caches_are_bounded():
     caches = [
-        fn for fn in vars(orderpoly).values()
-        if hasattr(fn, "cache_parameters") and fn.__module__ == orderpoly.__name__
+        fn for module in (orderpoly, brute) for fn in vars(module).values()
+        if hasattr(fn, "cache_parameters") and fn.__module__ == module.__name__
     ]
-    # _chain_coords, _inner_maps and _cum_table; a speed-up is no new memo
+    # orderpoly's _chain_coords, brute's _inner_maps and _cum_table; a
+    # speed-up is no new memo
     assert 0 < len(caches) <= 3
     assert all(fn.cache_parameters()["maxsize"] is not None for fn in caches)
     # the poset caches hold every extension of a poset; they are bounded too
@@ -712,16 +713,16 @@ def test_brute_zero_sizes():
 def test_brute_tables_match_definition_at_every_block_size(monkeypatch, block):
     # small blocks put the leading positions in the outer loop, where
     # their values are plain ints shared by a whole block
-    monkeypatch.setattr(orderpoly, "_BLOCK_MAPS", block)
+    monkeypatch.setattr(brute, "_BLOCK_MAPS", block)
     # uncached, so every table is built at this block size; a single count
     # past one block, x0^n maps above the block, reduces each block instead
-    monkeypatch.setattr(orderpoly, "_cum_table", orderpoly._cum_table.__wrapped__)
+    monkeypatch.setattr(brute, "_cum_table", brute._cum_table.__wrapped__)
     posets = [skew_diamond_poset(), fence_poset(4, (0, 3)), antichain_poset(3), build_poset(0)]
     posets += [P for P in catalog_posets(3) if len(P.celeste) == 1]
     for P in posets:
         for mode in ("strict", "weak"):
             for x_max in range(4):
-                count = orderpoly._poset_counter(P, mode, x_max)
+                count = brute._poset_counter(P, mode, x_max)
                 for x0 in range(x_max + 1):
                     for y0 in range(x0 + 2):
                         expected = dumb_count_maps(P, mode, x0, y0)
@@ -730,27 +731,27 @@ def test_brute_tables_match_definition_at_every_block_size(monkeypatch, block):
 
 def test_a_single_count_past_one_block_caches_no_table():
     # 8^7 maps span 64 blocks: the count builds no table
-    assert orderpoly._inner_count(7, 8) < 7
-    before = orderpoly._cum_table.cache_info()
+    assert brute._inner_count(7, 8) < 7
+    before = brute._cum_table.cache_info()
     count = brute_count(chain_poset(7), "weak", 8, 3)
     assert (count, type(count)) == (math.comb(8 + 6, 7), int)
-    assert orderpoly._cum_table.cache_info() == before
+    assert brute._cum_table.cache_info() == before
     # 5^5 maps fit one block: the count reads its table, which a second
     # count at the same x0 reads again
-    orderpoly._cum_table.cache_clear()
+    brute._cum_table.cache_clear()
     P = chain_poset(5, (4,))
     assert brute_count(P, "weak", 5, 3) == order_poly_weak(P).evaluate(5, 3)
-    info = orderpoly._cum_table.cache_info()
+    info = brute._cum_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
     assert brute_count(P, "strict", 5, 2) == order_poly_strict(P).evaluate(5, 2)
-    assert orderpoly._cum_table.cache_info().misses == 2
+    assert brute._cum_table.cache_info().misses == 2
     assert brute_count(P, "weak", 5, 1) == order_poly_weak(P).evaluate(5, 1)
-    assert orderpoly._cum_table.cache_info().misses == 2
+    assert brute._cum_table.cache_info().misses == 2
 
 
 def test_single_counts_of_a_two_chain_hold_no_table():
     # six tables of about 3000^2 cells each held 399 MiB in the cache
-    orderpoly._cum_table.cache_clear()
+    brute._cum_table.cache_clear()
     tracemalloc.start()
     try:
         for x0 in range(2900, 3001, 20):
@@ -759,13 +760,13 @@ def test_single_counts_of_a_two_chain_hold_no_table():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    assert orderpoly._cum_table.cache_info().currsize == 0
+    assert brute._cum_table.cache_info().currsize == 0
 
 
 def test_a_count_past_one_block_of_values_keeps_no_inner_maps():
     # one element at x0 = 10^7 makes a block of 10^7 maps, about 76 MiB,
     # which the inner maps' cache held after the count returned
-    orderpoly._inner_maps.cache_clear()
+    brute._inner_maps.cache_clear()
     tracemalloc.start()
     try:
         assert brute_count(antichain_poset(1), "weak", 10**7, 1) == 10**7
@@ -773,12 +774,12 @@ def test_a_count_past_one_block_of_values_keeps_no_inner_maps():
     finally:
         tracemalloc.stop()
     assert held < 8 * 2**20
-    assert orderpoly._inner_maps.cache_info().currsize == 0
+    assert brute._inner_maps.cache_info().currsize == 0
     # a block within _BLOCK_MAPS maps is still cached for the next count;
     # K7 at x0 = 8 stays on the blocks, its first bucket holding 8^7 cells
     K7 = complete_graph(7)
     assert chrom_count(K7, 8, 3) == chrom_poly(K7).evaluate(8, 3)
-    assert orderpoly._inner_maps.cache_info().currsize == 1
+    assert brute._inner_maps.cache_info().currsize == 1
 
 
 def test_single_counts_past_one_block_are_gated_on_their_maps(monkeypatch):
@@ -788,7 +789,7 @@ def test_single_counts_past_one_block_are_gated_on_their_maps(monkeypatch):
     def no_table(*key):
         raise AssertionError("a single count past one block built a table")
 
-    monkeypatch.setattr(orderpoly, "_cum_table", no_table)
+    monkeypatch.setattr(brute, "_cum_table", no_table)
     assert brute_count(chain_poset(2), "weak", 3161, 1) == math.comb(3162, 2) == 4997541
     K2 = build_graph(2, [(0, 1)])
     assert chrom_count(K2, 3161, 5) == chrom_poly(K2).evaluate(3161, 5)
@@ -948,7 +949,7 @@ def test_ideal_dp_refuses_inside_the_first_level_past_the_budget(monkeypatch):
 
 def test_brute_budget_message_prints_past_the_digit_limit(monkeypatch):
     # 2^15000 has more digits than Python turns into a string; no map is visited
-    monkeypatch.setattr(orderpoly, "_cum_table", None)
+    monkeypatch.setattr(brute, "_cum_table", None)
     with pytest.raises(BudgetExceededError, match="budget") as err:
         brute_count(BicoloredPoset(15000, frozenset(), frozenset()), "strict", 2, 0)
     assert "2^15000" in str(err.value)
@@ -1097,9 +1098,9 @@ def test_interpolate_poly_reproduces_total_degree_n(mode, case):
 @pytest.mark.parametrize("mode", MODES)
 def test_interpolate_brute_enumerates_once(mode):
     P = fence_poset(4, (1,))
-    orderpoly._cum_table.cache_clear()
+    brute._cum_table.cache_clear()
     interpolate_brute(P, mode)
-    assert orderpoly._cum_table.cache_info().misses == 1
+    assert brute._cum_table.cache_info().misses == 1
 
 
 def test_interpolate_budget_error(monkeypatch):
@@ -1145,14 +1146,14 @@ def test_interpolate_poly_asks_only_for_simplex_points(mode, n):
 def test_interpolate_poly_equals_product_grid_on_catalog(mode):
     for n in range(5):
         for P in catalog_posets(n):
-            counter = orderpoly._poset_counter(P, mode, 2 * n)
+            counter = brute._poset_counter(P, mode, 2 * n)
             assert interpolate_poly(counter, n, mode) == product_interpolate_poly(counter, n, mode)
 
 
 def test_interpolate_poly_equals_product_grid_on_graphs():
     for n in range(5):
         for G in all_graphs(n):
-            counter = chrompoly._coloring_counter(G, 2 * n)
+            counter = brute._coloring_counter(G, 2 * n)
             simplex = interpolate_poly(counter, n, "strict")
             assert simplex == product_interpolate_poly(counter, n, "strict")
 
@@ -1160,7 +1161,7 @@ def test_interpolate_poly_equals_product_grid_on_graphs():
 @pytest.mark.parametrize("mode", MODES)
 def test_interpolate_brute_reads_one_table_at_x_n(mode, monkeypatch):
     P = fence_poset(5, (1,))
-    cached = orderpoly._cum_table
+    cached = brute._cum_table
     cached.cache_clear()
     keys = set()
 
@@ -1168,7 +1169,7 @@ def test_interpolate_brute_reads_one_table_at_x_n(mode, monkeypatch):
         keys.add(key)
         return cached(*key)
 
-    monkeypatch.setattr(orderpoly, "_cum_table", recording)
+    monkeypatch.setattr(brute, "_cum_table", recording)
     interpolate_brute(P, mode)
     assert cached.cache_info().currsize == 1
     assert [key[:2] for key in keys] == [(P.n, P.n)]

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import itertools
+import pathlib
 import random
 import re
 import time
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bivorder
-from bivorder import chrompoly, cli, orderpoly, verify
+from bivorder import brute, chrompoly, cli, orderpoly, ratpoly, verify
 from bivorder.fixtures import (
     antichain_poset,
     chain_poset,
@@ -413,9 +414,9 @@ def test_no_function_takes_a_budget():
     exported = [getattr(bivorder, name) for name in bivorder.__all__ if name != "BudgetExceededError"]
     private = [
         orderpoly._order_coords,
-        orderpoly._counter,
-        orderpoly._poset_counter,
-        chrompoly._coloring_counter,
+        brute._counter,
+        brute._poset_counter,
+        brute._coloring_counter,
         verify.run_checks,
     ]
     for fn in filter(callable, exported + private):
@@ -447,3 +448,51 @@ def test_checks_live_in_verify_alone():
     for node in imports(cli):
         if node.module in ("orderpoly", "chrompoly"):
             assert not [a.name for a in node.names if a.name.startswith("_")], node.module
+
+
+def test_brute_counts_live_in_brute_alone():
+    # one home: every moved name is defined in brute (the modes in ratpoly)
+    # and none is left on its old module, where a patch would plant nothing;
+    # only brute imports numpy, and neither polynomial module imports brute
+    # or the other
+    moved = [
+        "_BLOCK_MAPS", "_inner_count", "_inner_maps", "_maps", "_cum_table", "_counter",
+        "_elimination_order", "_eliminate", "_count", "_poset_constraints", "_poset_counter",
+        "_counts_ok", "brute_count", "_valid_ys", "_integer", "_simplex_coords",
+        "interpolate_poly", "interpolate_brute", "_coloring_constraints", "_coloring_counter",
+        "chrom_count",
+    ]
+    modes = ["MODES", "_mode_ok", "_MODE_BASIS"]
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(pathlib.Path(brute.__file__).parent.glob("*.py"))}
+
+    def defines(tree):
+        names = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        return names
+
+    for module, names in ((brute, moved), (ratpoly, modes)):
+        for name in names:
+            homes = [f"bivorder.{m}" for m, tree in trees.items() if name in defines(tree)]
+            assert homes == [module.__name__], name
+            if callable(getattr(module, name)):
+                assert getattr(module, name).__module__ == module.__name__, name
+    for module in (orderpoly, chrompoly, cli):
+        assert not [name for name in moved if hasattr(module, name)], module
+
+    def imports(tree):
+        out = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                out |= {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                out |= {node.module} if node.module else {a.name for a in node.names}
+        return out
+
+    assert [m for m, tree in trees.items() if "numpy" in imports(tree)] == ["brute"]
+    assert not imports(trees["orderpoly"]) & {"brute", "chrompoly"}
+    assert not imports(trees["chrompoly"]) & {"brute", "orderpoly"}
