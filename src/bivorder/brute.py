@@ -23,7 +23,7 @@ block of maps to its number (see _maps).
 Counts and polynomials agree on the validity region (_valid_ys), outside
 which a polynomial counts nothing.  interpolate_poly reads any integer
 counter on the simplex x0 <= n inside it and rebuilds the polynomial by
-integer forward differences in the mode's basis (ratpoly._MODE_BASIS).
+integer forward differences in the mode's basis (see ratpoly._SHIFT).
 Every count refuses through poset's one budget gate (poset._check_budget)
 before it counts; no function here takes a budget.
 """
@@ -40,14 +40,14 @@ import numpy as np
 
 from .graph import Graph
 from .poset import BicoloredPoset, _check_budget, covers
-from .ratpoly import _MODE_BASIS, BiPoly, _binomial_poly, _mode_ok
+from .ratpoly import _SHIFT, BiPoly, _binomial_poly, _mode_ok
 
 
 def _valid_ys(mode: str, x0: int) -> range:
     """The thresholds y at which the mode's polynomial counts maps into
     1..x0: 0 <= y <= x0 in strict mode, 1 <= y <= x0 + 1 in weak mode."""
-    weak = mode == "weak"
-    return range(weak, x0 + 1 + weak)
+    w = _SHIFT[mode]
+    return range(w, x0 + 1 + w)
 
 
 _BLOCK_MAPS = 1 << 15  # maps per block of the enumeration, at most
@@ -316,7 +316,7 @@ def _poset_constraints(P: BicoloredPoset, mode: str) -> tuple:
     elements above y0, or at y0 or above in weak mode."""
     below = operator.lt if mode == "strict" else operator.le
     lows = tuple((c, c) for c in sorted(P.celeste))
-    return covers(P), below, lows, mode == "strict"
+    return covers(P), below, lows, 1 - _SHIFT[mode]
 
 
 def _poset_counter(P: BicoloredPoset, mode: str, x_max: int) -> Callable:
@@ -370,13 +370,13 @@ def _integer(value: object, x0: int, y0: int) -> int:
 
 
 def _simplex_coords(counter: Callable[[int, int], int], n: int, mode: str) -> dict:
-    """The coordinates c[t, s], t + s <= n, on the mode's basis (_MODE_BASIS)
+    """The coordinates c[t, s], t + s <= n, on the mode's basis (see _SHIFT)
     of the polynomial through the counter's values at (x0, y0) = (i + j, i + w),
     i + j <= n, w = 0 strict and 1 weak, all in the validity region.  At
     u = y - w = i and v = x - y + w = j the basis is binom(i, t) * binom(j, s),
     so c[t, s] is the forward difference Δ_i^t Δ_j^s N at (0, 0), taken in
     place along j and then along i."""
-    w = mode == "weak"
+    w = _SHIFT[mode]
     rows = [
         [_integer(counter(i + j, i + w), i + j, i + w) for j in range(n + 1 - i)]
         for i in range(n + 1)
@@ -404,7 +404,7 @@ def interpolate_poly(counter: Callable[[int, int], int], n: int, mode: str) -> B
     if n < 0:
         raise ValueError("n must be nonnegative")
     _mode_ok(mode)
-    return _binomial_poly(_simplex_coords(counter, n, mode), *_MODE_BASIS[mode])
+    return _binomial_poly(_simplex_coords(counter, n, mode), mode)
 
 
 def interpolate_brute(P: BicoloredPoset, mode: str) -> BiPoly:

@@ -42,7 +42,7 @@ from typing import Sequence
 
 from .graph import Graph, _subset_masks
 from .poset import _check_budget
-from .ratpoly import _MODE_BASIS, BiPoly, X, _falling_poly
+from .ratpoly import BiPoly, X, _falling_poly
 
 
 def _partition_sums(n: int, weight: Sequence[int], near: Sequence[int]) -> list[list[int]]:
@@ -107,7 +107,7 @@ def _sums_poly(sums: list[list[int]]) -> BiPoly:
     times x - y to the n - |U| vertices outside U."""
     n = len(sums) - 1
     rows = [[sums[n - j][t] for j in range(n + 1 - t)] for t in range(n + 1)]
-    return _falling_poly(rows, *_MODE_BASIS["strict"], 1)
+    return _falling_poly(rows, 0, 1)
 
 
 @lru_cache(maxsize=4096)

@@ -54,7 +54,7 @@ from .poset import (
     reverse_natural_labeling,
     word_of,
 )
-from .ratpoly import _MODE_BASIS, BiPoly, _binomial_poly, _mode_ok, _times_powers
+from .ratpoly import BiPoly, _binomial_poly, _mode_ok, _times_powers
 
 
 # closed forms ---------------------------------------------------------------
@@ -88,7 +88,7 @@ def _chain_coords(mode: str, n: int, k: int, prefix: int, full: int) -> tuple:
 
 def _chain_poly(mode: str, key: tuple[int, int, int, int]) -> BiPoly:
     """The mode's chain sum for one word key, as a polynomial."""
-    return _binomial_poly(dict(_chain_coords(mode, *key)), *_MODE_BASIS[mode])
+    return _binomial_poly(dict(_chain_coords(mode, *key)), mode)
 
 
 def chain_poly(n: int, k: int, mode: str) -> BiPoly:
@@ -176,7 +176,7 @@ def _order_coords(P: BicoloredPoset, mode: str) -> tuple[dict, int, int]:
     """The mode's order polynomial of the related elements R of P, those in
     some relation, as its nonzero integer coordinates c[t, s] on the basis
     binom(u, t) * binom(v, s), u = y - w, v = x - y + w, w = 0 strict and 1
-    weak (_MODE_BASIS); with the numbers of silver and of celeste isolated
+    weak (ratpoly._SHIFT); with the numbers of silver and of celeste isolated
     elements, whose linear factors _order_poly multiplies in.
 
     c[t, s] counts the chains of order ideals {} = I_0 < ... < I_{t+s} = R
@@ -257,8 +257,7 @@ def _order_poly(mode: str, coords: dict, silver: int, celeste: int) -> BiPoly:
     from its coordinates, times x^silver * v^celeste, v = x - y + w.  A
     disjoint union's polynomial is the product of its parts', and an
     isolated element's is u + v = x if silver, v if celeste."""
-    u, v = _MODE_BASIS[mode]
-    return _times_powers(_binomial_poly(coords, u, v), silver, v, celeste)
+    return _times_powers(_binomial_poly(coords, mode), silver, celeste, mode)
 
 
 def order_poly_strict(P: BicoloredPoset) -> BiPoly:

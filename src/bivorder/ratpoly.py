@@ -12,19 +12,19 @@ builds its one Fraction at the end.
 Term order, wherever terms are listed (text form, JSON form), is
 x-degree descending, then y-degree descending.
 
-Every counting polynomial of the package is built by _falling_poly, one
-integer expansion into monomials of rows of weights on the products
-u(u - 1)...(u - t + 1) * l^j, u integer affine and l linear, over one
+Every counting polynomial of the package is built on the mode's basis
+binom(y - w, t) * binom(x - y + w, s), w = 0 strict and 1 weak (_SHIFT),
+by _falling_poly, one integer expansion into monomials of rows of weights
+on the products (y - w)(y - w - 1)...(y - w - t + 1) * (x - y)^j over one
 denominator.  Both graph polynomials, chrom_poly and its reciprocity
-side, hand it those rows directly (chrompoly._sums_poly); every other
-route, and the graph polynomials' oracle in the tests, goes through
-_binomial_poly, which first turns integer coordinates on a product
-basis binom(u, t) * binom(v, s), v integer affine too, into such rows
-over the common denominator top!.  The order polynomials then multiply
-their isolated elements' linear factors in by _times_powers, one integer
-product of the numerators.  binom_poly, the same binomials as BiPoly
-products multiplied out, is the public form and the tests' oracle for
-both; no library route calls it.
+side, hand it those rows directly with w = 0 (chrompoly._sums_poly);
+every other route, and the graph polynomials' oracle in the tests, goes
+through _binomial_poly, which first turns integer coordinates on the
+basis into such rows over the common denominator top!.  The order
+polynomials then multiply their isolated elements' linear factors in by
+_times_powers, one integer product of the numerators.  binom_poly, the
+same binomials as BiPoly products multiplied out, is the public form and
+the tests' oracle for all three; no library route calls it.
 """
 
 from __future__ import annotations
@@ -344,7 +344,7 @@ def binom_poly(arg: BiPoly, m: int) -> BiPoly:
 
 
 MODES = ("strict", "weak")
-_MODE_BASIS = {"strict": (Y, X - Y), "weak": (Y - 1, X - Y + 1)}  # see orderpoly._order_coords
+_SHIFT = {"strict": 0, "weak": 1}  # w, the mode's shift (see the module docstring)
 
 
 def _mode_ok(mode: str) -> None:
@@ -367,39 +367,27 @@ def _falling_rows(c: int, top: int) -> list[list[int]]:
     return rows
 
 
-def _power_rows(form: BiPoly, top: int) -> list[list[tuple[int, int]]]:
-    """Row i, i <= top: the nonzero (k, coefficient of x^k y^(i - k)) of
-    l^i, l = p x + q y the linear part of an integer affine form; one
-    term when l is a monomial, else Pascal's rule row by row."""
-    p, q = (form._num.get(e, 0) for e in ((1, 0), (0, 1)))
-    if not p or not q:
-        return [[(i if p else 0, (p or q) ** i)] for i in range(top + 1)]
+def _difference_rows(top: int) -> list[list[int]]:
+    """Row j, j <= top: the coefficients of x^k y^(j - k) in (x - y)^j; row
+    j + 1 is row j times x, minus row j times y."""
     rows = [[1]]
     for _ in range(top):
-        prev = rows[-1]
-        row = [q * a for a in prev]
-        row.append(0)
-        for k, a in enumerate(prev, 1):
-            row[k] += p * a
-        rows.append(row)
-    return [list(enumerate(row)) for row in rows]
+        rows.append([a - b for a, b in zip([0] + rows[-1], rows[-1] + [0])])
+    return rows
 
 
-def _falling_poly(rows: list[list[int]], u: BiPoly, v: BiPoly, den: int) -> BiPoly:
-    """Sum rows[t][j] * u(u - 1)...(u - t + 1) * l_v^j / den, u integer
-    affine, l_v the linear part of the integer affine v; rows[t] holds
-    at most len(rows) - t entries, so top = len(rows) - 1 bounds the
-    total degree.
+def _falling_poly(rows: list[list[int]], w: int, den: int) -> BiPoly:
+    """Sum rows[t][j] * u(u - 1)...(u - t + 1) * (x - y)^j / den, u = y - w;
+    rows[t] holds at most len(rows) - t entries, so top = len(rows) - 1
+    bounds the total degree.
 
-    The falling factorials are rows of _falling_rows in powers of l_u, the
-    linear part of u, so summing rows[t] along t gives M[i][j], the
-    coefficient of l_u^i * l_v^j, and the binomial rows of l_u and l_v
-    (_power_rows) expand those into monomials.  That is O(top^3) int work
-    when l_u or l_v is a monomial, as on every basis of this package; no
-    BiPoly is multiplied.
+    The falling factorials are rows of _falling_rows in powers of y, so
+    summing rows[t] along t gives M[i][j], the coefficient of
+    y^i * (x - y)^j, and the rows of (x - y)^j expand those into
+    monomials: O(top^3) int work, and no BiPoly is multiplied.
     """
     top = len(rows) - 1
-    fu = _falling_rows(u._num.get((0, 0), 0), top)
+    fu = _falling_rows(-w, top)
     M = [[0] * (top + 1 - i) for i in range(top + 1)]
     for t, r in enumerate(rows):
         if any(r):
@@ -408,59 +396,57 @@ def _falling_poly(rows: list[list[int]], u: BiPoly, v: BiPoly, den: int) -> BiPo
                     row = M[i]
                     for j, a in enumerate(r):
                         row[j] += f * a
-    pu, pv = _power_rows(u, top), _power_rows(v, top)
+    diff = _difference_rows(top)
     num = [[0] * (d + 1) for d in range(top + 1)]  # num[d][k]: x^k y^(d - k)
     for i, row in enumerate(M):
-        for k, a in pu[i]:
-            for j, m in enumerate(row):
-                if m:
-                    out = num[i + j]
-                    m *= a
-                    for kk, b in pv[j]:
-                        out[k + kk] += m * b
+        for j, m in enumerate(row):
+            if m:
+                out = num[i + j]
+                for k, b in enumerate(diff[j]):
+                    out[k] += m * b
     terms = {(k, d - k): a for d, out in enumerate(num) for k, a in enumerate(out)}
     return BiPoly._trusted(terms, den)
 
 
-def _binomial_poly(coords: Mapping[tuple[int, int], int], u: BiPoly, v: BiPoly) -> BiPoly:
-    """Sum c * binom(u, t) * binom(v, s) over coords (t, s) -> c, u and v integer
-    affine, in ints over the common denominator top! = (max t + s)!, which
-    one gcd then reduces.
+def _binomial_poly(coords: Mapping[tuple[int, int], int], mode: str) -> BiPoly:
+    """Sum c * binom(y - w, t) * binom(x - y + w, s) over coords (t, s) -> c,
+    the mode's basis, in ints over the common denominator top! =
+    (max t + s)!, which one gcd then reduces.
 
     Over top!, the coordinate (t, s) weighs c * top! / (t! s!) on the
-    integer product t! binom(u, t) * s! binom(v, s).  The second factor is
-    row s of _falling_rows in powers of l_v, the linear part of v, so
-    summing the weighted rows along s gives rows[t][j], the weight of
-    t! binom(u, t) * l_v^j, and _falling_poly expands those.
+    integer product t! binom(y - w, t) * s! binom(x - y + w, s).  The
+    second factor is row s of _falling_rows in powers of x - y, so summing
+    the weighted rows along s gives rows[t][j], the weight of
+    t! binom(y - w, t) * (x - y)^j, and _falling_poly expands those.
     """
+    w = _SHIFT[mode]
     top = max((t + s for (t, s), c in coords.items() if c), default=0)
     den = math.factorial(top)
-    fv = _falling_rows(v._num.get((0, 0), 0), top)
+    fv = _falling_rows(w, top)
     rows = [[0] * (top + 1 - t) for t in range(top + 1)]
     for (t, s), c in coords.items():
         if c:
-            w = c * (den // (math.factorial(t) * math.factorial(s)))
+            weight = c * (den // (math.factorial(t) * math.factorial(s)))
             r = rows[t]
             for j, g in enumerate(fv[s]):
                 if g:
-                    r[j] += w * g
-    return _falling_poly(rows, u, v, den)
+                    r[j] += weight * g
+    return _falling_poly(rows, w, den)
 
 
-def _times_powers(p: BiPoly, b: int, v: BiPoly, a: int) -> BiPoly:
-    """p * x^b * v^a, v integer affine, by one integer product of p's
-    numerators with x^b * v^a over p's denominator; v^a is expanded by the
-    binomial theorem, (l_v + c)^a = sum_i binom(a, i) * c^(a - i) * l_v^i,
-    l_v the linear part of v (_power_rows) and c its constant.  No BiPoly
-    is multiplied."""
-    if not (a or b):
+def _times_powers(p: BiPoly, silver: int, celeste: int, mode: str) -> BiPoly:
+    """p * x^silver * (x - y + w)^celeste, by one integer product of p's
+    numerators with the factor over p's denominator; the binomial theorem
+    gives (x - y + w)^celeste = sum_i binom(celeste, i) * w^(celeste - i) *
+    (x - y)^i.  No BiPoly is multiplied."""
+    if not (silver or celeste):
         return p
-    c = v._num.get((0, 0), 0)
+    w = _SHIFT[mode]
     factor: dict[tuple[int, int], int] = {}
-    for i, row in enumerate(_power_rows(v, a)):
-        if w := math.comb(a, i) * c ** (a - i):
-            for k, e in row:
-                factor[b + k, i - k] = w * e
+    for i, row in enumerate(_difference_rows(celeste)):
+        if c := math.comb(celeste, i) * w ** (celeste - i):
+            for k, e in enumerate(row):
+                factor[silver + k, i - k] = c * e
     out: dict[tuple[int, int], int] = {}
     for (dx, dy), n in p._num.items():
         for (fx, fy), f in factor.items():

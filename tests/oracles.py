@@ -26,7 +26,8 @@ are the oracle of BiPoly's integer arithmetic.  product_interpolate_poly,
 Newton interpolation through a product grid of degree n in each variable
 (x from n to 2n), was the library's interpolate_poly and is the oracle of
 its reading of the simplex x0 <= n; it keeps the library's value check
-and builds its result by ratpoly._binomial_poly.  pairwise_validate,
+and builds its result from binom_poly products, so it shares no code
+with the integer tail it checks.  pairwise_validate,
 set_closure_less and pair_covers read the order by pair lookups and
 successor sets, as the poset module did before it read it only through
 predecessor bitmasks, and are the oracles of BicoloredPoset's checks,
@@ -77,7 +78,7 @@ from bivorder.orderpoly import (
     order_poly_weak,
 )
 from bivorder.poset import BicoloredPoset, covers, poset_to_json
-from bivorder.ratpoly import X, Y, BiPoly, _binomial_poly, _mode_ok, binom_poly
+from bivorder.ratpoly import X, Y, BiPoly, _mode_ok, binom_poly
 from bivorder.verify import CheckReport
 
 
@@ -228,7 +229,17 @@ def product_interpolate_poly(counter, n: int, mode: str) -> BiPoly:
         diffs = np.array([np.diff(diffs, i, axis=0)[0] for i in range(n + 1)]).T
     # zero coordinates are skipped: a counting polynomial has total
     # degree n, so every Δ^{i,j} with i + j > n is 0
-    return _binomial_poly(dict(np.ndenumerate(diffs)), X - xs[0], Y - ys[0])
+    along_x, along_y = _binoms(X - xs[0], n), _binoms(Y - ys[0], n)
+    total = BiPoly.zero()
+    for bx, row in zip(along_x, diffs):
+        total += bx * sum((c * by for c, by in zip(row, along_y) if c), BiPoly.zero())
+    return total
+
+
+@lru_cache(maxsize=None)
+def _binoms(arg: BiPoly, n: int) -> tuple[BiPoly, ...]:
+    """binom_poly(arg, i) for i <= n, the Newton factors along one axis."""
+    return tuple(binom_poly(arg, i) for i in range(n + 1))
 
 
 # term-map polynomials -------------------------------------------------------
@@ -371,7 +382,7 @@ def key_coords(keys: dict[tuple[int, int, int, int], int], mode: str) -> dict:
 def whole_order_coords(P: BicoloredPoset, mode: str, labeling: tuple | None = None) -> dict:
     """The mode's order polynomial of P as its nonzero integer coordinates
     c[t, s] on the basis binom(y - w, t) * binom(x - y + w, s), w = 0 strict
-    and 1 weak (_MODE_BASIS).
+    and 1 weak (ratpoly._SHIFT).
 
     c[t, s] counts the chains of order ideals {} = I_0 < ... < I_{t+s} = P
     whose first t steps hold no celeste element (Stanley's P-partitions): a

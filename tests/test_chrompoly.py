@@ -161,7 +161,7 @@ def test_chrom_poly_equals_per_pair_sum_six_vertices(keep):
 
 def _coords_route(G):
     """chrom_poly by the strict-basis coordinates and _binomial_poly."""
-    return _binomial_poly(chrom_coords(G), Y, X - Y)
+    return _binomial_poly(chrom_coords(G), "strict")
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -239,7 +239,7 @@ def test_reciprocity_coords_at_weight_extremes(n):
 def _reciprocity_coords_route(G):
     """The reciprocity right side by the strict-basis coordinates and
     _binomial_poly."""
-    return (-1) ** G.n * _binomial_poly(reciprocity_coords(G), Y, X - Y)
+    return (-1) ** G.n * _binomial_poly(reciprocity_coords(G), "strict")
 
 
 @pytest.mark.parametrize("n", range(6))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bivorder.cli as cli
-from bivorder import brute, chrompoly, orderpoly, poset, ratpoly, verify
+from bivorder import brute, chrompoly, orderpoly, poset, verify
 from bivorder.brute import brute_count, chrom_count
 from bivorder.chrompoly import chrom_poly
 from bivorder.fixtures import (
@@ -477,7 +477,7 @@ def test_oracle_check_budget_names_the_largest_x(name, budget, maps):
 def _basis_bump(t, s, mode):
     """binom(y - w, t) * binom(x - y + w, s): zero at every valid point with
     x0 < t + s, so only a sweep that reaches x0 = t + s sees it."""
-    return _binomial_poly({(t, s): 1}, *ratpoly._MODE_BASIS[mode])
+    return _binomial_poly({(t, s): 1}, mode)
 
 
 @pytest.mark.parametrize("kind", ["graph", "poset"])

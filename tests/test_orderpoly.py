@@ -62,7 +62,7 @@ from bivorder.poset import (
     natural_labeling,
     word_of,
 )
-from bivorder.ratpoly import MODES, _MODE_BASIS, ONE, X, Y, BiPoly, _binomial_poly, binom_poly
+from bivorder.ratpoly import MODES, ONE, X, Y, BiPoly, _binomial_poly, binom_poly
 from bivorder.verify import (
     CheckReport,
     _negated_coords,
@@ -307,7 +307,7 @@ def _per_extension_coords(P, mode, labeling):
 
 def _coords_poly(coords, mode):
     """The polynomial with these coordinates on the mode's basis."""
-    return _binomial_poly(coords, *_MODE_BASIS[mode])
+    return _binomial_poly(coords, mode)
 
 
 def _assert_equal_per_extension_sums(P, strict_labelings, weak_labelings):
@@ -503,9 +503,9 @@ def _record_basis_changes(monkeypatch) -> list[int]:
     on, the largest t + s among the coordinates _binomial_poly is given."""
     degrees = []
 
-    def recorded(coords, u, v):
+    def recorded(coords, mode):
         degrees.append(max((t + s for t, s in coords), default=0))
-        return _binomial_poly(coords, u, v)
+        return _binomial_poly(coords, mode)
 
     monkeypatch.setattr(orderpoly, "_binomial_poly", recorded)
     return degrees
@@ -1279,7 +1279,7 @@ def test_reciprocity_success_builds_no_polynomial(monkeypatch):
 @settings(max_examples=60, deadline=None)
 def test_negated_coords_equal_negated_arguments(coords):
     def poly(c):
-        return _binomial_poly(c, Y, X - Y)
+        return _binomial_poly(c, "strict")
 
     assert poly(_negated_coords(coords)) == poly(coords).negate_args()
     assert all(_negated_coords(coords).values())

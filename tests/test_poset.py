@@ -462,7 +462,7 @@ def test_brute_counts_live_in_brute_alone():
         "interpolate_poly", "interpolate_brute", "_coloring_constraints", "_coloring_counter",
         "chrom_count",
     ]
-    modes = ["MODES", "_mode_ok", "_MODE_BASIS"]
+    modes = ["MODES", "_mode_ok", "_SHIFT"]
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(pathlib.Path(brute.__file__).parent.glob("*.py"))}
 
@@ -496,3 +496,12 @@ def test_brute_counts_live_in_brute_alone():
     assert [m for m, tree in trees.items() if "numpy" in imports(tree)] == ["brute"]
     assert not imports(trees["orderpoly"]) & {"brute", "chrompoly"}
     assert not imports(trees["chrompoly"]) & {"brute", "orderpoly"}
+
+    # the integer tail reads the mode's shift w (ratpoly._SHIFT): the table
+    # of basis forms and the generic power rows it replaced are defined,
+    # imported and read nowhere, tests included
+    tests = [ast.parse(path.read_text()) for path in pathlib.Path(__file__).parent.glob("*.py")]
+    for tree in [*trees.values(), *tests]:
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            assert name not in {"_MODE_BASIS", "_power_rows"}, name

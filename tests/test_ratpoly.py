@@ -14,6 +14,7 @@ from bivorder.graph import graph_from_json
 from bivorder.orderpoly import order_poly_strict, order_poly_weak
 from bivorder.poset import poset_from_json
 from bivorder.ratpoly import (
+    MODES,
     ONE,
     X,
     Y,
@@ -216,32 +217,29 @@ def _gen_comb(a: int, m: int) -> int:
     return math.comb(a, m) if a >= 0 else (-1) ** m * math.comb(m - a - 1, m)
 
 
-# (u, v) as integer forms (cx, cy, c0): the strict and the weak basis of the
-# order polynomials, the shifted axes of an interpolation grid, the strict
-# basis at (-x, -y), and a pair of forms neither of which is a monomial
-BINOMIAL_BASES = {
-    "strict": ((0, 1, 0), (1, -1, 0)),
-    "weak": ((0, 1, -1), (1, -1, 1)),
-    "grid": ((1, 0, -5), (0, 1, -1)),
-    "negated": ((0, -1, 0), (-1, 1, 0)),
-    "skew": ((2, -1, 1), (1, 3, -2)),
-}
+# w of each mode's basis, written out here rather than read from ratpoly._SHIFT
+SHIFT = {"strict": 0, "weak": 1}
 
 
-@pytest.mark.parametrize("basis", BINOMIAL_BASES)
+def _basis(mode):
+    """(u, v) = (y - w, x - y + w), the mode's basis of the integer tail."""
+    return Y - SHIFT[mode], X - Y + SHIFT[mode]
+
+
+@pytest.mark.parametrize("mode", MODES)
 @given(
     st.dictionaries(
         st.tuples(st.integers(0, 6), st.integers(0, 6)), st.integers(-50, 50), max_size=10
     )
 )
 @settings(max_examples=30, deadline=None)
-def test_binomial_poly_matches_integer_binomials(basis, coords):
-    (ux, uy, u0), (vx, vy, v0) = BINOMIAL_BASES[basis]
-    p = _binomial_poly(coords, ux * X + uy * Y + u0, vx * X + vy * Y + v0)
+def test_binomial_poly_matches_integer_binomials(mode, coords):
+    w = SHIFT[mode]
+    p = _binomial_poly(coords, mode)
     assert_canonical(p)
     for x0 in range(-3, 8):
         for y0 in range(-3, 8):
-            u, v = ux * x0 + uy * y0 + u0, vx * x0 + vy * y0 + v0
+            u, v = y0 - w, x0 - y0 + w
             want = sum(c * _gen_comb(u, t) * _gen_comb(v, s) for (t, s), c in coords.items())
             assert p.evaluate(x0, y0) == want
 
@@ -254,22 +252,21 @@ top_twelve_coords = st.dictionaries(
 )
 
 
-@pytest.mark.parametrize("basis", BINOMIAL_BASES)
+@pytest.mark.parametrize("mode", MODES)
 @given(top_twelve_coords)
 @settings(max_examples=40, deadline=None)
-def test_binomial_poly_equals_binom_poly_products(basis, coords):
-    u, v = (cx * X + cy * Y + c0 for cx, cy, c0 in BINOMIAL_BASES[basis])
-    p = _binomial_poly(coords, u, v)
+def test_binomial_poly_equals_binom_poly_products(mode, coords):
+    p = _binomial_poly(coords, mode)
     assert_canonical(p)
-    assert p == product_binomial_poly(coords, u, v)
+    assert p == product_binomial_poly(coords, *_basis(mode))
 
 
-@pytest.mark.parametrize("basis", BINOMIAL_BASES)
-def test_binomial_poly_single_coordinates_up_to_twelve(basis):
-    u, v = (cx * X + cy * Y + c0 for cx, cy, c0 in BINOMIAL_BASES[basis])
+@pytest.mark.parametrize("mode", MODES)
+def test_binomial_poly_single_coordinates_up_to_twelve(mode):
+    u, v = _basis(mode)
     for t in range(13):
         for s in range(13 - t):
-            assert _binomial_poly({(t, s): 1}, u, v) == binom_poly(u, t) * binom_poly(v, s)
+            assert _binomial_poly({(t, s): 1}, mode) == binom_poly(u, t) * binom_poly(v, s)
 
 
 # triangular rows: rows[t] has top + 1 - t entries, top <= 8
@@ -279,47 +276,39 @@ falling_rows = st.integers(0, 8).flatmap(lambda top: st.tuples(*(
 )))
 
 
-@pytest.mark.parametrize("basis", BINOMIAL_BASES)
+@pytest.mark.parametrize("mode", MODES)
 @given(falling_rows, st.integers(1, 5040))
 @settings(max_examples=30, deadline=None)
-def test_falling_poly_equals_binom_poly_products(basis, rows, den):
-    # the shared tail of _binomial_poly and chrom_poly: rows[t][j] weighs
-    # t! * binom(u, t) * l_v^j, l_v the linear part of v, whose constant
-    # term the tail ignores
-    (ux, uy, u0), (vx, vy, v0) = BINOMIAL_BASES[basis]
-    u, lv = ux * X + uy * Y + u0, vx * X + vy * Y
-    p = _falling_poly(list(rows), u, lv + v0 + 7, den)
+def test_falling_poly_equals_binom_poly_products(mode, rows, den):
+    # the shared tail of _binomial_poly (w = 0 or 1) and chrom_poly (w = 0):
+    # rows[t][j] weighs t! * binom(y - w, t) * (x - y)^j
+    w = SHIFT[mode]
+    p = _falling_poly(list(rows), w, den)
     assert_canonical(p)
     want = sum(
-        (c * math.factorial(t) * binom_poly(u, t) * lv**j for t, r in enumerate(rows)
+        (c * math.factorial(t) * binom_poly(Y - w, t) * (X - Y)**j for t, r in enumerate(rows)
          for j, c in enumerate(r)),
         BiPoly.zero(),
     )
     assert p == want * Fraction(1, den)
 
 
-@pytest.mark.parametrize("basis", BINOMIAL_BASES)
+@pytest.mark.parametrize("mode", MODES)
 @given(top_twelve_coords, st.integers(0, 5), st.integers(0, 5))
 @settings(max_examples=30, deadline=None)
-def test_times_powers_equals_bipoly_products(basis, coords, b, a):
-    # the isolated elements' factors of the order polynomials: p * x^b * v^a
-    # for either form of the basis, against BiPoly products
-    u, v = (cx * X + cy * Y + c0 for cx, cy, c0 in BINOMIAL_BASES[basis])
-    p = _binomial_poly(coords, u, v)
-    for form in (u, v):
-        got = _times_powers(p, b, form, a)
-        assert_canonical(got)
-        assert got == p * X**b * form**a
+def test_times_powers_equals_bipoly_products(mode, coords, b, a):
+    # the isolated elements' factors of the order polynomials:
+    # p * x^b * (x - y + w)^a, against BiPoly products
+    p = _binomial_poly(coords, mode)
+    got = _times_powers(p, b, a, mode)
+    assert_canonical(got)
+    assert got == p * X**b * _basis(mode)[1] ** a
 
 
 def test_binomial_poly_constant_forms():
-    # a form without linear part: binom(3, t) is a number, 0 once t > 3
-    coords = {(t, s): t + s + 1 for t in range(6) for s in range(6 - t)}
-    assert _binomial_poly(coords, BiPoly.const(3), X) == product_binomial_poly(
-        coords, BiPoly.const(3), X
-    )
-    assert _binomial_poly({}, Y, X - Y) == BiPoly.zero()
-    assert _binomial_poly({(4, 2): 0, (0, 0): 7}, Y, X - Y) == BiPoly.const(7)
+    # no coordinate, or only zero ones beside the constant: top! stays 0!
+    assert _binomial_poly({}, "strict") == BiPoly.zero()
+    assert _binomial_poly({(4, 2): 0, (0, 0): 7}, "weak") == BiPoly.const(7)
 
 
 coeffs = st.fractions(
@@ -480,8 +469,8 @@ def test_integer_built_polys_make_no_fraction(monkeypatch):
     coords = {(3, 1): 7, (2, 2): -5, (0, 4): 11, (1, 0): 2}
 
     def ops():
-        p = _binomial_poly(coords, Y, X - Y)
-        q = _binomial_poly(coords, Y - 1, X - Y + 1)
+        p = _binomial_poly(coords, "strict")
+        q = _binomial_poly(coords, "weak")
         return [
             p, q, p * q, _weighted_sum([(3, p), (-2, q)]), p.negate_args(),
             q.shift_y(1), p.subs_y_for_x(), p + q, p - q, -p, p * 5,
