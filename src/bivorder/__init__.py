@@ -1,137 +1,23 @@
 """Bivariate order polynomials of bicolored posets and bivariate
 chromatic polynomials of graphs, in exact rational arithmetic, with
-brute-force oracles and reciprocity checks."""
+brute-force oracles and reciprocity checks.
 
-from .ratpoly import ONE, X, Y, BiPoly, binom_poly
-from .poset import (
-    BicoloredPoset,
-    BudgetExceededError,
-    Word,
-    all_natural_labelings,
-    all_reverse_natural_labelings,
-    ascents,
-    build_poset,
-    covers,
-    descents,
-    is_natural_labeling,
-    is_reverse_natural_labeling,
-    linear_extensions,
-    natural_labeling,
-    poset_from_json,
-    poset_to_json,
-    reverse_natural_labeling,
-    reverse_word,
-    word_of,
-)
-from .orderpoly import (
-    chain_poly,
-    order_poly_strict,
-    order_poly_weak,
-    word_decomposition,
-    word_poly_strict,
-    word_poly_weak,
-)
-from .graph import (
-    AcyclicOrientation,
-    Flat,
-    Graph,
-    acyclic_orientations,
-    build_graph,
-    flats,
-    graph_from_json,
-    graph_to_json,
-    is_acyclic,
-    orientation_to_poset,
-    trivial_flat,
-)
-from .chrompoly import chrom_poly, classical_chrom_poly
-from .brute import brute_count, chrom_count, interpolate_brute, interpolate_poly
-from .verify import (
-    CheckReport,
-    check_reciprocity_graph,
-    check_reciprocity_graph_poly,
-    check_reciprocity_poset,
-    check_reciprocity_word,
-    count_compatible_colorings,
-)
-from .fixtures import (
-    antichain_poset,
-    chain_poset,
-    complete_graph,
-    cycle_graph,
-    edgeless_graph,
-    fence_poset,
-    fixture_graphs,
-    fixture_posets,
-    path_graph,
-    skew_diamond_poset,
-    two_chain_celeste_top,
-)
+Each module lists its public names in its own __all__; this package
+re-exports them all and adds nothing of its own but __version__."""
+
+from .ratpoly import *
+from .poset import *
+from .orderpoly import *
+from .graph import *
+from .chrompoly import *
+from .brute import *
+from .verify import *
+from .fixtures import *
+from . import brute, chrompoly, fixtures, graph, orderpoly, poset, ratpoly, verify
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ONE",
-    "X",
-    "Y",
-    "BiPoly",
-    "binom_poly",
-    "BicoloredPoset",
-    "Word",
-    "all_natural_labelings",
-    "all_reverse_natural_labelings",
-    "ascents",
-    "build_poset",
-    "covers",
-    "descents",
-    "is_natural_labeling",
-    "is_reverse_natural_labeling",
-    "linear_extensions",
-    "natural_labeling",
-    "poset_from_json",
-    "poset_to_json",
-    "reverse_natural_labeling",
-    "reverse_word",
-    "word_of",
-    "BudgetExceededError",
-    "CheckReport",
-    "brute_count",
-    "chain_poly",
-    "check_reciprocity_poset",
-    "check_reciprocity_word",
-    "interpolate_brute",
-    "interpolate_poly",
-    "order_poly_strict",
-    "order_poly_weak",
-    "word_decomposition",
-    "word_poly_strict",
-    "word_poly_weak",
-    "AcyclicOrientation",
-    "Flat",
-    "Graph",
-    "acyclic_orientations",
-    "build_graph",
-    "flats",
-    "graph_from_json",
-    "graph_to_json",
-    "is_acyclic",
-    "orientation_to_poset",
-    "trivial_flat",
-    "check_reciprocity_graph",
-    "check_reciprocity_graph_poly",
-    "chrom_count",
-    "chrom_poly",
-    "classical_chrom_poly",
-    "count_compatible_colorings",
-    "antichain_poset",
-    "chain_poset",
-    "complete_graph",
-    "cycle_graph",
-    "edgeless_graph",
-    "fence_poset",
-    "fixture_graphs",
-    "fixture_posets",
-    "path_graph",
-    "skew_diamond_poset",
-    "two_chain_celeste_top",
+    *ratpoly.__all__, *poset.__all__, *orderpoly.__all__, *graph.__all__,
+    *chrompoly.__all__, *brute.__all__, *verify.__all__, *fixtures.__all__,
 ]

@@ -30,6 +30,8 @@ before it counts; no function here takes a budget.
 
 from __future__ import annotations
 
+__all__ = ["brute_count", "chrom_count", "interpolate_poly", "interpolate_brute"]
+
 import math
 import operator
 from functools import lru_cache, reduce

@@ -36,6 +36,8 @@ chrom_poly has cached is returned without the gate: it enumerates nothing.
 
 from __future__ import annotations
 
+__all__ = ["chrom_poly", "classical_chrom_poly"]
+
 import math
 from functools import lru_cache
 from typing import Sequence

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "two_chain_celeste_top", "skew_diamond_poset", "chain_poset", "antichain_poset", "fence_poset",
+    "complete_graph", "path_graph", "cycle_graph", "edgeless_graph",
+    "fixture_posets", "fixture_graphs",
+]
+
 from .graph import Graph, build_graph
 from .poset import BicoloredPoset, build_poset
 

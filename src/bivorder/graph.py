@@ -13,6 +13,11 @@ acyclic_orientations refuses graphs of more than 20 edges.
 
 from __future__ import annotations
 
+__all__ = [
+    "Graph", "build_graph", "graph_to_json", "graph_from_json", "Flat", "flats", "trivial_flat",
+    "AcyclicOrientation", "is_acyclic", "acyclic_orientations", "orientation_to_poset",
+]
+
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable

@@ -34,6 +34,11 @@ The ideal-chain dynamic program refuses through poset's one budget gate
 
 from __future__ import annotations
 
+__all__ = [
+    "chain_poly", "word_poly_strict", "word_poly_weak", "word_decomposition",
+    "order_poly_strict", "order_poly_weak",
+]
+
 import math
 from collections import Counter
 from functools import lru_cache

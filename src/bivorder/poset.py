@@ -22,6 +22,13 @@ it has cached is returned without passing it again.
 
 from __future__ import annotations
 
+__all__ = [
+    "BudgetExceededError", "BicoloredPoset", "build_poset", "covers", "linear_extensions",
+    "natural_labeling", "reverse_natural_labeling", "is_natural_labeling",
+    "is_reverse_natural_labeling", "all_natural_labelings", "all_reverse_natural_labelings",
+    "Word", "word_of", "ascents", "descents", "reverse_word", "poset_to_json", "poset_from_json",
+]
+
 import operator
 from collections import Counter
 from dataclasses import dataclass, field

@@ -29,6 +29,8 @@ the tests' oracle for all three; no library route calls it.
 
 from __future__ import annotations
 
+__all__ = ["BiPoly", "X", "Y", "ONE", "binom_poly"]
+
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping

@@ -23,6 +23,11 @@ brute counts, and none of them imports this module.
 
 from __future__ import annotations
 
+__all__ = [
+    "CheckReport", "check_reciprocity_poset", "check_reciprocity_word",
+    "count_compatible_colorings", "check_reciprocity_graph", "check_reciprocity_graph_poly",
+]
+
 import functools
 import math
 from dataclasses import dataclass

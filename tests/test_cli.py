@@ -164,11 +164,12 @@ def test_list_extensions_lists_below_the_default_budget(tmp_path):
         ({"n": 2, "covers": {}}, "poset fields 'covers' and 'celeste' must be lists"),
         ({"n": 2, "celeste": 1}, "poset fields 'covers' and 'celeste' must be lists"),
         ({"n": 2, "edges": "01"}, "graph field 'edges' must be a list"),
+        ([{"n": 2}], "input JSON must be an object"),
     ],
     ids=[
         "poset-no-n", "graph-no-n", "poset-str-n", "graph-bool-n", "short-cover",
         "bool-edge", "float-edge", "str-celeste", "cover-before-celeste",
-        "dict-covers", "int-celeste", "str-edges",
+        "dict-covers", "int-celeste", "str-edges", "list-json",
     ],
 )
 def test_malformed_input_names_its_fault(tmp_path, data, message):
@@ -220,6 +221,14 @@ def test_list_orientations():
     assert out == "0->1 1->2\n0->1 2->1\n1->0 1->2\n1->0 2->1\n"
     code, out, _ = run_cli("list-orientations", "--input", fixture("edgeless2.json"))
     assert (code, out) == (0, "-\n")
+
+
+def test_list_orientations_refuses_past_the_edge_limit(tmp_path):
+    path = tmp_path / "k7.json"
+    path.write_text(json.dumps(graph_to_json(complete_graph(7))))
+    code, out, err = run_cli("list-orientations", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: 21 edges exceeds the orientation enumeration limit of 20\n"
 
 
 def test_check_passes_on_fixtures():

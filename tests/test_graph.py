@@ -44,6 +44,12 @@ def test_build_graph_rejects_bad_input():
         build_graph(2, [(0, 2)])
     with pytest.raises(ValueError):
         Graph(2, frozenset({(1, 0)}))
+    with pytest.raises(ValueError, match="^graph size must be nonnegative$"):
+        Graph(-1, frozenset())
+    with pytest.raises(ValueError, match="^graph size must be nonnegative$"):
+        build_graph(-1)
+    with pytest.raises(ValueError, match="^cycle needs at least 3 vertices$"):
+        cycle_graph(2)
 
 
 def test_flats_of_triangle():
@@ -198,8 +204,13 @@ def test_acyclic_orientations_hold_no_mask_per_isolated_vertex():
 
 
 def test_orientation_edge_limit():
-    with pytest.raises(ValueError, match="limit"):
-        acyclic_orientations(complete_graph(7))
+    # K7 minus an edge, at the limit of 20 edges, has |7! - 6!| orientations
+    # (its chromatic polynomial at -1); K7 itself is refused
+    K7 = complete_graph(7)
+    assert len(acyclic_orientations(build_graph(7, K7.edges - {(0, 1)}))) == 4320
+    message = "^21 edges exceeds the orientation enumeration limit of 20$"
+    with pytest.raises(ValueError, match=message):
+        acyclic_orientations(K7)
 
 
 @pytest.mark.parametrize("n", range(5))

@@ -125,6 +125,9 @@ def test_chain_validates_k():
         chain_poly(2, 3, "strict")
     with pytest.raises(ValueError):
         chain_poly(2, -1, "weak")
+    for mode in MODES:
+        with pytest.raises(ValueError, match="^chain length must be nonnegative$"):
+            chain_poly(-1, 0, mode)
 
 
 @pytest.mark.parametrize(

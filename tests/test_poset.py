@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import itertools
 import pathlib
@@ -74,6 +75,8 @@ def test_build_rejects_bad_input():
         build_poset(3, [(0, 1), (0, 1)])
     with pytest.raises(ValueError, match="range"):
         build_poset(2, [], celeste=[5])
+    with pytest.raises(ValueError, match="^poset size must be nonnegative$"):
+        build_poset(-1)
 
 
 def test_build_rejects_a_duplicate_celeste_element():
@@ -90,6 +93,10 @@ def test_direct_construction_validates():
         BicoloredPoset(3, frozenset({(0, 1), (1, 2)}), frozenset())
     with pytest.raises(ValueError, match="cycle"):
         BicoloredPoset(2, frozenset({(0, 1), (1, 0)}), frozenset())
+    with pytest.raises(ValueError, match="^poset size must be nonnegative$"):
+        BicoloredPoset(-1, frozenset(), frozenset())
+    with pytest.raises(ValueError, match=re.escape("relation (0, 2) out of range for n=2")):
+        BicoloredPoset(2, frozenset({(0, 2)}), frozenset())
 
 
 @st.composite
@@ -304,6 +311,7 @@ def test_is_natural_rejects_non_bijections():
     assert not is_natural_labeling(P, (0, 1))
     assert not is_natural_labeling(P, (2, 1))
     assert not is_reverse_natural_labeling(P, (1, 2))
+    assert not is_reverse_natural_labeling(P, (2, 2))
 
 
 def test_word_of_marks_first_celeste():
@@ -421,6 +429,49 @@ def test_no_function_takes_a_budget():
     ]
     for fn in filter(callable, exported + private):
         assert "budget" not in inspect.signature(fn).parameters, fn
+
+
+SURFACE = """
+    ONE X Y BiPoly binom_poly
+    BicoloredPoset BudgetExceededError Word all_natural_labelings all_reverse_natural_labelings
+    ascents build_poset covers descents is_natural_labeling is_reverse_natural_labeling
+    linear_extensions natural_labeling poset_from_json poset_to_json reverse_natural_labeling
+    reverse_word word_of
+    chain_poly order_poly_strict order_poly_weak word_decomposition word_poly_strict word_poly_weak
+    AcyclicOrientation Flat Graph acyclic_orientations build_graph flats graph_from_json
+    graph_to_json is_acyclic orientation_to_poset trivial_flat
+    chrom_poly classical_chrom_poly
+    brute_count chrom_count interpolate_brute interpolate_poly
+    CheckReport check_reciprocity_graph check_reciprocity_graph_poly check_reciprocity_poset
+    check_reciprocity_word count_compatible_colorings
+    antichain_poset chain_poset complete_graph cycle_graph edgeless_graph fence_poset
+    fixture_graphs fixture_posets path_graph skew_diamond_poset two_chain_celeste_top
+""".split()
+
+
+def test_each_public_name_is_declared_once_where_it_is_defined():
+    # the package re-exports its modules' __all__, so each public name is
+    # listed once, in the module that defines it, and the surface stays put
+    assert len(SURFACE) == len(set(SURFACE)) == 63
+    assert len(bivorder.__all__) == len(set(bivorder.__all__))
+    assert set(bivorder.__all__) == set(SURFACE)
+    paths = sorted(pathlib.Path(bivorder.__file__).parent.glob("*.py"))
+    declared = {}
+    for path in paths:
+        if path.stem in ("__init__", "__main__"):
+            continue
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name)}
+        for name in getattr(importlib.import_module(f"bivorder.{path.stem}"), "__all__", ()):
+            declared.setdefault(name, []).append(path.stem)
+            assert name in defined, (path.stem, name)
+    assert {name: homes for name, homes in declared.items() if len(homes) > 1} == {}
+    assert set(declared) == set(SURFACE)
+    for name in ("run_checks", "run", "main", "MODES", "DEFAULT_BUDGET", "MAX_ORIENTATION_EDGES"):
+        assert name not in bivorder.__all__ and not hasattr(bivorder, name), name
 
 
 def test_checks_live_in_verify_alone():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,6 +50,8 @@ def test_construction_drops_zero_terms():
     assert p == X
     assert (X - X).is_zero
     assert BiPoly.zero().terms == {}
+    assert not BiPoly.zero() and not (X - X)
+    assert X and BiPoly.const(-1)
 
 
 def test_construction_rejects_negative_exponents():
@@ -69,6 +72,18 @@ def test_add_sub_mul():
     assert X * Y == BiPoly.monomial(1, 1)
     assert (X + 1) * (X - 1) == X**2 - 1
     assert -(X - Y) == Y - X
+
+
+def test_operators_refuse_what_they_cannot_compute():
+    # a non-number is not coerced, so Python falls back to its own refusal
+    assert (X == "x") is False
+    message = "unsupported operand type(s) for +: 'BiPoly' and 'str'"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        X + "x"
+    with pytest.raises(TypeError, match="can't multiply sequence by non-int of type 'BiPoly'"):
+        X * "x"
+    with pytest.raises(ValueError, match="^negative power$"):
+        X**-1
 
 
 def test_immutable():
@@ -130,6 +145,8 @@ def test_text_form():
     assert (X - Y).text() == "x - y"
     assert (-X).text() == "-x"
     assert BiPoly.const(Fraction(-3, 4)).text() == "-3/4"
+    assert repr(X - X) == "BiPoly(0)"
+    assert repr(X * Y - 2 * Y + 1) == "BiPoly(x*y - 2*y + 1)"
 
 
 def test_json_round_trip():
