@@ -2,9 +2,9 @@
 
 The paper's combinatorial reciprocity theorem: a bicolored poset of n
 elements has (-1)^n p_strict(-x, -y) = p_weak(x, y + 1).  It is checked
-on a poset's integer coordinates and on one word's chain sums.  Its graph
-form, built on Dohmen, Poenitz and Tittmann's chi_G(x, y), equates
-chrom_poly(G)(-x, -y) with the signed count of (flat, acyclic
+on a poset's integer coordinates and on a word against its complement.
+Its graph form, built on Dohmen, Poenitz and Tittmann's chi_G(x, y),
+equates chrom_poly(G)(-x, -y) with the signed count of (flat, acyclic
 orientation, compatible coloring) triples; count_compatible_colorings
 counts one pair's share.
 
@@ -38,10 +38,9 @@ from .brute import _coloring_counter, _poset_counter, _valid_ys, brute_count
 from .chrompoly import _reciprocity_poly, chrom_poly
 from .graph import AcyclicOrientation, Flat, Graph, graph_to_json, orientation_to_poset
 from .orderpoly import (
-    _chain_poly, _order_coords, _order_poly, _word_key, order_poly_strict, order_poly_weak,
-    word_poly_strict,
+    _order_coords, order_poly_strict, order_poly_weak, word_poly_strict, word_poly_weak,
 )
-from .poset import BicoloredPoset, Word, _check_budget, ascents, poset_to_json
+from .poset import BicoloredPoset, Word, _check_budget, poset_to_json
 from .ratpoly import MODES, BiPoly
 
 
@@ -89,28 +88,27 @@ def check_reciprocity_poset(P: BicoloredPoset) -> CheckReport:
     satisfies the identity alone, (-1) * (-x) = x and (-1) * (-x + y) =
     x - (y + 1) + 1, and the factors are nonzero, so P's identity holds
     exactly when R's does.  Only a failure builds polynomials, P's whole
-    ones, for the witness."""
+    order polynomials, for the witness."""
     (strict, silver, celeste), (weak, _, _) = (_order_coords(P, mode) for mode in MODES)
     sign = (-1) ** (P.n - silver - celeste)
     if _negated_coords(strict) == {ts: sign * c for ts, c in weak.items()}:
         return CheckReport("poset-reciprocity", True)
-    lhs = _order_poly("strict", strict, silver, celeste).negate_args() * (-1) ** P.n
-    rhs = _order_poly("weak", weak, silver, celeste).shift_y(1)
+    lhs = order_poly_strict(P).negate_args() * (-1) ** P.n
+    rhs = order_poly_weak(P).shift_y(1)
     witness = {"poset": poset_to_json(P), "lhs": lhs.text(), "rhs": rhs.text()}
     return CheckReport("poset-reciprocity", False, witness)
 
 
 def check_reciprocity_word(w: Word) -> CheckReport:
-    """Word-level reciprocity: negating both arguments of the strict word
-    polynomial matches a weak chain sum driven by the reversed word.
-
-    The reversed word's descent count equals the original's ascent count,
-    and the prefix statistic stays with the original mark, so the right
-    side is the weak sum with those shifts, taken at y + 1.  The report
-    always records both sides.
+    """Word-level reciprocity, (-1)^n P^strict_w(-x, -y) = P^weak_w'(x, y + 1),
+    where w' is the complement of w: its letters negated, the same mark
+    (Stanley's pairing of a labeling with its complement).  The descents of
+    w' are the ascents of w, on the whole word and on the prefix ending at
+    the mark, so both sides shift by the same counts.  The report always
+    records both sides.
     """
     lhs = word_poly_strict(w).negate_args() * (-1) ** len(w)
-    rhs = _chain_poly("weak", _word_key(w, ascents)).shift_y(1)
+    rhs = word_poly_weak(Word(tuple(-a for a in w.letters), w.celeste_pos)).shift_y(1)
     witness = {"word": list(w.letters), "celeste_pos": w.celeste_pos,
                "lhs": lhs.text(), "rhs": rhs.text()}
     return CheckReport("word-reciprocity", lhs == rhs, witness)
@@ -125,9 +123,14 @@ def count_compatible_colorings(flat: Flat, orientation: AcyclicOrientation, x0: 
     return brute_count(orientation_to_poset(flat, orientation), "weak", x0, y0 + 1)
 
 
-def _graph_report(name: str, G: Graph, lhs, rhs, show: Callable, **point) -> CheckReport:
-    """A graph check's report: it passes when the sides are equal, and else
-    its witness is the graph, the point, if any, and both sides shown."""
+def _graph_report(name: str, G: Graph, sides: Callable, show: Callable, **point) -> CheckReport:
+    """Both graph checks: the budget gates the 3^n subset pairs before
+    chrom_poly(G) and chrompoly._reciprocity_poly(G), cached on the graph
+    alone, are read, so a hit skips no gate; sides derives the compared
+    values from them.  A failure's witness is the graph, the point, if
+    any, and both sides shown."""
+    _check_budget(G.n, 3, 0)
+    lhs, rhs = sides(chrom_poly(G), _reciprocity_poly(G))
     if lhs == rhs:
         return CheckReport(name, True)
     witness = {"graph": graph_to_json(G), **point, "lhs": show(lhs), "rhs": show(rhs)}
@@ -142,10 +145,8 @@ def check_reciprocity_graph(G: Graph, x0: int, y0: int) -> CheckReport:
     enumerated.  The budget bounds its 3^n subset pairs, whatever x0."""
     if not 0 <= y0 <= x0:
         raise ValueError("graph reciprocity is checked on 0 <= y0 <= x0")
-    _check_budget(G.n, 3, 0)
-    lhs = chrom_poly(G).evaluate(-x0, -y0)
-    rhs = _reciprocity_poly(G).evaluate(x0, y0)
-    return _graph_report("graph-reciprocity", G, lhs, rhs, str, x=x0, y=y0)
+    sides = lambda chi, rhs: (chi.evaluate(-x0, -y0), rhs.evaluate(x0, y0))
+    return _graph_report("graph-reciprocity", G, sides, str, x=x0, y=y0)
 
 
 def check_reciprocity_graph_poly(G: Graph) -> CheckReport:
@@ -153,12 +154,10 @@ def check_reciprocity_graph_poly(G: Graph) -> CheckReport:
     over all (flat, acyclic orientation) pairs, of the weak order
     polynomials at y + 1, which is chrompoly._reciprocity_poly(G).  The
     sides differ only in their block weights (see the chrompoly module
-    docstring).  The budget bounds both sides' 3^n subset pairs, as in
+    docstring).  The budget bounds its 3^n subset pairs, as in
     check_reciprocity_graph."""
-    _check_budget(G.n, 3, 0)
-    lhs = chrom_poly(G).negate_args()
-    rhs = _reciprocity_poly(G)
-    return _graph_report("graph-reciprocity-poly", G, lhs, rhs, BiPoly.text)
+    sides = lambda chi, rhs: (chi.negate_args(), rhs)
+    return _graph_report("graph-reciprocity-poly", G, sides, BiPoly.text)
 
 
 def _sweep(

@@ -10,8 +10,11 @@ polynomial and of its reciprocity right side, and poset reciprocity
 compared as polynomials.  Apart from those, which read the library's
 flats, orientations, order polynomials, labelings and chain sums,
 nothing imports the library's counting kernels, closed forms, or
-interpolation; only the data types, covers, poset_to_json and binom_poly
-come from the package.  The predecessor masks the dynamic programs here
+interpolation; only the data types, covers, poset_to_json, binom_poly,
+brute._valid_ys (the valid thresholds), ratpoly._mode_ok (the mode
+check), graph.is_acyclic (the acyclicity test of
+dumb_acyclic_orientations) and chrompoly._acyclic_counts (the block
+weights of reciprocity_coords) come from the package.  The predecessor masks the dynamic programs here
 read are derived from the order's pairs by pred_masks, not taken from
 BicoloredPoset.preds, so a fault in the library's masks cannot hide in
 its oracles.  product_binomial_poly, binom_poly products

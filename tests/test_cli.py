@@ -532,7 +532,7 @@ def planted_bumps(draw):
 
 
 @given(planted_bumps())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_oracle_finds_any_planted_top_coordinate(planted):
     obj, mode, d, t, c = planted
     n = obj.n
@@ -630,7 +630,7 @@ def planted_reciprocity(draw):
 
 
 @given(planted_reciprocity())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_graph_reciprocity_finds_any_planted_top_coordinate(planted):
     G, t, c = planted
     n = G.n

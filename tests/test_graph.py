@@ -108,7 +108,7 @@ def test_flats_equal_bell_filter(n):
 
 
 @given(st.integers(6, 8), st.lists(st.booleans(), min_size=28, max_size=28))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 def test_flats_equal_bell_filter_six_to_eight_vertices(n, keep):
     pairs = itertools.combinations(range(n), 2)
     G = Graph(n, frozenset(e for e, k in zip(pairs, keep) if k))
@@ -170,7 +170,7 @@ SEVEN_VERTEX_EDGES = list(itertools.combinations(range(7), 2))
 
 
 @given(st.lists(st.sampled_from(SEVEN_VERTEX_EDGES), unique=True, max_size=12))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_acyclic_orientations_equal_direction_vector_filter_on_seven_vertices(edges):
     # at most 12 edges, so the filter reads at most 4096 direction vectors
     G = build_graph(7, edges)
@@ -178,7 +178,7 @@ def test_acyclic_orientations_equal_direction_vector_filter_on_seven_vertices(ed
 
 
 @given(st.lists(st.sampled_from(SEVEN_VERTEX_EDGES), unique=True, max_size=10), st.integers(0, 30))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_acyclic_orientations_ignore_vertices_off_the_edges(edges, spread):
     # vertices spread apart, with isolated vertices between and after them,
     # give the orientations of the 7-vertex graph with the same relabeling

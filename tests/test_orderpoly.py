@@ -351,7 +351,7 @@ def bicolored_posets(draw, min_n: int, max_n: int) -> BicoloredPoset:
 
 
 @given(bicolored_posets(5, 7), st.integers(0, 10**6))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_order_polys_equal_per_extension_sums_random(P, pick):
     # the per-extension route adds one chain sum per extension; near-antichains
     # of 7 elements (up to 5040 extensions) would take seconds per example
@@ -391,7 +391,7 @@ def test_key_counts_equal_per_extension_tally_on_catalog(n):
 
 
 @given(bicolored_posets(5, 8), st.integers(0, 10**6))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_key_counts_equal_per_extension_tally_random(P, pick):
     strict_labs = all_reverse_natural_labelings(P)
     weak_labs = all_natural_labelings(P)
@@ -413,7 +413,7 @@ def _random_extension(P, rng):
 
 
 @given(bicolored_posets(5, 10), st.randoms(use_true_random=False))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_order_coords_equal_word_key_oracle_random(P, rng):
     # sizes where brute tables are over budget: the ideal-chain program
     # against the word-key route, under one random valid labeling per mode
@@ -471,7 +471,7 @@ def posets_with_isolated_elements(draw) -> tuple:
 
 
 @given(posets_with_isolated_elements(), st.randoms(use_true_random=False))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_order_coords_equal_whole_program_with_isolated_elements(case, rng):
     # the related elements ranked by down-set size, the isolated elements
     # multiplied in, give the polynomial of the program run over every
@@ -488,7 +488,7 @@ def test_order_coords_equal_whole_program_with_isolated_elements(case, rng):
 
 
 @given(posets_with_isolated_elements())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_isolated_elements_multiply_the_polynomial(case):
     # order_poly(P + A) == order_poly(P) * X^b * (X - Y + w)^a for b silver
     # and a celeste isolated elements, by BiPoly products; reciprocity
@@ -592,7 +592,7 @@ def test_order_poly_coords_nonnegative_on_catalog(n):
 
 
 @given(bicolored_posets(5, 8))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_order_poly_coords_nonnegative_random(P):
     _assert_coords_are_counts(P)
 
@@ -861,7 +861,7 @@ def test_budget_check_decides_from_bit_lengths_as_from_the_power(monkeypatch):
 
 
 @given(bicolored_posets(1, 7), st.integers(-1, 1))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_extension_gate_refuses_exactly_past_the_budget(P, shift):
     # the gate refuses iff the extensions outnumber the budget, so it
     # decides as counting the listing would; uncached, so every call
@@ -933,6 +933,60 @@ def test_extension_listers_refuse_past_the_budget(monkeypatch, lister):
 def _binary_tree(n: int) -> BicoloredPoset:
     """The complete binary tree on n elements, its root 0 at the bottom."""
     return build_poset(n, [(i, c) for i in range(n) for c in (2 * i + 1, 2 * i + 2) if c < n], [])
+
+
+def _rectangle_poset(rows: int, cols: int, celeste: tuple[int, ...]) -> BicoloredPoset:
+    """The product of a rows-chain and a cols-chain: element r * cols + c
+    sits in row r and column c."""
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    relations = [(r * cols + c, r * cols + c + 1) for r, c in cells if c + 1 < cols]
+    relations += [(r * cols + c, (r + 1) * cols + c) for r, c in cells if r + 1 < rows]
+    return build_poset(rows * cols, relations, celeste)
+
+
+def _zigzag(n: int) -> int:
+    """The Euler zigzag number E_n, the alternating permutations of n, by
+    the boustrophedon (Seidel-Entringer) recurrence."""
+    row = [1]
+    for _ in range(n):
+        nxt = [0]
+        for v in reversed(row):
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[-1]
+
+
+def _hook_length(rows: int, cols: int) -> int:
+    """Standard Young tableaux of the rows x cols rectangle, by the hook
+    length formula."""
+    hooks = math.prod(rows - r + cols - c - 1 for r in range(rows) for c in range(cols))
+    return math.factorial(rows * cols) // hooks
+
+
+def _tree_extensions(n: int) -> int:
+    """Linear extensions of the complete binary tree on n elements (see
+    _binary_tree): n! over the product of the subtree sizes."""
+    size = [0] * n
+    for i in reversed(range(n)):
+        size[i] = 1 + sum(size[c] for c in (2 * i + 1, 2 * i + 2) if c < n)
+    return math.factorial(n) // math.prod(size)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_leading_coefficient_counts_extensions_past_brute_force(mode):
+    # n! [x^n] of either order polynomial is e(P), whatever the celeste
+    # set: each extension's word polynomial has leading term x^n / n!;
+    # the counts come from closed forms, with no enumeration
+    tree = _binary_tree(15)
+    cases = [
+        (fence_poset(12, (5,)), _zigzag(12), 2_702_765),
+        (_rectangle_poset(2, 8, (9,)), _hook_length(2, 8), 1430),
+        (_rectangle_poset(3, 5, (7,)), _hook_length(3, 5), 6006),
+        (build_poset(15, tree.less, (4,)), _tree_extensions(15), 21_964_800),
+    ]
+    for P, count, want in cases:
+        assert count == want and len(P.celeste) == 1
+        assert ORDER_POLY[mode](P).coeff(P.n, 0) * math.factorial(P.n) == count
 
 
 def test_ideal_dp_refuses_inside_the_first_level_past_the_budget(monkeypatch):
@@ -1086,7 +1140,7 @@ def test_interpolate_poly_reproduces_degree_n_in_each_variable(mode, n):
         )
     ),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_interpolate_poly_reproduces_total_degree_n(mode, case):
     # every coefficient x^i y^j with i + j <= n, and a nonzero top term x^k y^(n - k)
     n, values, k, top = case
@@ -1233,7 +1287,7 @@ def test_reciprocity_small_catalog(n):
 
 
 @given(bicolored_posets(5, 8))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_reciprocity_verdict_equals_bipoly_oracle(P):
     assert check_reciprocity_poset(P) == bipoly_poset_reciprocity(P)
 
@@ -1279,7 +1333,7 @@ def test_reciprocity_success_builds_no_polynomial(monkeypatch):
         st.integers(-50, 50),
     )
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_negated_coords_equal_negated_arguments(coords):
     def poly(c):
         return _binomial_poly(c, "strict")
@@ -1317,8 +1371,14 @@ def test_word_reciprocity_two_letters():
     assert report.witness["rhs"] == report.witness["lhs"]
 
 
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("n", range(6))
 def test_word_reciprocity_all_words(n):
+    # the right side is the complement word's weak polynomial: the letters
+    # negated, the same mark, so its descents are w's ascents and it equals
+    # the weak chain sum on w's ascent key
     for letters in itertools.permutations(range(1, n + 1)):
         for cp in [None, *range(1, n + 1)]:
-            assert check_reciprocity_word(Word(letters, cp)).passed
+            w = Word(letters, cp)
+            assert check_reciprocity_word(w).passed
+            complement = Word(tuple(-a for a in letters), cp)
+            assert word_poly_weak(complement) == _chain_poly("weak", _word_key(w, ascents))

@@ -134,7 +134,7 @@ def _outcome(build, *args):
 
 
 @given(relation_lists())
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 def test_direct_construction_agrees_with_pairwise_reference(case):
     n, rel = case
     less = frozenset(rel)
@@ -147,7 +147,7 @@ def test_direct_construction_agrees_with_pairwise_reference(case):
 
 
 @given(relation_lists())
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 def test_build_poset_agrees_with_set_closure_reference(case):
     n, rel = case
     expected = _outcome(set_closure_less, n, rel)
@@ -370,7 +370,7 @@ def test_reverse_word_example():
 
 
 @given(st.permutations(list(range(1, 8))))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_ascent_descent_partition(letters):
     letters = tuple(letters)
     asc = ascents(letters)
@@ -499,6 +499,15 @@ def test_checks_live_in_verify_alone():
     for node in imports(cli):
         if node.module in ("orderpoly", "chrompoly"):
             assert not [a.name for a in node.names if a.name.startswith("_")], node.module
+    # verify states reciprocity through the public polynomials: of
+    # orderpoly's private names it reads only the coordinates
+    private_imports = {(node.module, a.name) for node in imports(verify)
+                       for a in node.names if a.name.startswith("_")}
+    assert private_imports == {
+        ("brute", "_coloring_counter"), ("brute", "_poset_counter"), ("brute", "_valid_ys"),
+        ("chrompoly", "_reciprocity_poly"), ("orderpoly", "_order_coords"),
+        ("poset", "_check_budget"),
+    }
 
 
 def test_brute_counts_live_in_brute_alone():

@@ -249,7 +249,7 @@ def _basis(mode):
         st.tuples(st.integers(0, 6), st.integers(0, 6)), st.integers(-50, 50), max_size=10
     )
 )
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_binomial_poly_matches_integer_binomials(mode, coords):
     w = SHIFT[mode]
     p = _binomial_poly(coords, mode)
@@ -271,7 +271,7 @@ top_twelve_coords = st.dictionaries(
 
 @pytest.mark.parametrize("mode", MODES)
 @given(top_twelve_coords)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_binomial_poly_equals_binom_poly_products(mode, coords):
     p = _binomial_poly(coords, mode)
     assert_canonical(p)
@@ -295,7 +295,7 @@ falling_rows = st.integers(0, 8).flatmap(lambda top: st.tuples(*(
 
 @pytest.mark.parametrize("mode", MODES)
 @given(falling_rows, st.integers(1, 5040))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_falling_poly_equals_binom_poly_products(mode, rows, den):
     # the shared tail of _binomial_poly (w = 0 or 1) and chrom_poly (w = 0):
     # rows[t][j] weighs t! * binom(y - w, t) * (x - y)^j
@@ -312,7 +312,7 @@ def test_falling_poly_equals_binom_poly_products(mode, rows, den):
 
 @pytest.mark.parametrize("mode", MODES)
 @given(top_twelve_coords, st.integers(0, 5), st.integers(0, 5))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_times_powers_equals_bipoly_products(mode, coords, b, a):
     # the isolated elements' factors of the order polynomials:
     # p * x^b * (x - y + w)^a, against BiPoly products
@@ -337,7 +337,7 @@ polys = st.dictionaries(
 
 
 @given(polys, polys, polys)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
@@ -350,7 +350,7 @@ def test_ring_axioms(a, b, c):
 
 
 @given(polys, st.integers(-6, 6), st.integers(-6, 6))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_negate_args_matches_evaluation(p, x0, y0):
     assert p.negate_args().evaluate(x0, y0) == p.evaluate(-x0, -y0)
 
@@ -362,7 +362,7 @@ def _fraction_evaluate(p: BiPoly, x0, y0) -> Fraction:
 
 
 @given(polys, st.integers(-9, 9), st.integers(-9, 9), coeffs, coeffs)
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_evaluate_matches_fraction_formula(p, x0, y0, fx, fy):
     # integer points, negative ones included, take the int route; a
     # Fraction argument takes the Fraction route
@@ -417,13 +417,13 @@ def test_evaluate_zero_and_constant_polys():
 
 
 @given(polys, st.integers(-3, 3), st.integers(-6, 6), st.integers(-6, 6))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_shift_y_matches_evaluation(p, s, x0, y0):
     assert p.shift_y(s).evaluate(x0, y0) == p.evaluate(x0, y0 + s)
 
 
 @given(polys)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_json_round_trip_random(p):
     assert BiPoly.from_json(p.to_json()) == p
 
@@ -440,7 +440,7 @@ def assert_canonical(p):
 
 
 @given(polys, polys, st.integers(-3, 3), st.integers(0, 3))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_results_have_canonical_term_maps(a, b, s, k):
     # c shares a's terms with opposite signs, so a + c cancels them
     c = b - a
@@ -460,7 +460,7 @@ term_maps = st.dictionaries(
 
 
 @given(term_maps, term_maps, st.integers(-3, 3), coeffs, st.integers(-5, 5), coeffs, coeffs)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_arithmetic_matches_fraction_term_maps(a, b, s, c, x0, fx, fy):
     p, q = BiPoly(a), BiPoly(b)
     assert p.terms == a
