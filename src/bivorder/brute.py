@@ -8,17 +8,18 @@ relation and its low value (see _maps) is >= y0 + shift.  Reads at many
 points (verify's oracle sweeps, interpolate_brute) go through one
 budgeted counter whose table is cached, so counts at one x0 share it.
 
-A single count, brute_count or chrom_count, is routed by _count.  Within
-one block of maps and of the table's (x0 + 1)(x0 + 2) cells it reads
-_counter's cached table.  Past one block it builds and caches no table
-and is gated on its x0^n maps alone, whichever route then counts them.
-At x0 >= 2, where that gate bounds n by log2 of the budget and the
+A single count, brute_count or chrom_count, is routed by _count.  At
+x0 >= 2 within one block of maps and of the table's (x0 + 1)(x0 + 2)
+cells it reads _counter's cached table.  Otherwise it builds and caches
+no table and is gated on its x0^n maps alone, whichever route then
+counts them.  At x0 <= 1 every map is constant, so the count is 0 or 1
+in closed form, read from the constraints with no map enumerated.  At
+x0 >= 2, where that gate bounds n by log2 of the budget and the
 min-degree elimination order costs little, it sums the positions out one
 at a time (bucket elimination, see _eliminate) when the order, read
 before any product, keeps each bucket within _BLOCK_MAPS cells and their
 cells summed below x0^n, so a sparse input is summed, not enumerated.
-Otherwise, and at any x0 <= 1 without building an order, it reduces each
-block of maps to its number (see _maps).
+Otherwise it reduces each block of maps to its number (see _maps).
 
 Counts and polynomials agree on the validity region (_valid_ys), outside
 which a polynomial counts nothing.  interpolate_poly reads any integer
@@ -298,17 +299,23 @@ def _count(
     n: int, x0: int, y0: int, relations: tuple, below: Callable, lows: tuple, shift: int
 ) -> int:
     """One count, the maps into 1..x0 with low value >= y0 + shift, routed
-    as the module docstring says: from the cached table within one block,
-    else by elimination or by blocks, gated on the x0^n maps alone."""
-    if _inner_count(n, x0) == n and (x0 + 1) * (x0 + 2) <= _BLOCK_MAPS:
+    as the module docstring says: at x0 <= 1 in closed form, else from the
+    cached table within one block, else by elimination or by blocks, gated
+    on the x0^n maps alone."""
+    if x0 >= 2 and _inner_count(n, x0) == n and (x0 + 1) * (x0 + 2) <= _BLOCK_MAPS:
         return _counter(n, x0, relations, below, lows, shift)(x0, y0)
     _check_budget(n, x0, 0)
     threshold = min(y0 + shift, x0 + 1)
-    if x0 >= 2:  # so the gate bounds n by log2 of the budget, and the order costs little
-        order = _elimination_order(n, relations + lows)
-        cells = [x0**w for _, w in order]
-        if max(cells, default=0) <= _BLOCK_MAPS and sum(cells) < x0**n:
-            return _eliminate(x0, order, relations, below, lows, threshold)
+    if x0 <= 1:  # phi = 1 is the one map, and at x0 = 0 there is none once n >= 1
+        if x0 == 0 and n:
+            return 0
+        low = 1 if lows else x0 + 1  # every low term holds at phi = 1
+        return int((not relations or below(1, 1)) and low >= threshold)
+    # the gate bounds n by log2 of the budget, so the order costs little
+    order = _elimination_order(n, relations + lows)
+    cells = [x0**w for _, w in order]
+    if max(cells, default=0) <= _BLOCK_MAPS and sum(cells) < x0**n:
+        return _eliminate(x0, order, relations, below, lows, threshold)
     return _maps(n, x0, relations, below, lows, threshold)
 
 

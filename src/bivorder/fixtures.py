@@ -5,7 +5,6 @@ from __future__ import annotations
 __all__ = [
     "two_chain_celeste_top", "skew_diamond_poset", "chain_poset", "antichain_poset", "fence_poset",
     "complete_graph", "path_graph", "cycle_graph", "edgeless_graph",
-    "fixture_posets", "fixture_graphs",
 ]
 
 from .graph import Graph, build_graph
@@ -56,25 +55,3 @@ def cycle_graph(n: int) -> Graph:
 
 def edgeless_graph(n: int) -> Graph:
     return build_graph(n, [])
-
-
-def fixture_posets() -> dict[str, BicoloredPoset]:
-    """The poset fixtures shipped as JSON files under fixtures/."""
-    return {
-        "chain2celestetop": two_chain_celeste_top(),
-        "skewdiamond": skew_diamond_poset(),
-    }
-
-
-def fixture_graphs() -> dict[str, Graph]:
-    """The graph fixtures shipped as JSON files under fixtures/."""
-    return {
-        "k2": complete_graph(2),
-        "k3": complete_graph(3),
-        "k4": complete_graph(4),
-        "p3": path_graph(3),
-        "c4": cycle_graph(4),
-        "edgeless1": edgeless_graph(1),
-        "edgeless2": edgeless_graph(2),
-        "edgeless3": edgeless_graph(3),
-    }

@@ -14,8 +14,8 @@ acyclic_orientations refuses graphs of more than 20 edges.
 from __future__ import annotations
 
 __all__ = [
-    "Graph", "build_graph", "graph_to_json", "graph_from_json", "Flat", "flats", "trivial_flat",
-    "AcyclicOrientation", "is_acyclic", "acyclic_orientations", "orientation_to_poset",
+    "Graph", "build_graph", "graph_to_json", "graph_from_json", "Flat", "flats",
+    "AcyclicOrientation", "acyclic_orientations", "orientation_to_poset",
 ]
 
 from dataclasses import dataclass
@@ -166,35 +166,11 @@ def flats(G: Graph) -> tuple[Flat, ...]:
     return tuple(out)
 
 
-def trivial_flat(G: Graph) -> Flat:
-    """The all-singletons flat; its quotient is the graph itself."""
-    blocks = tuple((v,) for v in range(G.n))
-    return Flat(blocks, Graph(G.n, G.edges), frozenset())
-
-
 @dataclass(frozen=True)
 class AcyclicOrientation:
     """One direction (tail, head) per edge, listed in sorted edge order."""
 
     directed_edges: tuple[tuple[int, int], ...]
-
-
-def is_acyclic(n: int, directed_edges: Iterable[tuple[int, int]]) -> bool:
-    succ: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for a, b in directed_edges:
-        succ[a].append(b)
-        indeg[b] += 1
-    ready = [v for v in range(n) if indeg[v] == 0]
-    seen = 0
-    while ready:
-        v = ready.pop()
-        seen += 1
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    return seen == n
 
 
 @lru_cache(maxsize=4096)

@@ -25,8 +25,8 @@ from __future__ import annotations
 __all__ = [
     "BudgetExceededError", "BicoloredPoset", "build_poset", "covers", "linear_extensions",
     "natural_labeling", "reverse_natural_labeling", "is_natural_labeling",
-    "is_reverse_natural_labeling", "all_natural_labelings", "all_reverse_natural_labelings",
-    "Word", "word_of", "ascents", "descents", "reverse_word", "poset_to_json", "poset_from_json",
+    "is_reverse_natural_labeling", "Word", "word_of", "ascents", "descents", "poset_to_json",
+    "poset_from_json",
 ]
 
 import operator
@@ -253,23 +253,6 @@ def is_reverse_natural_labeling(P: BicoloredPoset, labels: Sequence[int]) -> boo
     return all(labels[a] > labels[b] for a, b in P.less)
 
 
-def all_natural_labelings(P: BicoloredPoset) -> tuple[tuple[int, ...], ...]:
-    """Every natural labeling; position labeling of each linear extension."""
-    out = []
-    for ext in linear_extensions(P):
-        labels = [0] * P.n
-        for pos, e in enumerate(ext, start=1):
-            labels[e] = pos
-        out.append(tuple(labels))
-    return tuple(out)
-
-
-def all_reverse_natural_labelings(P: BicoloredPoset) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(P.n + 1 - lab for lab in labels) for labels in all_natural_labelings(P)
-    )
-
-
 @dataclass(frozen=True)
 class Word:
     """A sequence of distinct labels with an optional marked celeste position.
@@ -317,13 +300,6 @@ def ascents(letters: Sequence[int]) -> set[int]:
 
 def descents(letters: Sequence[int]) -> set[int]:
     return {j for j in range(1, len(letters)) if letters[j - 1] > letters[j]}
-
-
-def reverse_word(w: Word) -> Word:
-    """Reverse the letters; the marked position is mirrored to n+1-pos."""
-    n = len(w.letters)
-    cp = None if w.celeste_pos is None else n + 1 - w.celeste_pos
-    return Word(tuple(reversed(w.letters)), cp)
 
 
 # JSON form: {"n": int, "covers": [[a, b], ...], "celeste": [int, ...]}

@@ -29,7 +29,7 @@ the tests' oracle for all three; no library route calls it.
 
 from __future__ import annotations
 
-__all__ = ["BiPoly", "X", "Y", "ONE", "binom_poly"]
+__all__ = ["BiPoly", "X", "Y", "binom_poly"]
 
 import math
 from fractions import Fraction
@@ -114,10 +114,6 @@ class BiPoly:
         return {e: Fraction(a, self._den) for e, a in self._num.items()}
 
     @property
-    def is_zero(self) -> bool:
-        return not self._num
-
-    @property
     def deg_x(self) -> int:
         """Degree in x; zero polynomial reports -1."""
         return max((dx for dx, _ in self._num), default=-1)
@@ -189,7 +185,7 @@ class BiPoly:
     def __pow__(self, k: int) -> BiPoly:
         if k < 0:
             raise ValueError("negative power")
-        out = ONE
+        out = BiPoly.const(1)
         for _ in range(k):
             out = out * self
         return out
@@ -321,7 +317,6 @@ def _weighted_sum(parts: Iterable[tuple[int, BiPoly]]) -> BiPoly:
 
 X = BiPoly.monomial(1, 0)
 Y = BiPoly.monomial(0, 1)
-ONE = BiPoly.const(1)
 
 
 def binom_poly(arg: BiPoly, m: int) -> BiPoly:

@@ -8,13 +8,10 @@ route to the order polynomials, now the oracle of its ideal-chain
 program), the paper's flat-and-orientation construction of the chromatic
 polynomial and of its reciprocity right side, and poset reciprocity
 compared as polynomials.  Apart from those, which read the library's
-flats, orientations, order polynomials, labelings and chain sums,
-nothing imports the library's counting kernels, closed forms, or
-interpolation; only the data types, covers, poset_to_json, binom_poly,
-brute._valid_ys (the valid thresholds), ratpoly._mode_ok (the mode
-check), graph.is_acyclic (the acyclicity test of
-dumb_acyclic_orientations) and chrompoly._acyclic_counts (the block
-weights of reciprocity_coords) come from the package.  The predecessor masks the dynamic programs here
+flats, orientations, order polynomials, labelings, chain sums and
+subset sums, nothing imports the library's counting kernels, closed
+forms, or interpolation; the list that closes this docstring names
+every library import.  The predecessor masks the dynamic programs here
 read are derived from the order's pairs by pred_masks, not taken from
 BicoloredPoset.preds, so a fault in the library's masks cannot hide in
 its oracles.  product_binomial_poly, binom_poly products
@@ -49,7 +46,28 @@ program on the strict basis binom(y, t) * binom(x - y, s), was the
 library's route to both graph polynomials (chrom_coords and
 reciprocity_coords, built by ratpoly._binomial_poly) and is the oracle
 of chrompoly._sums_poly, which reads the same sums straight into
-monomials.  Slow on purpose."""
+monomials.  all_natural_labelings, all_reverse_natural_labelings,
+trivial_flat and the fixture tables are inputs the tests enumerate, not
+oracles.  Slow on purpose.
+
+Library imports, by module (a test holds this list to the import lines):
+    brute._integer (the value check), brute._valid_ys (the thresholds);
+    chrompoly._acyclic_counts, chrompoly._chrom_sums and
+    chrompoly._partition_sums (the sums of chrom_coords and
+    reciprocity_coords);
+    fixtures.complete_graph, fixtures.cycle_graph, fixtures.edgeless_graph,
+    fixtures.path_graph, fixtures.skew_diamond_poset and
+    fixtures.two_chain_celeste_top (the fixture tables);
+    graph.AcyclicOrientation, graph.Flat, graph.Graph,
+    graph.acyclic_orientations, graph.flats, graph.orientation_to_poset;
+    orderpoly._chain_coords, orderpoly._checked_labeling,
+    orderpoly.order_poly_strict, orderpoly.order_poly_weak;
+    poset.BicoloredPoset, poset.covers, poset.linear_extensions (the
+    labelings), poset.poset_to_json;
+    ratpoly.X, ratpoly.Y, ratpoly.BiPoly, ratpoly._mode_ok (the mode
+    check), ratpoly.binom_poly;
+    verify.CheckReport.
+"""
 
 from __future__ import annotations
 
@@ -65,13 +83,20 @@ import numpy as np
 
 from bivorder.brute import _integer, _valid_ys
 from bivorder.chrompoly import _acyclic_counts, _chrom_sums, _partition_sums
+from bivorder.fixtures import (
+    complete_graph,
+    cycle_graph,
+    edgeless_graph,
+    path_graph,
+    skew_diamond_poset,
+    two_chain_celeste_top,
+)
 from bivorder.graph import (
     AcyclicOrientation,
     Flat,
     Graph,
     acyclic_orientations,
     flats,
-    is_acyclic,
     orientation_to_poset,
 )
 from bivorder.orderpoly import (
@@ -80,7 +105,7 @@ from bivorder.orderpoly import (
     order_poly_strict,
     order_poly_weak,
 )
-from bivorder.poset import BicoloredPoset, covers, poset_to_json
+from bivorder.poset import BicoloredPoset, covers, linear_extensions, poset_to_json
 from bivorder.ratpoly import X, Y, BiPoly, _mode_ok, binom_poly
 from bivorder.verify import CheckReport
 
@@ -759,6 +784,25 @@ def scan_natural_labels(preds: Sequence[int]) -> tuple[int, ...]:
     return tuple(labels)
 
 
+def is_acyclic(n: int, directed_edges) -> bool:
+    """Kahn's test: every vertex leaves once its in-degree drops to 0."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for a, b in directed_edges:
+        succ[a].append(b)
+        indeg[b] += 1
+    ready = [v for v in range(n) if indeg[v] == 0]
+    seen = 0
+    while ready:
+        v = ready.pop()
+        seen += 1
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return seen == n
+
+
 def dumb_acyclic_orientations(H: Graph) -> tuple[AcyclicOrientation, ...]:
     """Every direction vector over the sorted edges, (u, v) as 0 and
     (v, u) as 1, in lexicographic order, kept when acyclic."""
@@ -849,6 +893,54 @@ def relabeled_poset(P: BicoloredPoset, perm) -> tuple:
 
 def relabeled_graph(G: Graph, perm) -> tuple:
     return tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in G.edges))
+
+
+# labelings, flats and fixtures the tests enumerate ---------------------------
+
+
+def all_natural_labelings(P: BicoloredPoset) -> tuple[tuple[int, ...], ...]:
+    """Every natural labeling; position labeling of each linear extension."""
+    out = []
+    for ext in linear_extensions(P):
+        labels = [0] * P.n
+        for pos, e in enumerate(ext, start=1):
+            labels[e] = pos
+        out.append(tuple(labels))
+    return tuple(out)
+
+
+def all_reverse_natural_labelings(P: BicoloredPoset) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(P.n + 1 - lab for lab in labels) for labels in all_natural_labelings(P)
+    )
+
+
+def trivial_flat(G: Graph) -> Flat:
+    """The all-singletons flat; its quotient is the graph itself."""
+    blocks = tuple((v,) for v in range(G.n))
+    return Flat(blocks, Graph(G.n, G.edges), frozenset())
+
+
+def fixture_posets() -> dict[str, BicoloredPoset]:
+    """The poset fixtures shipped as JSON files under fixtures/."""
+    return {
+        "chain2celestetop": two_chain_celeste_top(),
+        "skewdiamond": skew_diamond_poset(),
+    }
+
+
+def fixture_graphs() -> dict[str, Graph]:
+    """The graph fixtures shipped as JSON files under fixtures/."""
+    return {
+        "k2": complete_graph(2),
+        "k3": complete_graph(3),
+        "k4": complete_graph(4),
+        "p3": path_graph(3),
+        "c4": cycle_graph(4),
+        "edgeless1": edgeless_graph(1),
+        "edgeless2": edgeless_graph(2),
+        "edgeless3": edgeless_graph(3),
+    }
 
 
 # fast exact grid evaluation ---------------------------------------------------

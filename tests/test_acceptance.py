@@ -24,11 +24,7 @@ from bivorder.orderpoly import (
     order_poly_strict,
     order_poly_weak,
 )
-from bivorder.poset import (
-    Word,
-    all_natural_labelings,
-    all_reverse_natural_labelings,
-)
+from bivorder.poset import Word
 from bivorder.orderpoly import word_poly_strict, word_poly_weak
 from bivorder.ratpoly import X, Y, _binomial_poly
 from bivorder.fixtures import two_chain_celeste_top
@@ -39,6 +35,8 @@ from bivorder.verify import (
 )
 from oracles import (
     all_graphs,
+    all_natural_labelings,
+    all_reverse_natural_labelings,
     catalog_posets,
     chrom_coords,
     compatible_count,

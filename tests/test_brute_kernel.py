@@ -7,7 +7,8 @@ brute._coloring_counter give it.  A single count past one block may
 sum its positions out instead (brute._eliminate): that route against
 the definition and the kernel's threshold counts, which inputs take it,
 its exactness past 2^63 and on long chains and wide stars, and its time
-and memory where it is not taken or has no pairs."""
+and memory where it is not taken or has no pairs.  At x0 <= 1 a count
+takes a closed form that builds no block, table or order."""
 
 import math
 import operator
@@ -271,9 +272,8 @@ def test_sparse_counts_past_one_block_enumerate_no_map(monkeypatch):
             assert chrom_count(G, 11, y0) == poly.evaluate(11, y0), (G, y0)
 
 
-def test_dense_counts_and_x0_at_most_one_stay_on_the_blocks(monkeypatch):
-    # K6's and K7's first bucket holds every vertex, 11^6 and 9^7 cells;
-    # at x0 <= 1 no sum of cells is below x0^n
+def test_dense_counts_stay_on_the_blocks(monkeypatch):
+    # K6's and K7's first bucket holds every vertex, 11^6 and 9^7 cells
     calls = []
 
     def maps(*args):
@@ -285,12 +285,7 @@ def test_dense_counts_and_x0_at_most_one_stay_on_the_blocks(monkeypatch):
     K6, K7 = complete_graph(6), complete_graph(7)
     assert chrom_count(K6, 11, 4) == chrom_poly(K6).evaluate(11, 4)
     assert chrom_count(K7, 9, 2) == chrom_poly(K7).evaluate(9, 2)
-    P = chain_poset(16, (15,))
-    assert brute._inner_count(16, 1) < 16
-    assert brute_count(P, "weak", 1, 1) == 1
-    assert brute_count(P, "weak", 0, 1) == 0
-    assert brute_count(P, "strict", 1, 0) == 0
-    assert calls == [(6, 11), (7, 9), (16, 1), (16, 0), (16, 1)]
+    assert calls == [(6, 11), (7, 9)]
 
 
 def path_colorings(n, x0, y0):
@@ -335,14 +330,55 @@ def test_a_wide_star_sums_its_leaves_into_one_bucket(monkeypatch):
     assert brute_count(up, "strict", 2, 0) == 1
 
 
-def test_x0_at_most_one_counts_wide_inputs_without_an_order():
-    # an elimination order of 10^5 positions takes minutes to build
-    start = time.perf_counter()
+def no_route(*args):
+    raise AssertionError("the count built a block, a table or an elimination order")
+
+
+def closed_form_only(monkeypatch):
+    for name in ("_maps", "_eliminate", "_elimination_order", "_cum_table"):
+        monkeypatch.setattr(brute, name, no_route)
+
+
+def test_x0_at_most_one_counts_equal_the_definition(monkeypatch):
+    # into 1..x0 <= 1 the one map is constant, or there is none, so the
+    # count is read from the constraints on inputs of 0-5 elements
+    closed_form_only(monkeypatch)
+    rng = random.Random(1)
+    for _ in range(40):
+        P = random_poset(rng, rng.randint(0, 5))
+        G = random_graph(rng, rng.randint(0, 5))
+        for x0 in (0, 1):
+            for y0 in range(4):
+                for mode in MODES:
+                    assert brute_count(P, mode, x0, y0) == dumb_count_maps(P, mode, x0, y0), (P, mode, x0, y0)
+                assert chrom_count(G, x0, y0) == dumb_count_colorings(G, x0, y0), (G, x0, y0)
+
+
+def test_x0_at_most_one_counts_wide_inputs_without_an_order(monkeypatch):
+    # an elimination order of 10^5 positions takes minutes to build, and
+    # 16 positions pass the 15 that vary inside one block
+    closed_form_only(monkeypatch)
     assert brute_count(antichain_poset(10**5, (0,)), "weak", 1, 1) == 1
     assert brute_count(antichain_poset(10**5, (0,)), "strict", 1, 1) == 0
     assert chrom_count(edgeless_graph(10**5), 1, 0) == 1
     assert chrom_count(edgeless_graph(10**5), 0, 0) == 0
-    assert time.perf_counter() - start < 5
+    P = chain_poset(16, (15,))
+    assert brute_count(P, "weak", 1, 1) == 1
+    assert brute_count(P, "weak", 0, 1) == 0
+    assert brute_count(P, "strict", 1, 0) == 0
+
+
+@pytest.mark.parametrize("x0", [0, 1])
+def test_x0_at_most_one_counts_a_million_vertices_in_little_memory(x0):
+    # the blocks held about 150 B per position: 146 MiB here
+    G = Graph(10**6, frozenset({(0, 1)}))
+    tracemalloc.start()
+    try:
+        assert chrom_count(G, x0, 0) == x0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("x0", [2990, 3000])

@@ -20,14 +20,13 @@ from bivorder.fixtures import (
     complete_graph,
     cycle_graph,
     fence_poset,
-    fixture_graphs,
-    fixture_posets,
     path_graph,
 )
 from bivorder.graph import Graph, graph_from_json, graph_to_json
 from bivorder.poset import BudgetExceededError, build_poset, poset_from_json, poset_to_json
 from bivorder.ratpoly import MODES, BiPoly, X, Y, _binomial_poly, binom_poly
 from bivorder.verify import CheckReport
+from oracles import fixture_graphs, fixture_posets
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -878,6 +877,15 @@ def test_budget_refuses_a_huge_graph_without_computing_the_power(tmp_path):
     assert time.perf_counter() - start < 2
     assert (code, out) == (2, "")
     assert err == "error: enumeration of 3^100000000 objects exceeds budget 10000000\n"
+
+
+@pytest.mark.parametrize("x, y, count", [("0", "1", "0"), ("1", "0", "1"), ("1", "1", "0")])
+def test_graph_count_of_a_billion_vertices_at_x_at_most_one(tmp_path, x, y, count):
+    # the one coloring into 1..1 makes the edge monochromatic at color 1,
+    # admissible only at y = 0; the blocks ran out of memory here
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1000000000, "edges": [[0, 1]]}')
+    assert run_cli("graph-count", "--input", str(path), "--x", x, "--y", y) == (0, count + "\n", "")
 
 
 def test_poset_poly_of_a_million_element_antichain(tmp_path):

@@ -20,12 +20,10 @@ from bivorder.graph import (
     flats,
     graph_from_json,
     graph_to_json,
-    is_acyclic,
     orientation_to_poset,
-    trivial_flat,
 )
 from bivorder.chrompoly import classical_chrom_poly
-from oracles import all_graphs, dumb_acyclic_orientations, dumb_flats
+from oracles import all_graphs, dumb_acyclic_orientations, dumb_flats, is_acyclic, trivial_flat
 
 BELL = [1, 1, 2, 5, 15, 52, 203]
 

@@ -24,8 +24,6 @@ from bivorder.poset import (
     BicoloredPoset,
     Word,
     _natural_labels,
-    all_natural_labelings,
-    all_reverse_natural_labelings,
     ascents,
     build_poset,
     covers,
@@ -37,10 +35,11 @@ from bivorder.poset import (
     poset_from_json,
     poset_to_json,
     reverse_natural_labeling,
-    reverse_word,
     word_of,
 )
 from oracles import (
+    all_natural_labelings,
+    all_reverse_natural_labelings,
     all_strict_orders,
     dumb_count_extensions,
     dumb_linear_extensions,
@@ -358,17 +357,6 @@ def test_ascents_descents_examples():
     assert ascents(()) == set()
 
 
-def test_reverse_word_example():
-    w = Word((1, 4, 2, 3, 5), 4)
-    r = reverse_word(w)
-    assert r.letters == (5, 3, 2, 4, 1)
-    assert r.celeste_pos == 2
-    assert ascents(r.letters) == {3}
-    assert len(ascents(r.letters)) == len(descents(w.letters))
-    assert reverse_word(reverse_word(w)) == w
-    assert reverse_word(Word((1,), None)) == Word((1,), None)
-
-
 @given(st.permutations(list(range(1, 8))))
 @settings(max_examples=80)
 def test_ascent_descent_partition(letters):
@@ -432,27 +420,34 @@ def test_no_function_takes_a_budget():
 
 
 SURFACE = """
-    ONE X Y BiPoly binom_poly
-    BicoloredPoset BudgetExceededError Word all_natural_labelings all_reverse_natural_labelings
-    ascents build_poset covers descents is_natural_labeling is_reverse_natural_labeling
-    linear_extensions natural_labeling poset_from_json poset_to_json reverse_natural_labeling
-    reverse_word word_of
+    X Y BiPoly binom_poly
+    BicoloredPoset BudgetExceededError Word ascents build_poset covers descents
+    is_natural_labeling is_reverse_natural_labeling linear_extensions natural_labeling
+    poset_from_json poset_to_json reverse_natural_labeling word_of
     chain_poly order_poly_strict order_poly_weak word_decomposition word_poly_strict word_poly_weak
     AcyclicOrientation Flat Graph acyclic_orientations build_graph flats graph_from_json
-    graph_to_json is_acyclic orientation_to_poset trivial_flat
+    graph_to_json orientation_to_poset
     chrom_poly classical_chrom_poly
     brute_count chrom_count interpolate_brute interpolate_poly
     CheckReport check_reciprocity_graph check_reciprocity_graph_poly check_reciprocity_poset
     check_reciprocity_word count_compatible_colorings
     antichain_poset chain_poset complete_graph cycle_graph edgeless_graph fence_poset
-    fixture_graphs fixture_posets path_graph skew_diamond_poset two_chain_celeste_top
+    path_graph skew_diamond_poset two_chain_celeste_top
 """.split()
+
+# public though only tests read them: the paper's chains, decomposition
+# theorem and word reciprocity, and the named examples the README documents
+PAPER_RESULTS = {"chain_poly", "word_decomposition", "check_reciprocity_word"}
+NAMED_EXAMPLES = {
+    "two_chain_celeste_top", "skew_diamond_poset", "chain_poset", "antichain_poset",
+    "fence_poset", "complete_graph", "path_graph", "cycle_graph", "edgeless_graph",
+}
 
 
 def test_each_public_name_is_declared_once_where_it_is_defined():
     # the package re-exports its modules' __all__, so each public name is
     # listed once, in the module that defines it, and the surface stays put
-    assert len(SURFACE) == len(set(SURFACE)) == 63
+    assert len(SURFACE) == len(set(SURFACE)) == 55
     assert len(bivorder.__all__) == len(set(bivorder.__all__))
     assert set(bivorder.__all__) == set(SURFACE)
     paths = sorted(pathlib.Path(bivorder.__file__).parent.glob("*.py"))
@@ -472,6 +467,57 @@ def test_each_public_name_is_declared_once_where_it_is_defined():
     assert set(declared) == set(SURFACE)
     for name in ("run_checks", "run", "main", "MODES", "DEFAULT_BUDGET", "MAX_ORIENTATION_EDGES"):
         assert name not in bivorder.__all__ and not hasattr(bivorder, name), name
+    gone = ["reverse_word", "all_natural_labelings", "all_reverse_natural_labelings",
+            "trivial_flat", "is_acyclic", "fixture_posets", "fixture_graphs", "ONE"]
+    for name in gone:
+        assert not hasattr(bivorder, name), name
+    assert not hasattr(bivorder.BiPoly, "is_zero")
+
+
+def _names_read(path: pathlib.Path) -> set[str]:
+    """Every identifier a file reads: names, attributes and imported names."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {a.name for a in node.names}
+    return out
+
+
+def test_every_public_name_is_read_outside_its_module():
+    # the surface is what the library, the demos and the bench read; only
+    # the paper's results and the named examples stay public for the tests
+    root = pathlib.Path(bivorder.__file__).parent
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    readers = {path: _names_read(path) for path in
+               [*root.glob("*.py"), *(repo / "demos").glob("*.py"), *(repo / "bench").glob("*.py")]}
+    exempt = PAPER_RESULTS | NAMED_EXAMPLES
+    unread = []
+    for stem in ("ratpoly", "poset", "orderpoly", "graph", "chrompoly", "brute", "verify", "fixtures"):
+        home = root / f"{stem}.py"
+        for name in importlib.import_module(f"bivorder.{stem}").__all__:
+            if name not in exempt and not any(name in read for path, read in readers.items()
+                                              if path != home):
+                unread.append(name)
+    assert unread == []
+    assert PAPER_RESULTS <= set(bivorder.__all__)
+    assert NAMED_EXAMPLES == set(bivorder.fixtures.__all__)
+
+
+def test_oracle_docstring_lists_every_library_import():
+    # the list that closes tests/oracles.py's docstring names exactly the
+    # library names it imports, each as module.name
+    tree = ast.parse(pathlib.Path(__file__).with_name("oracles.py").read_text())
+    imported = {f"{node.module.removeprefix('bivorder.')}.{a.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module.startswith("bivorder")
+                for a in node.names}
+    listed = ast.get_docstring(tree).split("Library imports")[1]
+    modules = {path.stem for path in pathlib.Path(bivorder.__file__).parent.glob("*.py")}
+    named = {f"{m}.{name}" for m, name in re.findall(r"\b(\w+)\.(\w+)", listed) if m in modules}
+    assert named == imported
 
 
 def test_checks_live_in_verify_alone():
