@@ -29,7 +29,10 @@ their shifts, and verify plays the two modes against each other by
 reciprocity.
 
 The ideal-chain dynamic program refuses through poset's one budget gate
-(see poset._check_budget); no routine here takes a budget.
+(see poset._check_budget); no routine here takes a budget.  A poset holds
+each mode's coordinates once their walk completes, and frees them with
+itself (see _order_coords): its two polynomials and verify's reciprocity
+check read one walk per mode, and a held result passes no gate again.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ import math
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 from . import poset
 from .poset import (
@@ -177,12 +181,28 @@ def word_decomposition(
     return tuple((w, word_poly(w)) for w in words)
 
 
-def _order_coords(P: BicoloredPoset, mode: str) -> tuple[dict, int, int]:
+def _order_coords(P: BicoloredPoset, mode: str) -> tuple[Mapping, int, int]:
     """The mode's order polynomial of the related elements R of P, those in
     some relation, as its nonzero integer coordinates c[t, s] on the basis
     binom(u, t) * binom(v, s), u = y - w, v = x - y + w, w = 0 strict and 1
     weak (ratpoly._SHIFT); with the numbers of silver and of celeste isolated
     elements, whose linear factors _order_poly multiplies in.
+
+    The first call per mode runs _ideal_walk; P holds its result once the
+    walk completes (P._coords) and later calls read it, without the budget
+    gate, so P's polynomials and its reciprocity check share one walk per
+    mode.  A refused walk holds nothing, and an equal poset built apart runs
+    its own.  Every caller gets the same coordinates, so they are handed
+    out read-only."""
+    held = P._coords.get(mode)
+    if held is None:
+        coords, silver, celeste = _ideal_walk(P, mode)
+        held = P._coords[mode] = (MappingProxyType(coords), silver, celeste)
+    return held
+
+
+def _ideal_walk(P: BicoloredPoset, mode: str) -> tuple[dict, int, int]:
+    """_order_coords's result, computed by one walk over the ideals of R.
 
     c[t, s] counts the chains of order ideals {} = I_0 < ... < I_{t+s} = R
     whose first t steps hold no celeste element (Stanley's P-partitions): a
@@ -257,7 +277,7 @@ def _order_coords(P: BicoloredPoset, mode: str) -> tuple[dict, int, int]:
     return coords, P.n - m - isolated_celeste, isolated_celeste
 
 
-def _order_poly(mode: str, coords: dict, silver: int, celeste: int) -> BiPoly:
+def _order_poly(mode: str, coords: Mapping, silver: int, celeste: int) -> BiPoly:
     """The mode's order polynomial of P from _order_coords: R's, built once
     from its coordinates, times x^silver * v^celeste, v = x - y + w.  A
     disjoint union's polynomial is the product of its parts', and an

@@ -66,6 +66,9 @@ class BicoloredPoset:
     celeste: frozenset[int]
     # preds[b]: bitmask of the a < b; derived, so not in ==, hash or repr
     preds: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # _coords[mode]: orderpoly._order_coords's result, held once its walk
+    # completes and freed with the poset; derived, so not in ==, hash or repr
+    _coords: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n < 0:

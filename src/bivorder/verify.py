@@ -88,7 +88,10 @@ def check_reciprocity_poset(P: BicoloredPoset) -> CheckReport:
     satisfies the identity alone, (-1) * (-x) = x and (-1) * (-x + y) =
     x - (y + 1) + 1, and the factors are nonzero, so P's identity holds
     exactly when R's does.  Only a failure builds polynomials, P's whole
-    order polynomials, for the witness."""
+    order polynomials, for the witness.  The check, its witness and P's
+    polynomials read the coordinates P holds (see orderpoly._order_coords):
+    one walk per mode, each mode's its own, so the two sides stay two
+    independent computations."""
     (strict, silver, celeste), (weak, _, _) = (_order_coords(P, mode) for mode in MODES)
     sign = (-1) ** (P.n - silver - celeste)
     if _negated_coords(strict) == {ts: sign * c for ts, c in weak.items()}:

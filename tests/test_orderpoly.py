@@ -57,6 +57,7 @@ from bivorder.poset import (
     descents,
     linear_extensions,
     natural_labeling,
+    poset_to_json,
     word_of,
 )
 from bivorder.ratpoly import MODES, X, Y, BiPoly, _binomial_poly, binom_poly
@@ -65,6 +66,7 @@ from bivorder.verify import (
     _negated_coords,
     check_reciprocity_poset,
     check_reciprocity_word,
+    run_checks,
 )
 from oracles import (
     all_graphs,
@@ -457,11 +459,12 @@ def test_order_coords_pack_the_largest_counts_without_carry(m):
 
 
 @st.composite
-def posets_with_isolated_elements(draw) -> tuple:
-    """A random poset P, the colours of 0-4 elements added in no relation
-    (True: celeste), and P with them added, all under shuffled names."""
-    P = draw(bicolored_posets(1, 8))
-    extra = draw(st.lists(st.booleans(), max_size=4))
+def posets_with_isolated_elements(draw, max_n: int = 8, max_extra: int = 4) -> tuple:
+    """A random poset P of 1 to max_n elements, the colours of up to
+    max_extra elements added in no relation (True: celeste), and P with
+    them added, all under shuffled names."""
+    P = draw(bicolored_posets(1, max_n))
+    extra = draw(st.lists(st.booleans(), max_size=max_extra))
     names = draw(st.permutations(range(P.n + len(extra))))
     relations = [(names[a], names[b]) for a, b in P.less]
     celeste = [names[c] for c in P.celeste] + [
@@ -984,19 +987,112 @@ def test_leading_coefficient_counts_extensions_past_brute_force(mode):
         assert ORDER_POLY[mode](P).coeff(P.n, 0) * math.factorial(P.n) == count
 
 
+def _counted_walks(monkeypatch) -> Counter:
+    """The ideal-chain walks orderpoly runs from now on, counted by mode."""
+    walks: Counter[str] = Counter()
+    walk = orderpoly._ideal_walk
+
+    def counted(P, mode):
+        walks[mode] += 1
+        return walk(P, mode)
+
+    monkeypatch.setattr(orderpoly, "_ideal_walk", counted)
+    return walks
+
+
 def test_ideal_dp_refuses_inside_the_first_level_past_the_budget(monkeypatch):
     # the 15-element tree's widest level holds 500 (ideal, label) states of
     # 16 * 17 / 2 = 136 slots each, 68 000 state-slots, well inside the
     # default; under 10^4 it refuses once a level stores more than
     # 10^4 // 136 = 73 states, checked after each ideal
-    P = _binary_tree(15)
+    held, P = _binary_tree(15), _binary_tree(15)
+    want = {mode: (whole_order_coords(held, mode), 0, 0) for mode in MODES}
     for mode in MODES:
-        assert _order_coords(P, mode) == (whole_order_coords(P, mode), 0, 0)
+        assert _order_coords(held, mode) == want[mode]
+    walks = _counted_walks(monkeypatch)
     monkeypatch.setattr(poset, "DEFAULT_BUDGET", 10**4)
     for call in (order_poly_strict, order_poly_weak, check_reciprocity_poset):
         with pytest.raises(BudgetExceededError) as info:
             call(P)
         assert str(info.value) == "enumeration of 10336 objects exceeds budget 10000"
+    # held coordinates are returned under the lowered budget, as cached
+    # listings and polynomials are: they walk nothing
+    assert walks == {"strict": 2, "weak": 1}
+    for mode in MODES:
+        assert _order_coords(held, mode) == want[mode]
+    assert check_reciprocity_poset(held).passed
+    assert walks == {"strict": 2, "weak": 1}
+    # a refused walk holds nothing, so it computes once the budget is raised
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 10**7)
+    for mode in MODES:
+        assert _order_coords(P, mode) == want[mode]
+    assert walks == {"strict": 3, "weak": 2}
+
+
+def test_a_poset_runs_one_walk_per_mode_for_its_polynomials_and_checks(monkeypatch):
+    # related elements (celeste 2 among them), a silver isolated 4 and a
+    # celeste isolated 5: both polynomials, the reciprocity check and
+    # every check of the check verb read one walk per mode
+    def fresh():
+        return build_poset(6, [(0, 1), (1, 2), (0, 3)], [2, 5])
+
+    walks = _counted_walks(monkeypatch)
+    P = fresh()
+    seen = lambda: (P == fresh(), hash(P) == hash(fresh()), repr(P), poset_to_json(P))
+    before = seen()
+    polys = order_poly_strict(P), order_poly_weak(P)
+    assert check_reciprocity_poset(P).passed
+    assert all(report.passed for report in run_checks(P, "all"))
+    assert walks == {"strict": 1, "weak": 1}
+    assert seen() == before == (True, True, repr(fresh()), poset_to_json(fresh()))
+    # an equal poset built apart shares nothing
+    Q = fresh()
+    assert (order_poly_strict(Q), order_poly_weak(Q)) == polys
+    assert walks == {"strict": 2, "weak": 2}
+
+
+def test_held_coordinates_are_read_only():
+    P = skew_diamond_poset()
+    for mode in MODES:
+        coords, silver, celeste = _order_coords(P, mode)
+        with pytest.raises(TypeError):
+            coords[0, 0] = 1
+        with pytest.raises(TypeError):
+            del coords[min(coords)]
+        assert _order_coords(P, mode) == (whole_order_coords(P, mode), silver, celeste)
+
+
+def _disjoint_union(P: BicoloredPoset, Q: BicoloredPoset) -> BicoloredPoset:
+    """P beside Q, Q's elements renamed from P.n on."""
+    less = P.less | {(a + P.n, b + P.n) for a, b in Q.less}
+    return BicoloredPoset(P.n + Q.n, less, P.celeste | {c + P.n for c in Q.celeste})
+
+
+@given(posets_with_isolated_elements(4, 2), st.data())
+@settings(max_examples=40)
+def test_relabeled_posets_have_the_same_order_polynomials(case, data):
+    *_, P = case
+    names = data.draw(st.permutations(range(P.n)))
+    Q = build_poset(P.n, [(names[a], names[b]) for a, b in P.less], [names[c] for c in P.celeste])
+    for mode in MODES:
+        assert ORDER_POLY[mode](Q) == ORDER_POLY[mode](P)
+
+
+@given(posets_with_isolated_elements(4, 2), posets_with_isolated_elements(4, 2))
+@settings(max_examples=40)
+def test_a_disjoint_union_has_the_product_of_its_parts_order_polynomials(left, right):
+    P, Q = left[-1], right[-1]
+    for mode in MODES:
+        assert ORDER_POLY[mode](_disjoint_union(P, Q)) == ORDER_POLY[mode](P) * ORDER_POLY[mode](Q)
+
+
+def test_a_union_past_brute_force_has_the_product_of_its_parts_order_polynomials():
+    # 17 elements: a fence and a 2x4 grid, one celeste element each
+    P, Q = fence_poset(9, (4,)), _rectangle_poset(2, 4, (5,))
+    union = _disjoint_union(P, Q)
+    assert union.n == 17 and len(union.celeste) == 2
+    for mode in MODES:
+        assert ORDER_POLY[mode](union) == ORDER_POLY[mode](P) * ORDER_POLY[mode](Q)
 
 
 def test_brute_budget_message_prints_past_the_digit_limit(monkeypatch):

@@ -520,6 +520,29 @@ def test_oracle_docstring_lists_every_library_import():
     assert named == imported
 
 
+def test_module_level_caches_are_the_listed_ones():
+    # every function of the library decorated with functools.lru_cache or
+    # functools.cache, as (module, decorator, function); a speed-up that
+    # adds a caching layer changes this list and says why
+    found = []
+    for path in sorted(pathlib.Path(bivorder.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = target.attr if isinstance(target, ast.Attribute) else target.id
+                    if name in ("lru_cache", "cache"):
+                        found.append((path.stem, name, node.name))
+    assert sorted(found) == [
+        ("brute", "lru_cache", "_cum_table"), ("brute", "lru_cache", "_inner_maps"),
+        ("chrompoly", "lru_cache", "_reciprocity_poly"), ("chrompoly", "lru_cache", "chrom_poly"),
+        ("chrompoly", "lru_cache", "classical_chrom_poly"), ("cli", "cache", "_build_parser"),
+        ("graph", "lru_cache", "acyclic_orientations"), ("graph", "lru_cache", "flats"),
+        ("orderpoly", "lru_cache", "_chain_coords"), ("poset", "lru_cache", "covers"),
+        ("poset", "lru_cache", "linear_extensions"),
+    ]
+
+
 def test_checks_live_in_verify_alone():
     # one home: every moved name is verify's and none is left behind; the
     # polynomial modules do not import verify, and cli imports no private
